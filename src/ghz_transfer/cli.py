@@ -30,7 +30,7 @@ from .dsl import parse_schedule, serialize_schedule, validate_schedule
 from .evolution import EvolutionError
 from .hamiltonians import PhysicalParams, load_params, load_preset
 from .hilbert import embed_site_operator, partial_trace
-from .runner import MODES, ProtocolError, run_protocol
+from .runner import MODES, run_protocol
 from .scheduling import SchedulingError, build_schedule, timing_budget
 from .units import parse_frequency, parse_time
 
@@ -42,7 +42,7 @@ TRAJECTORY_COLUMNS = (
 )
 CHECKPOINT_COLUMNS = ("label", "time_s", "fidelity", "phase_error")
 
-_FAILURES = (ValueError, KeyError, SchedulingError, ProtocolError, EvolutionError)
+_FAILURES = (ValueError, KeyError, SchedulingError, EvolutionError)
 
 
 def _json_text(payload) -> str:
@@ -119,6 +119,18 @@ def _parse_ghz(text: str, n: int) -> list[GhzSpec]:
     if norm < 1e-12:
         raise click.UsageError("amplitudes cannot both be zero")
     return [GhzSpec(alpha=alpha / norm, beta=beta / norm, n=n)]
+
+
+def _sweep_workers() -> int:
+    """Process count from ``GHZ_TRANSFER_WORKERS``; 1 when unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise click.UsageError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _fail(err: Exception) -> None:
@@ -279,6 +291,7 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
         raise click.UsageError("--values is empty")
     if samples is None:
         samples = 300 if mode == "full-dispersive" else 0
+    workers = _sweep_workers()
 
     try:
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
@@ -290,7 +303,6 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
             (parameters, axis, value, n, mode, cutoff, samples, spec.alpha, spec.beta)
             for value in points
         ]
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_point, tasks))

@@ -10,21 +10,26 @@ Three regimes, matched to how the protocol's stages are generated:
   Hamiltonian with a diagonal frame generator, so evolving in that frame
   and undoing it afterwards is exact) or literal integration of the
   Schroedinger equation with a step cap that resolves the fast phases;
-* open-system runs: direct integration of the Lindblad master equation.
+* open-system runs: every segment is piecewise constant, so the master
+  equation is solved exactly, as the action of the exponential of the
+  segment's Liouvillian on the vectorised density matrix.
 
 All routes check norm/trace conservation and raise
-:class:`EvolutionError` when the numerics drift.
+:class:`EvolutionError` when the numerics drift; the open-system route
+also warns when the density matrix loses positivity.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import expm_multiply
 
 from ghz_transfer.hamiltonians import DispersiveGenerator
 from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
@@ -52,6 +57,8 @@ EIGH_DIM_LIMIT = 1024
 
 NORM_DRIFT_LIMIT = 1e-9
 TRACE_DRIFT_LIMIT = 1e-7
+# a density matrix eigenvalue below this is reported as lost positivity
+NEGATIVE_WEIGHT_LIMIT = -1e-6
 
 # phases e^(i delta t) must be sampled many times per cycle by the literal
 # integrator; 50 steps per radian of the fastest detuning is the contract
@@ -346,69 +353,77 @@ def evolve_unitary(
 # ---------------------------------------------------------------------------
 # open-system evolution
 
+def _liouvillian(h_mat, collapse_mats: list[sp.csr_matrix], dim: int) -> sp.csr_matrix:
+    """Master-equation generator acting on the row-major ``rho.ravel()``.
+
+    With H_eff = H - i/2 sum L^+ L the equation reads
+    d rho/dt = -i (H_eff rho - rho H_eff^+) + sum L rho L^+, and row-major
+    vectorisation turns A rho B into (A kron B^T) vec(rho).
+    """
+    eye = sp.identity(dim, dtype=complex)
+    h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
+    if collapse_mats:
+        stacked = sp.vstack(collapse_mats, format="csr")  # S^+ S = sum L^+ L
+        h_eff = h_eff - 0.5j * (stacked.getH() @ stacked)
+    terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
+    terms += [sp.kron(l_op, l_op.conj()) for l_op in collapse_mats]
+    # one COO assembly sums every term; adding them pairwise as CSR costs
+    # a full rebuild per term
+    parts = [term.tocoo() for term in terms]
+    data = np.concatenate([part.data for part in parts])
+    rows = np.concatenate([part.row for part in parts])
+    cols = np.concatenate([part.col for part in parts])
+    return sp.csr_matrix((data, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
 def lindblad_propagate(
-    h_mat: sp.csr_matrix | None,
+    h_mat: sp.spmatrix | None,
     collapse_mats: list[sp.csr_matrix],
     rho0: np.ndarray,
     duration: float,
     *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    times: np.ndarray | None = None,
+    samples: int = 0,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Raw master-equation integration on a dense (d, d) array.
+    """exp(L duration) rho0 for one constant segment, on a dense (d, d) array.
 
-    The layout-free core of :func:`evolve_lindblad`; callers that evolve
-    a projected block (a subspace the dynamics never leaves) use it
-    directly. Returns the final matrix plus one matrix per entry of
-    ``times``; no trace or positivity checks happen here.
+    Layout-free, so callers can evolve a block the dynamics never leave.
+    The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
+    Higham 2011), which has no step-size tolerance to tune. Returns the
+    final matrix plus ``samples`` matrices on a uniform grid over
+    [0, duration], endpoints included, all hermitised. Raises
+    :class:`EvolutionError` when the trace drifts; a negative eigenvalue of
+    the final matrix beyond tolerance triggers a warning, not an error.
     """
     if duration < 0:
         raise ValueError("open-system evolution only runs forward")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     dim = rho0.shape[0]
-    ls = collapse_mats
-    # H_eff = H - i/2 sum L^+ L makes the coherent part plus the
-    # anticommutator a single -i (T - T^+) with T = H_eff rho, which keeps
-    # the right-hand side exactly hermitian
-    h_eff = sp.csr_matrix((dim, dim), dtype=complex) if h_mat is None else h_mat.astype(complex)
-    for l_op in ls:
-        h_eff = h_eff - 0.5j * (l_op.getH() @ l_op)
-    h_eff = h_eff.tocsr()
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        mat = y.reshape(dim, dim)
-        mat = 0.5 * (mat + mat.conj().T)  # keep the integrator on the hermitian slice
-        t_part = h_eff @ mat
-        out = -1j * (t_part - t_part.conj().T)
-        for l_op in ls:
-            half = l_op @ mat
-            out = out + l_op @ half.conj().T
-        return out.ravel()
-
-    if times is None:
-        times = np.empty(0)
+    vec = np.asarray(rho0, dtype=complex).ravel()
     if duration == 0.0:
-        mats = [rho0.copy() for _ in times]
-        final_mat = rho0.copy()
+        grid = [vec] * samples
+        final_vec = vec
     else:
-        if len(times) and times[-1] == duration:
-            t_eval = times
+        gen = _liouvillian(h_mat, collapse_mats, dim)
+        if samples > 1:
+            grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)
+            final_vec = grid[-1]
         else:
-            t_eval = np.concatenate([times, [duration]])
-        sol = solve_ivp(
-            rhs,
-            (0.0, duration),
-            rho0.astype(complex).ravel(),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            t_eval=t_eval,
-        )
-        if not sol.success:
-            raise EvolutionError(f"master-equation integration failed: {sol.message}")
-        mats = [sol.y[:, i].reshape(dim, dim) for i in range(len(times))]
-        final_mat = sol.y[:, -1].reshape(dim, dim)
-    return 0.5 * (final_mat + final_mat.conj().T), mats
+            grid = [vec] * samples  # a one-point grid is just t = 0
+            final_vec = expm_multiply(gen * duration, vec)
+
+    def hermitised(v: np.ndarray) -> np.ndarray:
+        mat = v.reshape(dim, dim)
+        return 0.5 * (mat + mat.conj().T)
+
+    final = hermitised(final_vec)
+    drift = abs(np.trace(final).real - np.trace(rho0).real)
+    if drift > TRACE_DRIFT_LIMIT:
+        raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
+    min_eig = float(np.linalg.eigvalsh(final)[0])
+    if min_eig < NEGATIVE_WEIGHT_LIMIT:
+        warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
+    return final, [hermitised(v) for v in grid]
 
 
 def evolve_lindblad(
@@ -417,36 +432,29 @@ def evolve_lindblad(
     collapse_ops: list[OperatorMatrix],
     duration: float,
     *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     samples: int = 0,
 ) -> LindbladResult:
-    """Integrate d rho/dt = -i[H, rho] + sum_k (L rho L^+ - 1/2 {L^+L, rho}).
+    """Evolve under d rho/dt = -i[H, rho] + sum_k (L rho L^+ - 1/2 {L^+L, rho}).
 
     ``hamiltonian=None`` means pure decay (H = 0), which is how ramp
-    windows are modelled. The trace is checked at the end; a negative
-    eigenvalue beyond tolerance triggers a warning, not an error.
+    windows are modelled. The layout-bound face of
+    :func:`lindblad_propagate`, which does the work and the checks.
     """
-    layout = rho.layout
-    h_mat = hamiltonian.matrix if hamiltonian is not None else None
     if hamiltonian is not None and not hamiltonian.hermitian:
         raise EvolutionError("Lindblad evolution needs a hermitian Hamiltonian")
-    ls = [op.matrix.tocsr() for op in collapse_ops]
-    times = np.linspace(0.0, duration, samples) if samples else np.empty(0)
-    final_mat, mats = lindblad_propagate(
-        h_mat, ls, rho.matrix, duration, rtol=rtol, atol=atol, times=times
+    final, mats = lindblad_propagate(
+        None if hamiltonian is None else hamiltonian.matrix,
+        [op.matrix.tocsr() for op in collapse_ops],
+        rho.matrix,
+        duration,
+        samples=samples,
     )
-    final = DensityMatrix(final_mat, layout)
-    drift = abs(final.trace - rho.trace)
-    if drift > TRACE_DRIFT_LIMIT:
-        raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
-    min_eig = final.min_eigenvalue()
-    if min_eig < -1e-6:
-        import warnings
-
-        warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
-    states = [DensityMatrix(0.5 * (m + m.conj().T), layout) for m in mats]
-    return LindbladResult(final, times, states)
+    layout = rho.layout
+    return LindbladResult(
+        DensityMatrix(final, layout),
+        np.linspace(0.0, duration, samples),
+        [DensityMatrix(m, layout) for m in mats],
+    )
 
 
 def checkpoint_fidelity(state: QuantumState | DensityMatrix, oracle: QuantumState) -> float:

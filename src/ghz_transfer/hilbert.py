@@ -392,9 +392,6 @@ class DensityMatrix:
         _require_same_layout(self.layout, state.layout)
         return float(np.real(np.vdot(state.amplitudes, self.matrix @ state.amplitudes)))
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:

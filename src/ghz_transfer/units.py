@@ -25,7 +25,6 @@ __all__ = [
     "two_pi_mhz",
     "parse_frequency",
     "parse_time",
-    "format_time_ns",
     "ns_to_seconds",
     "seconds_to_ns",
 ]
@@ -87,11 +86,6 @@ def parse_time(text: str) -> float:
     # scale in decimal before the single binary rounding, so "3 ns" hits
     # the same double as the literal 3e-9 (3.0 * 1e-9 lands one ulp off)
     return float(Decimal(number).scaleb(_TIME_EXPONENT[unit_key]))
-
-
-def format_time_ns(value_ns: float) -> str:
-    """Shortest round-tripping text for a duration already held in ns."""
-    return f"{value_ns!r} ns"
 
 
 def ns_to_seconds(value_ns: float) -> float:

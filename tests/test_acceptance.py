@@ -257,7 +257,7 @@ def test_criterion_09_open_system(preset):
         gap = float(np.max(np.abs(
             mixed.matrix - np.outer(pure.amplitudes, pure.amplitudes.conj())
         )))
-        assert gap <= 1e-7, f"zero-rate evolution differs from unitary by {gap!r}"
+        assert gap <= 1e-12, f"zero-rate evolution differs from unitary by {gap!r}"
 
         kappa = 1.0 / 5.138e-6
         lowering = math.sqrt(kappa) * mode_annihilation(layout, "L")

@@ -158,6 +158,13 @@ class TestSweep:
         assert parallel.exit_code == 0
         assert parallel.output == serial.output
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_is_a_usage_error(self, runner, value):
+        args = ["sweep", "--axis", "n", "--values", "1"]
+        result = runner.invoke(main, args, env={"GHZ_TRANSFER_WORKERS": value})
+        assert result.exit_code == 2
+        assert "GHZ_TRANSFER_WORKERS must be an integer >= 1" in result.stderr
+
     def test_non_numeric_axis_rejected(self, runner):
         result = runner.invoke(main, ["sweep", "--axis", "mode", "--values", "1"])
         assert result.exit_code == 2

@@ -1,13 +1,16 @@
-"""Protocol runner: the three modes, checkpoints, and the sector projection."""
+"""Protocol runner: the three modes, checkpoints, and the open-system block."""
 
 from __future__ import annotations
 
+import warnings
+
+import master_equation_oracle
 import numpy as np
 import pytest
 
-from ghz_transfer.analysis import GhzSpec, occupation_probability
+from ghz_transfer import runner
+from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
-from ghz_transfer.evolution import evolve_lindblad
 from ghz_transfer.hamiltonians import (
     collapse_operators,
     h_dispersive_reduced,
@@ -15,10 +18,9 @@ from ghz_transfer.hamiltonians import (
     h_resonant_ge,
     load_preset,
 )
-from ghz_transfer.hilbert import DensityMatrix, build_layout
+from ghz_transfer.hilbert import build_layout
 from ghz_transfer.runner import (
     CHECKPOINT_AFTER_SEGMENT,
-    ProtocolError,
     excitation_numbers,
     run_protocol,
 )
@@ -145,33 +147,49 @@ class TestLindbladMode:
         assert res.final_state.trace == pytest.approx(1.0, abs=1e-7)
 
     def test_matches_unprojected_integration(self, params):
-        # n=1 is small enough to integrate without the sector projection;
-        # agreement is limited by integrator tolerance (the two runs take
-        # different adaptive steps), so both are pushed well below the bound
+        # n=1 is small enough to integrate the full register with the
+        # adaptive-step oracle; the runner evolves only the reachable block
         spec = GhzSpec(alpha=0.8, beta=0.6j, n=1)
-        res = run_protocol(
-            params, spec, mode="lindblad", fock_cutoff=3, rtol=1e-10, atol=1e-12
-        )
+        res = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
 
         layout = build_layout(1, 1, 3, 3)
-        from ghz_transfer.analysis import make_oracle_state
-
-        rho = DensityMatrix.from_state(make_oracle_state(layout, spec, "initial"))
-        cops = collapse_operators(layout, params)
+        psi0 = make_oracle_state(layout, spec, "initial").amplitudes
+        rho = np.outer(psi0, psi0.conj())
+        cops = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
         for seg in build_schedule(params, 1):
             if seg.ramp_s > 0:
-                rho = evolve_lindblad(rho, None, cops, seg.ramp_s, rtol=1e-10, atol=1e-12).final
+                rho, _ = master_equation_oracle.integrate(None, cops, rho, seg.ramp_s)
             if seg.kind == "resonant_ef":
                 h = h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling)
             else:
                 h = h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling)
-            rho = evolve_lindblad(rho, h, cops, seg.duration_s, rtol=1e-10, atol=1e-12).final
-        rho = evolve_lindblad(
-            rho, None, cops, build_schedule(params, 1).closing_ramp_s, rtol=1e-10, atol=1e-12
-        ).final
+            rho, _ = master_equation_oracle.integrate(h.matrix, cops, rho, seg.duration_s)
+        rho, _ = master_equation_oracle.integrate(
+            None, cops, rho, build_schedule(params, 1).closing_ramp_s
+        )
 
-        diff = np.abs(res.final_state.matrix - rho.matrix).max()
-        assert diff < 1e-8
+        diff = np.abs(res.final_state.matrix - rho).max()
+        assert diff < 1e-9
+
+    def test_block_matches_integration(self, params, monkeypatch):
+        # the same run with every segment integrated by the oracle instead
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        exact = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        monkeypatch.setattr(runner, "lindblad_propagate", master_equation_oracle.integrate)
+        integrated = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        assert set(exact.checkpoints) == set(integrated.checkpoints)
+        for label, rec in exact.checkpoints.items():
+            assert rec.fidelity == pytest.approx(integrated.checkpoints[label].fidelity, abs=1e-9)
+        assert exact.final_fidelity == pytest.approx(integrated.final_fidelity, abs=1e-9)
+
+    def test_stays_positive_without_warning(self, params):
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        keep, _, _ = _lindblad_block(params, spec)
+        block = res.final_state.matrix[np.ix_(keep, keep)]
+        assert np.linalg.eigvalsh(block)[0] >= -1e-12
 
     def test_requires_decoherence_channels(self, params):
         bare = params.with_overrides(
@@ -180,6 +198,32 @@ class TestLindbladMode:
         )
         with pytest.raises(ValueError, match="decoherence"):
             run_protocol(bare, GhzSpec(alpha=1.0, beta=0.0, n=1), mode="lindblad", fock_cutoff=3)
+
+
+def _lindblad_block(params, spec, cutoff=3):
+    layout = build_layout(spec.n, spec.n, cutoff, cutoff)
+    generators = [
+        runner._segment_generator(layout, seg, params, "lindblad").matrix.tocsr()
+        for seg in build_schedule(params, spec.n)
+    ]
+    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
+    psi0 = make_oracle_state(layout, spec, "initial")
+    return runner._reachable_block(psi0, generators, collapse), generators, collapse
+
+
+class TestReachableBlock:
+    @pytest.mark.parametrize("n, size", [(1, 20), (2, 80)])
+    def test_block_sizes(self, params, n, size):
+        keep, _, _ = _lindblad_block(params, GhzSpec(alpha=0.6, beta=0.8j, n=n))
+        assert keep.size == size
+
+    def test_block_is_closed(self, params):
+        keep, generators, collapse = _lindblad_block(params, GhzSpec(alpha=0.6, beta=0.8j, n=2))
+        drop = np.setdiff1d(np.arange(generators[0].shape[0]), keep)
+        for mat in generators + collapse + [op.getH() @ op for op in collapse]:
+            leak = mat[drop][:, keep]
+            leak.eliminate_zeros()
+            assert leak.nnz == 0
 
 
 class TestExcitationSectors:
