@@ -47,7 +47,6 @@ __all__ = [
     "EffectiveRates",
     "h_resonant_ef",
     "h_resonant_ge",
-    "h_dispersive_full",
     "h_dispersive_effective",
     "h_dispersive_reduced",
     "DispersiveGenerator",
@@ -257,11 +256,6 @@ def _summed_transition(layout: SystemLayout, sites, to_level: str, from_level: s
         total = term if total is None else total + term
     assert total is not None
     return total
-
-
-def h_dispersive_full(layout: SystemLayout, params: PhysicalParams, time: float) -> OperatorMatrix:
-    """Eq-of-motion generator of the dispersive stage at one instant."""
-    return DispersiveGenerator(layout, params).at(time)
 
 
 def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> OperatorMatrix:

@@ -274,7 +274,8 @@ class QuantumState:
     def overlap(self, other: "QuantumState") -> complex:
         """Inner product <self|other>."""
         _require_same_layout(self.layout, other.layout)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
+        return complex(np.sum(self.amplitudes.conj() * other.amplitudes))
 
     def site_populations(self, site: str) -> np.ndarray:
         """Populations of each level of ``site``, summed over the rest."""

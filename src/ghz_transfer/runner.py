@@ -16,18 +16,19 @@ drives are simply off, so the closed-system modes treat them as pure
 time bookkeeping while the open-system mode idles under the collapse
 channels for their duration (and for the closing ramp).
 
-The open-system path does not evolve the full register. It follows the
-nonzero pattern of every segment generator and collapse channel out of
-the initial state's support: coherent couplings move weight both ways,
-collapse channels only forward. The closed set this reaches is the only
-block the density matrix can ever occupy, so each segment is propagated
-exactly on it, which cuts the n=2 cutoff-3 density matrix from 2592^2 to
-80^2.
+Neither path evolves the full register. A pure segment is propagated
+only on the connected components of its generator that the state meets
+(``EvolutionResult.support``), and trajectory rows are reduced on that
+support. The open-system path follows the nonzero pattern of every
+segment generator and collapse channel out of the initial state's
+support: coherent couplings move weight both ways, collapse channels
+only forward. The closed set this reaches is the only block the density
+matrix can ever occupy, so each segment is propagated exactly on it,
+which cuts the n=2 cutoff-3 density matrix from 2592^2 to 80^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,35 +184,46 @@ class ProtocolResult:
         }
 
 
-class _Tracker:
-    """Population bookkeeping over a weights vector (|amps|^2 or rho diag)."""
+# trajectory columns after t_ns and segment; each is a diagonal observable
+_ROW_COLUMNS = (
+    "norm", "spectator_f_total", "q1_f", "q1p_f", "coupler_e",
+    "photons_L", "photons_R", "top_fock",
+)
 
-    def __init__(self, layout: SystemLayout):
-        self.layout = layout
-        self.levels = {site: layout.level_index_array(site) for site in layout.site_names}
-        spectators = layout.left_spectators + layout.right_spectators
-        self.spectator_f = [self.levels[s] == 2 for s in spectators]
-        self.top_fock_mask = (self.levels["cavL"] == layout.fock_cutoff_left) | (
-            self.levels["cavR"] == layout.fock_cutoff_right
-        )
 
-    def top_fock(self, weights: np.ndarray) -> float:
-        return float(weights[self.top_fock_mask].sum())
+def _observables(layout: SystemLayout, support: np.ndarray) -> np.ndarray:
+    """Value of each ``_ROW_COLUMNS`` observable on the basis states ``support``.
 
-    def row(self, weights: np.ndarray, segment: str, time_s: float) -> dict:
-        lv = self.levels
-        return {
-            "t_ns": time_s * 1e9,
-            "segment": segment,
-            "norm": float(weights.sum()),
-            "spectator_f_total": float(sum(weights[m].sum() for m in self.spectator_f)),
-            "q1_f": float(weights[lv["q1"] == 2].sum()),
-            "q1p_f": float(weights[lv["q1p"] == 2].sum()),
-            "coupler_e": float(weights[lv["A"] == 1].sum()),
-            "photons_L": float((weights * lv["cavL"]).sum()),
-            "photons_R": float((weights * lv["cavR"]).sum()),
-            "top_fock": self.top_fock(weights),
-        }
+    Shape ``(len(_ROW_COLUMNS), len(support))``; levels are decoded from
+    the indices themselves, so nothing of full register size is built.
+    """
+    levels = dict(zip(layout.site_names, np.unravel_index(support, layout.factor_dims)))
+    spectators = layout.left_spectators + layout.right_spectators
+    return np.array([
+        np.ones(support.size),
+        sum((levels[site] == 2 for site in spectators), np.zeros(support.size)),
+        levels["q1"] == 2,
+        levels["q1p"] == 2,
+        levels["A"] == 1,
+        levels["cavL"],
+        levels["cavR"],
+        (levels["cavL"] == layout.fock_cutoff_left) | (levels["cavR"] == layout.fock_cutoff_right),
+    ], dtype=float)
+
+
+def _segment_rows(observables, segment, times_s, weights) -> tuple[list[dict], float]:
+    """One trajectory row per sample time, and the largest top-Fock weight.
+
+    ``weights`` has one more row than ``times_s``: the segment's final
+    populations. Summed by numpy, not BLAS, so the bytes do not depend on
+    the BLAS thread count.
+    """
+    table = (weights[:, None, :] * observables).sum(axis=-1)
+    rows = [
+        {"t_ns": float(t_s) * 1e9, "segment": segment, **dict(zip(_ROW_COLUMNS, map(float, values)))}
+        for t_s, values in zip(times_s, table)
+    ]
+    return rows, float(table[:, -1].max())
 
 
 def _segment_generator(layout, seg, params, mode):
@@ -244,28 +256,25 @@ def _pure_checkpoint(layout, spec, label, state, time_s) -> CheckpointRecord:
     )
 
 
-def _run_pure(layout, schedule, spec, params, mode, samples, tolerance, keep_states):
-    tracker = _Tracker(layout)
+def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
     state = make_oracle_state(layout, spec, "initial")
     rows: list[dict] = []
     states: dict[str, QuantumState] = {}
-    truncation = tracker.top_fock(np.abs(state.amplitudes) ** 2)
+    truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
     t_now = 0.0
     for seg in schedule:
         t_now += seg.ramp_s  # drive off: the state only ages
         generator = _segment_generator(layout, seg, params, mode)
-        result = evolve_unitary(
-            state, generator, seg.duration_s, method="auto",
-            tolerance=tolerance, samples=samples,
-        )
-        for t_s, sampled in zip(result.times, result.states):
-            weights = np.abs(sampled.amplitudes) ** 2
-            rows.append(tracker.row(weights, seg.label, t_now + float(t_s)))
-            truncation = max(truncation, tracker.top_fock(weights))
+        result = evolve_unitary(state, generator, seg.duration_s, samples=samples)
         state = result.final
+        weights = np.abs(np.vstack([result.samples, state.amplitudes[result.support]])) ** 2
+        seg_rows, top = _segment_rows(
+            _observables(layout, result.support), seg.label, t_now + result.times, weights
+        )
+        rows += seg_rows
+        truncation = max(truncation, top)
         t_now += seg.duration_s
-        truncation = max(truncation, tracker.top_fock(np.abs(state.amplitudes) ** 2))
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
             checkpoints[label] = _pure_checkpoint(layout, spec, label, state, t_now)
@@ -300,7 +309,6 @@ def _run_lindblad(layout, schedule, spec, params, samples):
         raise ValueError(
             "lindblad mode needs decoherence parameters (t1/t2/kappa) in the params"
         )
-    tracker = _Tracker(layout)
     psi0 = make_oracle_state(layout, spec, "initial")
     hamiltonians = {
         seg.label: _segment_generator(layout, seg, params, "lindblad").matrix.tocsr()
@@ -313,14 +321,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
     rho = np.outer(block, block.conj())
     rows: list[dict] = []
     checkpoints: dict[str, CheckpointRecord] = {}
-    weights = np.zeros(layout.dim)
-
-    def full_weights(mat: np.ndarray) -> np.ndarray:
-        weights[:] = 0.0
-        weights[keep] = np.real(np.diag(mat))
-        return weights
-
-    truncation = tracker.top_fock(full_weights(rho))
+    truncation = 0.0  # the initial state holds no photons
     t_now = 0.0
     for seg in schedule:
         if seg.ramp_s > 0:
@@ -330,12 +331,13 @@ def _run_lindblad(layout, schedule, spec, params, samples):
         rho, sampled = lindblad_propagate(
             h_block, collapse_p, rho, seg.duration_s, samples=samples
         )
-        for t_s, mat in zip(np.linspace(0.0, seg.duration_s, samples), sampled):
-            w = full_weights(mat)
-            rows.append(tracker.row(w, seg.label, t_now + float(t_s)))
-            truncation = max(truncation, tracker.top_fock(w))
+        seg_rows, top = _segment_rows(
+            _observables(layout, keep), seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
+            np.real([np.diag(mat) for mat in [*sampled, rho]]),
+        )
+        rows += seg_rows
+        truncation = max(truncation, top)
         t_now += seg.duration_s
-        truncation = max(truncation, tracker.top_fock(full_weights(rho)))
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
             oracle = make_oracle_state(layout, spec, label)
@@ -360,7 +362,6 @@ def run_protocol(
     fock_cutoff: int = 4,
     schedule: Schedule | None = None,
     trajectory_samples: int = 0,
-    tolerance: float = 1e-11,
     final_threshold: float | None = None,
     checkpoint_threshold: float | None = None,
     keep_states: bool = False,
@@ -401,7 +402,7 @@ def run_protocol(
         )
     else:
         final_state, checkpoints, rows, truncation, states = _run_pure(
-            layout, schedule, spec, params, mode, trajectory_samples, tolerance, keep_states
+            layout, schedule, spec, params, mode, trajectory_samples, keep_states
         )
 
     final_fidelity = checkpoint_fidelity(final_state, make_oracle_state(layout, spec, "final"))

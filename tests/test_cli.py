@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,38 @@ class TestRun:
         result = runner.invoke(main, ["run", "--preset", "nope"])
         assert result.exit_code == 1
         assert "unknown preset" in result.stderr
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+THREAD_CASES = {
+    "full-dispersive": ["--mode", "full-dispersive", "--n", "2", "--samples", "50",
+                        "--emit", "trajectory"],
+    "ideal-batch": ["--mode", "ideal-reduced", "--n", "3", "--ghz", "random:7:5"],
+    "lindblad": ["--mode", "lindblad", "--n", "2", "--cutoff", "3"],
+}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("case", THREAD_CASES)
+    def test_outputs_do_not_depend_on_thread_count(self, case, tmp_path):
+        # a fresh interpreter per count: OpenBLAS reads the variable once
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", "from ghz_transfer.cli import main; main()",
+                 "run", *THREAD_CASES[case], "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
 
 class TestSweep:

@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ghz_transfer.evolution import (
     EvolutionError,
@@ -66,9 +69,9 @@ class TestStaticRoutes:
     def test_zero_duration_is_identity(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
         src = QuantumState.from_basis(layout11, {"q1": "f"})
-        for method in ("eigh", "krylov"):
-            out = evolve_unitary(src, h, 0.0, method=method).final
-            assert checkpoint_fidelity(out, src) >= 1 - 1e-14
+        out = evolve_unitary(src, h, 0.0).final
+        assert checkpoint_fidelity(out, src) >= 1 - 1e-14
+        assert np.array_equal(krylov_expm_action(h.matrix, src.amplitudes, 0.0), src.amplitudes)
 
     def test_half_pulse_lands_on_minus_i_photon(self, layout11):
         # the pair {|f,0>, |e,1>} sees a plain Rabi cycle, so a quarter
@@ -76,7 +79,7 @@ class TestStaticRoutes:
         h = h_resonant_ef(layout11, "L", "q1", MU)
         src = QuantumState.from_basis(layout11, {"q1": "f"})
         dst = QuantumState.from_basis(layout11, {"q1": "e", "cavL": 1})
-        out = evolve_unitary(src, h, math.pi / (2 * MU), method="eigh").final
+        out = evolve_unitary(src, h, math.pi / (2 * MU)).final
         amp = dst.overlap(out)
         assert abs(amp - (-1j)) < 1e-12
 
@@ -84,19 +87,20 @@ class TestStaticRoutes:
         h = h_resonant_ge(layout11, "R", "A", MU)
         src = QuantumState.from_basis(layout11, {"A": "e"})
         t = math.pi / (4 * MU)
-        out = evolve_unitary(src, h, t, method="eigh").final
+        out = evolve_unitary(src, h, t).final
         stay = src.overlap(out)
         assert abs(stay - math.cos(MU * t)) < 1e-12
 
     def test_krylov_agrees_with_eigh(self, layout11):
+        # the exact route diagonalises each component; Lanczos is the reference
         h = h_resonant_ef(layout11, "L", "q1", MU)
         rng = np.random.default_rng(21)
         amps = rng.normal(size=layout11.dim) + 1j * rng.normal(size=layout11.dim)
         src = QuantumState(amps / np.linalg.norm(amps), layout11)
         t = 3.7 / MU
-        via_eigh = evolve_unitary(src, h, t, method="eigh").final
-        via_krylov = evolve_unitary(src, h, t, method="krylov").final
-        assert np.max(np.abs(via_eigh.amplitudes - via_krylov.amplitudes)) < 1e-10
+        via_eigh = evolve_unitary(src, h, t).final
+        via_krylov = krylov_expm_action(h.matrix, src.amplitudes, t)
+        assert np.max(np.abs(via_eigh.amplitudes - via_krylov)) < 1e-10
 
     def test_composition(self, layout11):
         h = h_resonant_ge(layout11, "L", "A", MU)
@@ -143,12 +147,17 @@ class TestStaticRoutes:
         dust = rng.normal(size=layout22.dim) + 1j * rng.normal(size=layout22.dim)
         amps = 0.6 * idle.amplitudes + 0.8 * loaded.amplitudes + 1e-15 * dust
         src = QuantumState(amps / np.linalg.norm(amps), layout22)
-        out = evolve_unitary(src, h, math.pi / (2 * math.sqrt(2) * mu), method="krylov").final
+        t = math.pi / (2 * math.sqrt(2) * mu)
         target = QuantumState.from_product(layout22, {"q1p": (0, 1, 0)}, photons=(0, 1))
         expected = QuantumState(
             0.6 * idle.amplitudes + 0.8 * (-1j) * target.amplitudes, layout22
         )
-        assert checkpoint_fidelity(out, expected) >= 1 - 1e-10
+        via_krylov = QuantumState(krylov_expm_action(h.matrix, src.amplitudes, t), layout22)
+        assert checkpoint_fidelity(via_krylov, expected) >= 1 - 1e-10
+        # the dust gives the exact route full support: every component runs
+        exact = evolve_unitary(src, h, t)
+        assert exact.support.size == layout22.dim
+        assert checkpoint_fidelity(exact.final, expected) >= 1 - 1e-10
 
     def test_samples_bracket_the_segment(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
@@ -166,12 +175,61 @@ class TestStaticRoutes:
             evolve_unitary(src, bad, 1e-9)
 
 
+@st.composite
+def block_problems(draw, dim=288):
+    """A random block-diagonal Hermitian generator, permuted, and a state.
+
+    Blocks hold up to ``max_block`` states with some couplings dropped, so
+    a block may split further; the state sits on a random support, with
+    1e-15 dust everywhere when ``dust`` is drawn.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_block = draw(st.integers(1, 6))
+    zero = draw(st.booleans())
+    dust = draw(st.booleans())
+    support_size = draw(st.integers(1, 12))
+    duration = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    dense = np.zeros((dim, dim), dtype=complex)
+    order = rng.permutation(dim)
+    start = 0
+    while start < dim and not zero:
+        block = order[start : start + int(rng.integers(1, max_block + 1))]
+        start += block.size
+        raw = rng.normal(size=(block.size,) * 2) + 1j * rng.normal(size=(block.size,) * 2)
+        raw *= rng.random(raw.shape) < 0.7
+        dense[np.ix_(block, block)] = (raw + raw.conj().T) / 2
+    amps = np.zeros(dim, dtype=complex)
+    picked = rng.choice(dim, size=support_size, replace=False)
+    amps[picked] = rng.normal(size=support_size) + 1j * rng.normal(size=support_size)
+    if dust:
+        amps += 1e-15 * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return dense, amps / np.linalg.norm(amps), duration
+
+
+class TestExactRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=block_problems())
+    def test_matches_dense_expm(self, layout11, problem):
+        dense, amps, duration = problem
+        h = OperatorMatrix(sp.csr_matrix(dense), layout11, hermitian=True)
+        res = evolve_unitary(QuantumState(amps, layout11), h, duration, samples=3)
+        half = expm(-0.5j * duration * dense)  # samples sit at 0, duration/2, duration
+        exact = [amps, half @ amps, half @ (half @ amps), half @ (half @ amps)]
+        for want, got in zip(exact, [*res.states, res.final]):
+            assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+        # closure: the support holds the state and no element leaves it
+        drop = np.setdiff1d(np.arange(layout11.dim), res.support)
+        assert np.all(amps[drop] == 0) and np.all(res.final.amplitudes[drop] == 0)
+        assert not np.any(dense[np.ix_(drop, res.support)])
+        assert res.samples.shape == (3, res.support.size)
+
+
 class TestDrivenStage:
     def test_frame_route_matches_literal_integration(self, layout22, probe_state):
         params = dispersive_params(10.0)
         gen = DispersiveGenerator(layout22, params)
         duration = 20.0 / params.delta
-        exact = evolve_unitary(probe_state, gen, duration, method="frame").final
+        exact = evolve_unitary(probe_state, gen, duration).final
         literal = evolve_unitary(
             probe_state, gen, duration, method="ode", tolerance=1e-11
         ).final
@@ -193,7 +251,7 @@ class TestDrivenStage:
         gen = DispersiveGenerator(layout22, params)
         src = QuantumState.from_basis(layout22, {"q2": "e", "cavL": 1})
         t3 = math.pi * params.delta / params.mu**2
-        out = evolve_unitary(src, gen, t3, method="eigh").final
+        out = evolve_unitary(src, gen, t3).final
         assert checkpoint_fidelity(out, src) >= 1 - 1e-6
 
 

@@ -14,7 +14,6 @@ from ghz_transfer.hamiltonians import (
     PhysicalParams,
     collapse_operators,
     h_dispersive_effective,
-    h_dispersive_full,
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
@@ -114,7 +113,7 @@ class TestDispersiveGenerators:
             h_dispersive_reduced(layout11, bare_params())
 
     def test_instant_hamiltonian_is_hermitian(self, layout22):
-        h = h_dispersive_full(layout22, bare_params(), time=0.37 / (10 * MU))
+        h = DispersiveGenerator(layout22, bare_params()).at(0.37 / (10 * MU))
         assert h.hermitian and h.hermiticity_defect() < 1e-12
 
     def test_vanishes_on_ground_spectators(self, layout22):

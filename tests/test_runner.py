@@ -11,14 +11,16 @@ import pytest
 from ghz_transfer import runner
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
+from ghz_transfer.evolution import EvolutionResult, evolve_unitary, krylov_expm_action
 from ghz_transfer.hamiltonians import (
+    DispersiveGenerator,
     collapse_operators,
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
     load_preset,
 )
-from ghz_transfer.hilbert import build_layout
+from ghz_transfer.hilbert import QuantumState, build_layout
 from ghz_transfer.runner import (
     CHECKPOINT_AFTER_SEGMENT,
     excitation_numbers,
@@ -135,6 +137,65 @@ class TestFullDispersiveMode:
             assert row["segment"] in CHECKPOINT_AFTER_SEGMENT
             assert row["norm"] == pytest.approx(1.0, abs=1e-8)
             assert 0.0 <= row["spectator_f_total"] <= 1.0
+
+
+def _static_form(generator):
+    """The static matrix and frame diagonal a segment generator evolves under."""
+    if isinstance(generator, DispersiveGenerator):
+        return generator.static_hamiltonian().matrix, generator.frame_diagonal()
+    return generator.matrix, np.zeros(generator.layout.dim)
+
+
+def _krylov_evolve(state, generator, duration, *, samples=0):
+    """``evolve_unitary`` routed through the Lanczos reference on the full register."""
+    matrix, frame = _static_form(generator)
+    times = np.linspace(0.0, duration, samples)
+    amps, t_prev, path = state.amplitudes, 0.0, []
+    for t in [*times, duration]:
+        amps = krylov_expm_action(matrix, amps, t - t_prev)
+        t_prev = t
+        path.append(np.exp(1j * frame * t) * amps)
+    dim = state.layout.dim
+    return EvolutionResult(
+        QuantumState(path[-1], state.layout), times, np.arange(dim),
+        np.array(path[:-1]).reshape(samples, dim),
+    )
+
+
+class TestExactAgainstKrylov:
+    def test_full_dispersive_run_matches(self, full_n2, params, monkeypatch):
+        monkeypatch.setattr(runner, "evolve_unitary", _krylov_evolve)
+        ref = run_protocol(
+            params, full_n2.spec, mode="full-dispersive", trajectory_samples=300
+        )
+        assert set(ref.checkpoints) == set(full_n2.checkpoints)
+        for label, rec in full_n2.checkpoints.items():
+            want = ref.checkpoints[label]
+            assert abs(rec.fidelity - want.fidelity) < 1e-10, label
+            assert abs(rec.coeff_g - want.coeff_g) < 1e-10, label
+            assert abs(rec.coeff_f - want.coeff_f) < 1e-10, label
+        # the frame phase touches only spectator f amplitudes, which no
+        # checkpoint or row sees; the states themselves must agree too
+        assert np.max(np.abs(full_n2.final_state.amplitudes - ref.final_state.amplitudes)) < 1e-10
+        assert len(ref.trajectory) == len(full_n2.trajectory)
+        for got, want in zip(full_n2.trajectory, ref.trajectory):
+            assert got["segment"] == want["segment"] and got["t_ns"] == want["t_ns"]
+            for column in runner._ROW_COLUMNS:
+                assert abs(got[column] - want[column]) < 1e-10, column
+
+    @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
+    def test_support_is_closed(self, params, mode):
+        layout = build_layout(2, 2, 4, 4)
+        state = make_oracle_state(layout, GhzSpec(alpha=0.6, beta=0.8j, n=2), "initial")
+        for seg in build_schedule(params, 2):
+            generator = runner._segment_generator(layout, seg, params, mode)
+            result = evolve_unitary(state, generator, seg.duration_s)
+            drop = np.setdiff1d(np.arange(layout.dim), result.support)
+            leak = _static_form(generator)[0][drop][:, result.support]
+            leak.eliminate_zeros()
+            assert leak.nnz == 0, seg.label
+            assert not np.any(state.amplitudes[drop]) and not np.any(result.final.amplitudes[drop])
+            state = result.final
 
 
 class TestLindbladMode:
