@@ -42,7 +42,9 @@ TRAJECTORY_COLUMNS = (
 )
 CHECKPOINT_COLUMNS = ("label", "time_s", "fidelity", "phase_error")
 
-_FAILURES = (ValueError, KeyError, SchedulingError, EvolutionError)
+# MemoryError: a register too big for the machine ends with numpy's
+# "Unable to allocate ..." line (the kernel's out-of-memory kill cannot be caught)
+_FAILURES = (ValueError, KeyError, SchedulingError, EvolutionError, MemoryError)
 
 
 def _json_text(payload) -> str:
@@ -134,7 +136,7 @@ def _sweep_workers() -> int:
 
 
 def _fail(err: Exception) -> None:
-    raise click.ClickException(str(err))
+    raise click.ClickException(str(err) or type(err).__name__)
 
 
 @click.group()

@@ -14,8 +14,9 @@ Every segment is piecewise constant, and every route a run takes is exact:
   Literal integration under a step cap that resolves the fast phases
   (``method="ode"``) and Lanczos (:func:`krylov_expm_action`) stay as
   references;
-* open-system runs: the action of the exponential of the segment's
-  Liouvillian on the vectorised density matrix.
+* open-system runs (:func:`lindblad_propagate`, the one open-system
+  entry point, layout-free): the action of the exponential of the
+  segment's Liouvillian on the vectorised density matrix of a block.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift; the open-system route
@@ -41,9 +42,7 @@ from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
 __all__ = [
     "EvolutionError",
     "EvolutionResult",
-    "LindbladResult",
     "evolve_unitary",
-    "evolve_lindblad",
     "lindblad_propagate",
     "krylov_expm_action",
     "checkpoint_fidelity",
@@ -82,13 +81,6 @@ class EvolutionResult:
         full = np.zeros((len(self.times), self.final.layout.dim), dtype=complex)
         full[:, self.support] = self.samples
         return [QuantumState(amps, self.final.layout) for amps in full]
-
-
-@dataclass
-class LindbladResult:
-    final: DensityMatrix
-    times: np.ndarray
-    states: list[DensityMatrix]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +377,10 @@ def lindblad_propagate(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """exp(L duration) rho0 for one constant segment, on a dense (d, d) array.
 
-    Layout-free, so callers can evolve a block the dynamics never leave.
+    L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
+    ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
+    modelled. Layout-free, so callers can evolve a block the dynamics never
+    leave.
     The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
     Higham 2011), which has no step-size tolerance to tune. Returns the
     final matrix plus ``samples`` matrices on a uniform grid over
@@ -423,37 +418,6 @@ def lindblad_propagate(
     if min_eig < NEGATIVE_WEIGHT_LIMIT:
         warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
     return final, [hermitised(v) for v in grid]
-
-
-def evolve_lindblad(
-    rho: DensityMatrix,
-    hamiltonian: OperatorMatrix | None,
-    collapse_ops: list[OperatorMatrix],
-    duration: float,
-    *,
-    samples: int = 0,
-) -> LindbladResult:
-    """Evolve under d rho/dt = -i[H, rho] + sum_k (L rho L^+ - 1/2 {L^+L, rho}).
-
-    ``hamiltonian=None`` means pure decay (H = 0), which is how ramp
-    windows are modelled. The layout-bound face of
-    :func:`lindblad_propagate`, which does the work and the checks.
-    """
-    if hamiltonian is not None and not hamiltonian.hermitian:
-        raise EvolutionError("Lindblad evolution needs a hermitian Hamiltonian")
-    final, mats = lindblad_propagate(
-        None if hamiltonian is None else hamiltonian.matrix,
-        [op.matrix.tocsr() for op in collapse_ops],
-        rho.matrix,
-        duration,
-        samples=samples,
-    )
-    layout = rho.layout
-    return LindbladResult(
-        DensityMatrix(final, layout),
-        np.linspace(0.0, duration, samples),
-        [DensityMatrix(m, layout) for m in mats],
-    )
 
 
 def checkpoint_fidelity(state: QuantumState | DensityMatrix, oracle: QuantumState) -> float:

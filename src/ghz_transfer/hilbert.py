@@ -13,7 +13,8 @@ ordered
 
 with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
-Operators are stored sparse (CSR), pure states as dense vectors.
+Operators and density matrices are stored sparse (CSR), pure states as
+dense vectors.
 """
 
 from __future__ import annotations
@@ -363,13 +364,18 @@ class OperatorMatrix:
 
 @dataclass
 class DensityMatrix:
-    """Dense density operator bound to a layout."""
+    """Density operator bound to a layout, stored sparse (CSR) like an operator.
 
-    matrix: np.ndarray
+    Open-system dynamics occupy only the block of basis states they can
+    reach, and :meth:`from_block` and :meth:`from_state` store only that
+    block, never a ``dim x dim`` array.
+    """
+
+    matrix: sp.csr_matrix
     layout: SystemLayout
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = sp.csr_matrix(self.matrix, dtype=complex)
         if mat.shape != (self.layout.dim, self.layout.dim):
             raise ValueError(
                 f"density matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
@@ -377,21 +383,29 @@ class DensityMatrix:
         self.matrix = mat
 
     @classmethod
+    def from_block(cls, block: np.ndarray, support: np.ndarray, layout: SystemLayout) -> "DensityMatrix":
+        """The matrix equal to ``block`` on the basis indices ``support``, zero elsewhere."""
+        support = np.asarray(support)
+        block = np.asarray(block, dtype=complex)
+        rows = np.repeat(support, support.size)
+        cols = np.tile(support, support.size)
+        return cls(sp.csr_matrix((block.ravel(), (rows, cols)), shape=(layout.dim, layout.dim)), layout)
+
+    @classmethod
     def from_state(cls, state: QuantumState) -> "DensityMatrix":
-        amps = state.amplitudes
-        return cls(np.outer(amps, amps.conj()), state.layout)
+        support = np.flatnonzero(state.amplitudes)
+        amps = state.amplitudes[support]
+        return cls.from_block(np.outer(amps, amps.conj()), support, state.layout)
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        return float(np.real(self.matrix.diagonal().sum()))
 
     def expectation(self, state: QuantumState) -> float:
         """<state| rho |state>, the fidelity of rho against a pure target."""
         _require_same_layout(self.layout, state.layout)
-        return float(np.real(np.vdot(state.amplitudes, self.matrix @ state.amplitudes)))
+        # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
+        return float(np.real(np.sum(state.amplitudes.conj() * (self.matrix @ state.amplitudes))))
 
 
 @dataclass(frozen=True)
@@ -494,7 +508,7 @@ def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) 
         reduced = mat @ mat.conj().T
     elif isinstance(obj, DensityMatrix):
         nfac = len(dims)
-        tensor = obj.matrix.reshape(dims + dims)
+        tensor = obj.matrix.toarray().reshape(dims + dims)
         rest = [i for i in range(nfac) if i not in positions]
         perm = positions + rest + [p + nfac for p in positions] + [r + nfac for r in rest]
         rest_dim = obj.matrix.shape[0] // keep_dim

@@ -1,6 +1,7 @@
 """End-to-end protocol runs scored against the closed-form checkpoints.
 
-Three modes share one segment loop:
+Three modes share two segment loops, one for pure states and one for
+density matrices:
 
 * ``ideal-reduced``: pure states, every window under its reduced
   generator. This is the reference dynamics the checkpoint table
@@ -24,7 +25,9 @@ segment generator and collapse channel out of the initial state's
 support: coherent couplings move weight both ways, collapse channels
 only forward. The closed set this reaches is the only block the density
 matrix can ever occupy, so each segment is propagated exactly on it,
-which cuts the n=2 cutoff-3 density matrix from 2592^2 to 80^2.
+which cuts the n=2 cutoff-3 density matrix from 2592^2 to 80^2. The
+final state of a lindblad run is that block, stored sparse over the
+layout (:meth:`DensityMatrix.from_block`).
 """
 
 from __future__ import annotations
@@ -349,9 +352,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
             )
     if schedule.closing_ramp_s > 0:
         rho, _ = lindblad_propagate(None, collapse_p, rho, schedule.closing_ramp_s)
-    full = np.zeros((layout.dim, layout.dim), dtype=complex)
-    full[np.ix_(keep, keep)] = rho
-    return DensityMatrix(full, layout), checkpoints, rows, truncation
+    return DensityMatrix.from_block(rho, keep, layout), checkpoints, rows, truncation
 
 
 def run_protocol(

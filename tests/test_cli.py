@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from ghz_transfer import cli
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import serialize_schedule
 from ghz_transfer.hamiltonians import load_preset
@@ -135,6 +136,21 @@ class TestRun:
         assert result.exit_code == 1
         assert "unknown preset" in result.stderr
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 405. MiB for an array with shape (26572050,) and data type complex128",
+         "Unable to allocate 405. MiB"),
+        ("", "MemoryError"),  # Python's own allocation failures carry no message
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_fails_with_diagnostic(self, runner, monkeypatch, message, shown):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_protocol", exhausted)
+        result = runner.invoke(main, ["run", "--n", "6"])
+        assert result.exit_code == 1
+        assert shown in result.stderr
+        assert not isinstance(result.exception, MemoryError)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -146,6 +162,19 @@ THREAD_CASES = {
 }
 
 
+def _run_fresh(args, threads, preexec_fn=None):
+    """``ghz-transfer run ARGS`` in a fresh interpreter with ``threads`` OpenBLAS threads."""
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", "from ghz_transfer.cli import main; main()", "run", *args],
+        env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
+    )
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("case", THREAD_CASES)
     def test_outputs_do_not_depend_on_thread_count(self, case, tmp_path):
@@ -153,19 +182,25 @@ class TestBlasThreads:
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-            }
-            proc = subprocess.run(
-                [sys.executable, "-c", "from ghz_transfer.cli import main; main()",
-                 "run", *THREAD_CASES[case], "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
+            proc = _run_fresh([*THREAD_CASES[case], "--out", str(out)], threads)
             assert proc.returncode == 0, proc.stderr
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+class TestMemory:
+    def test_lindblad_n3_fits_in_two_gib(self):
+        # the density matrix lives on the 320-state block; a dense
+        # 23328 x 23328 matrix would need 8.1 GiB
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = _run_fresh(["--mode", "lindblad", "--n", "3", "--cutoff", "3"], "1", limit_address_space)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
 
 
 class TestSweep:

@@ -168,6 +168,25 @@ def _encoded_ghz(layout, alpha, beta):
     return QuantumState(alpha * branch_g.amplitudes + beta * branch_f.amplitudes, layout)
 
 
+class TestDensityMatrix:
+    def test_block_is_stored_sparse_and_agrees_with_dense(self):
+        layout = build_layout(1, 1, 3, 3)
+        support = np.array([3, 40, 7])
+        rng = np.random.default_rng(11)
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[support] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        state = QuantumState(amps, layout).normalized()
+        rho = DensityMatrix.from_state(state)
+        dense = DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), layout)
+        assert rho.matrix.nnz == 9
+        assert rho.trace == pytest.approx(1.0, abs=1e-15)
+        assert rho.expectation(state) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(rho.matrix.toarray(), dense.matrix.toarray())
+        block = rho.matrix[support][:, support].toarray()
+        again = DensityMatrix.from_block(block, support, layout)
+        np.testing.assert_array_equal(again.matrix.toarray(), rho.matrix.toarray())
+
+
 class TestPartialTrace:
     def test_ghz_transfer_qubit_reduction_is_maximally_mixed(self):
         # one-qubit reduction of the balanced encoded GHZ: diag(1/2, 0, 1/2)

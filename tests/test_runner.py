@@ -229,7 +229,7 @@ class TestLindbladMode:
             None, cops, rho, build_schedule(params, 1).closing_ramp_s
         )
 
-        diff = np.abs(res.final_state.matrix - rho).max()
+        diff = np.abs(res.final_state.matrix.toarray() - rho).max()
         assert diff < 1e-9
 
     def test_block_matches_integration(self, params, monkeypatch):
@@ -249,8 +249,17 @@ class TestLindbladMode:
             warnings.simplefilter("error")
             res = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
         keep, _, _ = _lindblad_block(params, spec)
-        block = res.final_state.matrix[np.ix_(keep, keep)]
+        block = res.final_state.matrix[keep][:, keep].toarray()
         assert np.linalg.eigvalsh(block)[0] >= -1e-12
+
+    def test_final_state_is_the_block(self, params):
+        # the density matrix is stored on the reachable block only, never dim x dim
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        res = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        keep, _, _ = _lindblad_block(params, spec)
+        assert keep.size == 80
+        assert res.final_state.matrix.nnz == 80**2
+        assert res.final_state.matrix[keep][:, keep].nnz == 80**2
 
     def test_requires_decoherence_channels(self, params):
         bare = params.with_overrides(
