@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,16 +29,12 @@ from .dsl import parse_schedule, serialize_schedule, validate_schedule
 from .evolution import EvolutionError
 from .hamiltonians import PhysicalParams, load_params, load_preset
 from .hilbert import embed_site_operator, partial_trace
-from .runner import MODES, run_protocol
+from .runner import MODES, TRAJECTORY_COLUMNS, run_protocol
 from .scheduling import SchedulingError, build_schedule, timing_budget
 from .units import parse_frequency, parse_time
 
 WORKERS_ENV = "GHZ_TRANSFER_WORKERS"
 
-TRAJECTORY_COLUMNS = (
-    "t_ns", "segment", "norm", "spectator_f_total", "q1_f", "q1p_f",
-    "coupler_e", "photons_L", "photons_R", "top_fock",
-)
 CHECKPOINT_COLUMNS = ("label", "time_s", "fidelity", "phase_error")
 
 # MemoryError: a register too big for the machine ends with numpy's
@@ -51,19 +46,14 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(stream, rows, columns) -> None:
+    """A header, then one line per row of values in ``columns`` order.
+
+    The csv module writes floats with ``repr`` and ``None`` as an empty cell.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in columns])
+    writer.writerows(rows)
 
 
 def _load_parameters(preset: str | None, params_path: str | None) -> PhysicalParams:
@@ -208,10 +198,11 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
         (out / "report.json").write_text(_json_text(report), encoding="utf-8")
         if "trajectory" in emits:
             with (out / "trajectory.csv").open("w", encoding="utf-8", newline="") as fh:
-                _write_csv(fh, [row for r in results for row in r.trajectory], TRAJECTORY_COLUMNS)
+                records = (record for r in results for record in r.trajectory.records())
+                _write_csv(fh, records, TRAJECTORY_COLUMNS)
         if "checkpoints" in emits:
             rows = [
-                {"label": label, **rec.as_dict()}
+                (label, rec.time_s, rec.fidelity, rec.phase_error)
                 for r in results
                 for label, rec in r.checkpoints.items()
             ]
@@ -240,23 +231,18 @@ def _axis_point(parameters: PhysicalParams, axis: str, value: float, n: int):
     return parameters.with_overrides(**{axis: value}), n
 
 
-def _sweep_point(task) -> dict:
+def _sweep_point(task) -> tuple:
+    """One ``SWEEP_COLUMNS`` row."""
     parameters, axis, value, n, mode, cutoff, samples, alpha, beta = task
     point_params, point_n = _axis_point(parameters, axis, value, n)
     spec = GhzSpec(alpha=alpha, beta=beta, n=point_n)
     result = run_protocol(
         point_params, spec, mode=mode, fock_cutoff=cutoff, trajectory_samples=samples
     )
-    return {
-        "axis": axis,
-        "value": value,
-        "n": point_n,
-        "mode": mode,
-        "final_fidelity": result.final_fidelity,
-        "max_spectator_f": result.max_spectator_f,
-        "tau_s": result.schedule.tau,
-        "ok": result.ok,
-    }
+    return (
+        axis, value, point_n, mode, result.final_fidelity, result.max_spectator_f,
+        result.schedule.tau, result.ok,
+    )
 
 
 SWEEP_COLUMNS = ("axis", "value", "n", "mode", "final_fidelity", "max_spectator_f", "tau_s", "ok")
@@ -306,6 +292,8 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
             for value in points
         ]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_point, tasks))
         else:

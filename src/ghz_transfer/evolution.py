@@ -13,7 +13,9 @@ Every segment is piecewise constant, and every route a run takes is exact:
   conjugating a static Hamiltonian with a diagonal frame generator.
   Literal integration under a step cap that resolves the fast phases
   (``method="ode"``) and Lanczos (:func:`krylov_expm_action`) stay as
-  references;
+  references. Only the literal integrator needs ``scipy.integrate``, which
+  drags in ``scipy.optimize`` and ``scipy.special`` (about 0.3 s of
+  import), so :func:`solve_ivp` imports it on its first call;
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
   segment's Liouvillian on the vectorised density matrix of a block.
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
@@ -251,6 +252,13 @@ def _evolve_exact(
 
 # ---------------------------------------------------------------------------
 # the literal integrator of the driven dispersive stage
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy.integrate import solve_ivp as integrate
+
+    return integrate(*args, **kwargs)
+
 
 def _evolve_ode(
     state: QuantumState,

@@ -369,6 +369,7 @@ _DETUNING_FIELDS = ("delta", "delta_prime")
 _RAMP_FIELDS = ("tauA", "tau1", "tau1p", "tauq", "tauqp")
 _TIME_FIELDS = {"t1": "t1", "t2": "t2", "t1_f": "t1f", "t2_f": "t2f",
                 "coupler_t1": "coupler_t1", "coupler_t2": "coupler_t2"}
+_LIFETIME_FIELDS = {"cavity_lifetime_L": "kappaL", "cavity_lifetime_R": "kappaR"}
 
 PRESET_NAMES = ("transmon",)
 
@@ -428,17 +429,25 @@ def params_from_mapping(raw: dict) -> PhysicalParams:
         kappa = omega / float(deco["cavity_q"])
         kwargs.setdefault("kappaL", kappa)
         kwargs.setdefault("kappaR", kappa)
-    for file_key, field in (("cavity_lifetime_L", "kappaL"), ("cavity_lifetime_R", "kappaR")):
+    for file_key, field in _LIFETIME_FIELDS.items():
         if file_key in deco:
-            kwargs[field] = 1.0 / _as_time(deco[file_key])
-    unknown = set(deco) - set(_TIME_FIELDS) - {"cavity_q", "cavity_freq", "cavity_lifetime_L", "cavity_lifetime_R"}
+            lifetime = _as_time(deco[file_key])
+            if not lifetime > 0:
+                raise ValueError(f"{file_key} must be positive (.inf for a lossless cavity)")
+            kwargs[field] = 1.0 / lifetime
+    unknown = set(deco) - set(_TIME_FIELDS) - set(_LIFETIME_FIELDS) - {"cavity_q", "cavity_freq"}
     if unknown:
         raise ValueError(f"unknown decoherence keys: {sorted(unknown)}")
     return PhysicalParams(**kwargs)
 
 
 def save_params(params: PhysicalParams, path: str | Path) -> None:
-    """Write a parameter file in base units (rad/s and seconds)."""
+    """Write a parameter file in base units (rad/s and seconds).
+
+    Photon loss is written as the cavity lifetime 1/kappa, so a nonzero
+    kappa can load back one ulp off (1/(1/49.0) is 49.00000000000001);
+    every other field, ``None`` and zero rates included, comes back exactly.
+    """
     payload = {
         "couplings": {name: float(getattr(params, name)) for name in _COUPLING_FIELDS},
         "detunings": {name: float(getattr(params, name)) for name in _DETUNING_FIELDS},
@@ -449,10 +458,11 @@ def save_params(params: PhysicalParams, path: str | Path) -> None:
         value = getattr(params, field)
         if value is not None:
             deco[file_key] = float(value)
-    if params.kappaL is not None:
-        deco["cavity_lifetime_L"] = 1.0 / params.kappaL
-    if params.kappaR is not None:
-        deco["cavity_lifetime_R"] = 1.0 / params.kappaR
+    for file_key, field in _LIFETIME_FIELDS.items():
+        kappa = getattr(params, field)
+        if kappa is not None:
+            # a lossless cavity lives forever: .inf, which loads back as 0.0
+            deco[file_key] = 1.0 / kappa if kappa else math.inf
     if deco:
         payload["decoherence"] = deco
     Path(path).write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")

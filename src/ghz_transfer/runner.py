@@ -20,19 +20,22 @@ channels for their duration (and for the closing ramp).
 Neither path evolves the full register. A pure segment is propagated
 only on the connected components of its generator that the state meets
 (``EvolutionResult.support``), and trajectory rows are reduced on that
-support. The open-system path follows the nonzero pattern of every
-segment generator and collapse channel out of the initial state's
-support: coherent couplings move weight both ways, collapse channels
-only forward. The closed set this reaches is the only block the density
-matrix can ever occupy, so each segment is propagated exactly on it,
-which cuts the n=2 cutoff-3 density matrix from 2592^2 to 80^2. The
-final state of a lindblad run is that block, stored sparse over the
-layout (:meth:`DensityMatrix.from_block`).
+support; they stay arrays, one table per segment, until they are
+written (:class:`Trajectory`). The open-system path follows the nonzero
+pattern of every segment generator and collapse channel out of the
+initial state's support: coherent couplings move weight both ways,
+collapse channels only forward. The closed set this reaches is the only
+block the density matrix can ever occupy, so each segment is propagated
+exactly on it, which cuts the n=2 cutoff-3 density matrix from 2592^2 to
+80^2. The final state of a lindblad run is that block, stored sparse
+over the layout (:meth:`DensityMatrix.from_block`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .analysis import (
     STAGE_CHECKPOINTS,
     GhzSpec,
     make_oracle_state,
-    measured_f_occupation,
     oracle_branches,
 )
 from .evolution import checkpoint_fidelity, evolve_unitary, lindblad_propagate
@@ -59,6 +61,8 @@ __all__ = [
     "MODES",
     "CheckpointRecord",
     "ProtocolResult",
+    "Trajectory",
+    "TRAJECTORY_COLUMNS",
     "run_protocol",
     "excitation_numbers",
     "TRUNCATION_LIMIT",
@@ -133,6 +137,56 @@ class CheckpointRecord:
         }
 
 
+# trajectory columns after t_ns and segment; each is a diagonal observable
+_ROW_COLUMNS = (
+    "norm", "spectator_f_total", "q1_f", "q1p_f", "coupler_e",
+    "photons_L", "photons_R", "top_fock",
+)
+TRAJECTORY_COLUMNS = ("t_ns", "segment", *_ROW_COLUMNS)
+
+
+class Trajectory(Sequence):
+    """The sampled observables of a run, kept as arrays until they are written.
+
+    ``segments`` holds one ``(label, t_ns, table)`` entry per segment:
+    the sample times in ns and a ``(samples, len(_ROW_COLUMNS))`` table.
+    ``len`` counts rows; indexing and iteration build each row on demand
+    as a dict keyed by ``TRAJECTORY_COLUMNS``, and :meth:`records` yields
+    the same rows as plain value tuples in that column order.
+    """
+
+    def __init__(self, segments: list[tuple[str, np.ndarray, np.ndarray]]):
+        self.segments = segments
+
+    def __len__(self) -> int:
+        return sum(t_ns.size for _, t_ns, _ in self.segments)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        for label, t_ns, table in self.segments:
+            if 0 <= index < t_ns.size:
+                row = (t_ns[index].item(), label, *table[index].tolist())
+                return dict(zip(TRAJECTORY_COLUMNS, row))
+            index -= t_ns.size
+        raise IndexError("trajectory row out of range")
+
+    def __iter__(self):
+        return (dict(zip(TRAJECTORY_COLUMNS, record)) for record in self.records())
+
+    def records(self):
+        """Every row as a tuple of Python values in ``TRAJECTORY_COLUMNS`` order."""
+        for label, t_ns, table in self.segments:
+            yield from zip(t_ns.tolist(), repeat(label), *table.T.tolist())
+
+    def column(self, name: str) -> np.ndarray:
+        """One observable column over every row."""
+        col = _ROW_COLUMNS.index(name)
+        return np.concatenate([table[:, col] for _, _, table in self.segments])
+
+
 @dataclass
 class ProtocolResult:
     mode: str
@@ -142,7 +196,7 @@ class ProtocolResult:
     checkpoints: dict[str, CheckpointRecord]
     final_fidelity: float
     final_state: QuantumState | DensityMatrix
-    trajectory: list[dict]
+    trajectory: Trajectory
     truncation_top_fock: float
     thresholds: dict
     passes: dict
@@ -156,7 +210,7 @@ class ProtocolResult:
     def max_spectator_f(self) -> float | None:
         if not self.trajectory:
             return None
-        return measured_f_occupation(self.trajectory)
+        return float(self.trajectory.column("spectator_f_total").max())
 
     def report(self) -> dict:
         sched = self.schedule
@@ -187,13 +241,6 @@ class ProtocolResult:
         }
 
 
-# trajectory columns after t_ns and segment; each is a diagonal observable
-_ROW_COLUMNS = (
-    "norm", "spectator_f_total", "q1_f", "q1p_f", "coupler_e",
-    "photons_L", "photons_R", "top_fock",
-)
-
-
 def _observables(layout: SystemLayout, support: np.ndarray) -> np.ndarray:
     """Value of each ``_ROW_COLUMNS`` observable on the basis states ``support``.
 
@@ -214,19 +261,15 @@ def _observables(layout: SystemLayout, support: np.ndarray) -> np.ndarray:
     ], dtype=float)
 
 
-def _segment_rows(observables, segment, times_s, weights) -> tuple[list[dict], float]:
-    """One trajectory row per sample time, and the largest top-Fock weight.
+def _segment_samples(observables, segment, times_s, weights):
+    """The segment's ``Trajectory`` entry, and the largest top-Fock weight.
 
     ``weights`` has one more row than ``times_s``: the segment's final
     populations. Summed by numpy, not BLAS, so the bytes do not depend on
     the BLAS thread count.
     """
     table = (weights[:, None, :] * observables).sum(axis=-1)
-    rows = [
-        {"t_ns": float(t_s) * 1e9, "segment": segment, **dict(zip(_ROW_COLUMNS, map(float, values)))}
-        for t_s, values in zip(times_s, table)
-    ]
-    return rows, float(table[:, -1].max())
+    return (segment, times_s * 1e9, table[:-1]), float(table[:, -1].max())
 
 
 def _segment_generator(layout, seg, params, mode):
@@ -261,7 +304,7 @@ def _pure_checkpoint(layout, spec, label, state, time_s) -> CheckpointRecord:
 
 def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
     state = make_oracle_state(layout, spec, "initial")
-    rows: list[dict] = []
+    sampled = []
     states: dict[str, QuantumState] = {}
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
@@ -272,10 +315,10 @@ def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
         result = evolve_unitary(state, generator, seg.duration_s, samples=samples)
         state = result.final
         weights = np.abs(np.vstack([result.samples, state.amplitudes[result.support]])) ** 2
-        seg_rows, top = _segment_rows(
+        entry, top = _segment_samples(
             _observables(layout, result.support), seg.label, t_now + result.times, weights
         )
-        rows += seg_rows
+        sampled.append(entry)
         truncation = max(truncation, top)
         t_now += seg.duration_s
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
@@ -283,7 +326,7 @@ def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
             checkpoints[label] = _pure_checkpoint(layout, spec, label, state, t_now)
             if keep_states:
                 states[label] = state.copy()
-    return state, checkpoints, rows, truncation, states
+    return state, checkpoints, Trajectory(sampled), truncation, states
 
 
 def _reachable_block(psi0, hamiltonians, collapse) -> np.ndarray:
@@ -322,7 +365,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
 
     block = psi0.amplitudes[keep]
     rho = np.outer(block, block.conj())
-    rows: list[dict] = []
+    sampled = []
     checkpoints: dict[str, CheckpointRecord] = {}
     truncation = 0.0  # the initial state holds no photons
     t_now = 0.0
@@ -331,14 +374,14 @@ def _run_lindblad(layout, schedule, spec, params, samples):
             rho, _ = lindblad_propagate(None, collapse_p, rho, seg.ramp_s)
         t_now += seg.ramp_s
         h_block = hamiltonians[seg.label][keep][:, keep]
-        rho, sampled = lindblad_propagate(
+        rho, path = lindblad_propagate(
             h_block, collapse_p, rho, seg.duration_s, samples=samples
         )
-        seg_rows, top = _segment_rows(
+        entry, top = _segment_samples(
             _observables(layout, keep), seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
-            np.real([np.diag(mat) for mat in [*sampled, rho]]),
+            np.real([np.diag(mat) for mat in [*path, rho]]),
         )
-        rows += seg_rows
+        sampled.append(entry)
         truncation = max(truncation, top)
         t_now += seg.duration_s
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
@@ -352,7 +395,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
             )
     if schedule.closing_ramp_s > 0:
         rho, _ = lindblad_propagate(None, collapse_p, rho, schedule.closing_ramp_s)
-    return DensityMatrix.from_block(rho, keep, layout), checkpoints, rows, truncation
+    return DensityMatrix.from_block(rho, keep, layout), checkpoints, Trajectory(sampled), truncation
 
 
 def run_protocol(
@@ -398,11 +441,11 @@ def run_protocol(
 
     states: dict[str, QuantumState] = {}
     if mode == "lindblad":
-        final_state, checkpoints, rows, truncation = _run_lindblad(
+        final_state, checkpoints, trajectory, truncation = _run_lindblad(
             layout, schedule, spec, params, trajectory_samples
         )
     else:
-        final_state, checkpoints, rows, truncation, states = _run_pure(
+        final_state, checkpoints, trajectory, truncation, states = _run_pure(
             layout, schedule, spec, params, mode, trajectory_samples, keep_states
         )
 
@@ -436,7 +479,7 @@ def run_protocol(
         checkpoints=checkpoints,
         final_fidelity=float(final_fidelity),
         final_state=final_state,
-        trajectory=rows,
+        trajectory=trajectory,
         truncation_top_fock=float(truncation),
         thresholds=thresholds,
         passes=passes,

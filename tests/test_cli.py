@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from ghz_transfer import cli
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import serialize_schedule
 from ghz_transfer.hamiltonians import load_preset
+from ghz_transfer.runner import run_protocol
 from ghz_transfer.scheduling import build_schedule
 
 
@@ -123,6 +126,27 @@ class TestRun:
         checkpoints = (out / "checkpoints.csv").read_text().splitlines()
         assert len(checkpoints) == 1 + 9
 
+    def test_trajectory_csv_renders_every_row(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "run", "--mode", "full-dispersive", "--n", "2", "--ghz", "0.6,0.8j", "--samples", "7",
+            "--out", str(tmp_path), "--emit", "trajectory",
+        ])
+        assert result.exit_code == 0
+        (spec,) = cli._parse_ghz("0.6,0.8j", 2)
+        rows = run_protocol(
+            load_preset("transmon"), spec, mode="full-dispersive", trajectory_samples=7
+        ).trajectory
+        header = ["t_ns", "segment", "norm", "spectator_f_total", "q1_f", "q1p_f",
+                  "coupler_e", "photons_L", "photons_R", "top_fock"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            cells = [row[c] for c in header]
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in cells])
+        assert len(rows) == 7 * 9
+        assert (tmp_path / "trajectory.csv").read_text(encoding="utf-8") == expected.getvalue()
+
     def test_emit_without_out_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--emit", "checkpoints"])
         assert result.exit_code == 2
@@ -162,15 +186,21 @@ THREAD_CASES = {
 }
 
 
-def _run_fresh(args, threads, preexec_fn=None):
-    """``ghz-transfer run ARGS`` in a fresh interpreter with ``threads`` OpenBLAS threads."""
+_MAIN = "from ghz_transfer.cli import main; main()"
+
+
+def _run_fresh(args, threads, preexec_fn=None, code=_MAIN):
+    """``ghz-transfer run ARGS`` in a fresh interpreter with ``threads`` OpenBLAS threads.
+
+    ``code`` replaces the entry point; with no ``args`` it runs on its own.
+    """
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": threads,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
     }
     return subprocess.run(
-        [sys.executable, "-c", "from ghz_transfer.cli import main; main()", "run", *args],
+        [sys.executable, "-c", code, *(["run", *args] if args else [])],
         env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
     )
 
@@ -186,6 +216,65 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+# what only the literal-ODE reference route and parallel sweeps need; a plain
+# import or run loading them pays about 0.3 s for nothing
+COLD_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "concurrent.futures.process")
+_REPORT_LOADED = (
+    "import atexit, sys\n"
+    f"loaded = lambda: sorted(set({COLD_MODULES!r}) & set(sys.modules))\n"
+    "atexit.register(lambda: print(loaded(), file=sys.stderr))\n"
+)
+
+COLD_RUNS = {
+    "import": "import ghz_transfer.cli",
+    "ideal-reduced": ["--mode", "ideal-reduced", "--n", "1"],
+    "full-dispersive": ["--mode", "full-dispersive", "--n", "2", "--samples", "3",
+                        "--emit", "trajectory", "--emit", "checkpoints"],
+    "lindblad": ["--mode", "lindblad", "--n", "1", "--cutoff", "3", "--samples", "3",
+                 "--emit", "trajectory"],
+}
+
+_ODE_PROBE = """
+import sys
+from ghz_transfer import evolution
+from ghz_transfer.hamiltonians import DispersiveGenerator, load_preset
+from ghz_transfer.hilbert import QuantumState, build_layout
+
+assert "scipy.integrate" not in sys.modules
+calls = []
+integrate = evolution.solve_ivp
+evolution.solve_ivp = lambda *a, **k: calls.append(1) or integrate(*a, **k)
+layout = build_layout(2, 2, 3, 3)
+params = load_preset("transmon")
+state = QuantumState.from_basis(layout, {"q2": "e", "cavL": 1})
+gen = DispersiveGenerator(layout, params)
+duration = 20.0 / params.delta
+exact = evolution.evolve_unitary(state, gen, duration).final.amplitudes
+literal = evolution.evolve_unitary(state, gen, duration, method="ode").final.amplitudes
+print(abs(exact - literal).max(), len(calls), "scipy.integrate" in sys.modules)
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("case", COLD_RUNS)
+    def test_runs_do_not_import_the_ode_or_process_pool(self, case, tmp_path):
+        args = COLD_RUNS[case]
+        if case == "import":
+            proc = _run_fresh([], "1", code=_REPORT_LOADED + args)
+        else:
+            proc = _run_fresh([*args, "--out", str(tmp_path)], "1", code=_REPORT_LOADED + _MAIN)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+    def test_ode_route_imports_its_integrator_on_first_use(self):
+        proc = _run_fresh([], "1", code=_ODE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        gap, calls, loaded = proc.stdout.split()
+        assert float(gap) < 1e-7
+        assert int(calls) == 1  # looked up as evolution.solve_ivp, so a wrapper sees it
+        assert loaded == "True"
 
 
 class TestMemory:

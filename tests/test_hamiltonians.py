@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_transfer.hamiltonians import (
     DispersiveGenerator,
@@ -270,6 +275,31 @@ class TestCollapseOperators:
         assert collapse_operators(layout11, bare_params()) == []
 
 
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_params(draw) -> PhysicalParams:
+    """Any ``PhysicalParams`` the constructor accepts, with finite fields.
+
+    A nonzero photon-loss rate stays in [1e-300, 1e300], so its lifetime
+    1/kappa is a normal float rather than an overflow or a subnormal.
+    """
+    rate = st.none() | st.just(0.0) | st.floats(min_value=1e-300, max_value=1e300)
+    return PhysicalParams(
+        **{name: draw(_positive) for name in (
+            "mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR",
+            "mu", "mu_prime", "delta", "delta_prime",
+        )},
+        **{name: draw(st.floats(min_value=0.0, allow_infinity=False))
+           for name in ("tauA", "tau1", "tau1p", "tauq", "tauqp")},
+        **{name: draw(st.none() | _positive)
+           for name in ("t1", "t2", "t1f", "t2f", "coupler_t1", "coupler_t2")},
+        kappaL=draw(rate),
+        kappaR=draw(rate),
+    )
+
+
 class TestParameterFiles:
     def test_preset_values(self):
         params = load_preset("transmon")
@@ -293,6 +323,40 @@ class TestParameterFiles:
         save_params(params, path)
         again = load_params(path)
         assert again == params
+
+    @pytest.mark.filterwarnings("ignore:.*dispersive treatment is marginal")
+    @settings(max_examples=200, deadline=None)
+    @given(params=valid_params())
+    def test_round_trip_of_any_valid_params(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.yaml"
+            save_params(params, path)
+            again = load_params(path)
+        # the file holds the lifetime 1/kappa, and 1/(1/kappa) can land
+        # one ulp off kappa (49.0 comes back as 49.00000000000001)
+        for name in ("kappaL", "kappaR"):
+            want, got = getattr(params, name), getattr(again, name)
+            if want is None or want == 0.0:
+                assert got == want and type(got) is type(want), name
+            else:
+                assert abs(got - want) <= math.ulp(want), name
+        assert again == replace(params, kappaL=again.kappaL, kappaR=again.kappaR)
+
+    def test_zero_photon_loss_is_an_infinite_lifetime(self, tmp_path):
+        params = load_preset("transmon").with_overrides(kappaL=0.0)
+        path = tmp_path / "params.yaml"
+        save_params(params, path)
+        assert "cavity_lifetime_L: .inf" in path.read_text()
+        assert load_params(path).kappaL == 0.0
+
+    @pytest.mark.parametrize("lifetime", ["0.0", "-1.0e-06", ".nan"])
+    def test_nonpositive_lifetime_rejected(self, tmp_path, lifetime):
+        path = tmp_path / "params.yaml"
+        save_params(load_preset("transmon"), path)
+        text = path.read_text()
+        path.write_text(text.replace("cavity_lifetime_L:", f"cavity_lifetime_L: {lifetime} #"))
+        with pytest.raises(ValueError, match="cavity_lifetime_L must be positive"):
+            load_params(path)
 
     def test_missing_coupling_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -138,6 +138,19 @@ class TestFullDispersiveMode:
             assert row["norm"] == pytest.approx(1.0, abs=1e-8)
             assert 0.0 <= row["spectator_f_total"] <= 1.0
 
+    def test_trajectory_view_agrees_with_its_rows(self, full_n2):
+        traj = full_n2.trajectory
+        rows = list(traj)
+        assert len(rows) == len(traj) == 2700
+        assert traj[0] == rows[0] and traj[-1] == rows[-1] and traj[1234] == rows[1234]
+        assert traj[10:40:7] == rows[10:40:7]
+        assert [tuple(row.values()) for row in rows] == list(traj.records())
+        for column in runner._ROW_COLUMNS:
+            assert traj.column(column).tolist() == [row[column] for row in rows]
+        assert full_n2.max_spectator_f == max(row["spectator_f_total"] for row in rows)
+        with pytest.raises(IndexError):
+            traj[2700]
+
 
 def _static_form(generator):
     """The static matrix and frame diagonal a segment generator evolves under."""
