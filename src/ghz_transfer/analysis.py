@@ -44,7 +44,6 @@ __all__ = [
     "oracle_branches",
     "occupation_probability",
     "spectator_f_total",
-    "measured_f_occupation",
     "logical_encode_pulse",
 ]
 
@@ -221,13 +220,6 @@ def spectator_f_total(state: QuantumState) -> float:
     for site in layout.left_spectators + layout.right_spectators:
         total += float(state.site_populations(site)[2])
     return total
-
-
-def measured_f_occupation(rows: list[dict]) -> float:
-    """Peak of the ``spectator_f_total`` column of a trajectory table."""
-    if not rows:
-        raise ValueError("empty trajectory")
-    return max(float(row["spectator_f_total"]) for row in rows)
 
 
 def logical_encode_pulse() -> np.ndarray:

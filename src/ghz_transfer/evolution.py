@@ -19,6 +19,9 @@ Every segment is piecewise constant, and every route a run takes is exact:
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
   segment's Liouvillian on the vectorised density matrix of a block.
+  The terms that do not involve the Hamiltonian, sum L kron L^* and the
+  damping sum L^+ L inside H_eff, live in a :class:`Dissipator` that a
+  run builds once and passes to every ramp and segment.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift; the open-system route
@@ -43,6 +46,7 @@ from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
 __all__ = [
     "EvolutionError",
     "EvolutionResult",
+    "Dissipator",
     "evolve_unitary",
     "lindblad_propagate",
     "krylov_expm_action",
@@ -352,7 +356,28 @@ def evolve_unitary(
 # ---------------------------------------------------------------------------
 # open-system evolution
 
-def _liouvillian(h_mat, collapse_mats: list[sp.csr_matrix], dim: int) -> sp.csr_matrix:
+class Dissipator(tuple):
+    """A block's collapse matrices, plus the Liouvillian terms that do not involve H.
+
+    Iterates as the matrices themselves. ``damping`` is K = sum L^+ L
+    (None without channels), so H_eff = H - i/2 K, and ``jumps`` holds
+    sum L kron L^* as one COO matrix per channel. Both are built once,
+    so every segment and ramp of a run shares them; :func:`_liouvillian`
+    assembles their entries in the same order as a build from scratch,
+    which makes the result bit-identical to one.
+    """
+
+    def __new__(cls, collapse_mats):
+        self = super().__new__(cls, collapse_mats)
+        self.damping = None
+        if self:
+            stacked = sp.vstack(self, format="csr")  # S^+ S = sum L^+ L
+            self.damping = stacked.getH() @ stacked
+        self.jumps = [sp.kron(l_op, l_op.conj()).tocoo() for l_op in self]
+        return self
+
+
+def _liouvillian(h_mat, dissipator: Dissipator, dim: int) -> sp.csr_matrix:
     """Master-equation generator acting on the row-major ``rho.ravel()``.
 
     With H_eff = H - i/2 sum L^+ L the equation reads
@@ -361,14 +386,12 @@ def _liouvillian(h_mat, collapse_mats: list[sp.csr_matrix], dim: int) -> sp.csr_
     """
     eye = sp.identity(dim, dtype=complex)
     h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
-    if collapse_mats:
-        stacked = sp.vstack(collapse_mats, format="csr")  # S^+ S = sum L^+ L
-        h_eff = h_eff - 0.5j * (stacked.getH() @ stacked)
+    if dissipator.damping is not None:
+        h_eff = h_eff - 0.5j * dissipator.damping
     terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
-    terms += [sp.kron(l_op, l_op.conj()) for l_op in collapse_mats]
     # one COO assembly sums every term; adding them pairwise as CSR costs
     # a full rebuild per term
-    parts = [term.tocoo() for term in terms]
+    parts = [term.tocoo() for term in terms] + dissipator.jumps
     data = np.concatenate([part.data for part in parts])
     rows = np.concatenate([part.row for part in parts])
     cols = np.concatenate([part.col for part in parts])
@@ -377,7 +400,7 @@ def _liouvillian(h_mat, collapse_mats: list[sp.csr_matrix], dim: int) -> sp.csr_
 
 def lindblad_propagate(
     h_mat: sp.spmatrix | None,
-    collapse_mats: list[sp.csr_matrix],
+    collapse_mats: Dissipator | list[sp.csr_matrix],
     rho0: np.ndarray,
     duration: float,
     *,
@@ -388,7 +411,10 @@ def lindblad_propagate(
     L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
     ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
     modelled. Layout-free, so callers can evolve a block the dynamics never
-    leave.
+    leave. A plain list of collapse matrices is wrapped in a
+    :class:`Dissipator` for the call; a caller that evolves several
+    segments under the same channels passes one :class:`Dissipator` to
+    all of them, and only the H-dependent terms are built per call.
     The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
     Higham 2011), which has no step-size tolerance to tune. Returns the
     final matrix plus ``samples`` matrices on a uniform grid over
@@ -406,6 +432,8 @@ def lindblad_propagate(
         grid = [vec] * samples
         final_vec = vec
     else:
+        if not isinstance(collapse_mats, Dissipator):
+            collapse_mats = Dissipator(collapse_mats)
         gen = _liouvillian(h_mat, collapse_mats, dim)
         if samples > 1:
             grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)

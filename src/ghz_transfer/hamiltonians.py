@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -95,23 +95,27 @@ class PhysicalParams:
     kappaR: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR", "mu", "mu_prime"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"coupling {name} must be positive")
-        for name in ("delta", "delta_prime"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"detuning {name} must be positive")
-        for name in ("tauA", "tau1", "tau1p", "tauq", "tauqp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"ramp time {name} must be nonnegative")
-        for name in ("t1", "t2", "t1f", "t2f", "coupler_t1", "coupler_t2"):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{field.name} must be a number, got nan")
+        for name in _COUPLING_FIELDS:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"coupling {name} must be positive and finite")
+        for name in _DETUNING_FIELDS:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"detuning {name} must be positive and finite")
+        for name in _RAMP_FIELDS:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"ramp time {name} must be nonnegative and finite")
+        for name in _TIME_FIELDS.values():  # infinite is allowed: the channel is off
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"coherence time {name} must be positive when set")
-        for name in ("kappaL", "kappaR"):
+        for name in _LIFETIME_FIELDS.values():
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"decay rate {name} must be nonnegative when set")
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"decay rate {name} must be nonnegative and finite when set")
         if self.delta < 5 * self.mu:
             warnings.warn(
                 f"delta = {self.delta / self.mu:.2f} mu: dispersive treatment is marginal "

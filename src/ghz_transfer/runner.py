@@ -29,12 +29,20 @@ block the density matrix can ever occupy, so each segment is propagated
 exactly on it, which cuts the n=2 cutoff-3 density matrix from 2592^2 to
 80^2. The final state of a lindblad run is that block, stored sparse
 over the layout (:meth:`DensityMatrix.from_block`).
+
+Nothing that depends only on the schedule is built twice. The segment
+generators depend on the layout, the segments, the parameters and the
+mode but not on the amplitudes, so the runs of a batch share one set
+(:func:`_segment_generators` keeps the last one). A lindblad run builds
+one :class:`~ghz_transfer.evolution.Dissipator` for its block, and every
+ramp and segment reuses its jump and damping terms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +53,7 @@ from .analysis import (
     make_oracle_state,
     oracle_branches,
 )
-from .evolution import checkpoint_fidelity, evolve_unitary, lindblad_propagate
+from .evolution import Dissipator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
@@ -288,6 +296,17 @@ def _segment_generator(layout, seg, params, mode):
     return h_dispersive_reduced(layout, window_params)
 
 
+@lru_cache(maxsize=1)
+def _segment_generators(layout, segments, params, mode) -> dict:
+    """Every segment's generator by label, for a tuple of segments.
+
+    None depends on the amplitudes, so the runs of a batch (``random:``
+    specs, ``verify``'s loop) share one set. The one cached entry holds
+    the last (layout, segments, params, mode); callers only read it.
+    """
+    return {seg.label: _segment_generator(layout, seg, params, mode) for seg in segments}
+
+
 def _pure_checkpoint(layout, spec, label, state, time_s) -> CheckpointRecord:
     g_branch, f_branch, cg_exp, cf_exp = oracle_branches(layout, spec, label)
     cg = g_branch.overlap(state)
@@ -309,10 +328,10 @@ def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
     t_now = 0.0
+    generators = _segment_generators(layout, tuple(schedule), params, mode)
     for seg in schedule:
         t_now += seg.ramp_s  # drive off: the state only ages
-        generator = _segment_generator(layout, seg, params, mode)
-        result = evolve_unitary(state, generator, seg.duration_s, samples=samples)
+        result = evolve_unitary(state, generators[seg.label], seg.duration_s, samples=samples)
         state = result.final
         weights = np.abs(np.vstack([result.samples, state.amplitudes[result.support]])) ** 2
         entry, top = _segment_samples(
@@ -357,11 +376,14 @@ def _run_lindblad(layout, schedule, spec, params, samples):
         )
     psi0 = make_oracle_state(layout, spec, "initial")
     hamiltonians = {
-        seg.label: _segment_generator(layout, seg, params, "lindblad").matrix.tocsr()
-        for seg in schedule
+        label: generator.matrix.tocsr()
+        for label, generator in _segment_generators(
+            layout, tuple(schedule), params, "lindblad"
+        ).items()
     }
     keep = _reachable_block(psi0, list(hamiltonians.values()), collapse)
-    collapse_p = [op[keep][:, keep] for op in collapse]
+    # built once: every ramp and segment shares the H-independent terms
+    collapse_p = Dissipator([op[keep][:, keep] for op in collapse])
 
     block = psi0.amplitudes[keep]
     rho = np.outer(block, block.conj())

@@ -13,7 +13,6 @@ from ghz_transfer.analysis import (
     GhzSpec,
     logical_encode_pulse,
     make_oracle_state,
-    measured_f_occupation,
     occupation_probability,
     oracle_branches,
     random_ghz_spec,
@@ -216,16 +215,6 @@ class TestHelpers:
         for name in STAGE_CHECKPOINTS:
             state = make_oracle_state(layout2, spec, name)
             assert spectator_f_total(state) < 1e-14
-
-    def test_measured_f_occupation_takes_the_peak(self):
-        rows = [
-            {"time_s": 0.0, "spectator_f_total": 0.0},
-            {"time_s": 1.0, "spectator_f_total": 0.038},
-            {"time_s": 2.0, "spectator_f_total": 0.012},
-        ]
-        assert measured_f_occupation(rows) == pytest.approx(0.038)
-        with pytest.raises(ValueError):
-            measured_f_occupation([])
 
     def test_encode_pulse_is_unitary(self):
         u = logical_encode_pulse()

@@ -175,6 +175,72 @@ class TestRun:
         assert shown in result.stderr
         assert not isinstance(result.exception, MemoryError)
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--n", "1", "--set", "mu1=nan"],
+        ["run", "--n", "1", "--set", "delta=inf"],
+        ["budget", "--set", "t1=nan"],
+        ["budget", "--set", "kappaL=inf"],
+        ["budget", "--set", "tau1=-inf"],
+    ], ids=["run-nan", "run-inf", "budget-nan", "budget-inf-rate", "budget-inf-ramp"])
+    def test_non_finite_parameter_fails_like_a_negative_one(self, runner, args):
+        negative = runner.invoke(main, ["run", "--n", "1", "--set", "mu1=-1"])
+        result = runner.invoke(main, args)
+        assert result.exit_code == negative.exit_code == 1
+        assert result.stdout == ""
+        for diagnostic in (negative.stderr, result.stderr):
+            assert diagnostic.startswith("Error: ")
+            assert diagnostic.count("\n") == 1
+        assert not isinstance(result.exception, ValueError)
+
+
+class TestReuseAcrossRuns:
+    """Operators built once per schedule never leak into a run with other inputs."""
+
+    def test_lindblad_report_follows_its_own_params(self, runner):
+        base = ["run", "--mode", "lindblad", "--n", "2", "--cutoff", "3"]
+        t1 = load_preset("transmon").t1
+        first = runner.invoke(main, base)
+        other = runner.invoke(main, [*base, "--set", f"t1={2 * t1!r}"])
+        again = runner.invoke(main, base)
+        assert first.exit_code == other.exit_code == again.exit_code == 0
+        assert first.output == again.output
+        assert other.output != first.output
+
+    def test_batch_builds_each_generator_once(self, runner, monkeypatch):
+        from ghz_transfer import runner as runner_module
+
+        calls = {}
+
+        def counted(name):
+            original = getattr(runner_module, name)
+
+            def build(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return build
+
+        builders = ("h_resonant_ef", "h_resonant_ge", "h_dispersive_reduced")
+        for name in builders:
+            monkeypatch.setattr(runner_module, name, counted(name))
+        runner_module._segment_generators.cache_clear()
+        batch = runner.invoke(main, ["run", "--n", "2", "--ghz", "random:7:5"])
+        assert batch.exit_code == 0
+        kinds = [seg.kind for seg in build_schedule(load_preset("transmon"), 2)]
+        assert calls == {
+            "h_resonant_ef": kinds.count("resonant_ef"),
+            "h_resonant_ge": kinds.count("resonant_ge"),
+            "h_dispersive_reduced": kinds.count("dispersive"),
+        }
+
+        runs = json.loads(batch.output)["runs"]
+        specs = cli._parse_ghz("random:7:5", 2)
+        assert len(runs) == len(specs) == 5
+        for spec, run in zip(specs, runs):
+            runner_module._segment_generators.cache_clear()
+            alone = run_protocol(load_preset("transmon"), spec).report()
+            assert cli._json_text(alone) == cli._json_text(run)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +225,24 @@ class TestPhysicalParams:
             bare_params(mu1=0.0)
         with pytest.raises(ValueError):
             bare_params(delta=-1.0)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PhysicalParams)])
+    def test_rejects_nan_in_every_field(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            bare_params(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", [
+        "mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR", "mu", "mu_prime",
+        "delta", "delta_prime", "tauA", "tau1", "tau1p", "tauq", "tauqp", "kappaL", "kappaR",
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_infinite_rates_and_ramps(self, name, sign):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            bare_params(**{name: sign * math.inf})
+
+    @pytest.mark.parametrize("name", ["t1", "t2", "t1f", "t2f", "coupler_t1", "coupler_t2"])
+    def test_infinite_coherence_time_is_no_channel(self, name, layout11):
+        assert collapse_operators(layout11, bare_params(**{name: math.inf})) == []
 
     def test_warns_when_detuning_marginal(self):
         with pytest.warns(UserWarning):

@@ -7,8 +7,9 @@ import warnings
 import master_equation_oracle
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ghz_transfer import runner
+from ghz_transfer import evolution, runner
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
 from ghz_transfer.evolution import EvolutionResult, evolve_unitary, krylov_expm_action
@@ -307,6 +308,36 @@ class TestReachableBlock:
             leak = mat[drop][:, keep]
             leak.eliminate_zeros()
             assert leak.nnz == 0
+
+
+def _liouvillian_term_by_term(h_mat, collapse_mats, dim):
+    """The block Liouvillian assembled from scratch: every term from the bare matrices."""
+    eye = sp.identity(dim, dtype=complex)
+    h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
+    stacked = sp.vstack(collapse_mats, format="csr")
+    h_eff = h_eff - 0.5j * (stacked.getH() @ stacked)
+    terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
+    terms += [sp.kron(l_op, l_op.conj()) for l_op in collapse_mats]
+    parts = [term.tocoo() for term in terms]
+    entries = [np.concatenate([getattr(part, key) for part in parts]) for key in ("data", "row", "col")]
+    return sp.csr_matrix((entries[0], tuple(entries[1:])), shape=(dim * dim, dim * dim))
+
+
+class TestSharedDissipator:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_liouvillian_is_bit_identical_to_a_fresh_build(self, params, n):
+        keep, generators, collapse = _lindblad_block(params, GhzSpec(alpha=0.6, beta=0.8j, n=n))
+        blocks = [op[keep][:, keep] for op in collapse]
+        shared = evolution.Dissipator(blocks)  # one instance for the whole run
+        for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:  # the ramp first
+            fast = evolution._liouvillian(h_mat, shared, keep.size)
+            for fresh in (
+                evolution._liouvillian(h_mat, evolution.Dissipator(list(blocks)), keep.size),
+                _liouvillian_term_by_term(h_mat, blocks, keep.size),
+            ):
+                assert fast.shape == fresh.shape
+                for key in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(fast, key), getattr(fresh, key))
 
 
 class TestExcitationSectors:
