@@ -6,12 +6,11 @@ from ghz_transfer.hilbert import (
     QuantumState,
     SystemLayout,
     build_layout,
+    embed_operator,
     embed_site_operator,
-    load_state,
     mode_annihilation,
     mode_creation,
     partial_trace,
-    save_state,
 )
 
 __version__ = "0.1.0"
@@ -22,11 +21,10 @@ __all__ = [
     "QuantumState",
     "SystemLayout",
     "build_layout",
+    "embed_operator",
     "embed_site_operator",
-    "load_state",
     "mode_annihilation",
     "mode_creation",
     "partial_trace",
-    "save_state",
     "__version__",
 ]

@@ -15,6 +15,9 @@ Conventions worth stating once:
   phases (interaction picture); the factory also exposes the equivalent
   static form H = delta |f><f| + coupling (a |f><e| + h.c.) used by the
   frame-change evolution route.
+* Every operator is a sum of Kronecker products of local factors
+  (:func:`~ghz_transfer.hilbert.embed_operator`); products such as
+  a_dag |e><f| are formed on the factors, never on the register.
 * Pure dephasing collapse operators use the projector form
   sqrt(2/T_phi) |e><e|, which gives the coherence decay 1/T_phi on top of
   the relaxation contribution 1/(2 T1), i.e. 1/T2 = 1/(2 T1) + 1/T_phi.
@@ -25,8 +28,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,9 +39,8 @@ import yaml
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     SystemLayout,
-    embed_site_operator,
-    mode_annihilation,
-    mode_creation,
+    annihilation_op,
+    embed_operator,
     transition_op,
 )
 from ghz_transfer.units import parse_frequency, parse_time
@@ -161,21 +164,23 @@ def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float
     """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit."""
     if qubit == "A":
         raise ValueError("the coupler has no f level; use h_resonant_ge")
-    _check_register(layout, cavity, qubit)
-    adag = mode_creation(layout, cavity)
-    lower = embed_site_operator(layout, qubit, transition_op(3, "e", "f"))
-    half = coupling * (adag @ lower)
-    return OperatorMatrix((half.matrix + half.matrix.getH()).tocsr(), layout, hermitian=True)
+    return _sideband(layout, cavity, qubit, "e", "f", coupling)
 
 
 def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float) -> OperatorMatrix:
     """Sideband drive coupling * (a_dag |g><e| + h.c.); works for the coupler too."""
+    return _sideband(layout, cavity, site, "g", "e", coupling)
+
+
+def _sideband(layout, cavity, site, to_level, from_level, coupling) -> OperatorMatrix:
+    """coupling * (a_dag |to><from| + h.c.) between one site and one cavity mode."""
     _check_register(layout, cavity, site)
-    dim = layout.site_dim(site)
-    adag = mode_creation(layout, cavity)
-    lower = embed_site_operator(layout, site, transition_op(dim, "g", "e"))
-    half = coupling * (adag @ lower)
-    return OperatorMatrix((half.matrix + half.matrix.getH()).tocsr(), layout, hermitian=True)
+    mode = "cav" + cavity
+    half = embed_operator(layout, {
+        site: coupling * transition_op(layout.site_dim(site), to_level, from_level),
+        mode: annihilation_op(layout.site_dim(mode)).conj().T,
+    }).matrix
+    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True)
 
 
 def _require_spectators(layout: SystemLayout) -> None:
@@ -204,13 +209,8 @@ class DispersiveGenerator:
         _require_spectators(layout)
         self.layout = layout
         self.params = params
-        a = mode_annihilation(layout, "L")
-        b = mode_annihilation(layout, "R")
-        raise_left = _summed_transition(layout, layout.left_spectators, "f", "e")
-        raise_right = _summed_transition(layout, layout.right_spectators, "f", "e")
-        # A = mu * a (x) sum_l |f><e|: annihilate a photon, promote e to f
-        self._A = (params.mu * (a @ raise_left)).matrix
-        self._B = (params.mu_prime * (b @ raise_right)).matrix
+        self._A = _photon_to_f(layout, "cavL", params.mu, layout.left_spectators)
+        self._B = _photon_to_f(layout, "cavR", params.mu_prime, layout.right_spectators)
         self._A_dag = self._A.getH().tocsr()
         self._B_dag = self._B.getH().tocsr()
         g = np.zeros(layout.dim)
@@ -219,6 +219,9 @@ class DispersiveGenerator:
         for site in layout.right_spectators:
             g += params.delta_prime * (layout.level_index_array(site) == 2)
         self._g_diag = g
+        static = sp.diags(g, format="csr").astype(complex)
+        static = static + self._A + self._A_dag + self._B + self._B_dag
+        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True)
 
     @property
     def max_detuning(self) -> float:
@@ -243,23 +246,19 @@ class DispersiveGenerator:
         return out
 
     def static_hamiltonian(self) -> OperatorMatrix:
-        """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag)."""
-        mat = sp.diags(self._g_diag, format="csr").astype(complex)
-        mat = mat + self._A + self._A_dag + self._B + self._B_dag
-        return OperatorMatrix(mat.tocsr(), self.layout, hermitian=True)
+        """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag), built once."""
+        return self._static
 
     def frame_diagonal(self) -> np.ndarray:
         """Diagonal of the frame generator G (rad/s per basis state)."""
         return self._g_diag.copy()
 
 
-def _summed_transition(layout: SystemLayout, sites, to_level: str, from_level: str) -> OperatorMatrix:
-    total = None
-    for site in sites:
-        term = embed_site_operator(layout, site, transition_op(3, to_level, from_level))
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+def _photon_to_f(layout: SystemLayout, mode: str, coupling: float, spectators):
+    """coupling * a (x) sum_l |f><e|_l: annihilate a photon, promote e to f."""
+    a = coupling * annihilation_op(layout.site_dim(mode))
+    promote = transition_op(3, "f", "e")
+    return reduce(add, (embed_operator(layout, {site: promote, mode: a}).matrix for site in spectators))
 
 
 def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> OperatorMatrix:
@@ -271,30 +270,24 @@ def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> Oper
     """
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
-    a = mode_annihilation(layout, "L")
-    b = mode_annihilation(layout, "R")
+    promote, demote = transition_op(3, "f", "e"), transition_op(3, "e", "f")
     terms = []
     for lam, mode, spectators in (
-        (rates.lam, a, layout.left_spectators),
-        (rates.lam_prime, b, layout.right_spectators),
+        (rates.lam, "cavL", layout.left_spectators),
+        (rates.lam_prime, "cavR", layout.right_spectators),
     ):
-        n_op = (mode.dagger() @ mode).matrix
-        anti_n = (mode @ mode.dagger()).matrix
+        a = annihilation_op(layout.site_dim(mode))
+        n_op = lam * (a.conj().T @ a)
+        anti_n = lam * (a @ a.conj().T)
         for site in spectators:
-            ff = embed_site_operator(layout, site, transition_op(3, "f", "f")).matrix
-            ee = embed_site_operator(layout, site, transition_op(3, "e", "e")).matrix
-            terms.append(lam * (ff @ anti_n - ee @ n_op))
+            ff = embed_operator(layout, {site: transition_op(3, "f", "f"), mode: anti_n})
+            ee = embed_operator(layout, {site: transition_op(3, "e", "e"), mode: n_op})
+            terms.append(ff.matrix - ee.matrix)
         for site_l in spectators:
-            fe_l = embed_site_operator(layout, site_l, transition_op(3, "f", "e")).matrix
             for site_k in spectators:
-                if site_k == site_l:
-                    continue
-                ef_k = embed_site_operator(layout, site_k, transition_op(3, "e", "f")).matrix
-                terms.append(lam * (fe_l @ ef_k))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return OperatorMatrix(total.tocsr(), layout, hermitian=True)
+                if site_k != site_l:
+                    terms.append(embed_operator(layout, {site_l: lam * promote, site_k: demote}).matrix)
+    return OperatorMatrix(reduce(add, terms).tocsr(), layout, hermitian=True)
 
 
 def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams) -> OperatorMatrix:
@@ -335,34 +328,29 @@ def collapse_operators(layout: SystemLayout, params: PhysicalParams) -> list[Ope
     carries the qubit pair of channels, each cavity sqrt(kappa) a.
     Channels whose rate is zero or whose times are unset are omitted.
     """
-    ops: list[OperatorMatrix] = []
-
     gamma_ge = 1.0 / params.t1 if params.t1 else 0.0
     gamma_ef = 1.0 / params.t1f if params.t1f else 0.0
     phi_e = _pure_dephasing_rate(params.t1, params.t2, "qudit")
     phi_f = _pure_dephasing_rate(params.t1f, params.t2f, "qudit f level")
+    channels = []  # (rate, site, local operator)
     for site in layout.left_qudits + layout.right_qudits:
-        if gamma_ge > 0:
-            ops.append(math.sqrt(gamma_ge) * embed_site_operator(layout, site, transition_op(3, "g", "e")))
-        if gamma_ef > 0:
-            ops.append(math.sqrt(gamma_ef) * embed_site_operator(layout, site, transition_op(3, "e", "f")))
-        if phi_e > 0:
-            ops.append(math.sqrt(2.0 * phi_e) * embed_site_operator(layout, site, transition_op(3, "e", "e")))
-        if phi_f > 0:
-            ops.append(math.sqrt(2.0 * phi_f) * embed_site_operator(layout, site, transition_op(3, "f", "f")))
+        channels += [
+            (gamma_ge, site, transition_op(3, "g", "e")),
+            (gamma_ef, site, transition_op(3, "e", "f")),
+            (2.0 * phi_e, site, transition_op(3, "e", "e")),
+            (2.0 * phi_f, site, transition_op(3, "f", "f")),
+        ]
 
     gamma_c = 1.0 / params.coupler_t1 if params.coupler_t1 else 0.0
     phi_c = _pure_dephasing_rate(params.coupler_t1, params.coupler_t2, "coupler")
-    if gamma_c > 0:
-        ops.append(math.sqrt(gamma_c) * embed_site_operator(layout, "A", transition_op(2, "g", "e")))
-    if phi_c > 0:
-        ops.append(math.sqrt(2.0 * phi_c) * embed_site_operator(layout, "A", transition_op(2, "e", "e")))
-
-    if params.kappaL:
-        ops.append(math.sqrt(params.kappaL) * mode_annihilation(layout, "L"))
-    if params.kappaR:
-        ops.append(math.sqrt(params.kappaR) * mode_annihilation(layout, "R"))
-    return ops
+    channels += [(gamma_c, "A", transition_op(2, "g", "e")), (2.0 * phi_c, "A", transition_op(2, "e", "e"))]
+    for mode, kappa in (("cavL", params.kappaL), ("cavR", params.kappaR)):
+        channels.append((kappa or 0.0, mode, annihilation_op(layout.site_dim(mode))))
+    return [
+        embed_operator(layout, {site: math.sqrt(rate) * local})
+        for rate, site, local in channels
+        if rate > 0
+    ]
 
 
 # ---------------------------------------------------------------------------

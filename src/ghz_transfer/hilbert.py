@@ -14,14 +14,13 @@ ordered
 with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
 Operators and density matrices are stored sparse (CSR), pure states as
-dense vectors.
+dense vectors. Every operator is one Kronecker product of local factors
+(:func:`embed_operator`), or a sum of such products.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,12 +37,12 @@ __all__ = [
     "ReducedDensityMatrix",
     "level_ket",
     "transition_op",
+    "annihilation_op",
+    "embed_operator",
     "embed_site_operator",
     "mode_annihilation",
     "mode_creation",
     "partial_trace",
-    "save_state",
-    "load_state",
 ]
 
 #: Qudit level symbols. The coupler uses the first two.
@@ -207,6 +206,11 @@ def transition_op(dim: int, to_level: int | str, from_level: int | str) -> np.nd
     return np.outer(level_ket(dim, to_level), level_ket(dim, from_level).conj())
 
 
+def annihilation_op(dim: int) -> np.ndarray:
+    """Local photon annihilation operator truncated to ``dim`` Fock levels."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+
+
 @dataclass
 class QuantumState:
     """Dense state vector bound to a layout.
@@ -320,9 +324,6 @@ class OperatorMatrix:
             return 0.0
         return float(np.max(np.abs(diff.data)))
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.getH().tocsr(), self.layout, self.hermitian)
-
     def apply(self, state: QuantumState) -> QuantumState:
         _require_same_layout(self.layout, state.layout)
         return QuantumState(self.matrix @ state.amplitudes, self.layout)
@@ -331,35 +332,6 @@ class OperatorMatrix:
         """<state| O |state>; real part only when the operator is hermitian."""
         value = complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
         return value.real if self.hermitian else value
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _require_same_layout(self.layout, other.layout)
-        return OperatorMatrix(
-            (self.matrix + other.matrix).tocsr(),
-            self.layout,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _require_same_layout(self.layout, other.layout)
-        return OperatorMatrix(
-            (self.matrix - other.matrix).tocsr(),
-            self.layout,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        herm = self.hermitian and float(np.imag(scalar)) == 0.0
-        return OperatorMatrix(self.matrix * scalar, self.layout, hermitian=herm)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _require_same_layout(self.layout, other.layout)
-        return OperatorMatrix((self.matrix @ other.matrix).tocsr(), self.layout, hermitian=False)
 
 
 @dataclass
@@ -417,63 +389,70 @@ class ReducedDensityMatrix:
     dims: tuple[int, ...]
 
 
+def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> OperatorMatrix:
+    """The product of local operators on distinct sites, identity elsewhere.
+
+    ``factors`` maps site names (qudits, the coupler ``A``, the modes
+    ``cavL``/``cavR``) to square matrices of the site's dimension. The
+    result is one ``kron`` chain in the layout's factor order, with each
+    run of unlisted factors merged into a single identity, so a product
+    of operators is formed on its local factors and never as a product
+    of register-sized matrices. The claimed Hermiticity is that of the
+    factors.
+    """
+    by_position = {}
+    for site, local in factors.items():
+        pos = layout.factor_index(site)
+        d = layout.factor_dims[pos]
+        local = np.asarray(local, dtype=complex)
+        if local.shape != (d, d):
+            raise ValueError(f"local operator must be {d}x{d} for factor {site!r}")
+        by_position[pos] = local
+    pieces = []
+    identity = 1
+    for pos, d in enumerate(layout.factor_dims):
+        if pos not in by_position:
+            identity *= d
+            continue
+        if identity > 1:
+            pieces.append(sp.identity(identity, format="csr"))
+            identity = 1
+        pieces.append(sp.csr_matrix(by_position[pos]))
+    if identity > 1 or not pieces:
+        pieces.append(sp.identity(identity, format="csr"))
+    mat = pieces[0]
+    for piece in pieces[1:]:
+        mat = sp.kron(mat, piece, format="csr")
+    herm = all(np.max(np.abs(m - m.conj().T)) <= 1e-14 for m in by_position.values())
+    return OperatorMatrix(mat, layout, hermitian=herm)
+
+
 def embed_site_operator(layout: SystemLayout, site: str, local: np.ndarray) -> OperatorMatrix:
     """Lift a local qudit/coupler operator to the full register.
 
-    Parameters
-    ----------
-    layout : SystemLayout
-    site : str
-        A qudit name (``q1``, ``q2p``, ...) or the coupler ``A``. Cavity
-        factors are addressed through :func:`mode_annihilation` instead.
-    local : ndarray
-        Square matrix of the site's local dimension.
-
-    Returns
-    -------
-    OperatorMatrix
-        ``I (x) local (x) I`` in the layout's factor order, sparse.
+    Cavity factors are addressed through :func:`mode_annihilation` instead.
     """
     if site in ("cavL", "cavR"):
         raise ValueError("cavity factors are embedded via mode_annihilation / mode_creation")
-    pos = layout.factor_index(site)
-    return _embed_at(layout, pos, np.asarray(local, dtype=complex))
+    return embed_operator(layout, {site: local})
 
 
 def mode_annihilation(layout: SystemLayout, cavity: str) -> OperatorMatrix:
     """Annihilation operator of mode a (``cavity="L"``) or b (``"R"``)."""
-    if cavity not in ("L", "R"):
-        raise ValueError(f"cavity must be 'L' or 'R', got {cavity!r}")
-    site = "cavL" if cavity == "L" else "cavR"
-    pos = layout.factor_index(site)
-    nlev = layout.factor_dims[pos]
-    local = np.diag(np.sqrt(np.arange(1.0, nlev)), 1).astype(complex)
-    return _embed_at(layout, pos, local)
+    site = _mode_site(cavity)
+    return embed_operator(layout, {site: annihilation_op(layout.site_dim(site))})
 
 
 def mode_creation(layout: SystemLayout, cavity: str) -> OperatorMatrix:
     """Exactly the conjugate transpose of :func:`mode_annihilation`."""
-    return mode_annihilation(layout, cavity).dagger()
+    site = _mode_site(cavity)
+    return embed_operator(layout, {site: annihilation_op(layout.site_dim(site)).conj().T})
 
 
-def _embed_at(layout: SystemLayout, pos: int, local: np.ndarray) -> OperatorMatrix:
-    dims = layout.factor_dims
-    d = dims[pos]
-    if local.shape != (d, d):
-        raise ValueError(f"local operator must be {d}x{d} for factor {layout.site_names[pos]!r}")
-    before = 1
-    for k in dims[:pos]:
-        before *= k
-    after = 1
-    for k in dims[pos + 1 :]:
-        after *= k
-    mat = sp.kron(
-        sp.identity(before, format="csr"),
-        sp.kron(sp.csr_matrix(local), sp.identity(after, format="csr"), format="csr"),
-        format="csr",
-    )
-    herm = bool(np.max(np.abs(local - local.conj().T)) <= 1e-14) if local.size else True
-    return OperatorMatrix(mat, layout, hermitian=herm)
+def _mode_site(cavity: str) -> str:
+    if cavity not in ("L", "R"):
+        raise ValueError(f"cavity must be 'L' or 'R', got {cavity!r}")
+    return "cav" + cavity
 
 
 def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) -> ReducedDensityMatrix:
@@ -522,43 +501,6 @@ def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) 
         sites=keep,
         dims=tuple(dims[p] for p in positions),
     )
-
-
-SNAPSHOT_FORMAT = "ghz-transfer-state"
-SNAPSHOT_VERSION = 1
-
-
-def save_state(state: QuantumState, path: str | Path) -> None:
-    """Write a state snapshot as JSON.
-
-    The container holds the layout descriptor, the basis-ordering version
-    tag, and the amplitude list as (real, imag) pairs in flat basis order.
-    """
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "basis_ordering": BASIS_ORDERING_TAG,
-        "layout": state.layout.to_dict(),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_state(path: str | Path) -> QuantumState:
-    """Read a snapshot written by :func:`save_state`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(f"not a state snapshot: format={payload.get('format')!r}")
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {payload.get('version')!r}")
-    if payload.get("basis_ordering") != BASIS_ORDERING_TAG:
-        raise ValueError(
-            f"snapshot uses basis ordering {payload.get('basis_ordering')!r}, "
-            f"this build expects {BASIS_ORDERING_TAG!r}"
-        )
-    layout = SystemLayout(**payload["layout"])
-    amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-    return QuantumState(amps, layout)
 
 
 def _require_same_layout(a: SystemLayout, b: SystemLayout) -> None:

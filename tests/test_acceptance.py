@@ -259,12 +259,12 @@ def test_criterion_09_open_system(preset):
         assert gap <= 1e-12, f"zero-rate evolution differs from unitary by {gap!r}"
 
         kappa = 1.0 / 5.138e-6
-        lowering = math.sqrt(kappa) * mode_annihilation(layout, "L")
-        number_op = (mode_creation(layout, "L") @ mode_annihilation(layout, "L")).to_dense()
+        lowering = math.sqrt(kappa) * mode_annihilation(layout, "L").matrix
+        number_op = (mode_creation(layout, "L").matrix @ mode_annihilation(layout, "L").matrix).toarray()
         photon = QuantumState.from_basis(layout, {"cavL": 1}).amplitudes
         decay_t = 8e-7
         rho_t, _ = lindblad_propagate(
-            None, [lowering.matrix], np.outer(photon, photon.conj()), decay_t
+            None, [lowering], np.outer(photon, photon.conj()), decay_t
         )
         occupancy = float(np.real(np.trace(number_op @ rho_t)))
         decay_gap = abs(occupancy - math.exp(-kappa * decay_t))

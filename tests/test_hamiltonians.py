@@ -26,7 +26,14 @@ from ghz_transfer.hamiltonians import (
     load_preset,
     save_params,
 )
-from ghz_transfer.hilbert import QuantumState, build_layout
+from ghz_transfer.hilbert import (
+    QuantumState,
+    build_layout,
+    embed_site_operator,
+    mode_annihilation,
+    mode_creation,
+    transition_op,
+)
 from ghz_transfer.units import TWO_PI, two_pi_mhz
 
 MU = two_pi_mhz(50.0)
@@ -140,6 +147,10 @@ class TestDispersiveGenerators:
             defect = op @ (quanta * psi) - quanta * (op @ psi)
             assert np.max(np.abs(defect)) < 1e-6 * np.max(np.abs(op @ psi))
 
+    def test_static_form_is_built_once(self, layout22):
+        gen = DispersiveGenerator(layout22, bare_params())
+        assert gen.static_hamiltonian() is gen.static_hamiltonian()
+
     def test_interaction_picture_matches_frame_conjugation(self, layout22):
         params = bare_params()
         gen = DispersiveGenerator(layout22, params)
@@ -207,6 +218,105 @@ class TestDispersiveGenerators:
         src = QuantumState.from_basis(layout22, {"q2": "f"})
         dst = QuantumState.from_basis(layout22, {"q2": "e", "cavL": 1})
         assert dst.overlap(h.apply(src)) == 0
+
+
+ALL_CHANNELS = dict(
+    t1=20e-6, t2=25e-6, t1f=15e-6, t2f=12e-6, coupler_t1=10e-6, coupler_t2=8e-6,
+    kappaL=1.0e5, kappaR=2.0e5,
+)
+
+
+def _single_site_products(layout, params) -> dict:
+    """Every builder's matrix formed as products of single-site embeddings.
+
+    This is how the builders used to work: each factor lifted to the whole
+    register on its own, then the register-sized matrices multiplied and
+    summed in the order the builder sums its terms.
+    """
+    def site(name, to_level, from_level):
+        local = transition_op(layout.site_dim(name), to_level, from_level)
+        return embed_site_operator(layout, name, local).matrix
+
+    a = {c: mode_annihilation(layout, c).matrix for c in "LR"}
+    adag = {c: mode_creation(layout, c).matrix for c in "LR"}
+    spectators = {"L": layout.left_spectators, "R": layout.right_spectators}
+    out = {}
+    for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+        for q in register + ("A",):
+            half = MU * (adag[cavity] @ site(q, "g", "e"))
+            out[f"ge {cavity} {q}"] = half + half.getH()
+            if q != "A":
+                half = MU * (adag[cavity] @ site(q, "e", "f"))
+                out[f"ef {cavity} {q}"] = half + half.getH()
+
+    rates = EffectiveRates.from_params(params)
+    lam = {"L": rates.lam, "R": rates.lam_prime}
+    drive = {
+        c: coupling * (a[c] @ sum(site(s, "f", "e") for s in spectators[c]))
+        for c, coupling in (("L", params.mu), ("R", params.mu_prime))
+    }
+    static = sp.diags(DispersiveGenerator(layout, params).frame_diagonal()).astype(complex)
+    out["static"] = static + drive["L"] + drive["L"].getH() + drive["R"] + drive["R"].getH()
+
+    terms = []
+    for c in "LR":
+        for s in spectators[c]:
+            terms.append(lam[c] * (site(s, "f", "f") @ (a[c] @ adag[c]) - site(s, "e", "e") @ (adag[c] @ a[c])))
+        for l in spectators[c]:
+            terms += [lam[c] * (site(l, "f", "e") @ site(k, "e", "f")) for k in spectators[c] if k != l]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    out["effective"] = total
+
+    gamma, gamma_f = 1 / params.t1, 1 / params.t1f
+    phi, phi_f = 1 / params.t2 - gamma / 2, 1 / params.t2f - gamma_f / 2
+    collapse = []
+    for q in layout.left_qudits + layout.right_qudits:
+        collapse += [
+            math.sqrt(gamma) * site(q, "g", "e"), math.sqrt(gamma_f) * site(q, "e", "f"),
+            math.sqrt(2 * phi) * site(q, "e", "e"), math.sqrt(2 * phi_f) * site(q, "f", "f"),
+        ]
+    gamma_c = 1 / params.coupler_t1
+    phi_c = 1 / params.coupler_t2 - gamma_c / 2
+    collapse += [math.sqrt(gamma_c) * site("A", "g", "e"), math.sqrt(2 * phi_c) * site("A", "e", "e")]
+    collapse += [math.sqrt(params.kappaL) * a["L"], math.sqrt(params.kappaR) * a["R"]]
+    out.update({f"collapse {i}": op for i, op in enumerate(collapse)})
+    return out
+
+
+class TestLocalFactorConstruction:
+    """Each builder equals the register-sized products it replaced, array for array."""
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 3), (3, 4)])
+    def test_builders_match_products_of_single_site_embeddings(self, n, cutoff):
+        layout = build_layout(n, n, cutoff, cutoff)
+        params = bare_params(**ALL_CHANNELS)
+        built = {}
+        for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+            for q in register + ("A",):
+                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU)
+                if q != "A":
+                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU)
+        built["static"] = DispersiveGenerator(layout, params).static_hamiltonian()
+        built["effective"] = h_dispersive_effective(layout, params)
+        collapse = collapse_operators(layout, params)
+        assert len(collapse) == 4 * 2 * n + 2 + 2
+        built.update({f"collapse {i}": op for i, op in enumerate(collapse)})
+
+        reference = _single_site_products(layout, params)
+        assert built.keys() == reference.keys()
+        differ = []
+        for name, op in built.items():
+            got, want = op.matrix.tocsr(copy=True), reference[name].tocsr(copy=True)
+            got.sort_indices()
+            want.sort_indices()
+            if not all(
+                np.array_equal(x, y) and x.dtype == y.dtype
+                for x, y in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr))
+            ):
+                differ.append(name)
+        assert differ == []
 
 
 class TestEffectiveRates:

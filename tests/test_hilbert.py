@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ghz_transfer.hilbert import (
     DensityMatrix,
     OperatorMatrix,
     QuantumState,
     SystemLayout,
+    annihilation_op,
     build_layout,
+    embed_operator,
     embed_site_operator,
     level_ket,
-    load_state,
     mode_annihilation,
     mode_creation,
     partial_trace,
-    save_state,
     transition_op,
 )
 
@@ -81,8 +82,8 @@ class TestEmbedding:
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             lhs = embed_site_operator(layout, "q2", a @ b)
-            rhs = embed_site_operator(layout, "q2", a) @ embed_site_operator(layout, "q2", b)
-            defect = (lhs.matrix - rhs.matrix)
+            rhs = embed_site_operator(layout, "q2", a).matrix @ embed_site_operator(layout, "q2", b).matrix
+            defect = lhs.matrix - rhs
             assert abs(defect).max() < 1e-12
 
     def test_disjoint_sites_commute(self):
@@ -90,10 +91,10 @@ class TestEmbedding:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ea = embed_site_operator(layout, "q1p", a)
-        eb = embed_site_operator(layout, "A", b)
+        ea = embed_site_operator(layout, "q1p", a).matrix
+        eb = embed_site_operator(layout, "A", b).matrix
         comm = ea @ eb - eb @ ea
-        assert abs(comm.matrix).max() < 1e-12 if comm.matrix.nnz else True
+        assert abs(comm).max() < 1e-12 if comm.nnz else True
 
     def test_identity_embeds_to_identity(self):
         layout = build_layout(1, 1, 3, 3)
@@ -109,6 +110,42 @@ class TestEmbedding:
         layout = build_layout(1, 1, 3, 3)
         with pytest.raises(ValueError):
             embed_site_operator(layout, "A", np.eye(3))
+
+
+class TestProductEmbedding:
+    def test_product_of_sites_equals_product_of_single_site_embeddings(self):
+        # one kron chain over q1, q2p and cavL equals the register-sized product
+        layout = build_layout(2, 2, 3, 3)
+        rng = np.random.default_rng(13)
+        locals_ = {
+            "q1": rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+            "q2p": rng.normal(size=(3, 3)),
+            "cavL": annihilation_op(4),
+        }
+        got = embed_operator(layout, locals_).matrix
+        want = embed_site_operator(layout, "q1", locals_["q1"]).matrix
+        want = want @ embed_site_operator(layout, "q2p", locals_["q2p"]).matrix
+        want = want @ mode_annihilation(layout, "L").matrix
+        assert abs(got - want).max() < 1e-12
+        assert got.has_sorted_indices
+
+    def test_hermitian_claim_follows_the_factors(self):
+        layout = build_layout(2, 1, 3, 3)
+        number = annihilation_op(4).conj().T @ annihilation_op(4)
+        assert embed_operator(layout, {"q2": transition_op(3, "e", "e"), "cavR": number}).hermitian
+        assert not embed_operator(layout, {"q2": transition_op(3, "e", "f"), "cavR": number}).hermitian
+
+    def test_no_factors_is_the_identity(self):
+        layout = build_layout(1, 1, 3, 3)
+        op = embed_operator(layout, {})
+        assert (op.matrix != sp.identity(layout.dim)).nnz == 0 and op.hermitian
+
+    def test_rejects_unknown_site_and_wrong_dim(self):
+        layout = build_layout(1, 1, 3, 3)
+        with pytest.raises(KeyError):
+            embed_operator(layout, {"q2": np.eye(3)})
+        with pytest.raises(ValueError):
+            embed_operator(layout, {"cavL": np.eye(5)})
 
 
 class TestModeOperators:
@@ -132,7 +169,8 @@ class TestModeOperators:
         # level, where the diagonal reads -cutoff instead of +1.
         layout = build_layout(1, 1, cutoff, 3)
         a = mode_annihilation(layout, "L")
-        comm = (a @ mode_creation(layout, "L") - mode_creation(layout, "L") @ a).to_dense()
+        adag = mode_creation(layout, "L")
+        comm = (a.matrix @ adag.matrix - adag.matrix @ a.matrix).toarray()
         photon = layout.level_index_array("cavL")
         expected = np.where(photon == cutoff, -float(cutoff), 1.0)
         assert abs(comm - np.diag(expected)).max() < 1e-12
@@ -223,25 +261,6 @@ class TestPartialTrace:
         state = QuantumState.from_basis(layout)
         with pytest.raises(KeyError):
             partial_trace(state, ["q9"])
-
-
-class TestSnapshots:
-    def test_round_trip(self, tmp_path):
-        layout = build_layout(2, 1, 3, 3)
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        state = QuantumState(amps, layout).normalized()
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        back = load_state(path)
-        assert back.layout == layout
-        np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
-
-    def test_rejects_foreign_payload(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_state(path)
 
 
 def test_transition_op_shape():
