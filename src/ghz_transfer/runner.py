@@ -41,7 +41,7 @@ ramp and segment reuses its jump and damping terms.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
@@ -87,6 +87,9 @@ DEFAULT_FINAL_THRESHOLD = {
     "full-dispersive": 0.95,
     "lindblad": 0.9,
 }
+# stage checkpoints are gated in ideal mode only: the other modes exist to
+# measure deviations from the oracles
+CHECKPOINT_THRESHOLD = {"ideal-reduced": 1.0 - 1e-7}
 
 # which oracle checkpoint a canonical segment lands on
 CHECKPOINT_AFTER_SEGMENT = {
@@ -208,7 +211,6 @@ class ProtocolResult:
     truncation_top_fock: float
     thresholds: dict
     passes: dict
-    states: dict[str, QuantumState] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -321,10 +323,9 @@ def _pure_checkpoint(layout, spec, label, state, time_s) -> CheckpointRecord:
     )
 
 
-def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
+def _run_pure(layout, schedule, spec, params, mode, samples):
     state = make_oracle_state(layout, spec, "initial")
     sampled = []
-    states: dict[str, QuantumState] = {}
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
     t_now = 0.0
@@ -343,9 +344,7 @@ def _run_pure(layout, schedule, spec, params, mode, samples, keep_states):
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
             checkpoints[label] = _pure_checkpoint(layout, spec, label, state, t_now)
-            if keep_states:
-                states[label] = state.copy()
-    return state, checkpoints, Trajectory(sampled), truncation, states
+    return state, checkpoints, Trajectory(sampled), truncation
 
 
 def _reachable_block(psi0, hamiltonians, collapse) -> np.ndarray:
@@ -429,21 +428,16 @@ def run_protocol(
     schedule: Schedule | None = None,
     trajectory_samples: int = 0,
     final_threshold: float | None = None,
-    checkpoint_threshold: float | None = None,
-    keep_states: bool = False,
 ) -> ProtocolResult:
     """Run the five-step transfer and compare it to the oracle chain.
 
     ``trajectory_samples`` > 0 records that many population rows per
     segment (needed to resolve the fast oscillation of the spectator f
-    level, which cycles at roughly the detuning). ``keep_states`` also
-    stores the pure state at every checkpoint, for callers that compare
-    runs against each other rather than against the oracles.
+    level, which cycles at roughly the detuning).
 
     Thresholds: ``final_threshold`` defaults per mode (1 - 1e-6 ideal,
-    0.95 full-dispersive, 0.9 lindblad). ``checkpoint_threshold``
-    defaults to 1 - 1e-7 in ideal mode and to no gate elsewhere, since
-    the other modes exist to measure deviations from the oracles.
+    0.95 full-dispersive, 0.9 lindblad). Stage checkpoints must reach
+    1 - 1e-7 in ideal mode and are not gated elsewhere.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; modes are {MODES}")
@@ -458,17 +452,15 @@ def run_protocol(
 
     if final_threshold is None:
         final_threshold = DEFAULT_FINAL_THRESHOLD[mode]
-    if checkpoint_threshold is None and mode == "ideal-reduced":
-        checkpoint_threshold = 1.0 - 1e-7
+    checkpoint_threshold = CHECKPOINT_THRESHOLD.get(mode)
 
-    states: dict[str, QuantumState] = {}
     if mode == "lindblad":
         final_state, checkpoints, trajectory, truncation = _run_lindblad(
             layout, schedule, spec, params, trajectory_samples
         )
     else:
-        final_state, checkpoints, trajectory, truncation, states = _run_pure(
-            layout, schedule, spec, params, mode, trajectory_samples, keep_states
+        final_state, checkpoints, trajectory, truncation = _run_pure(
+            layout, schedule, spec, params, mode, trajectory_samples
         )
 
     final_fidelity = checkpoint_fidelity(final_state, make_oracle_state(layout, spec, "final"))
@@ -505,5 +497,4 @@ def run_protocol(
         truncation_top_fock=float(truncation),
         thresholds=thresholds,
         passes=passes,
-        states=states,
     )

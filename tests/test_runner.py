@@ -89,13 +89,6 @@ class TestIdealMode:
         sched = ideal_n2.schedule
         assert times[-1] == pytest.approx(sched.tau - sched.closing_ramp_s, rel=1e-12)
 
-    def test_keep_states_stores_checkpoint_kets(self, params):
-        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
-        res = run_protocol(params, spec, keep_states=True)
-        assert set(res.states) == set(res.checkpoints)
-        fid = abs(res.states["final"].overlap(res.final_state)) ** 2
-        assert fid == pytest.approx(1.0, abs=1e-14)
-
     def test_runs_a_schedule_from_text(self, params):
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         text = serialize_schedule(build_schedule(params, 2))
