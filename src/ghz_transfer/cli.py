@@ -482,7 +482,8 @@ def cmd_verify(preset, params_path, sets, n, seed, count, skip_full, skip_lindbl
 @click.argument("sched", type=click.Path(exists=True, dir_okay=False))
 @click.option("--preset", default=None, help="Resolve symbols against this preset.")
 @click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--canonical", is_flag=True, help="Re-serialize the validated schedule to stdout.")
+@click.option("--canonical", is_flag=True,
+              help="Re-serialize the validated schedule, layout cutoffs included, to stdout.")
 def cmd_parse(sched, preset, params_path, canonical):
     """Check a .sched file; print diagnostics with line and column."""
     text = Path(sched).read_text(encoding="utf-8")
@@ -492,14 +493,17 @@ def cmd_parse(sched, preset, params_path, canonical):
             binding = _load_parameters(preset, params_path)
         except _FAILURES as err:
             _fail(err)
-    result = validate_schedule(parse_schedule(text), binding)
+    document = parse_schedule(text)
+    result = validate_schedule(document, binding)
     for diagnostic in result.diagnostics:
         click.echo(f"{sched}:{diagnostic}", err=True)
     if not result.ok:
         sys.exit(1)
     schedule = result.schedule
     if canonical:
-        click.echo(serialize_schedule(schedule), nl=False)
+        # the Schedule has no cutoffs; the document's layout line keeps them
+        cutoffs = {"cutoff_left": document.layout.cutoff_left, "cutoff_right": document.layout.cutoff_right}
+        click.echo(serialize_schedule(schedule, **cutoffs), nl=False)
     else:
         click.echo(
             f"ok: {len(schedule.segments)} segments, tau = {schedule.tau!r} s "

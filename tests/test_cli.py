@@ -415,6 +415,14 @@ class TestParse:
         result = runner.invoke(main, ["parse", canonical_sched, "--canonical"])
         assert result.output == Path(canonical_sched).read_text()
 
+    def test_canonical_form_keeps_the_layout_cutoffs(self, runner):
+        path = Path(__file__).parent / "golden" / "cutoff3.sched"
+        text = path.read_text(encoding="utf-8")
+        assert "cutoff_left=3 cutoff_right=3" in text
+        result = runner.invoke(main, ["parse", str(path), "--canonical"])
+        assert result.exit_code == 0
+        assert result.output == text
+
     def test_broken_file_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.sched"
         bad.write_text(
