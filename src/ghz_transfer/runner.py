@@ -89,7 +89,7 @@ DEFAULT_FINAL_THRESHOLD = {
 }
 # stage checkpoints are gated in ideal mode only: the other modes exist to
 # measure deviations from the oracles
-CHECKPOINT_THRESHOLD = {"ideal-reduced": 1.0 - 1e-7}
+CHECKPOINT_THRESHOLD = 1.0 - 1e-7
 
 # which oracle checkpoint a canonical segment lands on
 CHECKPOINT_AFTER_SEGMENT = {
@@ -452,7 +452,7 @@ def run_protocol(
 
     if final_threshold is None:
         final_threshold = DEFAULT_FINAL_THRESHOLD[mode]
-    checkpoint_threshold = CHECKPOINT_THRESHOLD.get(mode)
+    checkpoint_threshold = CHECKPOINT_THRESHOLD if mode == "ideal-reduced" else None
 
     if mode == "lindblad":
         final_state, checkpoints, trajectory, truncation = _run_lindblad(

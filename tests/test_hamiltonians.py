@@ -261,9 +261,10 @@ def _single_site_products(layout, params) -> dict:
     terms = []
     for c in "LR":
         for s in spectators[c]:
-            terms.append(lam[c] * (site(s, "f", "f") @ (a[c] @ adag[c]) - site(s, "e", "e") @ (adag[c] @ a[c])))
-        for l in spectators[c]:
-            terms += [lam[c] * (site(l, "f", "e") @ site(k, "e", "f")) for k in spectators[c] if k != l]
+            stark = site(s, "f", "f") @ (a[c] @ adag[c]) - site(s, "e", "e") @ (adag[c] @ a[c])
+            terms.append(lam[c] * stark)
+        for sl in spectators[c]:
+            terms += [lam[c] * (site(sl, "f", "e") @ site(sk, "e", "f")) for sk in spectators[c] if sk != sl]
     total = terms[0]
     for term in terms[1:]:
         total = total + term
