@@ -59,6 +59,9 @@ COMMANDS = {
          "--cutoff", "3"],
         ("-",),
     ),
+    "budget-n1": (["budget", "--json", "--n", "1"], ("-",)),
+    "budget-n2": (["budget", "--json", "--n", "2"], ("-",)),
+    "budget-n3-ramp1": (["budget", "--json", "--n", "3", "--ramp-ns", "1"], ("-",)),
 }
 
 
@@ -126,7 +129,7 @@ def run_command(name: str, out_dir: Path) -> dict[str, str]:
     if files == ("-",):
         result = CliRunner().invoke(main, args)
         assert result.exception is None or isinstance(result.exception, SystemExit), result.output
-        suffix = ".json" if args[0] == "verify" else ".csv"
+        suffix = ".json" if args[0] == "verify" or "--json" in args else ".csv"
         return {f"{name}{suffix}": result.output}
     result = CliRunner().invoke(main, [*args, "--out", str(out_dir)])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
