@@ -31,7 +31,7 @@ from .hamiltonians import PhysicalParams, load_params, load_preset
 from .hilbert import embed_site_operator, partial_trace
 from .runner import MODES, TRAJECTORY_COLUMNS, run_protocol
 from .scheduling import SchedulingError, build_schedule, timing_budget
-from .units import parse_frequency, parse_time
+from .units import parse_frequency, parse_time, seconds_to_ns
 
 WORKERS_ENV = "GHZ_TRANSFER_WORKERS"
 
@@ -277,6 +277,9 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
         raise click.UsageError(f"bad --values list: {err}") from None
     if not points:
         raise click.UsageError("--values is empty")
+    fractional = [v for v in points if axis == "n" and not v.is_integer()]
+    if fractional:
+        raise click.UsageError(f"--axis n needs whole numbers of qubits, got {fractional[0]!r}")
     if samples is None:
         samples = 300 if mode == "full-dispersive" else 0
     workers = _sweep_workers()
@@ -342,12 +345,12 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
                 "kind": seg.kind,
                 "cavity": seg.cavity,
                 "site": seg.site,
-                "duration_ns": seg.duration_ns,
-                "ramp_ns": seg.ramp_ns,
+                "duration_ns": seconds_to_ns(seg.duration_s),
+                "ramp_ns": seconds_to_ns(seg.ramp_s),
             }
             for seg in schedule
         ]
-        payload["closing_ramp_ns"] = schedule.closing_ramp_ns
+        payload["closing_ramp_ns"] = seconds_to_ns(schedule.closing_ramp_s)
         click.echo(_json_text(payload), nl=False)
         return
 
@@ -355,9 +358,9 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
     for seg in schedule:
         click.echo(
             f"{seg.label:<9}{seg.kind:<13}{seg.cavity:<7}{seg.site:<12}"
-            f"{seg.ramp_ns:>7.2f} ns{seg.duration_ns:>9.2f} ns"
+            f"{seconds_to_ns(seg.ramp_s):>7.2f} ns{seconds_to_ns(seg.duration_s):>9.2f} ns"
         )
-    click.echo(f"{'closing':<9}{'':<13}{'':<7}{'':<12}{schedule.closing_ramp_ns:>7.2f} ns")
+    click.echo(f"{'closing':<9}{'':<13}{'':<7}{'':<12}{seconds_to_ns(schedule.closing_ramp_s):>7.2f} ns")
     click.echo("")
     click.echo(f"tau_r  {budget.tau_r * 1e9:8.2f} ns   resonant pulses ({budget.tau_r!r} s)")
     click.echo(f"tau_o  {budget.tau_o * 1e9:8.2f} ns   dispersive window ({budget.tau_o!r} s)")
@@ -493,17 +496,14 @@ def cmd_parse(sched, preset, params_path, canonical):
             binding = _load_parameters(preset, params_path)
         except _FAILURES as err:
             _fail(err)
-    document = parse_schedule(text)
-    result = validate_schedule(document, binding)
+    result = validate_schedule(parse_schedule(text), binding)
     for diagnostic in result.diagnostics:
         click.echo(f"{sched}:{diagnostic}", err=True)
     if not result.ok:
         sys.exit(1)
     schedule = result.schedule
     if canonical:
-        # the Schedule has no cutoffs; the document's layout line keeps them
-        cutoffs = {"cutoff_left": document.layout.cutoff_left, "cutoff_right": document.layout.cutoff_right}
-        click.echo(serialize_schedule(schedule, **cutoffs), nl=False)
+        click.echo(serialize_schedule(schedule), nl=False)
     else:
         click.echo(
             f"ok: {len(schedule.segments)} segments, tau = {schedule.tau!r} s "

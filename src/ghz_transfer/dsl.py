@@ -32,19 +32,22 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 
 from ghz_transfer.hamiltonians import PhysicalParams
-from ghz_transfer.hilbert import BASIS_ORDERING_TAG
+from ghz_transfer.hilbert import BASIS_ORDERING_TAG, SystemLayout
 from ghz_transfer.scheduling import (
+    QUARTER_PERIOD_FACTOR,
+    RESONANCE_TOLERANCE,
     SEGMENT_KINDS,
     SEGMENT_ORDER,
     PulseSegment,
     Schedule,
     SchedulingError,
+    quarter_period,
     solve_resonance,
 )
-from ghz_transfer.units import parse_frequency
+from ghz_transfer.units import parse_frequency, parse_time
 
 __all__ = [
     "Diagnostic",
@@ -59,7 +62,6 @@ FORMAT_VERSION = "v1"
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_TIME_TOKEN_RE = re.compile(r"^([+-]?[0-9.][0-9.eE+-]*)(ns|us)$")
 
 _SEGMENT_KEYS = ("cavity", "site", "coupling", "detuning", "coupling2", "detuning2", "duration", "ramp")
 _RESONANT_KEYS = ("cavity", "site", "coupling", "duration", "ramp")
@@ -88,16 +90,6 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class LayoutDecl:
-    tag: str
-    n_left: int
-    n_right: int
-    cutoff_left: int
-    cutoff_right: int
-    line: int
-
-
-@dataclass(frozen=True)
 class SegmentDecl:
     """One parsed segment line; rates may still be unresolved symbol names."""
 
@@ -106,8 +98,8 @@ class SegmentDecl:
     cavity: str
     site: str
     coupling: float | str
-    duration: tuple[float, float] | str  # (ns, s) or "auto"
-    ramp: tuple[float, float]
+    duration_s: float | str  # or "auto"
+    ramp_s: float
     line: int
     detuning: float | str | None = None
     coupling2: float | str | None = None
@@ -119,10 +111,10 @@ class ScheduleDocument:
     """Everything the text said, plus every problem found while reading it."""
 
     version: str | None = None
-    layout: LayoutDecl | None = None
+    layout: SystemLayout | None = None
     params: dict[str, float] = field(default_factory=dict)
     segments: list[SegmentDecl] = field(default_factory=list)
-    closing_ramp: tuple[float, float] | None = None  # (ns, s)
+    closing_ramp_s: float | None = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
@@ -147,26 +139,13 @@ def _time_text(seconds: float) -> str:
     # repr() is the shortest decimal that round-trips the double; shifting
     # its exponent in Decimal is exact, so parsing this text reconstructs
     # the seconds value bit for bit (a float ns intermediate would not)
+    if seconds == 0:
+        return "0"  # the shift would write 0E+8
     return str(Decimal(repr(float(seconds))).scaleb(9))
 
 
 def _rate_text(value: float) -> str:
     return repr(float(value))
-
-
-def _parse_time_token(token: str) -> tuple[float, float] | None:
-    """``(ns, seconds)`` for NUMBER+ns/us tokens, None when malformed."""
-    match = _TIME_TOKEN_RE.match(token)
-    if match is None:
-        return None
-    number, unit = match.groups()
-    try:
-        dec = Decimal(number)
-    except InvalidOperation:
-        return None
-    if unit == "us":
-        dec = dec.scaleb(3)
-    return float(dec), float(dec.scaleb(-9))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +173,26 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", text)]
 
 
-def _site_names(layout: LayoutDecl) -> set[str]:
-    names = {"A", "spectators"}
-    names.update(f"q{i}" for i in range(1, layout.n_left + 1))
-    names.update(f"q{i}p" for i in range(1, layout.n_right + 1))
-    return names
+def _site_names(layout: SystemLayout) -> set[str]:
+    return {"A", "spectators", *layout.left_qudits, *layout.right_qudits}
+
+
+def _read_time(rd: _LineReader, key: str, value: str, col: int, sep: str = "=") -> float | None:
+    """Seconds for a ``<number>ns``/``<number>us`` token; None once the problem is reported."""
+    if _BARE_NUMBER_RE.match(value):
+        rd.error("missing-unit", f"{key}{sep}{value} has no unit (ns or us)", col, value)
+        return None
+    try:
+        if not value.endswith(("ns", "us")):
+            raise ValueError(value)
+        seconds = parse_time(value)
+    except ValueError:
+        rd.error("bad-number", f"cannot read {key} value {value!r}", col, value)
+        return None
+    if seconds < 0:
+        rd.error("negative-time", f"{key} must be nonnegative", col, value)
+        return None
+    return seconds
 
 
 def _parse_rate_value(token: str) -> float | str | None:
@@ -256,10 +250,8 @@ def _parse_layout_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
     if "n_left" not in seen or "n_right" not in seen:
         rd.error("bad-layout", "layout needs n_left and n_right", 1, rd.text.strip())
         return
-    rd.doc.layout = LayoutDecl(
-        tag=tag, n_left=fields["n_left"], n_right=fields["n_right"],
-        cutoff_left=fields["cutoff_left"], cutoff_right=fields["cutoff_right"],
-        line=rd.line_no,
+    rd.doc.layout = SystemLayout(
+        fields["n_left"], fields["n_right"], fields["cutoff_left"], fields["cutoff_right"]
     )
 
 
@@ -373,41 +365,20 @@ def _parse_segment_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
             return
         rates[key] = parsed
 
-    duration_value, duration_col = raw["duration"]
-    duration_col += len("duration=")
-    duration: tuple[float, float] | str
-    if duration_value == "auto":
-        duration = "auto"
-    elif _BARE_NUMBER_RE.match(duration_value):
-        rd.error("missing-unit", f"duration={duration_value} has no unit (ns or us)", duration_col, duration_value)
-        return
-    else:
-        parsed_time = _parse_time_token(duration_value)
-        if parsed_time is None:
-            rd.error("bad-number", f"cannot read duration value {duration_value!r}", duration_col, duration_value)
+    times: dict[str, float | str | None] = {}
+    for key in ("duration", "ramp"):
+        value, col = raw[key]
+        if key == "duration" and value == "auto":
+            times[key] = "auto"
+            continue
+        times[key] = _read_time(rd, key, value, col + len(key) + 1)
+        if times[key] is None:
             return
-        if parsed_time[0] < 0:
-            rd.error("negative-time", "duration must be nonnegative", duration_col, duration_value)
-            return
-        duration = parsed_time
-
-    ramp_value, ramp_col = raw["ramp"]
-    ramp_col += len("ramp=")
-    if _BARE_NUMBER_RE.match(ramp_value):
-        rd.error("missing-unit", f"ramp={ramp_value} has no unit (ns or us)", ramp_col, ramp_value)
-        return
-    ramp = _parse_time_token(ramp_value)
-    if ramp is None:
-        rd.error("bad-number", f"cannot read ramp value {ramp_value!r}", ramp_col, ramp_value)
-        return
-    if ramp[0] < 0:
-        rd.error("negative-time", "ramp must be nonnegative", ramp_col, ramp_value)
-        return
 
     rd.doc.segments.append(
         SegmentDecl(
             label=label, kind=kind, cavity=cavity, site=site,
-            coupling=rates["coupling"], duration=duration, ramp=ramp,
+            coupling=rates["coupling"], duration_s=times["duration"], ramp_s=times["ramp"],
             line=rd.line_no,
             detuning=rates["detuning"], coupling2=rates["coupling2"],
             detuning2=rates["detuning2"],
@@ -416,24 +387,13 @@ def _parse_segment_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
 
 
 def _parse_closing_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
-    if rd.doc.closing_ramp is not None:
+    if rd.doc.closing_ramp_s is not None:
         rd.error("duplicate-directive", "closing_ramp declared twice", tokens[0][1], tokens[0][0])
         return
     if len(tokens) != 2:
         rd.error("bad-directive", "closing_ramp takes exactly one time value", 1, rd.text.strip())
         return
-    value, col = tokens[1]
-    if _BARE_NUMBER_RE.match(value):
-        rd.error("missing-unit", f"closing_ramp {value} has no unit (ns or us)", col, value)
-        return
-    parsed = _parse_time_token(value)
-    if parsed is None:
-        rd.error("bad-number", f"cannot read closing_ramp value {value!r}", col, value)
-        return
-    if parsed[0] < 0:
-        rd.error("negative-time", "closing_ramp must be nonnegative", col, value)
-        return
-    rd.doc.closing_ramp = parsed
+    rd.doc.closing_ramp_s = _read_time(rd, "closing_ramp", *tokens[1], sep=" ")
 
 
 def parse_schedule(text: str) -> ScheduleDocument:
@@ -491,19 +451,6 @@ def parse_schedule(text: str) -> ScheduleDocument:
 # ---------------------------------------------------------------------------
 # validation
 
-# quarter-period formulas keyed by canonical label: factor f in pi/(2 f g)
-_AUTO_FACTOR = {
-    "step1a": 1.0,
-    "step1b": math.sqrt(2.0),
-    "step2a": math.sqrt(2.0),
-    "step2b": 1.0,
-    "step4a": 1.0,
-    "step4b": math.sqrt(2.0),
-    "step5a": math.sqrt(2.0),
-    "step5b": 1.0,
-}
-
-
 def _resolve_rate(
     value: float | str | None,
     bindings: dict[str, float],
@@ -535,15 +482,14 @@ def _odd_multiple_residual(duration_s: float, lam: float) -> tuple[int, float]:
 def validate_schedule(
     document: ScheduleDocument,
     params: PhysicalParams | None = None,
-    *,
-    resonance_tolerance: float = 1e-6,
 ) -> ValidationResult:
     """Resolve a parsed document into an executable Schedule.
 
     Symbols bind from ``params`` fields first, then the document's own
     param lines (the text wins). ``auto`` durations use the canonical
     formula for their label; dispersive windows, literal or auto, must
-    close both conditioned phases on an odd multiple within tolerance.
+    close both conditioned phases on an odd multiple within
+    ``RESONANCE_TOLERANCE``. The schedule runs on the document's layout.
     Returns ``(schedule=None, diagnostics)`` rather than raising.
     """
     diags = list(document.diagnostics)
@@ -585,21 +531,21 @@ def validate_schedule(
         if seg.kind == "dispersive":
             lam = coupling**2 / detuning
             lam_prime = coupling2**2 / detuning2
-            if seg.duration == "auto":
+            if seg.duration_s == "auto":
                 try:
-                    sol = solve_resonance(lam, lam_prime, tolerance=resonance_tolerance)
+                    sol = solve_resonance(lam, lam_prime)
                 except SchedulingError as exc:
                     diags.append(
                         Diagnostic("error", "resonance-violation", str(exc), seg.line, 1, seg.label)
                     )
                     continue
-                duration = (float(Decimal(repr(sol.duration_s)).scaleb(9)), sol.duration_s)
+                duration = sol.duration_s
                 window = (sol.m, sol.k)
             else:
-                duration = seg.duration
-                m, res_m = _odd_multiple_residual(duration[1], lam)
-                k, res_k = _odd_multiple_residual(duration[1], lam_prime)
-                if res_m > resonance_tolerance or res_k > resonance_tolerance:
+                duration = seg.duration_s
+                m, res_m = _odd_multiple_residual(duration, lam)
+                k, res_k = _odd_multiple_residual(duration, lam_prime)
+                if res_m > RESONANCE_TOLERANCE or res_k > RESONANCE_TOLERANCE:
                     diags.append(
                         Diagnostic(
                             "error", "resonance-violation",
@@ -614,30 +560,27 @@ def validate_schedule(
                 window = (m, k)
             if resonance is None:
                 resonance = window
-        elif seg.duration == "auto":
-            factor = _AUTO_FACTOR.get(seg.label)
-            if factor is None:
+        elif seg.duration_s == "auto":
+            if seg.label not in QUARTER_PERIOD_FACTOR:
                 diags.append(
                     Diagnostic(
                         "error", "auto-unresolvable",
                         f"segment {seg.label}: duration=auto needs a canonical step label "
-                        f"({', '.join(_AUTO_FACTOR)})",
+                        f"({', '.join(QUARTER_PERIOD_FACTOR)})",
                         seg.line, 1, seg.label,
                     )
                 )
                 continue
-            duration_s = math.pi / (2 * factor * coupling)
-            duration = (float(Decimal(repr(duration_s)).scaleb(9)), duration_s)
+            duration = quarter_period(seg.label, coupling)
         else:
-            duration = seg.duration
+            duration = seg.duration_s
 
         try:
             resolved.append(
                 PulseSegment(
                     label=seg.label, kind=seg.kind, cavity=seg.cavity, site=seg.site,
-                    coupling=coupling, duration_ns=duration[0], ramp_ns=seg.ramp[0],
+                    coupling=coupling, duration_s=duration, ramp_s=seg.ramp_s,
                     detuning=detuning, coupling2=coupling2, detuning2=detuning2,
-                    duration_s=duration[1], ramp_s=seg.ramp[1],
                 )
             )
         except ValueError as exc:
@@ -656,13 +599,10 @@ def validate_schedule(
             )
         )
 
-    closing = document.closing_ramp or (0.0, 0.0)
     schedule = Schedule(
         segments=tuple(resolved),
-        n_left=document.layout.n_left,
-        n_right=document.layout.n_right,
-        closing_ramp_ns=closing[0],
-        closing_ramp_s=closing[1],
+        layout=document.layout,
+        closing_ramp_s=document.closing_ramp_s or 0.0,
         resonance=resonance,
     )
     return ValidationResult(schedule, diags)
@@ -685,49 +625,27 @@ def _rate_field(key: str, value: float | str | None) -> list[tuple[str, str]]:
     return [(key, _rate_text(value) + "rad/s")]
 
 
-def serialize_schedule(
-    obj: Schedule | ScheduleDocument,
-    *,
-    cutoff_left: int = 4,
-    cutoff_right: int = 4,
-) -> str:
+def serialize_schedule(obj: Schedule | ScheduleDocument) -> str:
     """Canonical ``.sched`` text. Byte-stable under parse -> serialize."""
     lines = [f"schedule {FORMAT_VERSION}"]
-    if isinstance(obj, ScheduleDocument):
-        if obj.layout is not None:
-            lay = obj.layout
-            lines.append(
-                f"layout {lay.tag} n_left={lay.n_left} n_right={lay.n_right} "
-                f"cutoff_left={lay.cutoff_left} cutoff_right={lay.cutoff_right}"
-            )
-        for name, value in obj.params.items():
-            lines.append(f"param {name} {_rate_text(value)}rad/s")
-        segments: list = list(obj.segments)
-        closing = obj.closing_ramp
-    else:
+    lay = obj.layout
+    if lay is not None:
         lines.append(
-            f"layout {BASIS_ORDERING_TAG} n_left={obj.n_left} n_right={obj.n_right} "
-            f"cutoff_left={cutoff_left} cutoff_right={cutoff_right}"
+            f"layout {BASIS_ORDERING_TAG} n_left={lay.n_left} n_right={lay.n_right} "
+            f"cutoff_left={lay.fock_cutoff_left} cutoff_right={lay.fock_cutoff_right}"
         )
-        segments = list(obj.segments)
-        closing = (obj.closing_ramp_ns, obj.closing_ramp_s)
-
-    for seg in segments:
+    params = obj.params if isinstance(obj, ScheduleDocument) else {}
+    for name, value in params.items():
+        lines.append(f"param {name} {_rate_text(value)}rad/s")
+    for seg in obj.segments:
         fields = _rate_field("coupling", seg.coupling)
         fields += _rate_field("detuning", seg.detuning)
         fields += _rate_field("coupling2", seg.coupling2)
         fields += _rate_field("detuning2", seg.detuning2)
-        if isinstance(seg, PulseSegment):
-            fields.append(("duration", _time_text(seg.duration_s) + "ns"))
-            fields.append(("ramp", _time_text(seg.ramp_s) + "ns"))
-        else:
-            if seg.duration == "auto":
-                fields.append(("duration", "auto"))
-            else:
-                fields.append(("duration", _time_text(seg.duration[1]) + "ns"))
-            fields.append(("ramp", _time_text(seg.ramp[1]) + "ns"))
+        duration = seg.duration_s
+        fields.append(("duration", "auto" if duration == "auto" else _time_text(duration) + "ns"))
+        fields.append(("ramp", _time_text(seg.ramp_s) + "ns"))
         lines.append(_segment_line(seg.label, seg.kind, seg.cavity, seg.site, fields))
-
-    if closing is not None:
-        lines.append(f"closing_ramp {_time_text(closing[1])}ns")
+    if obj.closing_ramp_s is not None:
+        lines.append(f"closing_ramp {_time_text(obj.closing_ramp_s)}ns")
     return "\n".join(lines) + "\n"

@@ -41,7 +41,7 @@ ramp and segment reuses its jump and damping terms.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
 
@@ -424,7 +424,7 @@ def run_protocol(
     spec: GhzSpec,
     *,
     mode: str = "ideal-reduced",
-    fock_cutoff: int = 4,
+    fock_cutoff: int | None = None,
     schedule: Schedule | None = None,
     trajectory_samples: int = 0,
     final_threshold: float | None = None,
@@ -435,19 +435,31 @@ def run_protocol(
     segment (needed to resolve the fast oscillation of the spectator f
     level, which cycles at roughly the detuning).
 
+    A given ``schedule`` runs on its own ``layout``, and a ``fock_cutoff``
+    that differs from that layout's cutoffs is a ValueError. Without one,
+    the :func:`build_schedule` schedule runs with ``fock_cutoff`` (default
+    4) on both cavities.
+
     Thresholds: ``final_threshold`` defaults per mode (1 - 1e-6 ideal,
     0.95 full-dispersive, 0.9 lindblad). Stage checkpoints must reach
     1 - 1e-7 in ideal mode and are not gated elsewhere.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; modes are {MODES}")
-    layout = build_layout(spec.n, spec.n, fock_cutoff, fock_cutoff)
     if schedule is None:
         schedule = build_schedule(params, spec.n)
-    if (schedule.n_left, schedule.n_right) != (spec.n, spec.n):
+        if fock_cutoff is not None:
+            schedule = replace(schedule, layout=build_layout(spec.n, spec.n, fock_cutoff, fock_cutoff))
+    layout = schedule.layout
+    if (layout.n_left, layout.n_right) != (spec.n, spec.n):
         raise ValueError(
-            f"schedule is for ({schedule.n_left}, {schedule.n_right}) qubits, "
+            f"schedule is for ({layout.n_left}, {layout.n_right}) qubits, "
             f"spec wants n = {spec.n}"
+        )
+    if fock_cutoff is not None and {layout.fock_cutoff_left, layout.fock_cutoff_right} != {fock_cutoff}:
+        raise ValueError(
+            f"schedule runs at Fock cutoffs ({layout.fock_cutoff_left}, "
+            f"{layout.fock_cutoff_right}), not fock_cutoff = {fock_cutoff}"
         )
 
     if final_threshold is None:

@@ -21,10 +21,10 @@ the reported totals are the exactly rounded sums of their atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ghz_transfer.hamiltonians import EffectiveRates, PhysicalParams
-from ghz_transfer.units import ns_to_seconds, seconds_to_ns
+from ghz_transfer.hilbert import SystemLayout, build_layout
 
 __all__ = [
     "SchedulingError",
@@ -53,6 +53,20 @@ SEGMENT_ORDER = (
     "step5a", "step5b",
 )
 
+# factor f of each resonant step's quarter period pi/(2 f g): sqrt(2) where
+# the pulse meets a two-photon cavity component
+QUARTER_PERIOD_FACTOR = {
+    "step1a": 1.0, "step1b": SQRT2,
+    "step2a": SQRT2, "step2b": 1.0,
+    "step4a": 1.0, "step4b": SQRT2,
+    "step5a": SQRT2, "step5b": 1.0,
+}
+
+# a dispersive window closes both phases when their odd-multiple times
+# agree to this relative mismatch; solve_resonance scans m up to the bound
+RESONANCE_TOLERANCE = 1e-6
+RESONANCE_BOUND = 100
+
 
 class SchedulingError(ValueError):
     """Raised when a schedule cannot be built from the given parameters."""
@@ -62,10 +76,8 @@ class SchedulingError(ValueError):
 class PulseSegment:
     """One contiguous pulse with the retune cost paid before it starts.
 
-    ``duration_ns``/``ramp_ns`` are the canonical display values (what the
-    schedule file shows); the matching ``*_s`` fields hold the physics
-    values in seconds. When only one of the pair is given the other is
-    derived by exact decimal rescale.
+    Times are in seconds; a display in ns derives them with
+    :func:`~ghz_transfer.units.seconds_to_ns`.
     """
 
     label: str
@@ -73,13 +85,11 @@ class PulseSegment:
     cavity: str
     site: str
     coupling: float  # rad/s
-    duration_ns: float = 0.0
-    ramp_ns: float = 0.0
+    duration_s: float = 0.0
+    ramp_s: float = 0.0
     detuning: float | None = None
     coupling2: float | None = None
     detuning2: float | None = None
-    duration_s: float = field(default=None)  # type: ignore[assignment]
-    ramp_s: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.kind not in SEGMENT_KINDS:
@@ -93,38 +103,20 @@ class PulseSegment:
             raise ValueError(f"{self.kind} segments take no detuning fields")
         if self.coupling <= 0:
             raise ValueError("segment coupling must be positive")
-        if self.duration_s is None:
-            object.__setattr__(self, "duration_s", ns_to_seconds(self.duration_ns))
-        if self.ramp_s is None:
-            object.__setattr__(self, "ramp_s", ns_to_seconds(self.ramp_ns))
         if self.duration_s < 0 or self.ramp_s < 0:
             raise ValueError("segment times must be nonnegative")
-
-    @classmethod
-    def from_seconds(cls, *, duration_s: float, ramp_s: float, **kwargs) -> "PulseSegment":
-        return cls(
-            duration_ns=seconds_to_ns(duration_s),
-            ramp_ns=seconds_to_ns(ramp_s),
-            duration_s=duration_s,
-            ramp_s=ramp_s,
-            **kwargs,
-        )
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """An ordered pulse sequence plus the trailing restore ramp."""
+    """An ordered pulse sequence, the register it runs on, and the trailing restore ramp."""
 
     segments: tuple[PulseSegment, ...]
-    n_left: int
-    n_right: int
-    closing_ramp_ns: float = 0.0
-    closing_ramp_s: float = field(default=None)  # type: ignore[assignment]
+    layout: SystemLayout
+    closing_ramp_s: float = 0.0
     resonance: tuple[int, int] | None = None  # (m, k) of the dispersive window
 
     def __post_init__(self) -> None:
-        if self.closing_ramp_s is None:
-            object.__setattr__(self, "closing_ramp_s", ns_to_seconds(self.closing_ramp_ns))
         labels = [seg.label for seg in self.segments]
         if len(set(labels)) != len(labels):
             raise ValueError("segment labels must be unique")
@@ -176,8 +168,8 @@ def solve_resonance(
     lam: float,
     lam_prime: float,
     *,
-    tolerance: float = 1e-6,
-    bound: int = 100,
+    tolerance: float = RESONANCE_TOLERANCE,
+    bound: int = RESONANCE_BOUND,
 ) -> ResonanceSolution:
     """Smallest t = (2m+1) pi/lam that is also (2k+1) pi/lam' within tolerance.
 
@@ -200,52 +192,43 @@ def solve_resonance(
     )
 
 
-def build_schedule(
-    params: PhysicalParams,
-    n: int,
-    *,
-    resonance_tolerance: float = 1e-6,
-    resonance_bound: int = 100,
-) -> Schedule:
+def quarter_period(label: str, coupling: float) -> float:
+    """Canonical duration pi/(2 f g) of the resonant step ``label``."""
+    return math.pi / (2 * QUARTER_PERIOD_FACTOR[label] * coupling)
+
+
+def build_schedule(params: PhysicalParams, n: int) -> Schedule:
     """The five-step transfer schedule for an n-qubit register per side.
 
     The resonant pulse durations depend only on the couplings, never on n:
     all pulses act on the first qubit pair and the coupler. The dispersive
     window exists only for n >= 2 (it corrects spectator phases) and its
-    length comes from :func:`solve_resonance`.
+    length comes from :func:`solve_resonance`. The schedule runs on
+    ``build_layout(n, n)``, at the default Fock cutoffs.
     """
     if n < 1:
         raise SchedulingError("register needs at least one qubit per side")
     p = params
+
+    def resonant(label, kind, cavity, site, coupling, ramp_s):
+        return PulseSegment(
+            label=label, kind=kind, cavity=cavity, site=site, coupling=coupling,
+            duration_s=quarter_period(label, coupling), ramp_s=ramp_s,
+        )
+
     resonance = None
     segs = [
-        PulseSegment.from_seconds(
-            label="step1a", kind="resonant_ef", cavity="L", site="q1",
-            coupling=p.mu1, duration_s=math.pi / (2 * p.mu1), ramp_s=p.tau1,
-        ),
-        PulseSegment.from_seconds(
-            label="step1b", kind="resonant_ge", cavity="L", site="q1",
-            coupling=p.mu1_tilde, duration_s=math.pi / (2 * SQRT2 * p.mu1_tilde), ramp_s=p.tau1,
-        ),
-        PulseSegment.from_seconds(
-            label="step2a", kind="resonant_ge", cavity="L", site="A",
-            coupling=p.muAL, duration_s=math.pi / (2 * SQRT2 * p.muAL),
-            ramp_s=math.fsum([p.tau1, p.tauA]),
-        ),
-        PulseSegment.from_seconds(
-            label="step2b", kind="resonant_ge", cavity="R", site="A",
-            coupling=p.muAR, duration_s=math.pi / (2 * p.muAR), ramp_s=p.tauA,
-        ),
+        resonant("step1a", "resonant_ef", "L", "q1", p.mu1, p.tau1),
+        resonant("step1b", "resonant_ge", "L", "q1", p.mu1_tilde, p.tau1),
+        resonant("step2a", "resonant_ge", "L", "A", p.muAL, math.fsum([p.tau1, p.tauA])),
+        resonant("step2b", "resonant_ge", "R", "A", p.muAR, p.tauA),
     ]
     if n >= 2:
         rates = EffectiveRates.from_params(p)
-        sol = solve_resonance(
-            rates.lam, rates.lam_prime,
-            tolerance=resonance_tolerance, bound=resonance_bound,
-        )
+        sol = solve_resonance(rates.lam, rates.lam_prime)
         resonance = (sol.m, sol.k)
         segs.append(
-            PulseSegment.from_seconds(
+            PulseSegment(
                 label="step3", kind="dispersive", cavity="L", site="spectators",
                 coupling=p.mu, detuning=p.delta,
                 coupling2=p.mu_prime, detuning2=p.delta_prime,
@@ -257,29 +240,14 @@ def build_schedule(
     # shifts the coupler back to the left cavity
     step4a_ramp = math.fsum([p.tauA, p.tauq, p.tauqp]) if n >= 2 else p.tauA
     segs += [
-        PulseSegment.from_seconds(
-            label="step4a", kind="resonant_ge", cavity="L", site="A",
-            coupling=p.muAL, duration_s=math.pi / (2 * p.muAL), ramp_s=step4a_ramp,
-        ),
-        PulseSegment.from_seconds(
-            label="step4b", kind="resonant_ge", cavity="R", site="A",
-            coupling=p.muAR, duration_s=math.pi / (2 * SQRT2 * p.muAR), ramp_s=p.tauA,
-        ),
-        PulseSegment.from_seconds(
-            label="step5a", kind="resonant_ge", cavity="R", site="q1p",
-            coupling=p.mu1p_tilde, duration_s=math.pi / (2 * SQRT2 * p.mu1p_tilde),
-            ramp_s=math.fsum([p.tauA, p.tau1p]),
-        ),
-        PulseSegment.from_seconds(
-            label="step5b", kind="resonant_ef", cavity="R", site="q1p",
-            coupling=p.mu1p, duration_s=math.pi / (2 * p.mu1p), ramp_s=p.tau1p,
-        ),
+        resonant("step4a", "resonant_ge", "L", "A", p.muAL, step4a_ramp),
+        resonant("step4b", "resonant_ge", "R", "A", p.muAR, p.tauA),
+        resonant("step5a", "resonant_ge", "R", "q1p", p.mu1p_tilde, math.fsum([p.tauA, p.tau1p])),
+        resonant("step5b", "resonant_ef", "R", "q1p", p.mu1p, p.tau1p),
     ]
     return Schedule(
         segments=tuple(segs),
-        n_left=n,
-        n_right=n,
-        closing_ramp_ns=seconds_to_ns(p.tau1p),
+        layout=build_layout(n, n),
         closing_ramp_s=p.tau1p,
         resonance=resonance,
     )

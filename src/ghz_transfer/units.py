@@ -25,7 +25,6 @@ __all__ = [
     "two_pi_mhz",
     "parse_frequency",
     "parse_time",
-    "ns_to_seconds",
     "seconds_to_ns",
 ]
 
@@ -88,11 +87,6 @@ def parse_time(text: str) -> float:
     return float(Decimal(number).scaleb(_TIME_EXPONENT[unit_key]))
 
 
-def ns_to_seconds(value_ns: float) -> float:
-    """Exact decimal rescale ns -> s (one binary rounding, like parse_time)."""
-    return float(Decimal(repr(float(value_ns))).scaleb(-9))
-
-
 def seconds_to_ns(value_s: float) -> float:
-    """Exact decimal rescale s -> ns; the inverse display of ns_to_seconds."""
+    """Exact decimal rescale s -> ns (one binary rounding), for display."""
     return float(Decimal(repr(float(value_s))).scaleb(9))

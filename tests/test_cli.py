@@ -376,6 +376,16 @@ class TestSweep:
         assert float(row[4]) == pytest.approx(run["final_fidelity"], abs=1e-12)
         assert float(row[6]) == run["budget"]["tau_s"]
 
+    def test_n_axis_rejects_fractional_values(self, runner):
+        result = runner.invoke(main, ["sweep", "--axis", "n", "--values", "1.5,2.9"])
+        assert result.exit_code == 2
+        assert "1.5" in result.stderr
+
+    def test_n_axis_takes_integral_floats(self, runner):
+        result = runner.invoke(main, ["sweep", "--axis", "n", "--values", "1.0"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1].startswith("n,1.0,1,")
+
     def test_parallel_rows_match_serial(self, runner):
         args = ["sweep", "--axis", "n", "--values", "2,3"]
         serial = runner.invoke(main, args)

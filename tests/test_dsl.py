@@ -16,6 +16,7 @@ from ghz_transfer.dsl import (
 )
 from ghz_transfer.hamiltonians import EffectiveRates, load_preset
 from ghz_transfer.scheduling import build_schedule
+from ghz_transfer.units import seconds_to_ns
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,15 @@ class TestRoundTrip:
         line = next(l for l in text.splitlines() if " step1a " in l)
         assert "duration=3.5355339059327376ns" in line
 
+    def test_zero_times_serialize_as_zero_ns(self, params):
+        ramps = dict.fromkeys(("tauA", "tau1", "tau1p", "tauq", "tauqp"), 0.0)
+        built = build_schedule(params.with_overrides(**ramps), 2)
+        text = serialize_schedule(built)
+        assert text.count(" ramp=0ns") == len(built.segments)
+        assert text.endswith("\nclosing_ramp 0ns\n")
+        assert "E+" not in text
+        assert validate_schedule(parse_schedule(text)).schedule == built
+
     def test_empty_input_is_a_valid_empty_document(self):
         doc = parse_schedule("")
         assert doc.ok and doc.segments == [] and doc.diagnostics == []
@@ -81,14 +91,14 @@ class TestAutoDurations:
                 lines.append(
                     f"segment {seg.label} dispersive cavity=L site=spectators "
                     "coupling=mu detuning=delta coupling2=mu_prime detuning2=delta_prime "
-                    f"duration=auto ramp={seg.ramp_ns!r}ns"
+                    f"duration=auto ramp={seconds_to_ns(seg.ramp_s)!r}ns"
                 )
             else:
                 lines.append(
                     f"segment {seg.label} {seg.kind} cavity={seg.cavity} site={seg.site} "
-                    f"coupling={symbol[seg.label]} duration=auto ramp={seg.ramp_ns!r}ns"
+                    f"coupling={symbol[seg.label]} duration=auto ramp={seconds_to_ns(seg.ramp_s)!r}ns"
                 )
-        lines.append(f"closing_ramp {built.closing_ramp_ns!r}ns")
+        lines.append(f"closing_ramp {seconds_to_ns(built.closing_ramp_s)!r}ns")
         doc = parse_schedule("\n".join(lines) + "\n")
         assert doc.ok
         result = validate_schedule(doc, params)
@@ -281,6 +291,7 @@ class TestValidationSemantics:
         result = validate_schedule(parse_schedule(text))
         assert result.ok
         assert result.schedule.closing_ramp_s == 0.0
+        assert serialize_schedule(result.schedule).endswith("\nclosing_ramp 0ns\n")
 
     def test_validation_of_broken_document_returns_no_schedule(self):
         result = validate_schedule(parse_schedule("schedule v1\nnonsense here\n"))
@@ -295,7 +306,6 @@ class TestValidationSemantics:
         )
         result = validate_schedule(parse_schedule(text))
         seg = result.schedule.segment("step1a")
-        assert seg.duration_ns == 150.0
         assert seg.duration_s == 1.5e-7
 
 

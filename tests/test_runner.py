@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import master_equation_oracle
 import numpy as np
@@ -95,6 +96,17 @@ class TestIdealMode:
         sched = validate_schedule(parse_schedule(text)).schedule
         res = run_protocol(params, spec, schedule=sched)
         assert res.final_fidelity >= 1 - 1e-12
+
+    def test_schedule_runs_at_its_layout_cutoffs(self, params):
+        path = Path(__file__).parent / "golden" / "cutoff3.sched"
+        sched = validate_schedule(parse_schedule(path.read_text(encoding="utf-8"))).schedule
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        res = run_protocol(params, spec, schedule=sched)
+        assert (res.layout.fock_cutoff_left, res.layout.fock_cutoff_right) == (3, 3)
+        assert res.report() == run_protocol(params, spec, fock_cutoff=3).report()
+        assert run_protocol(params, spec, schedule=sched, fock_cutoff=3).layout == res.layout
+        with pytest.raises(ValueError, match="Fock cutoffs"):
+            run_protocol(params, spec, schedule=sched, fock_cutoff=4)
 
     def test_report_is_json_clean(self, ideal_n2):
         import json
