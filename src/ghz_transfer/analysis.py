@@ -90,7 +90,7 @@ class GhzSpec:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # NaN fails here too
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, must be 1")
 
 

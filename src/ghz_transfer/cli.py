@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -27,11 +26,11 @@ from .analysis import (
 )
 from .dsl import parse_schedule, serialize_schedule, validate_schedule
 from .evolution import EvolutionError
-from .hamiltonians import PhysicalParams, load_params, load_preset
+from .hamiltonians import PhysicalParams, load_params, load_preset, read_param, schema_fields
 from .hilbert import embed_site_operator, partial_trace
 from .runner import MODES, TRAJECTORY_COLUMNS, run_protocol
 from .scheduling import SchedulingError, build_schedule, timing_budget
-from .units import parse_frequency, parse_time, seconds_to_ns
+from .units import parse_time, seconds_to_ns
 
 WORKERS_ENV = "GHZ_TRANSFER_WORKERS"
 
@@ -63,21 +62,13 @@ def _load_parameters(preset: str | None, params_path: str | None) -> PhysicalPar
 
 
 def _apply_overrides(params: PhysicalParams, sets: tuple[str, ...]) -> PhysicalParams:
-    """Flag overrides: ``--set mu1=2pi*71 MHz``, ``--set tau1=1 ns``, raw SI."""
+    """Flag overrides: raw SI, or the field's own unit kind (``mu1=2pi*71 MHz``, ``tau1=1 ns``)."""
     updates = {}
-    names = {f.name for f in fields(PhysicalParams)}
     for item in sets:
         name, eq, raw = item.partition("=")
-        if not eq or name not in names:
+        if not eq or name not in schema_fields():
             raise click.UsageError(f"--set needs <field>=<value> with a known field, got {item!r}")
-        raw = raw.strip()
-        try:
-            updates[name] = float(raw)
-        except ValueError:
-            try:
-                updates[name] = parse_frequency(raw)
-            except ValueError:
-                updates[name] = parse_time(raw)  # raises with its own message
+        updates[name] = read_param(name, raw)
     return params.with_overrides(**updates)
 
 
@@ -108,8 +99,8 @@ def _parse_ghz(text: str, n: int) -> list[GhzSpec]:
     except ValueError as err:
         raise click.UsageError(f"bad amplitude literal in {text!r}: {err}") from None
     norm = math.hypot(abs(alpha), abs(beta))
-    if norm < 1e-12:
-        raise click.UsageError("amplitudes cannot both be zero")
+    if not 1e-12 <= norm < math.inf:
+        raise click.UsageError(f"amplitudes must be finite and not both zero, got {text!r}")
     return [GhzSpec(alpha=alpha / norm, beta=beta / norm, n=n)]
 
 
@@ -164,6 +155,8 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
         raise click.UsageError("--emit needs --out to have somewhere to write")
     if "trajectory" in emits and samples == 0:
         raise click.UsageError("--emit trajectory needs --samples > 0")
+    if min_fidelity is not None and not math.isfinite(min_fidelity):
+        raise click.UsageError(f"--min-fidelity must be a finite number, got {min_fidelity!r}")
     try:
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
         specs = _parse_ghz(ghz, n)
@@ -224,7 +217,7 @@ def _axis_point(parameters: PhysicalParams, axis: str, value: float, n: int):
             delta=value * parameters.mu, delta_prime=value * parameters.mu_prime
         ), n
     if axis == "kappa_inv_us":
-        kappa = 1.0 / (value * 1e-6)
+        kappa = 1.0 / (value * 1e-6) if value else math.inf  # a zero lifetime fails as an infinite rate
         return parameters.with_overrides(kappaL=kappa, kappaR=kappa), n
     if axis == "n":
         return parameters, int(value)
@@ -266,8 +259,7 @@ SWEEP_COLUMNS = ("axis", "value", "n", "mode", "final_fidelity", "max_spectator_
               help="CSV file; default prints to stdout.")
 def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, samples, out_path):
     """Run one protocol per axis value and tabulate the results."""
-    numeric_fields = {f.name for f in fields(PhysicalParams)}
-    if axis not in _SPECIAL_AXES and axis not in numeric_fields:
+    if axis not in _SPECIAL_AXES and axis not in schema_fields():
         raise click.UsageError(
             f"axis {axis!r} is not sweepable; use one of {_SPECIAL_AXES} or a parameter field"
         )
@@ -329,9 +321,7 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
         if ramp_ns is not None:
             ramp_s = parse_time(f"{ramp_ns!r} ns")
-            parameters = parameters.with_overrides(
-                tauA=ramp_s, tau1=ramp_s, tau1p=ramp_s, tauq=ramp_s, tauqp=ramp_s
-            )
+            parameters = parameters.with_overrides(**dict.fromkeys(schema_fields("ramps"), ramp_s))
         schedule = build_schedule(parameters, n)
         budget = timing_budget(parameters, n)
     except _FAILURES as err:

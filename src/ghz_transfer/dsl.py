@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from ghz_transfer.hamiltonians import PhysicalParams
+from ghz_transfer.hamiltonians import PhysicalParams, schema_fields
 from ghz_transfer.hilbert import BASIS_ORDERING_TAG, SystemLayout
 from ghz_transfer.scheduling import (
     QUARTER_PERIOD_FACTOR,
@@ -66,12 +66,6 @@ _BARE_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _SEGMENT_KEYS = ("cavity", "site", "coupling", "detuning", "coupling2", "detuning2", "duration", "ramp")
 _RESONANT_KEYS = ("cavity", "site", "coupling", "duration", "ramp")
 _DISPERSIVE_ONLY = ("detuning", "coupling2", "detuning2")
-
-# params whose names may be referenced as rate symbols in segment fields
-_PARAM_SYMBOLS = (
-    "mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR",
-    "mu", "mu_prime", "delta", "delta_prime",
-)
 
 
 @dataclass(frozen=True)
@@ -485,10 +479,10 @@ def validate_schedule(
 ) -> ValidationResult:
     """Resolve a parsed document into an executable Schedule.
 
-    Symbols bind from ``params`` fields first, then the document's own
-    param lines (the text wins). ``auto`` durations use the canonical
-    formula for their label; dispersive windows, literal or auto, must
-    close both conditioned phases on an odd multiple within
+    Symbols bind from the couplings and detunings of ``params`` first,
+    then the document's own param lines (the text wins). ``auto`` durations
+    use the canonical formula for their label; dispersive windows, literal
+    or auto, must close both conditioned phases on an odd multiple within
     ``RESONANCE_TOLERANCE``. The schedule runs on the document's layout.
     Returns ``(schedule=None, diagnostics)`` rather than raising.
     """
@@ -506,7 +500,7 @@ def validate_schedule(
 
     bindings: dict[str, float] = {}
     if params is not None:
-        bindings.update({name: getattr(params, name) for name in _PARAM_SYMBOLS})
+        bindings.update({name: getattr(params, name) for name in schema_fields("couplings", "detunings")})
     bindings.update(document.params)
 
     resolved: list[PulseSegment] = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -54,6 +54,7 @@ __all__ = [
     "h_dispersive_reduced",
     "DispersiveGenerator",
     "collapse_operators",
+    "PARAM_SCHEMA", "schema_fields", "read_param",
     "load_params",
     "save_params",
     "load_preset",
@@ -98,27 +99,23 @@ class PhysicalParams:
     kappaR: float | None = None
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None and math.isnan(value):
-                raise ValueError(f"{field.name} must be a number, got nan")
-        for name in _COUPLING_FIELDS:
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"coupling {name} must be positive and finite")
-        for name in _DETUNING_FIELDS:
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"detuning {name} must be positive and finite")
-        for name in _RAMP_FIELDS:
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"ramp time {name} must be nonnegative and finite")
-        for name in _TIME_FIELDS.values():  # infinite is allowed: the channel is off
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"coherence time {name} must be positive when set")
-        for name in _LIFETIME_FIELDS.values():
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"decay rate {name} must be nonnegative and finite when set")
+        for block, entries in PARAM_SCHEMA.items():
+            for key, name in entries.items():
+                value = getattr(self, name)
+                if value is None and block == "decoherence":
+                    continue  # the channel is absent
+                if math.isnan(value):
+                    raise ValueError(f"{name} must be a number, got nan")
+                if block in _RATE_BLOCKS:
+                    what, rule, ok = block[:-1], "positive and finite", 0 < value < math.inf
+                elif block == "ramps":
+                    what, rule, ok = "ramp time", "nonnegative and finite", 0 <= value < math.inf
+                elif key in _LIFETIMES:
+                    what, rule, ok = "decay rate", "nonnegative and finite when set", 0 <= value < math.inf
+                else:  # a coherence time; infinite is allowed: the channel is off
+                    what, rule, ok = "coherence time", "positive when set", value > 0
+                if not ok:
+                    raise ValueError(f"{what} {name} must be {rule}")
         if self.delta < 5 * self.mu:
             warnings.warn(
                 f"delta = {self.delta / self.mu:.2f} mu: dispersive treatment is marginal "
@@ -356,80 +353,92 @@ def collapse_operators(layout: SystemLayout, params: PhysicalParams) -> list[Ope
 # ---------------------------------------------------------------------------
 # parameter files
 
-_COUPLING_FIELDS = ("mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR", "mu", "mu_prime")
-_DETUNING_FIELDS = ("delta", "delta_prime")
-_RAMP_FIELDS = ("tauA", "tau1", "tau1p", "tauq", "tauqp")
-_TIME_FIELDS = {"t1": "t1", "t2": "t2", "t1_f": "t1f", "t2_f": "t2f",
-                "coupler_t1": "coupler_t1", "coupler_t2": "coupler_t2"}
-_LIFETIME_FIELDS = {"cavity_lifetime_L": "kappaL", "cavity_lifetime_R": "kappaR"}
+# The parameter schema: file block -> file key -> the PhysicalParams field it sets, each field once.
+# Couplings, detunings and the photon-loss rates kappaL/R are rates; ramps and coherence times
+# are times. The file holds a photon-loss rate as the cavity lifetime 1/kappa.
+PARAM_SCHEMA: dict[str, dict[str, str]] = {
+    "couplings": {k: k for k in ("mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR", "mu", "mu_prime")},
+    "detunings": {"delta": "delta", "delta_prime": "delta_prime"},
+    "ramps": {k: k for k in ("tauA", "tau1", "tau1p", "tauq", "tauqp")},
+    "decoherence": {"t1": "t1", "t2": "t2", "t1_f": "t1f", "t2_f": "t2f", "coupler_t1": "coupler_t1",
+                    "coupler_t2": "coupler_t2", "cavity_lifetime_L": "kappaL", "cavity_lifetime_R": "kappaR"},
+}
+_RATE_BLOCKS = ("couplings", "detunings")  # the required blocks, too
+_LIFETIMES = ("cavity_lifetime_L", "cavity_lifetime_R")
+_UNIT_PARSERS = {"rate": parse_frequency, "time": parse_time, "number": float}
 
 PRESET_NAMES = ("transmon",)
 
 
-def _as_frequency(value) -> float:
-    if isinstance(value, str):
-        return parse_frequency(value)
-    return float(value)
+def schema_fields(*blocks: str) -> tuple[str, ...]:
+    """The fields ``blocks`` set, in table order; every field when no block is named."""
+    return tuple(field for block in blocks or PARAM_SCHEMA for field in PARAM_SCHEMA[block].values())
 
 
-def _as_time(value) -> float:
-    if isinstance(value, str):
-        return parse_time(value)
-    return float(value)
+def _read_value(value, kind: str, where: str) -> float:
+    """A number as SI; a string as a plain number or a unit expression of ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{where} must be a number or a unit string, got {value!r}")
+    try:
+        return float(str(value))  # an integer beyond the float range reads as infinite
+    except ValueError:
+        pass
+    try:
+        return _UNIT_PARSERS[kind](value)
+    except ValueError as err:
+        raise ValueError(f"{where} takes a {kind}: {err}") from None
+
+
+def read_param(field: str, value) -> float:
+    """One field's SI value (``--set``): a number, a plain-number string, or a unit expression of its kind."""
+    rates = schema_fields(*_RATE_BLOCKS) + tuple(PARAM_SCHEMA["decoherence"][key] for key in _LIFETIMES)
+    return _read_value(value, "rate" if field in rates else "time", field)
 
 
 def load_params(path: str | Path) -> PhysicalParams:
-    """Read a parameter file.
+    """Read a parameter file: YAML blocks of ``PARAM_SCHEMA`` keys, ``couplings`` and ``detunings`` required.
 
-    YAML with four blocks: ``couplings`` and ``detunings`` (values either
-    unit strings like ``2pi*50 MHz`` or raw rad/s numbers), ``ramps``
-    (``3 ns`` style or raw seconds) and an optional ``decoherence`` block
-    with qudit/coupler lifetimes plus either explicit cavity lifetimes
-    (``cavity_lifetime_L``) or a shared ``cavity_q``/``cavity_freq`` pair
-    from which kappa = omega/Q is derived.
+    Photon loss is the cavity lifetimes or a ``cavity_q``/``cavity_freq`` pair (kappa = omega/Q). A value
+    is SI, or a string: a plain number or a unit expression of the key's kind. Unknown keys are a ValueError.
     """
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    return params_from_mapping(raw)
+    try:
+        return params_from_mapping(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
+    except yaml.YAMLError as err:  # its report spans lines; the diagnostic is one
+        raise ValueError(f"{path} is not valid YAML: {' '.join(str(err).split())}") from None
 
 
 def params_from_mapping(raw: dict) -> PhysicalParams:
     if not isinstance(raw, dict):
         raise ValueError("parameter file must hold a mapping at the top level")
-    kwargs: dict[str, float | None] = {}
-    couplings = raw.get("couplings", {})
-    for name in _COUPLING_FIELDS:
-        if name not in couplings:
-            raise ValueError(f"parameter file is missing couplings.{name}")
-        kwargs[name] = _as_frequency(couplings[name])
-    detunings = raw.get("detunings", {})
-    for name in _DETUNING_FIELDS:
-        if name not in detunings:
-            raise ValueError(f"parameter file is missing detunings.{name}")
-        kwargs[name] = _as_frequency(detunings[name])
-    for name in _RAMP_FIELDS:
-        if name in raw.get("ramps", {}):
-            kwargs[name] = _as_time(raw["ramps"][name])
-
+    kwargs: dict[str, float] = {}
+    for block, entries in raw.items():
+        if block not in PARAM_SCHEMA:
+            raise ValueError(f"unknown parameter block {block!r}; blocks are {', '.join(PARAM_SCHEMA)}")
+        entries = {} if entries is None else entries  # YAML reads a block with no keys as null
+        if not isinstance(entries, dict):
+            raise ValueError(f"parameter block {block} must be a mapping, got {entries!r}")
+        for key, value in entries.items():
+            if block == "decoherence" and key in ("cavity_q", "cavity_freq"):
+                continue  # read together, below
+            if key not in PARAM_SCHEMA[block]:
+                raise ValueError(f"unknown parameter {block}.{key}")
+            value = _read_value(value, "rate" if block in _RATE_BLOCKS else "time", f"{block}.{key}")
+            if key in _LIFETIMES:  # the file holds 1/kappa
+                if not value > 0:
+                    raise ValueError(f"{key} must be positive (.inf for a lossless cavity)")
+                value = 1.0 / value
+            kwargs[PARAM_SCHEMA[block][key]] = value
+    missing = [f"{b}.{k}" for b in _RATE_BLOCKS for k, f in PARAM_SCHEMA[b].items() if f not in kwargs]
+    if missing:
+        raise ValueError(f"parameter file is missing {', '.join(missing)}")
     deco = raw.get("decoherence") or {}
-    for file_key, field in _TIME_FIELDS.items():
-        if file_key in deco:
-            kwargs[field] = _as_time(deco[file_key])
     if "cavity_q" in deco or "cavity_freq" in deco:
         if not ("cavity_q" in deco and "cavity_freq" in deco):
             raise ValueError("cavity_q and cavity_freq must be given together")
-        omega = _as_frequency(deco["cavity_freq"])
-        kappa = omega / float(deco["cavity_q"])
-        kwargs.setdefault("kappaL", kappa)
-        kwargs.setdefault("kappaR", kappa)
-    for file_key, field in _LIFETIME_FIELDS.items():
-        if file_key in deco:
-            lifetime = _as_time(deco[file_key])
-            if not lifetime > 0:
-                raise ValueError(f"{file_key} must be positive (.inf for a lossless cavity)")
-            kwargs[field] = 1.0 / lifetime
-    unknown = set(deco) - set(_TIME_FIELDS) - set(_LIFETIME_FIELDS) - {"cavity_q", "cavity_freq"}
-    if unknown:
-        raise ValueError(f"unknown decoherence keys: {sorted(unknown)}")
+        omega = _read_value(deco["cavity_freq"], "rate", "decoherence.cavity_freq")
+        quality = _read_value(deco["cavity_q"], "number", "decoherence.cavity_q")
+        kappa = omega / quality if quality else math.inf  # Q = 0 fails as an infinite rate
+        kwargs = {"kappaL": kappa, "kappaR": kappa} | kwargs  # an explicit lifetime wins
     return PhysicalParams(**kwargs)
 
 
@@ -440,23 +449,14 @@ def save_params(params: PhysicalParams, path: str | Path) -> None:
     kappa can load back one ulp off (1/(1/49.0) is 49.00000000000001);
     every other field, ``None`` and zero rates included, comes back exactly.
     """
-    payload = {
-        "couplings": {name: float(getattr(params, name)) for name in _COUPLING_FIELDS},
-        "detunings": {name: float(getattr(params, name)) for name in _DETUNING_FIELDS},
-        "ramps": {name: float(getattr(params, name)) for name in _RAMP_FIELDS},
-    }
-    deco = {}
-    for file_key, field in _TIME_FIELDS.items():
-        value = getattr(params, field)
-        if value is not None:
-            deco[file_key] = float(value)
-    for file_key, field in _LIFETIME_FIELDS.items():
-        kappa = getattr(params, field)
-        if kappa is not None:
-            # a lossless cavity lives forever: .inf, which loads back as 0.0
-            deco[file_key] = 1.0 / kappa if kappa else math.inf
-    if deco:
-        payload["decoherence"] = deco
+    payload: dict[str, dict[str, float]] = {}
+    for block, entries in PARAM_SCHEMA.items():
+        for key, field in entries.items():
+            value = getattr(params, field)
+            if key in _LIFETIMES and value is not None:  # a lossless cavity lives forever: .inf
+                value = 1.0 / value if value else math.inf
+            if value is not None:
+                payload.setdefault(block, {})[key] = float(value)
     Path(path).write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
 
 

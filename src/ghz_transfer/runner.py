@@ -313,7 +313,9 @@ def _pure_checkpoint(layout, spec, label, state, time_s) -> CheckpointRecord:
     g_branch, f_branch, cg_exp, cf_exp = oracle_branches(layout, spec, label)
     cg = g_branch.overlap(state)
     cf = f_branch.overlap(state)
-    fid = checkpoint_fidelity(state, make_oracle_state(layout, spec, label))
+    # make_oracle_state's sum, on the branch kets already built
+    oracle = QuantumState(cg_exp * g_branch.amplitudes + cf_exp * f_branch.amplitudes, layout)
+    fid = checkpoint_fidelity(state, oracle)
     phase_error = max(abs(cg - cg_exp), abs(cf - cf_exp))
     return CheckpointRecord(
         label=label, time_s=time_s, fidelity=fid,

@@ -47,8 +47,8 @@ def parse_frequency(text: str) -> float:
     """Parse an angular-frequency expression into rad/s.
 
     Accepted forms: ``2pi*<number> <GHz|MHz|kHz|Hz>`` and
-    ``<number> rad/s``. A bare number or a frequency unit without the
-    ``2pi*`` prefix raises ValueError.
+    ``<number> rad/s``. A bare number, a frequency unit without the
+    ``2pi*`` prefix, or a value that overflows a float raises ValueError.
     """
     match = _FREQ_RE.match(text.strip())
     if match is None:
@@ -61,18 +61,18 @@ def parse_frequency(text: str) -> float:
     if unit_key == "rad/s":
         if prefix:
             raise ValueError(f"2pi* prefix is not meaningful for rad/s: {text!r}")
-        return value
+        return _finite(value, text)
     if unit_key in _FREQUENCY_SCALE:
         if not prefix:
             raise ValueError(
                 f"frequency in {unit} needs the 2pi* prefix to fix the angular convention: {text!r}"
             )
-        return TWO_PI * value * _FREQUENCY_SCALE[unit_key]
+        return _finite(TWO_PI * value * _FREQUENCY_SCALE[unit_key], text)
     raise ValueError(f"unknown frequency unit {unit!r} in {text!r}")
 
 
 def parse_time(text: str) -> float:
-    """Parse a duration expression (``3 ns``, ``0.15 us``) into seconds."""
+    """Parse a duration expression (``3 ns``, ``0.15 us``) into seconds; an overflow raises ValueError."""
     match = _TIME_RE.match(text.strip())
     if match is None:
         raise ValueError(f"malformed duration expression: {text!r}")
@@ -84,7 +84,13 @@ def parse_time(text: str) -> float:
         raise ValueError(f"unknown time unit {unit!r} in {text!r}")
     # scale in decimal before the single binary rounding, so "3 ns" hits
     # the same double as the literal 3e-9 (3.0 * 1e-9 lands one ulp off)
-    return float(Decimal(number).scaleb(_TIME_EXPONENT[unit_key]))
+    return _finite(float(Decimal(number).scaleb(_TIME_EXPONENT[unit_key])), text)
+
+
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} overflows a float")
+    return value
 
 
 def seconds_to_ns(value_s: float) -> float:

@@ -236,6 +236,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             GhzSpec(alpha=1.0, beta=0.0, n=0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_ghz_spec_rejects_a_non_finite_norm(self, alpha):
+        with pytest.raises(ValueError, match="must be 1"):
+            GhzSpec(alpha=alpha, beta=1.0, n=1)
+
     def test_random_spec_properties(self):
         rng = np.random.default_rng(123)
         for _ in range(50):

@@ -7,17 +7,20 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from ghz_transfer import cli
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import serialize_schedule
-from ghz_transfer.hamiltonians import load_preset
+from ghz_transfer.hamiltonians import load_params, load_preset
 from ghz_transfer.runner import run_protocol
 from ghz_transfer.scheduling import build_schedule
 
@@ -25,6 +28,14 @@ from ghz_transfer.scheduling import build_schedule
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def one_error_line(result) -> bool:
+    """Exit 1, nothing on stdout, and a single ``Error:`` line on stderr."""
+    return (
+        result.exit_code == 1 and result.stdout == ""
+        and result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+    )
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +85,45 @@ class TestBudget:
         step1a = next(s for s in budget["segments"] if s["label"] == "step1a")
         expected = math.pi / (2 * 2 * math.pi * 141.42135623730951e6) * 1e9
         assert step1a["duration_ns"] == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("setting", ["tau1=2pi*50 MHz", "mu1=3 ns", "kappaL=5 us", "t1=2pi*1 MHz"])
+    def test_set_rejects_the_other_unit_kind(self, runner, setting):
+        result = runner.invoke(main, ["budget", "--json", "--set", setting])
+        assert one_error_line(result), result.output
+        assert setting.partition("=")[0] in result.stderr
+
+    # (block, key or None for the whole block, new value, what the message names)
+    @pytest.mark.parametrize("block, key, value, named", [
+        ("ramps", None, {"tau_1": "5 ns"}, "ramps.tau_1"),
+        ("extra", None, {"tau1": "5 ns"}, "'extra'"),
+        ("ramps", None, [1, 2], "ramps"),
+        ("couplings", None, 5, "couplings"),
+        ("couplings", "mu1", [1, 2], "couplings.mu1"),
+        ("couplings", None, None, "couplings.mu1"),
+        ("decoherence", "t1_f", "2pi*1 MHz", "decoherence.t1_f"),
+    ], ids=["misspelled-key", "unknown-block", "list-block", "number-block", "list-value",
+            "null-block", "wrong-kind"])
+    def test_bad_parameter_file_is_one_error_line(self, runner, tmp_path, block, key, value, named):
+        raw = yaml.safe_load(files("ghz_transfer").joinpath("presets/transmon.yaml").read_text())
+        if key is None:
+            raw[block] = value
+        else:
+            raw[block][key] = value
+        path = tmp_path / "params.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_params(path)
+        result = runner.invoke(main, ["budget", "--params", str(path)])
+        assert one_error_line(result), result.output
+        assert named in result.stderr
+
+    def test_malformed_parameter_file_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "params.yaml"
+        path.write_text("couplings: [\n", encoding="utf-8")
+        result = runner.invoke(main, ["budget", "--params", str(path)])
+        assert one_error_line(result), result.output
+        assert "is not valid YAML" in result.stderr
 
 
 class TestRun:
@@ -191,6 +241,21 @@ class TestRun:
             assert diagnostic.startswith("Error: ")
             assert diagnostic.count("\n") == 1
         assert not isinstance(result.exception, ValueError)
+
+    @pytest.mark.parametrize("args", [
+        ["--ghz", "nan,1"],
+        ["--ghz", "inf,1"],
+        ["--min-fidelity", "nan"],
+        ["--min-fidelity", "inf"],
+        ["--min-fidelity", "-inf"],
+    ], ids=["ghz-nan", "ghz-inf", "threshold-nan", "threshold-inf", "threshold-minus-inf"])
+    def test_non_finite_amplitude_or_threshold_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["run", "--n", "1", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
+        assert "finite" in errors[0]
 
 
 class TestReuseAcrossRuns:
@@ -400,6 +465,12 @@ class TestSweep:
         assert result.exit_code == 2
         assert "GHZ_TRANSFER_WORKERS must be an integer >= 1" in result.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_cavity_lifetime_is_one_error_line(self, runner, value):
+        result = runner.invoke(main, ["sweep", "--axis", "kappa_inv_us", "--values", value, "--n", "1"])
+        assert one_error_line(result), result.output
+        assert "kappaL" in result.stderr
+
     def test_non_numeric_axis_rejected(self, runner):
         result = runner.invoke(main, ["sweep", "--axis", "mode", "--values", "1"])
         assert result.exit_code == 2
@@ -444,6 +515,18 @@ class TestParse:
         assert result.exit_code == 1
         text = result.output + (result.stderr or "")
         assert "3:" in text and "missing-unit" in text
+
+    def test_overflowing_literals_are_bad_numbers(self, runner, tmp_path):
+        bad = tmp_path / "overflow.sched"
+        bad.write_text(
+            "schedule v1\n"
+            "layout ghz-layout-v1 n_left=1 n_right=1\n"
+            "segment s1 resonant_ge cavity=L site=A coupling=1e309rad/s duration=1ns ramp=1e400ns\n"
+        )
+        result = runner.invoke(main, ["parse", str(bad), "--canonical"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "3:" in result.stderr and "[bad-number]" in result.stderr
 
     def test_auto_durations_need_symbols(self, runner, tmp_path):
         doc = tmp_path / "auto.sched"

@@ -14,7 +14,7 @@ from ghz_transfer.dsl import (
     serialize_schedule,
     validate_schedule,
 )
-from ghz_transfer.hamiltonians import EffectiveRates, load_preset
+from ghz_transfer.hamiltonians import EffectiveRates, load_preset, schema_fields
 from ghz_transfer.scheduling import build_schedule
 from ghz_transfer.units import seconds_to_ns
 
@@ -128,6 +128,25 @@ class TestAutoDurations:
         assert not result.ok
         assert "unknown-symbol" in codes(result.diagnostics, "error")
 
+    def test_a_parameter_set_binds_exactly_its_couplings_and_detunings(self, params):
+        bound = set()
+        for name in schema_fields():
+            text = (
+                "schedule v1\n"
+                "layout ghz-layout-v1 n_left=1 n_right=1\n"
+                f"segment step1a resonant_ef cavity=L site=q1 coupling={name} duration=3ns ramp=3ns\n"
+            )
+            result = validate_schedule(parse_schedule(text), params)
+            if result.ok:
+                assert result.schedule.segment("step1a").coupling == getattr(params, name)
+                bound.add(name)
+            else:
+                assert codes(result.diagnostics, "error") == {"unknown-symbol"}
+        assert bound == {
+            "mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR",
+            "mu", "mu_prime", "delta", "delta_prime",
+        }
+
     def test_auto_needs_a_canonical_label(self, params):
         text = (
             "schedule v1\n"
@@ -196,6 +215,20 @@ class TestDiagnostics:
         assert finding.line == 3
         assert finding.token == "5"
         assert finding.column == text.splitlines()[2].index("duration=5") + len("duration=") + 1
+
+    @pytest.mark.parametrize("line, token", [
+        ("segment s1 resonant_ge cavity=L site=A coupling=1e309rad/s duration=1ns ramp=0ns", "1e309rad/s"),
+        ("segment s1 resonant_ge cavity=L site=A coupling=2pi*1e300GHz duration=1ns ramp=0ns",
+         "2pi*1e300GHz"),
+        ("segment s1 resonant_ge cavity=L site=A coupling=1rad/s duration=1ns ramp=1e400ns", "1e400ns"),
+        ("param x 1e309 rad/s", "1e309 rad/s"),
+        ("closing_ramp 1e400ns", "1e400ns"),
+    ], ids=["coupling", "coupling-hz", "ramp", "param", "closing-ramp"])
+    def test_overflowing_literal_is_a_bad_number_at_its_token(self, line, token):
+        doc = parse_schedule(f"schedule v1\nlayout ghz-layout-v1 n_left=1 n_right=1\n{line}\n")
+        (finding,) = doc.diagnostics
+        assert (finding.code, finding.line, finding.token) == ("bad-number", 3, token)
+        assert finding.column == line.index(token.split()[0]) + 1
 
     def test_unknown_kind(self):
         text = (

@@ -25,6 +25,7 @@ from ghz_transfer.hamiltonians import (
     load_params,
     load_preset,
     save_params,
+    schema_fields,
 )
 from ghz_transfer.hilbert import (
     QuantumState,
@@ -430,6 +431,32 @@ def valid_params(draw) -> PhysicalParams:
 
 
 class TestParameterFiles:
+    def test_schema_names_every_field_once(self):
+        named = schema_fields()
+        assert len(named) == len(set(named))
+        assert set(named) == {f.name for f in fields(PhysicalParams)}
+
+    def test_infinite_coherence_time_in_a_file_is_no_channel(self, tmp_path):
+        path = tmp_path / "params.yaml"
+        save_params(load_preset("transmon"), path)
+        path.write_text(path.read_text().replace("  t1:", "  t1: .inf #"))
+        params = load_params(path)
+        assert params.t1 == math.inf
+        assert params.t1f == 10e-6
+
+    def test_plain_number_strings_are_si(self, tmp_path):
+        # YAML 1.1 reads 3e-9 (no dot) as a string, not a float
+        couplings = ", ".join(f"{name}: 2pi*50 MHz" for name in schema_fields("couplings"))
+        path = tmp_path / "params.yaml"
+        path.write_text(
+            f"couplings: {{{couplings}}}\n"
+            "detunings: {delta: '6.2e9', delta_prime: 6.2e+9}\n"
+            "ramps: {tau1: 3e-9}\n"
+        )
+        params = load_params(path)
+        assert params.tau1 == 3e-9
+        assert params.delta == params.delta_prime == 6.2e9
+
     def test_preset_values(self):
         params = load_preset("transmon")
         assert params.mu1_tilde == two_pi_mhz(50.0)

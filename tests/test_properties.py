@@ -1,4 +1,4 @@
-"""Property tests: ``.sched`` round trips of random schedules, and unit parsing."""
+"""Property tests: ``.sched`` round trips of random schedules, unit parsing, ``--set``."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ghz_transfer.cli import _apply_overrides
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
-from ghz_transfer.hamiltonians import PhysicalParams
+from ghz_transfer.hamiltonians import PhysicalParams, load_preset, schema_fields
 from ghz_transfer.hilbert import build_layout
 from ghz_transfer.scheduling import PulseSegment, Schedule, build_schedule
 from ghz_transfer.units import parse_frequency, parse_time
@@ -106,3 +107,24 @@ class TestUnitParsing:
     def test_hertz_needs_the_two_pi_prefix(self, w, unit):
         with pytest.raises(ValueError, match="2pi"):
             parse_frequency(f"{w!r} {unit}")
+
+
+# couplings, detunings and photon-loss rates; every other field is a time
+_RATE_FIELDS = (*schema_fields("couplings", "detunings"), "kappaL", "kappaR")
+_TRANSMON = load_preset("transmon")
+
+
+def _override(name: str, text: str) -> float:
+    return getattr(_apply_overrides(_TRANSMON, (f"{name}={text}",)), name)
+
+
+class TestParameterOverrides:
+    @pytest.mark.filterwarnings("ignore:.*dispersive treatment is marginal")
+    @given(name=st.sampled_from(schema_fields()), v=st.floats(min_value=1e-300, max_value=1e300))
+    def test_set_reads_plain_si_and_only_the_fields_own_unit(self, name, v):
+        assert _override(name, repr(v)) == v
+        rate, time = f"2pi*{v!r} MHz", f"{v!r} ns"
+        own, other = (rate, time) if name in _RATE_FIELDS else (time, rate)
+        assert _override(name, own) == (parse_frequency if own is rate else parse_time)(own)
+        with pytest.raises(ValueError, match=f"{name} takes a"):
+            _override(name, other)
