@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghz_transfer.hamiltonians import EffectiveRates
-from ghz_transfer.hilbert import QuantumState, SystemLayout
+from ghz_transfer.hilbert import QuantumState, SystemLayout, _product_amplitudes
 
 __all__ = [
     "GhzSpec",
@@ -145,23 +145,18 @@ def _f_branch(checkpoint: str, t: float | None, rates: EffectiveRates | None) ->
 
 _LEVEL_VEC = {"g": (1.0, 0.0, 0.0), "e": (0.0, 1.0, 0.0), "f": (0.0, 0.0, 1.0)}
 
+_G_BRANCH = _FBranch(1.0, "g", "g", "g", PLUS, PLUS, (0, 0))
 
-def _branch_state(
-    layout: SystemLayout,
-    q1,
-    coupler: str,
-    q1p,
-    left_spec,
-    right_spec,
-    photons: tuple[int, int],
-) -> QuantumState:
-    vectors = {"q1": _LEVEL_VEC.get(q1, q1), "q1p": _LEVEL_VEC.get(q1p, q1p)}
-    vectors["A"] = (1.0, 0.0) if coupler == "g" else (0.0, 1.0)
+
+def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support=None) -> np.ndarray:
+    """The unit ket of ``branch``, everywhere or on the basis indices ``support``."""
+    vectors = {"q1": _LEVEL_VEC.get(branch.q1, branch.q1), "q1p": _LEVEL_VEC.get(branch.q1p, branch.q1p)}
+    vectors["A"] = (1.0, 0.0) if branch.coupler == "g" else (0.0, 1.0)
     for site in layout.left_spectators:
-        vectors[site] = left_spec
+        vectors[site] = branch.left_spec
     for site in layout.right_spectators:
-        vectors[site] = right_spec
-    return QuantumState.from_product(layout, vectors, photons=photons)
+        vectors[site] = branch.right_spec
+    return _product_amplitudes(layout, vectors, branch.photons, support)
 
 
 def oracle_branches(
@@ -185,11 +180,8 @@ def oracle_branches(
             f"spec is for n = {spec.n}, layout hosts ({layout.n_left}, {layout.n_right})"
         )
     branch = _f_branch(checkpoint, t, rates)
-    g_state = _branch_state(layout, "g", "g", "g", PLUS, PLUS, (0, 0))
-    f_state = _branch_state(
-        layout, branch.q1, branch.coupler, branch.q1p,
-        branch.left_spec, branch.right_spec, branch.photons,
-    )
+    g_state = QuantumState(_branch_amplitudes(layout, _G_BRANCH), layout)
+    f_state = QuantumState(_branch_amplitudes(layout, branch), layout)
     return g_state, f_state, complex(spec.alpha), complex(branch.coeff) * complex(spec.beta)
 
 
@@ -204,6 +196,14 @@ def make_oracle_state(
     """The exact reduced-dynamics state at a protocol checkpoint."""
     g_state, f_state, c_g, c_f = oracle_branches(layout, spec, checkpoint, t=t, rates=rates)
     return QuantumState(c_g * g_state.amplitudes + c_f * f_state.amplitudes, layout)
+
+
+def _oracle_amplitudes(layout: SystemLayout, spec: GhzSpec, checkpoint: str, support) -> np.ndarray:
+    """``make_oracle_state(...).amplitudes[support]``, bit for bit, without full-register kets."""
+    branch = _f_branch(checkpoint, None, None)
+    g_part = _branch_amplitudes(layout, _G_BRANCH, support)
+    f_part = _branch_amplitudes(layout, branch, support)
+    return complex(spec.alpha) * g_part + complex(branch.coeff) * complex(spec.beta) * f_part
 
 
 def occupation_probability(mu: float, delta: float) -> float:

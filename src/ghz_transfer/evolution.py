@@ -21,7 +21,8 @@ Every segment is piecewise constant, and every route a run takes is exact:
   segment's Liouvillian on the vectorised density matrix of a block.
   The terms that do not involve the Hamiltonian, sum L kron L^* and the
   damping sum L^+ L inside H_eff, live in a :class:`Dissipator` that a
-  run builds once and passes to every ramp and segment.
+  run builds once and passes to every ramp and segment; it also builds
+  the ramps' H = 0 generator once.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift; the open-system route
@@ -359,22 +360,47 @@ def evolve_unitary(
 class Dissipator(tuple):
     """A block's collapse matrices, plus the Liouvillian terms that do not involve H.
 
-    Iterates as the matrices themselves. ``damping`` is K = sum L^+ L
-    (None without channels), so H_eff = H - i/2 K, and ``jumps`` holds
-    sum L kron L^* as one COO matrix per channel. Both are built once,
-    so every segment and ramp of a run shares them; :func:`_liouvillian`
-    assembles their entries in the same order as a build from scratch,
-    which makes the result bit-identical to one.
+    Iterates as the matrices themselves, held as CSR. ``damping`` is
+    K = sum L^+ L (None without channels), so H_eff = H - i/2 K, and
+    ``jumps`` holds the COO entries of L kron L^* per channel. Both are
+    built once, as is the ramps' H = 0 generator (:meth:`ramp_generator`);
+    :func:`_liouvillian` assembles the entries in the order of a build
+    from scratch, which makes the result bit-identical to one.
     """
 
     def __new__(cls, collapse_mats):
-        self = super().__new__(cls, collapse_mats)
+        self = super().__new__(cls, [l_op.tocsr() for l_op in collapse_mats])
         self.damping = None
         if self:
             stacked = sp.vstack(self, format="csr")  # S^+ S = sum L^+ L
             self.damping = stacked.getH() @ stacked
-        self.jumps = [sp.kron(l_op, l_op.conj()).tocoo() for l_op in self]
+        self.jumps = [_kron_entries(l_op, l_op.conj()) for l_op in self]
+        self._ramp = None
         return self
+
+    def ramp_generator(self, dim: int) -> sp.csr_matrix:
+        """The Liouvillian with H = 0 on a ``dim``-state block, built on the first call."""
+        if self._ramp is None or self._ramp.shape[0] != dim * dim:
+            self._ramp = _liouvillian(None, self, dim)
+        return self._ramp
+
+
+def _csr_entries(mat: sp.csr_matrix):
+    """(rows, cols, values) of a CSR matrix in stored order, as its COO form lists them."""
+    rows = np.arange(mat.shape[0]).repeat(np.diff(mat.indptr))
+    return rows, mat.indices.astype(np.int64), mat.data
+
+
+def _kron_entries(a: sp.csr_matrix, b: sp.csr_matrix):
+    """The COO entries of ``sp.kron(a, b)`` in its order and values: each entry of ``a``
+    times each of ``b``, all of them when ``b`` is half full (``sp.kron`` stores it dense)."""
+    size = b.shape[0]
+    a_rows, a_cols, a_values = _csr_entries(a)
+    b_rows, b_cols, b_values = _csr_entries(b)
+    if 2 * b.nnz >= size * size:
+        (b_rows, b_cols), b_values = np.indices((size, size)).reshape(2, -1), b.toarray().ravel()
+    rows, cols = ((x[:, None] * size + y).ravel() for x, y in ((a_rows, b_rows), (a_cols, b_cols)))
+    return rows, cols, (a_values[:, None] * b_values).ravel()
 
 
 def _liouvillian(h_mat, dissipator: Dissipator, dim: int) -> sp.csr_matrix:
@@ -382,19 +408,16 @@ def _liouvillian(h_mat, dissipator: Dissipator, dim: int) -> sp.csr_matrix:
 
     With H_eff = H - i/2 sum L^+ L the equation reads
     d rho/dt = -i (H_eff rho - rho H_eff^+) + sum L rho L^+, and row-major
-    vectorisation turns A rho B into (A kron B^T) vec(rho).
+    vectorisation turns A rho B into (A kron B^T) vec(rho). The entries are
+    summed in the order of a sum of ``sp.kron`` terms, so the bits are too.
     """
-    eye = sp.identity(dim, dtype=complex)
+    eye = sp.identity(dim, dtype=complex, format="csr")
     h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
     if dissipator.damping is not None:
         h_eff = h_eff - 0.5j * dissipator.damping
-    terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
-    # one COO assembly sums every term; adding them pairwise as CSR costs
-    # a full rebuild per term
-    parts = [term.tocoo() for term in terms] + dissipator.jumps
-    data = np.concatenate([part.data for part in parts])
-    rows = np.concatenate([part.row for part in parts])
-    cols = np.concatenate([part.col for part in parts])
+    left, right = _kron_entries(h_eff, eye), _kron_entries(eye, h_eff.conj())
+    parts = [(*left[:2], left[2] * -1j), (*right[:2], right[2] * 1j), *dissipator.jumps]
+    rows, cols, data = (np.concatenate(column) for column in zip(*parts))
     return sp.csr_matrix((data, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
@@ -434,7 +457,7 @@ def lindblad_propagate(
     else:
         if not isinstance(collapse_mats, Dissipator):
             collapse_mats = Dissipator(collapse_mats)
-        gen = _liouvillian(h_mat, collapse_mats, dim)
+        gen = collapse_mats.ramp_generator(dim) if h_mat is None else _liouvillian(h_mat, collapse_mats, dim)
         if samples > 1:
             grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)
             final_vec = grid[-1]

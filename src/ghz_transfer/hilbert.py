@@ -15,7 +15,8 @@ with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
 Operators and density matrices are stored sparse (CSR), pure states as
 dense vectors. Every operator is one Kronecker product of local factors
-(:func:`embed_operator`), or a sum of such products.
+(:func:`embed_operator`), or a sum of such products, assembled in one
+pass from the local factors' entries.
 """
 
 from __future__ import annotations
@@ -248,26 +249,7 @@ class QuantumState:
         Unlisted qudits and the coupler sit in g; the cavities hold the
         given photon-number states.
         """
-        factors = []
-        for site, dim in zip(layout.site_names, layout.factor_dims):
-            if site == "cavL":
-                factors.append(level_ket(dim, photons[0]))
-            elif site == "cavR":
-                factors.append(level_ket(dim, photons[1]))
-            elif site_vectors is not None and site in site_vectors:
-                local = np.asarray(site_vectors[site], dtype=complex)
-                if local.shape != (dim,):
-                    raise ValueError(f"local vector for {site!r} must have dim {dim}")
-                factors.append(local)
-            else:
-                factors.append(level_ket(dim, 0))
-        unknown = set(site_vectors or ()) - set(layout.site_names)
-        if unknown:
-            raise KeyError(f"unknown sites {sorted(unknown)}")
-        vec = factors[0]
-        for f in factors[1:]:
-            vec = np.kron(vec, f)
-        return cls(vec, layout)
+        return cls(_product_amplitudes(layout, site_vectors, photons), layout)
 
     @property
     def norm(self) -> float:
@@ -290,6 +272,32 @@ class QuantumState:
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.amplitudes.copy(), self.layout)
+
+
+def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support=None) -> np.ndarray:
+    """:meth:`QuantumState.from_product`'s amplitudes, everywhere or on the indices ``support``.
+
+    Each is a product of one entry per factor, multiplied left to right as
+    a ``np.kron`` chain does, so both give the same bits.
+    """
+    vectors = {**(site_vectors or {}), "cavL": level_ket(layout.site_dim("cavL"), photons[0])}
+    vectors["cavR"] = level_ket(layout.site_dim("cavR"), photons[1])
+    factors = []
+    for site, dim in zip(layout.site_names, layout.factor_dims):
+        factors.append(np.asarray(vectors.get(site, level_ket(dim, 0)), dtype=complex))
+        if factors[-1].shape != (dim,):
+            raise ValueError(f"local vector for {site!r} must have dim {dim}")
+    unknown = set(vectors) - set(layout.site_names)
+    if unknown:
+        raise KeyError(f"unknown sites {sorted(unknown)}")
+    if support is None:  # an open grid: the products broadcast to the full tensor
+        levels = np.ix_(*(np.arange(dim) for dim in layout.factor_dims))
+    else:
+        levels = np.unravel_index(support, layout.factor_dims)
+    amps = factors[0][levels[0]]
+    for factor, level in zip(factors[1:], levels[1:]):
+        amps = amps * factor[level]
+    return amps.ravel()
 
 
 @dataclass
@@ -394,35 +402,25 @@ def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> O
 
     ``factors`` maps site names (qudits, the coupler ``A``, the modes
     ``cavL``/``cavR``) to square matrices of the site's dimension. The
-    result is one ``kron`` chain in the layout's factor order, with each
-    run of unlisted factors merged into a single identity, so a product
-    of operators is formed on its local factors and never as a product
-    of register-sized matrices. The claimed Hermiticity is that of the
-    factors.
+    result is the ``kron`` chain of the layout's factors, built in one
+    pass: each stored entry picks a nonzero entry of every factor, its row
+    and column are sums of level x stride, and its value is the product of
+    the picked entries in factor order, as the chain multiplies them. The
+    CSR is canonical (sorted int32 indices) and bit-identical to the
+    chain's. The claimed Hermiticity is that of the factors.
     """
-    by_position = {}
-    for site, local in factors.items():
-        pos = layout.factor_index(site)
-        d = layout.factor_dims[pos]
-        local = np.asarray(local, dtype=complex)
+    by_position = {layout.factor_index(site): np.asarray(m, dtype=complex) for site, m in factors.items()}
+    rows = cols = np.zeros(1, dtype=np.int64)
+    data = None
+    for pos, (site, d) in enumerate(zip(layout.site_names, layout.factor_dims)):
+        local = by_position.get(pos, np.eye(d))  # an identity's ones are real, as in sp.identity
         if local.shape != (d, d):
             raise ValueError(f"local operator must be {d}x{d} for factor {site!r}")
-        by_position[pos] = local
-    pieces = []
-    identity = 1
-    for pos, d in enumerate(layout.factor_dims):
-        if pos not in by_position:
-            identity *= d
-            continue
-        if identity > 1:
-            pieces.append(sp.identity(identity, format="csr"))
-            identity = 1
-        pieces.append(sp.csr_matrix(by_position[pos]))
-    if identity > 1 or not pieces:
-        pieces.append(sp.identity(identity, format="csr"))
-    mat = pieces[0]
-    for piece in pieces[1:]:
-        mat = sp.kron(mat, piece, format="csr")
+        r, c = np.nonzero(local)
+        rows, cols = (rows[:, None] * d + r).ravel(), (cols[:, None] * d + c).ravel()
+        data = local[r, c] if data is None else (data[:, None] * local[r, c]).ravel()
+    # grouped by factor, each row's columns already increase: the COO-to-CSR pass sorts nothing
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(layout.dim, layout.dim))
     herm = all(np.max(np.abs(m - m.conj().T)) <= 1e-14 for m in by_position.values())
     return OperatorMatrix(mat, layout, hermitian=herm)
 

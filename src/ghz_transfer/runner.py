@@ -26,16 +26,16 @@ pattern of every segment generator and collapse channel out of the
 initial state's support: coherent couplings move weight both ways,
 collapse channels only forward. The closed set this reaches is the only
 block the density matrix can ever occupy, so each segment is propagated
-exactly on it, which cuts the n=2 cutoff-3 density matrix from 2592^2 to
-80^2. The final state of a lindblad run is that block, stored sparse
-over the layout (:meth:`DensityMatrix.from_block`).
+exactly on it and scored on it, which cuts the n=2 cutoff-3 density
+matrix from 2592^2 to 80^2. The final state of a lindblad run is that
+block, stored sparse over the layout (:meth:`DensityMatrix.from_block`).
 
 Nothing that depends only on the schedule is built twice. The segment
 generators depend on the layout, the segments, the parameters and the
 mode but not on the amplitudes, so the runs of a batch share one set
 (:func:`_segment_generators` keeps the last one). A lindblad run builds
 one :class:`~ghz_transfer.evolution.Dissipator` for its block, and every
-ramp and segment reuses its jump and damping terms.
+ramp and segment reuses its jump and damping terms (and ramp generator).
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ import numpy as np
 from .analysis import (
     STAGE_CHECKPOINTS,
     GhzSpec,
+    _oracle_amplitudes,
     make_oracle_state,
     oracle_branches,
 )
-from .evolution import Dissipator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
+from .evolution import Dissipator, _csr_entries, checkpoint_fidelity, evolve_unitary, lindblad_propagate
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
@@ -354,16 +355,19 @@ def _reachable_block(psi0, hamiltonians, collapse) -> np.ndarray:
 
     Coherent and L^+L couplings move weight both ways; a collapse channel
     only moves it forward, from a column index to a row index. The closure
-    of the initial support under these edges is invariant under every
-    segment's Liouvillian, so evolving rho on that block is exact.
+    of the initial support under these edges (one COO pattern of the CSR
+    matrices' nonzero entries) is invariant under every segment's
+    Liouvillian, so evolving rho on that block is exact.
     """
-    edges = sum(abs(l_op) for l_op in collapse)
-    for mat in hamiltonians + [l_op.getH() @ l_op for l_op in collapse]:
-        edges = edges + abs(mat) + abs(mat).T
-    edges = edges.tocsr()
+    # each L^+ L comes out CSC: read as CSR it is its transpose, the same two-way edges
+    both = [_csr_entries(mat) for mat in [*hamiltonians, *(l_op.getH() @ l_op for l_op in collapse)]]
+    edges = [_csr_entries(l_op) for l_op in collapse] + both + [(col, row, v) for row, col, v in both]
+    rows, cols, values = (np.concatenate(column) for column in zip(*edges))
+    moving = np.abs(values) > 0  # weight moves from cols to rows
     reach = psi0.amplitudes != 0
     while True:
-        grown = reach | (edges @ reach.astype(float) > 0)
+        grown = reach.copy()
+        grown[rows[reach[cols] & moving]] = True
         if np.array_equal(grown, reach):
             return np.flatnonzero(reach)
         reach = grown
@@ -409,8 +413,8 @@ def _run_lindblad(layout, schedule, spec, params, samples):
         t_now += seg.duration_s
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
-            oracle = make_oracle_state(layout, spec, label)
-            fid = float(np.real(oracle.amplitudes[keep].conj() @ rho @ oracle.amplitudes[keep]))
+            oracle = _oracle_amplitudes(layout, spec, label, keep)
+            fid = float(np.real(oracle.conj() @ rho @ oracle))
             checkpoints[label] = CheckpointRecord(
                 label=label, time_s=t_now, fidelity=fid,
                 coeff_g=None, coeff_f=None,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -146,6 +148,70 @@ class TestProductEmbedding:
             embed_operator(layout, {"q2": np.eye(3)})
         with pytest.raises(ValueError):
             embed_operator(layout, {"cavL": np.eye(5)})
+
+
+def _kron_chain(layout, factors):
+    """The reference construction: one ``sp.kron`` chain, unlisted runs merged into identities."""
+    by_position = {layout.factor_index(site): local for site, local in factors.items()}
+    pieces, identity = [], 1
+    for pos, d in enumerate(layout.factor_dims):
+        if pos not in by_position:
+            identity *= d
+            continue
+        if identity > 1:
+            pieces.append(sp.identity(identity, format="csr"))
+            identity = 1
+        pieces.append(sp.csr_matrix(np.asarray(by_position[pos], dtype=complex)))
+    if identity > 1 or not pieces:
+        pieces.append(sp.identity(identity, format="csr"))
+    mat = pieces[0]
+    for piece in pieces[1:]:
+        mat = sp.kron(mat, piece, format="csr")
+    mat = sp.csr_matrix(mat, dtype=complex)
+    mat.sort_indices()
+    return mat
+
+
+class TestOnePassEmbedding:
+    """``embed_operator`` stores exactly the arrays of the ``kron`` chain it replaces."""
+
+    @staticmethod
+    def assert_same_arrays(layout, factors):
+        got, want = embed_operator(layout, factors).matrix, _kron_chain(layout, factors)
+        for key in ("data", "indices", "indptr"):
+            x, y = getattr(got, key), getattr(want, key)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+        assert got.has_sorted_indices
+        assert np.all(got.data != 0)
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 3), (3, 4)])
+    def test_every_subset_of_up_to_three_sites(self, n, cutoff):
+        layout = build_layout(n, n, cutoff, cutoff)
+        rng = np.random.default_rng(n)
+        subsets = [(site,) for site in layout.site_names]
+        subsets += list(itertools.combinations(layout.site_names, 2))
+        subsets += list(itertools.combinations(layout.site_names, 3))
+        for sites in subsets:
+            factors = {}
+            for site in sites:
+                d = layout.site_dim(site)
+                local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                local[rng.random((d, d)) > 1.5 / d] = 0  # about one entry per row
+                factors[site] = local
+            self.assert_same_arrays(layout, factors)
+
+    def test_empty_mapping_and_explicit_zeros(self):
+        layout = build_layout(2, 2, 3, 3)
+        self.assert_same_arrays(layout, {})
+        # signed zeros that multiplying by an identity's 1.0 flips must come out as the chain's
+        with_zeros = np.array([
+            [0.0, -0.0, 2.0],
+            [complex(-0.0, -1.0), 1.5 - 0.5j, 0.0],
+            [complex(-0.0, 1.0), complex(-2.0, -0.0), 0.0],
+        ])
+        self.assert_same_arrays(layout, {"q1": with_zeros})  # first factor, identities after it
+        self.assert_same_arrays(layout, {"q2": with_zeros, "cavR": annihilation_op(4)})
+        self.assert_same_arrays(layout, {"A": np.zeros((2, 2)), "q1p": with_zeros})
 
 
 class TestModeOperators:

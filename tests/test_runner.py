@@ -314,6 +314,27 @@ class TestReachableBlock:
             leak.eliminate_zeros()
             assert leak.nnz == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_block_as_the_sum_of_matrices(self, params, n):
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=n)
+        keep, generators, collapse = _lindblad_block(params, spec)
+        psi0 = make_oracle_state(build_layout(n, n, 3, 3), spec, "initial")
+        assert np.array_equal(keep, _reachable_block_by_sums(psi0, generators, collapse))
+
+
+def _reachable_block_by_sums(psi0, hamiltonians, collapse):
+    """The reference closure: every edge matrix added up as a register-sized sum."""
+    edges = sum(abs(l_op) for l_op in collapse)
+    for mat in hamiltonians + [l_op.getH() @ l_op for l_op in collapse]:
+        edges = edges + abs(mat) + abs(mat).T
+    edges = edges.tocsr()
+    reach = psi0.amplitudes != 0
+    while True:
+        grown = reach | (edges @ reach.astype(float) > 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
 
 def _liouvillian_term_by_term(h_mat, collapse_mats, dim):
     """The block Liouvillian assembled from scratch: every term from the bare matrices."""
@@ -343,6 +364,53 @@ class TestSharedDissipator:
                 assert fast.shape == fresh.shape
                 for key in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(fast, key), getattr(fresh, key))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_small_and_dense_blocks_match_a_fresh_build(self, dim):
+        # sp.kron stores a factor that is at least half full densely, zeros included
+        rng = np.random.default_rng(dim)
+
+        def matrix(fill):
+            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            return sp.csr_matrix(np.where(rng.random((dim, dim)) < fill, mat, 0))
+
+        blocks = [matrix(0.7)]  # half full with zeros: kron stores the zeros
+        for h_mat in (None, matrix(0.2), matrix(0.7)):
+            fast = evolution._liouvillian(h_mat, evolution.Dissipator(blocks), dim)
+            fresh = _liouvillian_term_by_term(h_mat, blocks, dim)
+            for key in ("data", "indices", "indptr"):
+                assert getattr(fast, key).tobytes() == getattr(fresh, key).tobytes()
+
+
+class TestRampGenerator:
+    def test_one_liouvillian_per_distinct_generator(self, params, monkeypatch):
+        builds, dissipators = [], []
+        build = evolution._liouvillian
+        propagate = runner.lindblad_propagate
+
+        def counting_build(*args):
+            builds.append(args[0] is None)
+            return build(*args)
+
+        def recording_propagate(h_mat, collapse_mats, rho0, duration, **kwargs):
+            dissipators.append(collapse_mats)
+            return propagate(h_mat, collapse_mats, rho0, duration, **kwargs)
+
+        monkeypatch.setattr(evolution, "_liouvillian", counting_build)
+        monkeypatch.setattr(runner, "lindblad_propagate", recording_propagate)
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        assert len(dissipators) == 19
+        assert len(builds) == 10 and builds.count(True) == 1  # nine segments, one ramp
+        shared = dissipators[0]
+        assert all(d is shared for d in dissipators)
+
+        keep, _, _ = _lindblad_block(params, spec)
+        ramp = shared.ramp_generator(keep.size)
+        assert ramp is shared.ramp_generator(keep.size) and len(builds) == 10  # reused, not rebuilt
+        fresh = _liouvillian_term_by_term(None, list(shared), keep.size)
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ramp, key), getattr(fresh, key))
 
 
 class TestExcitationSectors:
