@@ -19,10 +19,9 @@ Every segment is piecewise constant, and every route a run takes is exact:
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
   segment's Liouvillian on the vectorised density matrix of a block.
-  The terms that do not involve the Hamiltonian, sum L kron L^* and the
-  damping sum L^+ L inside H_eff, live in a :class:`Dissipator` that a
-  run builds once and passes to every ramp and segment; it also builds
-  the ramps' H = 0 generator once.
+  The Liouvillian with H = 0 lives in a :class:`Dissipator` that a run
+  builds once per block and passes to every ramp and segment: a ramp
+  evolves under it as it is, a segment adds its one H term.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift; the open-system route
@@ -358,67 +357,49 @@ def evolve_unitary(
 # open-system evolution
 
 class Dissipator(tuple):
-    """A block's collapse matrices, plus the Liouvillian terms that do not involve H.
+    """A block's collapse matrices, plus the Liouvillian they give with H = 0.
 
-    Iterates as the matrices themselves, held as CSR. ``damping`` is
-    K = sum L^+ L (None without channels), so H_eff = H - i/2 K, and
-    ``jumps`` holds the COO entries of L kron L^* per channel. Both are
-    built once, as is the ramps' H = 0 generator (:meth:`ramp_generator`);
-    :func:`_liouvillian` assembles the entries in the order of a build
-    from scratch, which makes the result bit-identical to one.
+    Iterates as the matrices themselves, held as CSR. ``generator`` is
+    D = sum L kron L^* - 1/2 (K kron I + I kron K^*) with K = sum L^+ L,
+    built once on a ``dim``-state block (an empty channel list cannot
+    supply the size): a ramp evolves under D itself, and a segment adds
+    only its H terms to it (:func:`_liouvillian`).
     """
 
-    def __new__(cls, collapse_mats):
+    def __new__(cls, collapse_mats, dim: int):
         self = super().__new__(cls, [l_op.tocsr() for l_op in collapse_mats])
-        self.damping = None
+        eye = sp.identity(dim, dtype=complex, format="csr")
+        damping = sp.csr_matrix((dim, dim), dtype=complex)
         if self:
             stacked = sp.vstack(self, format="csr")  # S^+ S = sum L^+ L
-            self.damping = stacked.getH() @ stacked
-        self.jumps = [_kron_entries(l_op, l_op.conj()) for l_op in self]
-        self._ramp = None
+            damping = stacked.getH() @ stacked
+        self.generator = _summed(
+            [-0.5 * sp.kron(damping, eye), -0.5 * sp.kron(eye, damping.conj())]
+            + [sp.kron(l_op, l_op.conj()) for l_op in self]
+        )
         return self
 
-    def ramp_generator(self, dim: int) -> sp.csr_matrix:
-        """The Liouvillian with H = 0 on a ``dim``-state block, built on the first call."""
-        if self._ramp is None or self._ramp.shape[0] != dim * dim:
-            self._ramp = _liouvillian(None, self, dim)
-        return self._ramp
+
+def _summed(terms) -> sp.csr_matrix:
+    """The sum of sparse ``terms`` in one COO to CSR pass, entries added in list order."""
+    parts = [term.tocoo() for term in terms]
+    data = np.concatenate([part.data for part in parts])
+    rows = np.concatenate([part.row for part in parts])
+    cols = np.concatenate([part.col for part in parts])
+    return sp.csr_matrix((data, (rows, cols)), shape=parts[0].shape)
 
 
-def _csr_entries(mat: sp.csr_matrix):
-    """(rows, cols, values) of a CSR matrix in stored order, as its COO form lists them."""
-    rows = np.arange(mat.shape[0]).repeat(np.diff(mat.indptr))
-    return rows, mat.indices.astype(np.int64), mat.data
-
-
-def _kron_entries(a: sp.csr_matrix, b: sp.csr_matrix):
-    """The COO entries of ``sp.kron(a, b)`` in its order and values: each entry of ``a``
-    times each of ``b``, all of them when ``b`` is half full (``sp.kron`` stores it dense)."""
-    size = b.shape[0]
-    a_rows, a_cols, a_values = _csr_entries(a)
-    b_rows, b_cols, b_values = _csr_entries(b)
-    if 2 * b.nnz >= size * size:
-        (b_rows, b_cols), b_values = np.indices((size, size)).reshape(2, -1), b.toarray().ravel()
-    rows, cols = ((x[:, None] * size + y).ravel() for x, y in ((a_rows, b_rows), (a_cols, b_cols)))
-    return rows, cols, (a_values[:, None] * b_values).ravel()
-
-
-def _liouvillian(h_mat, dissipator: Dissipator, dim: int) -> sp.csr_matrix:
+def _liouvillian(h_mat, dissipator: Dissipator) -> sp.csr_matrix:
     """Master-equation generator acting on the row-major ``rho.ravel()``.
 
-    With H_eff = H - i/2 sum L^+ L the equation reads
-    d rho/dt = -i (H_eff rho - rho H_eff^+) + sum L rho L^+, and row-major
-    vectorisation turns A rho B into (A kron B^T) vec(rho). The entries are
-    summed in the order of a sum of ``sp.kron`` terms, so the bits are too.
+    d rho/dt = -i [H, rho] + D rho, and row-major vectorisation turns
+    A rho B into (A kron B^T) vec(rho), so the generator is the shared D
+    (``h_mat=None``, a ramp) or D - i (H kron I) + i (I kron H^*).
     """
-    eye = sp.identity(dim, dtype=complex, format="csr")
-    h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
-    if dissipator.damping is not None:
-        h_eff = h_eff - 0.5j * dissipator.damping
-    left, right = _kron_entries(h_eff, eye), _kron_entries(eye, h_eff.conj())
-    parts = [(*left[:2], left[2] * -1j), (*right[:2], right[2] * 1j), *dissipator.jumps]
-    rows, cols, data = (np.concatenate(column) for column in zip(*parts))
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim * dim, dim * dim))
+    if h_mat is None:
+        return dissipator.generator
+    eye = sp.identity(h_mat.shape[0], dtype=complex, format="csr")
+    return _summed([dissipator.generator, -1j * sp.kron(h_mat, eye), 1j * sp.kron(eye, h_mat.conj())])
 
 
 def lindblad_propagate(
@@ -437,7 +418,7 @@ def lindblad_propagate(
     leave. A plain list of collapse matrices is wrapped in a
     :class:`Dissipator` for the call; a caller that evolves several
     segments under the same channels passes one :class:`Dissipator` to
-    all of them, and only the H-dependent terms are built per call.
+    all of them, so a ramp builds nothing and a segment only its H term.
     The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
     Higham 2011), which has no step-size tolerance to tune. Returns the
     final matrix plus ``samples`` matrices on a uniform grid over
@@ -456,8 +437,8 @@ def lindblad_propagate(
         final_vec = vec
     else:
         if not isinstance(collapse_mats, Dissipator):
-            collapse_mats = Dissipator(collapse_mats)
-        gen = collapse_mats.ramp_generator(dim) if h_mat is None else _liouvillian(h_mat, collapse_mats, dim)
+            collapse_mats = Dissipator(collapse_mats, dim)
+        gen = _liouvillian(h_mat, collapse_mats)
         if samples > 1:
             grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)
             final_vec = grid[-1]

@@ -34,8 +34,9 @@ Nothing that depends only on the schedule is built twice. The segment
 generators depend on the layout, the segments, the parameters and the
 mode but not on the amplitudes, so the runs of a batch share one set
 (:func:`_segment_generators` keeps the last one). A lindblad run builds
-one :class:`~ghz_transfer.evolution.Dissipator` for its block, and every
-ramp and segment reuses its jump and damping terms (and ramp generator).
+one :class:`~ghz_transfer.evolution.Dissipator` for its block, which holds
+the H = 0 Liouvillian: every ramp evolves under it, and every segment adds
+its own H term to it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .analysis import (
     make_oracle_state,
     oracle_branches,
 )
-from .evolution import Dissipator, _csr_entries, checkpoint_fidelity, evolve_unitary, lindblad_propagate
+from .evolution import Dissipator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
@@ -353,21 +354,18 @@ def _run_pure(layout, schedule, spec, params, mode, samples):
 def _reachable_block(psi0, hamiltonians, collapse) -> np.ndarray:
     """Basis indices the open dynamics can reach from the initial support.
 
-    Coherent and L^+L couplings move weight both ways; a collapse channel
-    only moves it forward, from a column index to a row index. The closure
-    of the initial support under these edges (one COO pattern of the CSR
-    matrices' nonzero entries) is invariant under every segment's
-    Liouvillian, so evolving rho on that block is exact.
+    Coherent couplings move weight both ways; a collapse channel only moves
+    it forward, from a column index to a row index. Every channel's L^+ L
+    is diagonal (no L sends two basis states to the same one), so the
+    damping adds no edge of its own. The closure of the initial support
+    under the pattern sum |L| + sum (|H| + |H|^T) is therefore invariant
+    under every segment's Liouvillian, so evolving rho on that block is exact.
     """
-    # each L^+ L comes out CSC: read as CSR it is its transpose, the same two-way edges
-    both = [_csr_entries(mat) for mat in [*hamiltonians, *(l_op.getH() @ l_op for l_op in collapse)]]
-    edges = [_csr_entries(l_op) for l_op in collapse] + both + [(col, row, v) for row, col, v in both]
-    rows, cols, values = (np.concatenate(column) for column in zip(*edges))
-    moving = np.abs(values) > 0  # weight moves from cols to rows
+    coherent = sum(abs(mat) for mat in hamiltonians)
+    edges = (sum(abs(l_op) for l_op in collapse) + coherent + coherent.T).tocsr()
     reach = psi0.amplitudes != 0
     while True:
-        grown = reach.copy()
-        grown[rows[reach[cols] & moving]] = True
+        grown = reach | (edges @ reach > 0)  # weight moves from columns to rows
         if np.array_equal(grown, reach):
             return np.flatnonzero(reach)
         reach = grown
@@ -387,8 +385,9 @@ def _run_lindblad(layout, schedule, spec, params, samples):
         ).items()
     }
     keep = _reachable_block(psi0, list(hamiltonians.values()), collapse)
-    # built once: every ramp and segment shares the H-independent terms
-    collapse_p = Dissipator([op[keep][:, keep] for op in collapse])
+    # built once: every ramp and segment shares the H = 0 Liouvillian
+    collapse_p = Dissipator([op[keep][:, keep] for op in collapse], keep.size)
+    observables = _observables(layout, keep)
 
     block = psi0.amplitudes[keep]
     rho = np.outer(block, block.conj())
@@ -405,7 +404,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
             h_block, collapse_p, rho, seg.duration_s, samples=samples
         )
         entry, top = _segment_samples(
-            _observables(layout, keep), seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
+            observables, seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
             np.real([np.diag(mat) for mat in [*path, rho]]),
         )
         sampled.append(entry)

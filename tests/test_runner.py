@@ -37,6 +37,12 @@ def params():
 
 
 @pytest.fixture(scope="module")
+def every_channel(params):
+    """The preset with T2f below 2 T1f, so f-level dephasing joins the other six channel kinds."""
+    return params.with_overrides(t2f=15e-6)
+
+
+@pytest.fixture(scope="module")
 def ideal_n2(params):
     return run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2))
 
@@ -315,15 +321,15 @@ class TestReachableBlock:
             assert leak.nnz == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_same_block_as_the_sum_of_matrices(self, params, n):
+    def test_same_block_as_the_sum_of_matrices(self, every_channel, n):
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=n)
-        keep, generators, collapse = _lindblad_block(params, spec)
+        keep, generators, collapse = _lindblad_block(every_channel, spec)
         psi0 = make_oracle_state(build_layout(n, n, 3, 3), spec, "initial")
         assert np.array_equal(keep, _reachable_block_by_sums(psi0, generators, collapse))
 
 
 def _reachable_block_by_sums(psi0, hamiltonians, collapse):
-    """The reference closure: every edge matrix added up as a register-sized sum."""
+    """The reference closure: every edge matrix, L^+ L included, added up as a register-sized sum."""
     edges = sum(abs(l_op) for l_op in collapse)
     for mat in hamiltonians + [l_op.getH() @ l_op for l_op in collapse]:
         edges = edges + abs(mat) + abs(mat).T
@@ -350,15 +356,15 @@ def _liouvillian_term_by_term(h_mat, collapse_mats, dim):
 
 
 class TestSharedDissipator:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_liouvillian_is_bit_identical_to_a_fresh_build(self, params, n):
         keep, generators, collapse = _lindblad_block(params, GhzSpec(alpha=0.6, beta=0.8j, n=n))
         blocks = [op[keep][:, keep] for op in collapse]
-        shared = evolution.Dissipator(blocks)  # one instance for the whole run
+        shared = evolution.Dissipator(blocks, keep.size)  # one instance for the whole run
         for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:  # the ramp first
-            fast = evolution._liouvillian(h_mat, shared, keep.size)
+            fast = evolution._liouvillian(h_mat, shared)
             for fresh in (
-                evolution._liouvillian(h_mat, evolution.Dissipator(list(blocks)), keep.size),
+                evolution._liouvillian(h_mat, evolution.Dissipator(list(blocks), keep.size)),
                 _liouvillian_term_by_term(h_mat, blocks, keep.size),
             ):
                 assert fast.shape == fresh.shape
@@ -367,50 +373,69 @@ class TestSharedDissipator:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_small_and_dense_blocks_match_a_fresh_build(self, dim):
-        # sp.kron stores a factor that is at least half full densely, zeros included
+        # a random complex channel gives a K = L^+ L that is not diagonal, so D plus the H
+        # terms rounds differently from the H_eff form: compare with the dense kron
+        # definition to a few units of roundoff on the largest term
         rng = np.random.default_rng(dim)
 
         def matrix(fill):
             mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             return sp.csr_matrix(np.where(rng.random((dim, dim)) < fill, mat, 0))
 
-        blocks = [matrix(0.7)]  # half full with zeros: kron stores the zeros
+        blocks = [matrix(0.7)]  # half full with zeros: sp.kron stores the zeros
+        eye, l_op = np.eye(dim), blocks[0].toarray()
         for h_mat in (None, matrix(0.2), matrix(0.7)):
-            fast = evolution._liouvillian(h_mat, evolution.Dissipator(blocks), dim)
-            fresh = _liouvillian_term_by_term(h_mat, blocks, dim)
+            h_eff = (0 if h_mat is None else h_mat.toarray()) - 0.5j * l_op.conj().T @ l_op
+            expected = -1j * np.kron(h_eff, eye) + 1j * np.kron(eye, h_eff.conj()) + np.kron(l_op, l_op.conj())
+            bound = 4 * np.finfo(float).eps * (np.abs(h_eff).max() + np.abs(l_op).max() ** 2)
+            shared = evolution.Dissipator(blocks, dim)
+            assert np.abs(evolution._liouvillian(h_mat, shared).toarray() - expected).max() <= bound
+            fresh = evolution.Dissipator(list(blocks), dim).generator
             for key in ("data", "indices", "indptr"):
-                assert getattr(fast, key).tobytes() == getattr(fresh, key).tobytes()
+                assert getattr(shared.generator, key).tobytes() == getattr(fresh, key).tobytes()
+
+
+class TestCollapseChannels:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_damping_term_is_diagonal(self, every_channel, n):
+        # _reachable_block gives L^+ L no edges of its own, which holds because it is diagonal
+        layout = build_layout(n, n, 3, 3)
+        collapse = collapse_operators(layout, every_channel)
+        # four channel kinds per qudit, two on the coupler, one per cavity
+        assert len(collapse) == 4 * len(layout.left_qudits + layout.right_qudits) + 4
+        for op in collapse:
+            rows, cols = (op.matrix.getH() @ op.matrix).nonzero()
+            assert np.array_equal(rows, cols)
 
 
 class TestRampGenerator:
     def test_one_liouvillian_per_distinct_generator(self, params, monkeypatch):
-        builds, dissipators = [], []
+        dissipators, generators = [], []
         build = evolution._liouvillian
         propagate = runner.lindblad_propagate
 
-        def counting_build(*args):
-            builds.append(args[0] is None)
-            return build(*args)
+        def recording_build(h_mat, dissipator):
+            generators.append((h_mat is None, build(h_mat, dissipator)))
+            return generators[-1][1]
 
         def recording_propagate(h_mat, collapse_mats, rho0, duration, **kwargs):
             dissipators.append(collapse_mats)
             return propagate(h_mat, collapse_mats, rho0, duration, **kwargs)
 
-        monkeypatch.setattr(evolution, "_liouvillian", counting_build)
+        monkeypatch.setattr(evolution, "_liouvillian", recording_build)
         monkeypatch.setattr(runner, "lindblad_propagate", recording_propagate)
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
-        assert len(dissipators) == 19
-        assert len(builds) == 10 and builds.count(True) == 1  # nine segments, one ramp
+        assert len(dissipators) == 19 and len(generators) == 19
         shared = dissipators[0]
         assert all(d is shared for d in dissipators)
+        ramps = [gen for is_ramp, gen in generators if is_ramp]
+        assert len(ramps) == 10 and all(gen is shared.generator for gen in ramps)  # nine ramps, one closing
 
         keep, _, _ = _lindblad_block(params, spec)
-        ramp = shared.ramp_generator(keep.size)
-        assert ramp is shared.ramp_generator(keep.size) and len(builds) == 10  # reused, not rebuilt
         fresh = _liouvillian_term_by_term(None, list(shared), keep.size)
         for key in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(ramp, key), getattr(fresh, key))
+            assert np.array_equal(getattr(shared.generator, key), getattr(fresh, key))
 
 
 class TestExcitationSectors:
