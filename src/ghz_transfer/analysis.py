@@ -159,6 +159,24 @@ def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support=None) -> 
     return _product_amplitudes(layout, vectors, branch.photons, support)
 
 
+def _oracle_parts(
+    layout: SystemLayout, spec: GhzSpec, checkpoint: str, support,
+    *, t: float | None = None, rates: EffectiveRates | None = None,
+) -> tuple[np.ndarray, np.ndarray, complex, complex]:
+    """:func:`oracle_branches`' tuple, with plain kets on the basis indices ``support``.
+
+    ``None`` means everywhere. An entry has the same bits on any support.
+    """
+    if layout.n_left != spec.n or layout.n_right != spec.n:
+        raise ValueError(
+            f"spec is for n = {spec.n}, layout hosts ({layout.n_left}, {layout.n_right})"
+        )
+    branch = _f_branch(checkpoint, t, rates)
+    g_part = _branch_amplitudes(layout, _G_BRANCH, support)
+    f_part = _branch_amplitudes(layout, branch, support)
+    return g_part, f_part, complex(spec.alpha), complex(branch.coeff) * complex(spec.beta)
+
+
 def oracle_branches(
     layout: SystemLayout,
     spec: GhzSpec,
@@ -175,14 +193,8 @@ def oracle_branches(
     correct simulation overlaps with ``f_branch`` at exactly
     ``coeff_f = (phase table) * beta``, with no residual sign to explain.
     """
-    if layout.n_left != spec.n or layout.n_right != spec.n:
-        raise ValueError(
-            f"spec is for n = {spec.n}, layout hosts ({layout.n_left}, {layout.n_right})"
-        )
-    branch = _f_branch(checkpoint, t, rates)
-    g_state = QuantumState(_branch_amplitudes(layout, _G_BRANCH), layout)
-    f_state = QuantumState(_branch_amplitudes(layout, branch), layout)
-    return g_state, f_state, complex(spec.alpha), complex(branch.coeff) * complex(spec.beta)
+    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, None, t=t, rates=rates)
+    return QuantumState(g_part, layout), QuantumState(f_part, layout), c_g, c_f
 
 
 def make_oracle_state(
@@ -194,16 +206,8 @@ def make_oracle_state(
     rates: EffectiveRates | None = None,
 ) -> QuantumState:
     """The exact reduced-dynamics state at a protocol checkpoint."""
-    g_state, f_state, c_g, c_f = oracle_branches(layout, spec, checkpoint, t=t, rates=rates)
-    return QuantumState(c_g * g_state.amplitudes + c_f * f_state.amplitudes, layout)
-
-
-def _oracle_amplitudes(layout: SystemLayout, spec: GhzSpec, checkpoint: str, support) -> np.ndarray:
-    """``make_oracle_state(...).amplitudes[support]``, bit for bit, without full-register kets."""
-    branch = _f_branch(checkpoint, None, None)
-    g_part = _branch_amplitudes(layout, _G_BRANCH, support)
-    f_part = _branch_amplitudes(layout, branch, support)
-    return complex(spec.alpha) * g_part + complex(branch.coeff) * complex(spec.beta) * f_part
+    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, None, t=t, rates=rates)
+    return QuantumState(c_g * g_part + c_f * f_part, layout)
 
 
 def occupation_probability(mu: float, delta: float) -> float:

@@ -44,6 +44,7 @@ from ghz_transfer.scheduling import (
     PulseSegment,
     Schedule,
     SchedulingError,
+    _odd_multiple_residual,
     quarter_period,
     solve_resonance,
 )
@@ -464,13 +465,6 @@ def _resolve_rate(
         )
     )
     return None
-
-
-def _odd_multiple_residual(duration_s: float, lam: float) -> tuple[int, float]:
-    """Nearest odd-multiple index m and the relative time mismatch."""
-    m = max(0, round((duration_s * lam / math.pi - 1.0) / 2.0))
-    t_m = (2 * m + 1) * math.pi / lam
-    return m, abs(duration_s - t_m) / duration_s if duration_s > 0 else math.inf
 
 
 def validate_schedule(

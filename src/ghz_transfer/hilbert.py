@@ -21,6 +21,7 @@ pass from the local factors' entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -474,9 +475,7 @@ def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) 
         raise ValueError("keep_sites contains duplicates")
     positions = [layout.factor_index(s) for s in keep]
     dims = layout.factor_dims
-    keep_dim = 1
-    for p in positions:
-        keep_dim *= dims[p]
+    keep_dim = math.prod(dims[p] for p in positions)
 
     if isinstance(obj, QuantumState):
         tensor = obj.amplitudes.reshape(dims)
@@ -484,13 +483,18 @@ def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) 
         mat = tensor.transpose(positions + rest).reshape(keep_dim, -1)
         reduced = mat @ mat.conj().T
     elif isinstance(obj, DensityMatrix):
-        nfac = len(dims)
-        tensor = obj.matrix.toarray().reshape(dims + dims)
-        rest = [i for i in range(nfac) if i not in positions]
-        perm = positions + rest + [p + nfac for p in positions] + [r + nfac for r in rest]
-        rest_dim = obj.matrix.shape[0] // keep_dim
-        moved = tensor.transpose(perm).reshape(keep_dim, rest_dim, keep_dim, rest_dim)
-        reduced = np.einsum("arbr->ab", moved)
+        # over the stored entries: one survives when its row and column agree on every traced-out level
+        entries = obj.matrix.tocoo()
+        row_levels = np.unravel_index(entries.row, dims)
+        col_levels = np.unravel_index(entries.col, dims)
+        same = np.ones(entries.nnz, dtype=bool)
+        for i in set(range(len(dims))) - set(positions):
+            same &= row_levels[i] == col_levels[i]
+        row = col = np.zeros(entries.nnz, dtype=np.int64)
+        for p in positions:
+            row, col = row * dims[p] + row_levels[p], col * dims[p] + col_levels[p]
+        reduced = np.zeros((keep_dim, keep_dim), dtype=complex)
+        np.add.at(reduced, (row[same], col[same]), entries.data[same])
     else:
         raise TypeError(f"cannot partial-trace a {type(obj).__name__}")
 

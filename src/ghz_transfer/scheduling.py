@@ -164,6 +164,13 @@ class ResonanceSolution:
     residual: float  # relative mismatch between the two odd-multiple times
 
 
+def _odd_multiple_residual(duration_s: float, lam: float) -> tuple[int, float]:
+    """Nearest odd-multiple index m and the relative time mismatch."""
+    m = max(0, round((duration_s * lam / math.pi - 1.0) / 2.0))
+    t_m = (2 * m + 1) * math.pi / lam
+    return m, abs(duration_s - t_m) / duration_s if duration_s > 0 else math.inf
+
+
 def solve_resonance(
     lam: float,
     lam_prime: float,
@@ -181,9 +188,7 @@ def solve_resonance(
         raise SchedulingError("phase rates must be positive")
     for m in range(bound + 1):
         t_m = (2 * m + 1) * math.pi / lam
-        k = max(0, round((t_m * lam_prime / math.pi - 1.0) / 2.0))
-        t_k = (2 * k + 1) * math.pi / lam_prime
-        residual = abs(t_m - t_k) / t_m
+        k, residual = _odd_multiple_residual(t_m, lam_prime)
         if residual <= tolerance:
             return ResonanceSolution(m=m, k=k, duration_s=t_m, residual=residual)
     raise SchedulingError(

@@ -408,19 +408,42 @@ class TestColdStart:
         assert loaded == "True"
 
 
+# partial-traces the n=3 cutoff-3 lindblad final state down to the received qudit
+_PARTIAL_TRACE_PROBE = """
+import numpy as np
+from ghz_transfer.analysis import GhzSpec
+from ghz_transfer.hamiltonians import load_preset
+from ghz_transfer.hilbert import partial_trace
+from ghz_transfer.runner import run_protocol
+spec = GhzSpec(alpha=0.6, beta=0.8j, n=3)
+rho = run_protocol(load_preset("transmon"), spec, mode="lindblad", fock_cutoff=3).final_state
+reduced = partial_trace(rho, ["q1p"]).matrix
+print(rho.matrix.nnz, abs(np.trace(reduced) - 1.0), np.abs(reduced - reduced.conj().T).max())
+"""
+
+
 class TestMemory:
+    @staticmethod
+    def _limit_address_space():
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+        return lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
     def test_lindblad_n3_fits_in_two_gib(self):
         # the density matrix lives on the 320-state block; a dense
         # 23328 x 23328 matrix would need 8.1 GiB
-        resource = pytest.importorskip("resource")
-        cap = 2 * 1024**3
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        proc = _run_fresh(["--mode", "lindblad", "--n", "3", "--cutoff", "3"], "1", limit_address_space)
+        limit = self._limit_address_space()
+        proc = _run_fresh(["--mode", "lindblad", "--n", "3", "--cutoff", "3"], "1", limit)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_partial_trace_of_the_n3_block_fits_in_two_gib(self):
+        # the trace runs over the stored entries, never a dense 23328 x 23328 matrix
+        proc = _run_fresh([], "1", self._limit_address_space(), code=_PARTIAL_TRACE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        nnz, trace_gap, hermiticity_gap = proc.stdout.split()
+        assert int(nnz) == 320**2
+        assert float(trace_gap) <= 1e-7 and float(hermiticity_gap) <= 1e-12
 
 
 class TestSweep:

@@ -10,10 +10,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ghz_transfer import evolution, runner
-from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability
+from ghz_transfer import analysis, evolution, runner
+from ghz_transfer.analysis import (
+    GhzSpec,
+    make_oracle_state,
+    occupation_probability,
+    oracle_branches,
+)
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
-from ghz_transfer.evolution import EvolutionResult, evolve_unitary, krylov_expm_action
+from ghz_transfer.evolution import (
+    EvolutionResult,
+    checkpoint_fidelity,
+    evolve_unitary,
+    krylov_expm_action,
+)
 from ghz_transfer.hamiltonians import (
     DispersiveGenerator,
     collapse_operators,
@@ -25,6 +35,7 @@ from ghz_transfer.hamiltonians import (
 from ghz_transfer.hilbert import QuantumState, build_layout
 from ghz_transfer.runner import (
     CHECKPOINT_AFTER_SEGMENT,
+    MODES,
     excitation_numbers,
     run_protocol,
 )
@@ -223,6 +234,68 @@ class TestExactAgainstKrylov:
             state = result.final
 
 
+def _scored_checkpoints(monkeypatch, params, spec, mode):
+    """Run the protocol and keep every ``(record, state)`` pair it scored."""
+    scored = []
+    score = runner._pure_checkpoint
+
+    def keep(spec, label, state, support, time_s):
+        record = score(spec, label, state, support, time_s)
+        scored.append((record, state))
+        return record
+
+    monkeypatch.setattr(runner, "_pure_checkpoint", keep)
+    return run_protocol(params, spec, mode=mode), scored
+
+
+def _assert_full_register_scores(spec, scored):
+    """Each record matches the full-register branch kets and fidelity within 1e-15."""
+    for record, state in scored:
+        g_branch, f_branch, _, _ = oracle_branches(state.layout, spec, record.label)
+        oracle = make_oracle_state(state.layout, spec, record.label)
+        assert abs(record.fidelity - checkpoint_fidelity(state, oracle)) <= 1e-15
+        assert abs(record.coeff_g - g_branch.overlap(state)) <= 1e-15
+        assert abs(record.coeff_f - f_branch.overlap(state)) <= 1e-15
+
+
+class TestSupportScoring:
+    """Pure checkpoints are scored on the indices the state occupies, not the register."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)])
+    def test_agrees_with_full_register_scoring(self, params, monkeypatch, n, mode, alpha, beta):
+        spec = GhzSpec(alpha=alpha, beta=beta, n=n)
+        result, scored = _scored_checkpoints(monkeypatch, params, spec, mode)
+        assert len(scored) == len(result.checkpoints) + 1  # and the final fidelity
+        _assert_full_register_scores(spec, scored)
+
+    def test_agrees_on_a_whole_register_support(self, params, monkeypatch):
+        # the Lanczos reference reports every index as its support
+        monkeypatch.setattr(runner, "evolve_unitary", _krylov_evolve)
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        _, scored = _scored_checkpoints(monkeypatch, params, spec, "full-dispersive")
+        _assert_full_register_scores(spec, scored)
+
+    def test_final_fidelity_is_the_final_checkpoint(self, ideal_n2, full_n2):
+        for result in (ideal_n2, full_n2):
+            assert result.final_fidelity == result.checkpoints["final"].fidelity
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_the_initial_state_spans_the_register(self, params, monkeypatch, mode):
+        whole = []
+        build = analysis._branch_amplitudes
+
+        def count(layout, branch, support=None):
+            whole.append(support is None)
+            return build(layout, branch, support)
+
+        monkeypatch.setattr(analysis, "_branch_amplitudes", count)
+        run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode=mode, fock_cutoff=3)
+        assert whole.count(True) == 2  # the initial state's two branches
+        assert whole.count(False) == 2 * (len(CHECKPOINT_AFTER_SEGMENT) + 1)
+
+
 class TestLindbladMode:
     def test_decoherence_costs_fidelity_but_not_much(self, params):
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
@@ -285,6 +358,20 @@ class TestLindbladMode:
         assert keep.size == 80
         assert res.final_state.matrix.nnz == 80**2
         assert res.final_state.matrix[keep][:, keep].nnz == 80**2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_schedule_without_segments_idles(self, params, mode):
+        text = (
+            "schedule v1\n"
+            "layout ghz-layout-v1 n_left=2 n_right=2 cutoff_left=3 cutoff_right=3\n"
+            "closing_ramp 3ns\n"
+        )
+        sched = validate_schedule(parse_schedule(text)).schedule
+        assert sched.segments == ()
+        res = run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), schedule=sched, mode=mode)
+        assert res.checkpoints == {} and len(res.trajectory) == 0
+        # only the g branch, weight 0.36, is common to the initial and final oracles
+        assert res.final_fidelity == pytest.approx(0.36**2, abs=1e-3 if mode == "lindblad" else 1e-14)
 
     def test_requires_decoherence_channels(self, params):
         bare = params.with_overrides(
