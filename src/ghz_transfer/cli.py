@@ -116,6 +116,11 @@ def _sweep_workers() -> int:
     return workers
 
 
+def _consumed(result) -> tuple:
+    """All that ``run`` writes of a result, its report and trajectory, without its final state."""
+    return result.report(), result.trajectory
+
+
 def _fail(err: Exception) -> None:
     raise click.ClickException(str(err) or type(err).__name__)
 
@@ -160,25 +165,25 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
     try:
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
         specs = _parse_ghz(ghz, n)
-        results = [
-            run_protocol(
+        outcomes = [
+            _consumed(run_protocol(
                 parameters, spec, mode=mode, fock_cutoff=cutoff,
                 trajectory_samples=samples, final_threshold=min_fidelity,
-            )
+            ))
             for spec in specs
         ]
     except _FAILURES as err:
         _fail(err)
 
-    if len(results) == 1:
-        report = results[0].report()
-        all_ok = results[0].ok
+    reports = [run for run, _ in outcomes]
+    all_ok = all(run["ok"] for run in reports)
+    if len(reports) == 1:
+        report = reports[0]
     else:
-        finals = [r.final_fidelity for r in results]
-        all_ok = all(r.ok for r in results)
+        finals = [run["final_fidelity"] for run in reports]
         report = {
             "ghz_request": ghz,
-            "runs": [r.report() for r in results],
+            "runs": reports,
             "fidelity_spread": max(finals) - min(finals),
             "ok": all_ok,
         }
@@ -191,13 +196,13 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
         (out / "report.json").write_text(_json_text(report), encoding="utf-8")
         if "trajectory" in emits:
             with (out / "trajectory.csv").open("w", encoding="utf-8", newline="") as fh:
-                records = (record for r in results for record in r.trajectory.records())
+                records = (record for _, trajectory in outcomes for record in trajectory.records())
                 _write_csv(fh, records, TRAJECTORY_COLUMNS)
         if "checkpoints" in emits:
             rows = [
-                (label, rec.time_s, rec.fidelity, rec.phase_error)
-                for r in results
-                for label, rec in r.checkpoints.items()
+                (label, rec["time_s"], rec["fidelity"], rec["phase_error"])
+                for run in reports
+                for label, rec in run["checkpoints"].items()
             ]
             with (out / "checkpoints.csv").open("w", encoding="utf-8", newline="") as fh:
                 _write_csv(fh, rows, CHECKPOINT_COLUMNS)

@@ -6,8 +6,9 @@ Every segment is piecewise constant, and every route a run takes is exact:
   stage): a pulse couples only a handful of levels, so the generator's
   sparsity pattern splits into tiny connected components (Rabi pairs; at
   most 4, 9 and 16 states in the dispersive window at n = 2, 3, 4). The
-  components the state meets are exponentiated by one batched
-  eigendecomposition per component size;
+  route is compile, then apply: :meth:`Propagator.compile` diagonalises
+  the components a seed set meets, one batched eigendecomposition per
+  component size, and :meth:`Propagator.apply` rotates a state on them;
 * the explicitly time-dependent dispersive stage: the same route in the
   detuned frame, which is exact because the oscillating phases come from
   conjugating a static Hamiltonian with a diagonal frame generator.
@@ -47,6 +48,7 @@ __all__ = [
     "EvolutionError",
     "EvolutionResult",
     "Dissipator",
+    "Propagator",
     "evolve_unitary",
     "lindblad_propagate",
     "krylov_expm_action",
@@ -192,66 +194,69 @@ def krylov_expm_action(
 
 
 # ---------------------------------------------------------------------------
-# exact pure-state propagation
+# exact pure-state propagation: compile a step, then apply it
 
-def _components(matrix: sp.csr_matrix, seed: np.ndarray):
-    """The connected components of ``matrix``'s pattern that meet ``seed``.
+@dataclass
+class Propagator:
+    """exp(-i H t), compiled on the connected components of H's pattern that meet a seed set.
 
-    The pattern alone decides connectivity, so their union (the support)
-    is closed under the generator with no threshold. It comes back grouped
-    by component size, each component's states consecutive, with one
-    ``(slice of the support, blocks (k, s, s))`` pair per size s, gathered
-    from the sparse matrix without densifying the union.
+    ``support`` is their union, closed under H with no threshold because
+    the pattern alone decides connectivity, grouped by component size with
+    each component's states consecutive. ``groups`` holds one ``(slice of
+    the support, eigenvalues (k, s), eigenvectors (k, s, s))`` per size s,
+    and ``frame`` a frame generator's diagonal on the support, or None.
     """
-    pattern = sp.csr_matrix(
-        (np.ones(matrix.nnz, dtype=np.int8), matrix.indices, matrix.indptr), shape=matrix.shape
-    )
-    _, labels = connected_components(pattern, directed=False)
-    hit = np.zeros(labels.max() + 1, dtype=bool)
-    hit[labels[seed]] = True
-    support = np.flatnonzero(hit[labels])
-    _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
-    order = np.lexsort((comp, counts[comp]))  # by size, then component, then index
-    support, sizes = support[order], counts[comp][order]
-    groups = []
-    for size, start, count in zip(*np.unique(sizes, return_index=True, return_counts=True)):
-        part = slice(start, start + count)
-        sub = matrix[support[part]][:, support[part]].tocoo()  # one diagonal block each
-        blocks = np.zeros((count // size, size, size), dtype=complex)
-        np.add.at(blocks, (sub.row // size, sub.row % size, sub.col % size), sub.data)
-        groups.append((part, blocks))
-    return support, groups
 
+    support: np.ndarray
+    groups: list
+    frame: np.ndarray | None = None
 
-def _evolve_exact(
-    state: QuantumState,
-    generator: OperatorMatrix,
-    duration: float,
-    times: np.ndarray,
-    frame: np.ndarray | None = None,
-) -> EvolutionResult:
-    """exp(-i H t) on the components the state meets, at ``times`` and ``duration``.
+    @classmethod
+    def compile(cls, generator: OperatorMatrix | DispersiveGenerator, seed: np.ndarray) -> Propagator:
+        """The step of ``generator`` from the basis indices ``seed``.
 
-    One batched ``eigh`` per component size, every time in one array
-    operation. ``frame`` is the diagonal of a frame generator G, applied
-    as e^(+iGt) on the support afterwards.
-    """
-    grid = np.append(times, duration)
-    support, groups = _components(generator.matrix, np.flatnonzero(state.amplitudes))
-    initial = state.amplitudes[support]
-    amps = np.empty((grid.size, support.size), dtype=complex)
-    # einsum, not matmul: its summation order does not depend on the BLAS
-    # thread count, so neither do the bytes of a report
-    for part, blocks in groups:
-        evals, evecs = np.linalg.eigh(blocks)
-        coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
-        phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
-        amps[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
-    if frame is not None:
-        amps *= np.exp(1j * frame[support] * grid[:, None])
-    final = np.zeros(state.layout.dim, dtype=complex)
-    final[support] = amps[-1]
-    return EvolutionResult(QuantumState(final, state.layout), times, support, amps[:-1])
+        A driven generator compiles its detuned frame:
+        psi_interaction(t) = e^(+i G t) e^(-i H_static t) psi(0).
+        """
+        frame = None
+        if isinstance(generator, DispersiveGenerator):
+            frame = generator.frame_diagonal()
+            generator = generator.static_hamiltonian()
+        elif not isinstance(generator, OperatorMatrix):
+            raise TypeError(f"cannot evolve under {type(generator).__name__}")
+        elif not generator.hermitian:
+            raise EvolutionError("unitary evolution needs a generator flagged hermitian")
+        matrix = generator.matrix
+        _, labels = connected_components(abs(matrix), directed=False)  # reads the pattern only
+        support = np.flatnonzero(np.isin(labels, labels[seed]))
+        _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
+        order = np.lexsort((comp, counts[comp]))  # by size, then component, then index
+        support, sizes = support[order], counts[comp][order]
+        groups = []
+        for size, start, count in zip(*np.unique(sizes, return_index=True, return_counts=True)):
+            part = slice(start, start + count)
+            sub = matrix[support[part]][:, support[part]].tocoo()  # one diagonal block each
+            blocks = np.zeros((count // size, size, size), dtype=complex)
+            np.add.at(blocks, (sub.row // size, sub.row % size, sub.col % size), sub.data)
+            groups.append((part, *np.linalg.eigh(blocks)))
+        return cls(support, groups, None if frame is None else frame[support])
+
+    def apply(self, state: QuantumState, duration: float, times: np.ndarray) -> EvolutionResult:
+        """The state at ``times`` and ``duration``, every time in one array operation."""
+        grid = np.append(times, duration)
+        initial = state.amplitudes[self.support]
+        amps = np.empty((grid.size, self.support.size), dtype=complex)
+        # einsum, not matmul: its summation order does not depend on the BLAS
+        # thread count, so neither do the bytes of a report
+        for part, evals, evecs in self.groups:
+            coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
+            phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
+            amps[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
+        if self.frame is not None:
+            amps *= np.exp(1j * self.frame * grid[:, None])
+        final = np.zeros(state.layout.dim, dtype=complex)
+        final[self.support] = amps[-1]
+        return EvolutionResult(QuantumState(final, state.layout), times, self.support, amps[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def _evolve_ode(
 
 def evolve_unitary(
     state: QuantumState,
-    generator: OperatorMatrix | DispersiveGenerator,
+    generator: Propagator | OperatorMatrix | DispersiveGenerator,
     duration: float,
     *,
     method: str = "auto",
@@ -317,12 +322,12 @@ def evolve_unitary(
 ) -> EvolutionResult:
     """Evolve a pure state under one pulse segment.
 
-    ``method="auto"`` is exact for both kinds of generator: a static one
-    is exponentiated per connected component of its pattern, and the
-    driven dispersive one the same way in its detuned frame. ``"ode"``
-    integrates the driven generator's oscillating Hamiltonian literally,
-    at relative tolerance ``tolerance`` under the fast-phase step cap
-    (``max_step``); it is kept as the reference for the frame route.
+    ``method="auto"`` is exact: a compiled :class:`Propagator` is applied
+    as given, and a generator is first compiled on the state's nonzero
+    amplitudes. ``"ode"`` integrates the driven generator's oscillating
+    Hamiltonian literally, at relative tolerance ``tolerance`` under the
+    fast-phase step cap (``max_step``); it is kept as the reference for
+    the frame route.
 
     ``samples > 0`` additionally records that many states on a uniform
     grid over [0, duration], endpoints included.
@@ -330,22 +335,14 @@ def evolve_unitary(
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     times = np.linspace(0.0, duration, samples) if samples else np.empty(0)
-    driven = isinstance(generator, DispersiveGenerator)
-    if method not in ("auto", "ode") or (method == "ode" and not driven):
-        raise ValueError(f"unknown method {method!r} for {type(generator).__name__}")
-    if method == "ode":
+    if method == "ode" and isinstance(generator, DispersiveGenerator):
         result = _evolve_ode(state, generator, duration, tolerance, max_step, times)
-    elif driven:
-        # psi_interaction(t) = e^(+i G t) e^(-i H_static t) psi(0)
-        result = _evolve_exact(
-            state, generator.static_hamiltonian(), duration, times, generator.frame_diagonal()
-        )
-    elif isinstance(generator, OperatorMatrix):
-        if not generator.hermitian:
-            raise EvolutionError("unitary evolution needs a generator flagged hermitian")
-        result = _evolve_exact(state, generator, duration, times)
+    elif method != "auto":
+        raise ValueError(f"unknown method {method!r} for {type(generator).__name__}")
+    elif isinstance(generator, Propagator):
+        result = generator.apply(state, duration, times)
     else:
-        raise TypeError(f"cannot evolve under {type(generator).__name__}")
+        result = Propagator.compile(generator, np.flatnonzero(state.amplitudes)).apply(state, duration, times)
 
     drift = abs(result.final.norm - state.norm)
     if drift > NORM_DRIFT_LIMIT:
@@ -404,7 +401,7 @@ def _liouvillian(h_mat, dissipator: Dissipator) -> sp.csr_matrix:
 
 def lindblad_propagate(
     h_mat: sp.spmatrix | None,
-    collapse_mats: Dissipator | list[sp.csr_matrix],
+    dissipator: Dissipator,
     rho0: np.ndarray,
     duration: float,
     *,
@@ -415,10 +412,9 @@ def lindblad_propagate(
     L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
     ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
     modelled. Layout-free, so callers can evolve a block the dynamics never
-    leave. A plain list of collapse matrices is wrapped in a
-    :class:`Dissipator` for the call; a caller that evolves several
-    segments under the same channels passes one :class:`Dissipator` to
-    all of them, so a ramp builds nothing and a segment only its H term.
+    leave. The channels come as a :class:`Dissipator`; a caller that
+    evolves several segments under the same channels passes one to all of
+    them, so a ramp builds nothing and a segment only its H term.
     The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
     Higham 2011), which has no step-size tolerance to tune. Returns the
     final matrix plus ``samples`` matrices on a uniform grid over
@@ -436,9 +432,7 @@ def lindblad_propagate(
         grid = [vec] * samples
         final_vec = vec
     else:
-        if not isinstance(collapse_mats, Dissipator):
-            collapse_mats = Dissipator(collapse_mats, dim)
-        gen = _liouvillian(h_mat, collapse_mats)
+        gen = _liouvillian(h_mat, dissipator)
         if samples > 1:
             grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)
             final_vec = grid[-1]

@@ -17,28 +17,17 @@ drives are simply off, so the closed-system modes treat them as pure
 time bookkeeping while the open-system mode idles under the collapse
 channels for their duration (and for the closing ramp).
 
-Neither path evolves the full register. A pure segment is propagated
-only on the connected components of its generator that the state meets
-(``EvolutionResult.support``). The open-system path follows the nonzero
-pattern of every segment generator and collapse channel out of the
-initial state's support: coherent couplings move weight both ways,
-collapse channels only forward. The closed set this reaches is the only
-block the density matrix can ever occupy, so each segment is propagated
-exactly on it, which cuts the n=2 cutoff-3 density matrix from 2592^2
-to 80^2; a lindblad run's final state is that block, stored sparse
-(:meth:`DensityMatrix.from_block`). Every mode reduces its trajectory
-rows (kept as arrays, one table per segment: :class:`Trajectory`) and
-scores its checkpoints and final fidelity on the indices the state
-occupies, the segment's support or the block: the initial state is the
-only register-sized oracle ket a run builds.
-
-Nothing that depends only on the schedule is built twice. The segment
-generators depend on the layout, the segments, the parameters and the
-mode but not on the amplitudes, so the runs of a batch share one set
-(:func:`_segment_generators` keeps the last one). A lindblad run builds
-one :class:`~ghz_transfer.evolution.Dissipator` for its block, which holds
-the H = 0 Liouvillian: every ramp evolves under it, and every segment adds
-its own H term to it.
+A run is compiled once, then applied. :func:`_compiled` walks the
+schedule without the amplitudes and keeps only what acts on the states a
+run can reach: a :class:`~ghz_transfer.evolution.Propagator` per pure
+segment, or each segment's generator and one
+:class:`~ghz_transfer.evolution.Dissipator` on the lindblad block (80^2
+entries where the n=2 cutoff-3 register has 2592^2). The runs of a batch
+share the one cached compile, which holds nothing register-sized. Every
+mode keeps its trajectory rows as arrays (:class:`Trajectory`) and scores
+its checkpoints and final fidelity on the indices the state occupies; a
+lindblad run's final state is its block, stored sparse
+(:meth:`DensityMatrix.from_block`).
 """
 
 from __future__ import annotations
@@ -47,13 +36,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-# oracle_branches and checkpoint_fidelity go uncalled; perfbench/tracer.py wraps them on this module
+# make_oracle_state, oracle_branches and checkpoint_fidelity go uncalled; perfbench/tracer.py wraps them on this module
 from .analysis import STAGE_CHECKPOINTS, GhzSpec, _oracle_parts, make_oracle_state, oracle_branches
-from .evolution import Dissipator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
+from .evolution import Dissipator, Propagator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
@@ -298,17 +287,6 @@ def _segment_generator(layout, seg, params, mode):
     return h_dispersive_reduced(layout, window_params)
 
 
-@lru_cache(maxsize=1)
-def _segment_generators(layout, segments, params, mode) -> dict:
-    """Every segment's generator by label, for a tuple of segments.
-
-    None depends on the amplitudes, so the runs of a batch (``random:``
-    specs, ``verify``'s loop) share one set. The one cached entry holds
-    the last (layout, segments, params, mode); callers only read it.
-    """
-    return {seg.label: _segment_generator(layout, seg, params, mode) for seg in segments}
-
-
 def _pure_checkpoint(spec, label, state, support, time_s) -> CheckpointRecord:
     """Score ``state``, zero off the indices ``support``, against a checkpoint on them."""
     g_part, f_part, cg_exp, cf_exp = _oracle_parts(state.layout, spec, label, support)
@@ -324,17 +302,77 @@ def _pure_checkpoint(spec, label, state, support, time_s) -> CheckpointRecord:
     )
 
 
-def _run_pure(layout, schedule, spec, params, mode, samples):
-    state = make_oracle_state(layout, spec, "initial")
-    support = np.flatnonzero(state.amplitudes)
+def _closure(reach: np.ndarray, edges) -> np.ndarray:
+    """The boolean mask ``reach`` grown until no edge leads out: weight moves from columns to rows."""
+    while True:
+        grown = reach | (edges @ reach > 0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+class _Compiled(NamedTuple):
+    """A schedule compiled by :func:`_compiled`; nothing in it is register-sized."""
+
+    support: np.ndarray  # where a run builds its initial state: the seed, or the lindblad block
+    steps: list  # per segment, a Propagator or the generator on the block
+    dissipator: Dissipator | None  # the block's channels (lindblad only)
+
+
+@lru_cache(maxsize=1)
+def _compiled(layout, segments, params, mode) -> _Compiled:
+    """Compile a tuple of segments onto the states a run can reach.
+
+    Segment k acts on C_k: the closure of C_(k-1) under its generator
+    (both ways) and, in lindblad mode, every collapse channel (forward),
+    from C_0, both initial branches' supports. A pure step is compiled on
+    C_(k-1), so its support is C_k, and its generator is dropped once it
+    is. Lindblad restricts every generator and channel to the final block.
+    The one cached entry holds the last (layout, segments, params, mode).
+    """
+    g_part, f_part, _, _ = _oracle_parts(layout, GhzSpec(1.0, 0.0, layout.n_left), "initial", None)
+    seed = np.union1d(np.flatnonzero(g_part), np.flatnonzero(f_part))
+    if mode != "lindblad":
+        steps, reach = [], seed
+        for seg in segments:
+            steps.append(Propagator.compile(_segment_generator(layout, seg, params, mode), reach))
+            reach = steps[-1].support
+        return _Compiled(seed, steps, None)
+    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
+    if not collapse:
+        raise ValueError(
+            "lindblad mode needs decoherence parameters (t1/t2/kappa) in the params"
+        )
+    # every channel's L^+ L is diagonal (no L sends two basis states to the
+    # same one), so the damping adds no edge of its own
+    channels = sum(abs(l_op) for l_op in collapse)
+    reach = np.isin(np.arange(layout.dim), seed)
+    generators = [_segment_generator(layout, seg, params, mode).matrix for seg in segments]
+    for h_mat in generators:
+        reach = _closure(reach, channels + abs(h_mat) + abs(h_mat).T)
+    keep = np.flatnonzero(_closure(reach, channels))  # the ramps' decay, with or without segments
+    dissipator = Dissipator([op[keep][:, keep] for op in collapse], keep.size)
+    return _Compiled(keep, [h_mat[keep][:, keep] for h_mat in generators], dissipator)
+
+
+def _oracle_on(layout, spec, label, keep) -> np.ndarray:
+    """The oracle state at ``label`` on the basis indices ``keep``, entry by entry as the full ket."""
+    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, label, keep)
+    return c_g * g_part + c_f * f_part
+
+
+def _run_pure(layout, schedule, spec, compiled, samples):
+    support = compiled.support
+    amplitudes = np.zeros(layout.dim, dtype=complex)
+    amplitudes[support] = _oracle_on(layout, spec, "initial", support)
+    state = QuantumState(amplitudes, layout)
     sampled = []
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
     t_now = 0.0
-    generators = _segment_generators(layout, tuple(schedule), params, mode)
-    for seg in schedule:
+    for seg, step in zip(schedule, compiled.steps):
         t_now += seg.ramp_s  # drive off: the state only ages
-        result = evolve_unitary(state, generators[seg.label], seg.duration_s, samples=samples)
+        result = evolve_unitary(state, step, seg.duration_s, samples=samples)
         state, support = result.final, result.support
         weights = np.abs(np.vstack([result.samples, state.amplitudes[support]])) ** 2
         entry, top = _segment_samples(
@@ -350,60 +388,27 @@ def _run_pure(layout, schedule, spec, params, mode, samples):
     return state, checkpoints, Trajectory(sampled), truncation, final_fidelity
 
 
-def _reachable_block(psi0, hamiltonians, collapse) -> np.ndarray:
-    """Basis indices the open dynamics can reach from the initial support.
-
-    Coherent couplings move weight both ways; a collapse channel only moves
-    it forward, from a column index to a row index. Every channel's L^+ L
-    is diagonal (no L sends two basis states to the same one), so the
-    damping adds no edge of its own. The closure of the initial support
-    under the pattern sum |L| + sum (|H| + |H|^T) is therefore invariant
-    under every segment's Liouvillian, so evolving rho on that block is exact.
-    """
-    empty = sp.csr_matrix((psi0.layout.dim, psi0.layout.dim))  # a schedule may have no segments
-    coherent = sum((abs(mat) for mat in hamiltonians), empty)
-    edges = (sum(abs(l_op) for l_op in collapse) + coherent + coherent.T).tocsr()
-    reach = psi0.amplitudes != 0
-    while True:
-        grown = reach | (edges @ reach > 0)  # weight moves from columns to rows
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 def _block_fidelity(spec, label, rho, keep, layout) -> float:
     """<oracle|rho|oracle> for the block ``rho`` on the basis indices ``keep``."""
-    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, label, keep)
-    oracle = c_g * g_part + c_f * f_part
+    oracle = _oracle_on(layout, spec, label, keep)
     return float(np.real(oracle.conj() @ rho @ oracle))
 
 
-def _run_lindblad(layout, schedule, spec, params, samples):
-    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
-    if not collapse:
-        raise ValueError(
-            "lindblad mode needs decoherence parameters (t1/t2/kappa) in the params"
-        )
-    psi0 = make_oracle_state(layout, spec, "initial")
-    generators = _segment_generators(layout, tuple(schedule), params, "lindblad")
-    keep = _reachable_block(psi0, [generator.matrix for generator in generators.values()], collapse)
-    # built once: every ramp and segment shares the H = 0 Liouvillian
-    collapse_p = Dissipator([op[keep][:, keep] for op in collapse], keep.size)
+def _run_lindblad(layout, schedule, spec, compiled, samples):
+    keep, dissipator = compiled.support, compiled.dissipator
     observables = _observables(layout, keep)
-
-    block = psi0.amplitudes[keep]
+    block = _oracle_on(layout, spec, "initial", keep)
     rho = np.outer(block, block.conj())
     sampled = []
     checkpoints: dict[str, CheckpointRecord] = {}
     truncation = 0.0  # the initial state holds no photons
     t_now = 0.0
-    for seg in schedule:
+    for seg, h_block in zip(schedule, compiled.steps):
         if seg.ramp_s > 0:
-            rho, _ = lindblad_propagate(None, collapse_p, rho, seg.ramp_s)
+            rho, _ = lindblad_propagate(None, dissipator, rho, seg.ramp_s)
         t_now += seg.ramp_s
-        h_block = generators[seg.label].matrix[keep][:, keep]
         rho, path = lindblad_propagate(
-            h_block, collapse_p, rho, seg.duration_s, samples=samples
+            h_block, dissipator, rho, seg.duration_s, samples=samples
         )
         entry, top = _segment_samples(
             observables, seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
@@ -417,7 +422,7 @@ def _run_lindblad(layout, schedule, spec, params, samples):
             fid = _block_fidelity(spec, label, rho, keep, layout)
             checkpoints[label] = CheckpointRecord(label=label, time_s=t_now, fidelity=fid)
     if schedule.closing_ramp_s > 0:
-        rho, _ = lindblad_propagate(None, collapse_p, rho, schedule.closing_ramp_s)
+        rho, _ = lindblad_propagate(None, dissipator, rho, schedule.closing_ramp_s)
     final_fidelity = _block_fidelity(spec, "final", rho, keep, layout)
     final_state = DensityMatrix.from_block(rho, keep, layout)
     return final_state, checkpoints, Trajectory(sampled), truncation, final_fidelity
@@ -470,10 +475,9 @@ def run_protocol(
         final_threshold = DEFAULT_FINAL_THRESHOLD[mode]
     checkpoint_threshold = CHECKPOINT_THRESHOLD if mode == "ideal-reduced" else None
 
-    if mode == "lindblad":
-        outcome = _run_lindblad(layout, schedule, spec, params, trajectory_samples)
-    else:
-        outcome = _run_pure(layout, schedule, spec, params, mode, trajectory_samples)
+    compiled = _compiled(layout, tuple(schedule), params, mode)
+    run = _run_lindblad if mode == "lindblad" else _run_pure
+    outcome = run(layout, schedule, spec, compiled, trajectory_samples)
     final_state, checkpoints, trajectory, truncation, final_fidelity = outcome
 
     thresholds = {

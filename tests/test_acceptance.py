@@ -22,7 +22,7 @@ from conftest import ACCEPTANCE_RESULTS
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability, random_ghz_spec
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
-from ghz_transfer.evolution import evolve_unitary, lindblad_propagate
+from ghz_transfer.evolution import Dissipator, evolve_unitary, lindblad_propagate
 from ghz_transfer.hamiltonians import (
     DispersiveGenerator,
     h_dispersive_reduced,
@@ -253,7 +253,7 @@ def test_criterion_09_open_system(preset):
 
         pure = evolve_unitary(psi0, h, duration).final
         mixed, _ = lindblad_propagate(
-            h.matrix, [], np.outer(psi0.amplitudes, psi0.amplitudes.conj()), duration
+            h.matrix, Dissipator([], layout.dim), np.outer(psi0.amplitudes, psi0.amplitudes.conj()), duration
         )
         gap = float(np.max(np.abs(mixed - np.outer(pure.amplitudes, pure.amplitudes.conj()))))
         assert gap <= 1e-12, f"zero-rate evolution differs from unitary by {gap!r}"
@@ -264,7 +264,7 @@ def test_criterion_09_open_system(preset):
         photon = QuantumState.from_basis(layout, {"cavL": 1}).amplitudes
         decay_t = 8e-7
         rho_t, _ = lindblad_propagate(
-            None, [lowering], np.outer(photon, photon.conj()), decay_t
+            None, Dissipator([lowering], layout.dim), np.outer(photon, photon.conj()), decay_t
         )
         occupancy = float(np.real(np.trace(number_op @ rho_t)))
         decay_gap = abs(occupancy - math.exp(-kappa * decay_t))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
@@ -288,7 +290,7 @@ class TestReuseAcrossRuns:
         builders = ("h_resonant_ef", "h_resonant_ge", "h_dispersive_reduced")
         for name in builders:
             monkeypatch.setattr(runner_module, name, counted(name))
-        runner_module._segment_generators.cache_clear()
+        runner_module._compiled.cache_clear()
         batch = runner.invoke(main, ["run", "--n", "2", "--ghz", "random:7:5"])
         assert batch.exit_code == 0
         kinds = [seg.kind for seg in build_schedule(load_preset("transmon"), 2)]
@@ -302,7 +304,7 @@ class TestReuseAcrossRuns:
         specs = cli._parse_ghz("random:7:5", 2)
         assert len(runs) == len(specs) == 5
         for spec, run in zip(specs, runs):
-            runner_module._segment_generators.cache_clear()
+            runner_module._compiled.cache_clear()
             alone = run_protocol(load_preset("transmon"), spec).report()
             assert cli._json_text(alone) == cli._json_text(run)
 
@@ -436,6 +438,23 @@ class TestMemory:
         proc = _run_fresh(["--mode", "lindblad", "--n", "3", "--cutoff", "3"], "1", limit)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_batch_lets_each_final_state_go(self, runner, monkeypatch):
+        # a batch holds at most one register-sized final state at a time
+        states = []
+
+        def watched(*args, **kwargs):
+            if states:
+                gc.collect()
+                assert states[-1]() is None, "the previous run's final state is still alive"
+            result = run_protocol(*args, **kwargs)
+            states.append(weakref.ref(result.final_state))
+            return result
+
+        monkeypatch.setattr(cli, "run_protocol", watched)
+        batch = runner.invoke(main, ["run", "--n", "2", "--ghz", "random:7:3"])
+        assert batch.exit_code == 0, batch.output
+        assert len(states) == 3
 
     def test_partial_trace_of_the_n3_block_fits_in_two_gib(self):
         # the trace runs over the stored entries, never a dense 23328 x 23328 matrix

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ghz_transfer.evolution import (
+    Dissipator,
     EvolutionError,
     checkpoint_fidelity,
     evolve_unitary,
@@ -265,7 +266,7 @@ class TestLindblad:
         src = QuantumState.from_basis(layout11, {"q1": "f"})
         t = math.pi / (2 * MU)
         pure = evolve_unitary(src, h, t).final
-        rho, _ = lindblad_propagate(h.matrix, [], _pure_rho(src), t)
+        rho, _ = lindblad_propagate(h.matrix, Dissipator([], layout11.dim), _pure_rho(src), t)
         assert abs(checkpoint_fidelity(DensityMatrix(rho, layout11), pure) - 1.0) < 1e-12
 
     def test_photon_decay_rate(self, layout11):
@@ -275,7 +276,7 @@ class TestLindblad:
         assert len(ops) == 1
         rho0 = _pure_rho(QuantumState.from_basis(layout11, {"cavL": 2}))
         t = 0.5 / kappa
-        rho, _ = lindblad_propagate(None, ops, rho0, t)
+        rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, t)
         n_levels = layout11.level_index_array("cavL").astype(float)
         mean_photons = float(np.real(np.diag(rho)) @ n_levels)
         assert abs(mean_photons - 2.0 * math.exp(-kappa * t)) < 1e-6
@@ -285,7 +286,7 @@ class TestLindblad:
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         src = QuantumState.from_basis(layout11, {"q1": "e"})
         t = 10e-6
-        rho, _ = lindblad_propagate(None, ops, _pure_rho(src), t)
+        rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), _pure_rho(src), t)
         pop_e = DensityMatrix(rho, layout11).expectation(src)
         assert pop_e == pytest.approx(math.exp(-t / 20e-6), abs=1e-6)
 
@@ -294,7 +295,9 @@ class TestLindblad:
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         h = h_resonant_ge(layout11, "L", "A", MU)
         src = QuantumState.from_basis(layout11, {"A": "e"})
-        rho, states = lindblad_propagate(h.matrix, ops, _pure_rho(src), 50e-9, samples=3)
+        rho, states = lindblad_propagate(
+            h.matrix, Dissipator(ops, layout11.dim), _pure_rho(src), 50e-9, samples=3
+        )
         assert abs(np.trace(rho).real - 1.0) < 1e-7
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert len(states) == 3
@@ -305,8 +308,8 @@ class TestLindblad:
         h = h_resonant_ge(layout11, "L", "A", MU)
         rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e"}))
         t = 50e-9
-        final, states = lindblad_propagate(h.matrix, ops, rho0, t, samples=3)
-        half, _ = lindblad_propagate(h.matrix, ops, rho0, t / 2)
+        final, states = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t, samples=3)
+        half, _ = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t / 2)
         np.testing.assert_allclose(states[0], rho0, atol=1e-15)
         np.testing.assert_allclose(states[1], half, atol=1e-12)
         np.testing.assert_allclose(states[2], final, atol=1e-15)

@@ -32,7 +32,7 @@ from ghz_transfer.hamiltonians import (
     h_resonant_ge,
     load_preset,
 )
-from ghz_transfer.hilbert import QuantumState, build_layout
+from ghz_transfer.hilbert import OperatorMatrix, QuantumState, build_layout
 from ghz_transfer.runner import (
     CHECKPOINT_AFTER_SEGMENT,
     MODES,
@@ -198,9 +198,20 @@ def _krylov_evolve(state, generator, duration, *, samples=0):
     )
 
 
+def _route_through_krylov(monkeypatch, params, n, mode):
+    """Patch the runner's propagator calls with ``_krylov_evolve`` under each segment's generator."""
+    schedule = build_schedule(params, n)
+    generators = iter([runner._segment_generator(schedule.layout, seg, params, mode) for seg in schedule])
+
+    def evolve(state, step, duration, **kwargs):
+        return _krylov_evolve(state, next(generators), duration, **kwargs)
+
+    monkeypatch.setattr(runner, "evolve_unitary", evolve)
+
+
 class TestExactAgainstKrylov:
     def test_full_dispersive_run_matches(self, full_n2, params, monkeypatch):
-        monkeypatch.setattr(runner, "evolve_unitary", _krylov_evolve)
+        _route_through_krylov(monkeypatch, params, 2, "full-dispersive")
         ref = run_protocol(
             params, full_n2.spec, mode="full-dispersive", trajectory_samples=300
         )
@@ -272,7 +283,7 @@ class TestSupportScoring:
 
     def test_agrees_on_a_whole_register_support(self, params, monkeypatch):
         # the Lanczos reference reports every index as its support
-        monkeypatch.setattr(runner, "evolve_unitary", _krylov_evolve)
+        _route_through_krylov(monkeypatch, params, 2, "full-dispersive")
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         _, scored = _scored_checkpoints(monkeypatch, params, spec, "full-dispersive")
         _assert_full_register_scores(spec, scored)
@@ -291,9 +302,16 @@ class TestSupportScoring:
             return build(layout, branch, support)
 
         monkeypatch.setattr(analysis, "_branch_amplitudes", count)
-        run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode=mode, fock_cutoff=3)
-        assert whole.count(True) == 2  # the initial state's two branches
-        assert whole.count(False) == 2 * (len(CHECKPOINT_AFTER_SEGMENT) + 1)
+        runner._compiled.cache_clear()
+        counts = []
+        for _ in range(2):  # the first run compiles, the second reuses the compile
+            whole.clear()
+            run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode=mode, fock_cutoff=3)
+            counts.append((whole.count(True), whole.count(False)))
+        # the compile finds the initial state's two branches on the register; a run
+        # scores the initial state, every checkpoint and the final fidelity on its support
+        scored = 2 * (len(CHECKPOINT_AFTER_SEGMENT) + 2)
+        assert counts == [(2, scored), (0, scored)]
 
 
 class TestLindbladMode:
@@ -384,13 +402,14 @@ class TestLindbladMode:
 
 def _lindblad_block(params, spec, cutoff=3):
     layout = build_layout(spec.n, spec.n, cutoff, cutoff)
+    schedule = build_schedule(params, spec.n)
     generators = [
         runner._segment_generator(layout, seg, params, "lindblad").matrix.tocsr()
-        for seg in build_schedule(params, spec.n)
+        for seg in schedule
     ]
     collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
-    psi0 = make_oracle_state(layout, spec, "initial")
-    return runner._reachable_block(psi0, generators, collapse), generators, collapse
+    keep = runner._compiled(layout, tuple(schedule), params, "lindblad").support
+    return keep, generators, collapse
 
 
 class TestReachableBlock:
@@ -523,6 +542,78 @@ class TestRampGenerator:
         fresh = _liouvillian_term_by_term(None, list(shared), keep.size)
         for key in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(shared.generator, key), getattr(fresh, key))
+
+
+def _held(compiled):
+    """Every object a compile holds, through containers and attributes."""
+    stack, seen = [compiled], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        yield item
+        if isinstance(item, np.ndarray) or sp.issparse(item):
+            continue
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        if hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+
+
+class TestCompiledSchedule:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.8j), (1.0, 0.0), (0.0, 1.0)])
+    def test_every_step_matches_its_generator_bitwise(self, params, n, mode, alpha, beta):
+        schedule = build_schedule(params, n)
+        layout = schedule.layout
+        compiled = runner._compiled(layout, tuple(schedule), params, mode)
+        state = make_oracle_state(layout, GhzSpec(alpha=alpha, beta=beta, n=n), "initial")
+        for seg, step in zip(schedule, compiled.steps):
+            generator = runner._segment_generator(layout, seg, params, mode)
+            got = evolve_unitary(state, step, seg.duration_s, samples=3)
+            want = evolve_unitary(state, generator, seg.duration_s, samples=3)
+            assert got.final.amplitudes.tobytes() == want.final.amplitudes.tobytes(), seg.label
+            for got_state, want_state in zip(got.states, want.states):
+                assert got_state.amplitudes.tobytes() == want_state.amplitudes.tobytes(), seg.label
+            state = got.final
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_holds_nothing_register_sized(self, params, mode):
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        result = run_protocol(params, spec, mode=mode, fock_cutoff=3)
+        hits = runner._compiled.cache_info().hits
+        compiled = runner._compiled(result.layout, tuple(result.schedule), params, mode)
+        assert runner._compiled.cache_info().hits == hits + 1  # the run's own compile
+        for item in _held(compiled):
+            assert not isinstance(item, (OperatorMatrix, DispersiveGenerator)), type(item)
+            if isinstance(item, np.ndarray) or sp.issparse(item):
+                assert result.layout.dim not in item.shape, type(item)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_segment_support_is_closed(self, every_channel, n, mode):
+        layout = build_layout(n, n, 3, 3)
+        schedule = build_schedule(every_channel, n)
+        compiled = runner._compiled(layout, tuple(schedule), every_channel, mode)
+        collapse = [op.matrix for op in collapse_operators(layout, every_channel)]
+        if mode == "lindblad":
+            # every segment acts on the one final block: the channels act between segments
+            supports = [compiled.support] * len(schedule.segments)
+        else:
+            supports = [step.support for step in compiled.steps]
+            collapse = []
+        reached = compiled.support
+        for seg, support in zip(schedule, supports):
+            assert np.all(np.isin(reached, support)), seg.label  # C_(k-1) lies in C_k
+            generator = _static_form(runner._segment_generator(layout, seg, every_channel, mode))[0]
+            drop = np.setdiff1d(np.arange(layout.dim), support)
+            for mat in [generator, generator.T, *collapse]:  # the generator both ways, channels forward
+                leak = mat.tocsr()[drop][:, support]
+                leak.eliminate_zeros()
+                assert leak.nnz == 0, seg.label
+            reached = support
 
 
 class TestExcitationSectors:
