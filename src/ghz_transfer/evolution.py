@@ -1,6 +1,7 @@
 """Time evolution engines for pulse segments.
 
-Every segment is piecewise constant, and every route a run takes is exact:
+Every segment is piecewise constant, and each dynamics has one exact route,
+whatever the caller samples:
 
 * static Hermitian generators (the resonant pulses, the reduced dispersive
   stage): a pulse couples only a handful of levels, so the generator's
@@ -12,11 +13,11 @@ Every segment is piecewise constant, and every route a run takes is exact:
 * the explicitly time-dependent dispersive stage: the same route in the
   detuned frame, which is exact because the oscillating phases come from
   conjugating a static Hamiltonian with a diagonal frame generator.
-  Literal integration under a step cap that resolves the fast phases
-  (``method="ode"``) and Lanczos (:func:`krylov_expm_action`) stay as
-  references. Only the literal integrator needs ``scipy.integrate``, which
-  drags in ``scipy.optimize`` and ``scipy.special`` (about 0.3 s of
-  import), so :func:`solve_ivp` imports it on its first call;
+  Lanczos (:func:`krylov_expm_action`) stays as a reference; the literal
+  integration of the oscillating Hamiltonian is a test oracle, which
+  integrates through :func:`solve_ivp`. That forwarder imports
+  ``scipy.integrate``, which drags in ``scipy.optimize`` and
+  ``scipy.special`` (about 0.3 s of import), only on its first call;
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
   segment's Liouvillian on the vectorised density matrix of a block.
@@ -64,10 +65,6 @@ NORM_DRIFT_LIMIT = 1e-9
 TRACE_DRIFT_LIMIT = 1e-7
 # a density matrix eigenvalue below this is reported as lost positivity
 NEGATIVE_WEIGHT_LIMIT = -1e-6
-
-# phases e^(i delta t) must be sampled many times per cycle by the literal
-# integrator; 50 steps per radian of the fastest detuning is the contract
-FAST_PHASE_STEPS = 50.0
 
 
 @dataclass
@@ -259,9 +256,6 @@ class Propagator:
         return EvolutionResult(QuantumState(final, state.layout), times, self.support, amps[:-1])
 
 
-# ---------------------------------------------------------------------------
-# the literal integrator of the driven dispersive stage
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call."""
     from scipy.integrate import solve_ivp as integrate
@@ -269,82 +263,29 @@ def solve_ivp(*args, **kwargs):
     return integrate(*args, **kwargs)
 
 
-def _evolve_ode(
-    state: QuantumState,
-    generator: DispersiveGenerator,
-    duration: float,
-    tolerance: float,
-    max_step: float | None,
-    times: np.ndarray,
-) -> EvolutionResult:
-    if duration < 0:
-        raise ValueError("the literal integrator only runs forward in time")
-    cap = 1.0 / (FAST_PHASE_STEPS * generator.max_detuning)
-    if max_step is None:
-        max_step = cap
-    elif max_step > cap:
-        raise ValueError(
-            f"max_step {max_step:g} s cannot resolve the fastest phase; "
-            f"needs <= {cap:g} s"
-        )
-    everywhere = np.arange(state.layout.dim)
-    if duration == 0.0:
-        return EvolutionResult(
-            state.copy(), times, everywhere, np.tile(state.amplitudes, (len(times), 1))
-        )
-    rtol = max(tolerance, 1e-12)
-    atol = rtol * 1e-2
-    sol = solve_ivp(
-        lambda t, y: -1j * generator.apply(t, y),
-        (0.0, duration),
-        np.array(state.amplitudes, dtype=complex, copy=True),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-        t_eval=np.union1d(times, [duration]),  # the grid's end is ``duration`` exactly
-    )
-    if not sol.success:
-        raise EvolutionError(f"integration failed: {sol.message}")
-    final = QuantumState(sol.y[:, -1].copy(), state.layout)
-    return EvolutionResult(final, times, everywhere, sol.y[:, : len(times)].T.copy())
-
-
 def evolve_unitary(
     state: QuantumState,
     generator: Propagator | OperatorMatrix | DispersiveGenerator,
     duration: float,
     *,
-    method: str = "auto",
-    tolerance: float = 1e-11,
-    max_step: float | None = None,
     samples: int = 0,
 ) -> EvolutionResult:
     """Evolve a pure state under one pulse segment.
 
-    ``method="auto"`` is exact: a compiled :class:`Propagator` is applied
-    as given, and a generator is first compiled on the state's nonzero
-    amplitudes. ``"ode"`` integrates the driven generator's oscillating
-    Hamiltonian literally, at relative tolerance ``tolerance`` under the
-    fast-phase step cap (``max_step``); it is kept as the reference for
-    the frame route.
-
-    ``samples > 0`` additionally records that many states on a uniform
-    grid over [0, duration], endpoints included.
+    A compiled :class:`Propagator` is applied as given, and a generator is
+    first compiled on the state's nonzero amplitudes. ``samples > 0``
+    additionally records that many states on a uniform grid over
+    [0, duration], endpoints included.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     times = np.linspace(0.0, duration, samples) if samples else np.empty(0)
-    if method == "ode" and isinstance(generator, DispersiveGenerator):
-        result = _evolve_ode(state, generator, duration, tolerance, max_step, times)
-    elif method != "auto":
-        raise ValueError(f"unknown method {method!r} for {type(generator).__name__}")
-    elif isinstance(generator, Propagator):
-        result = generator.apply(state, duration, times)
-    else:
-        result = Propagator.compile(generator, np.flatnonzero(state.amplitudes)).apply(state, duration, times)
-
-    drift = abs(result.final.norm - state.norm)
+    if not isinstance(generator, Propagator):
+        generator = Propagator.compile(generator, np.flatnonzero(state.amplitudes))
+    result = generator.apply(state, duration, times)
+    # the result is zero off its support; weight the step dropped from the
+    # input still shows, because the input's norm is taken over the register
+    drift = abs(np.linalg.norm(result.final.amplitudes[result.support]) - state.norm)
     if drift > NORM_DRIFT_LIMIT:
         raise EvolutionError(f"norm drifted by {drift:.3e} during a segment")
     return result
@@ -418,7 +359,9 @@ def lindblad_propagate(
     The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
     Higham 2011), which has no step-size tolerance to tune. Returns the
     final matrix plus ``samples`` matrices on a uniform grid over
-    [0, duration], endpoints included, all hermitised. Raises
+    [0, duration], endpoints included, all hermitised. The final matrix is
+    one single-step action whatever ``samples`` is, and the grid's last
+    entry is that same matrix. Raises
     :class:`EvolutionError` when the trace drifts; a negative eigenvalue of
     the final matrix beyond tolerance triggers a warning, not an error.
     """
@@ -433,12 +376,15 @@ def lindblad_propagate(
         final_vec = vec
     else:
         gen = _liouvillian(h_mat, dissipator)
-        if samples > 1:
-            grid = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples, endpoint=True)
-            final_vec = grid[-1]
+        final_vec = expm_multiply(gen * duration, vec)
+        # the grid ends on the final state itself, so sampling cannot move it;
+        # the interval algorithm needs two inner points, and a two-point grid's
+        # only inner point is t = 0
+        if samples > 2:
+            inner = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples - 1, endpoint=False)
+            grid = [*inner, final_vec]
         else:
-            grid = [vec] * samples  # a one-point grid is just t = 0
-            final_vec = expm_multiply(gen * duration, vec)
+            grid = [vec, final_vec][:samples]
 
     def hermitised(v: np.ndarray) -> np.ndarray:
         mat = v.reshape(dim, dim)

@@ -351,7 +351,7 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
-# what only the literal-ODE reference route and parallel sweeps need; a plain
+# what only the literal-ODE test oracle and parallel sweeps need; a plain
 # import or run loading them pays about 0.3 s for nothing
 COLD_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "concurrent.futures.process")
 _REPORT_LOADED = (
@@ -369,8 +369,9 @@ COLD_RUNS = {
                  "--emit", "trajectory"],
 }
 
-_ODE_PROBE = """
-import sys
+# the oracle lives in tests/, so the probe puts that directory on its path
+_ODE_PROBE = f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n" + """
+import dispersive_ode_oracle
 from ghz_transfer import evolution
 from ghz_transfer.hamiltonians import DispersiveGenerator, load_preset
 from ghz_transfer.hilbert import QuantumState, build_layout
@@ -385,7 +386,7 @@ state = QuantumState.from_basis(layout, {"q2": "e", "cavL": 1})
 gen = DispersiveGenerator(layout, params)
 duration = 20.0 / params.delta
 exact = evolution.evolve_unitary(state, gen, duration).final.amplitudes
-literal = evolution.evolve_unitary(state, gen, duration, method="ode").final.amplitudes
+literal = dispersive_ode_oracle.integrate(state, gen, duration).amplitudes
 print(abs(exact - literal).max(), len(calls), "scipy.integrate" in sys.modules)
 """
 

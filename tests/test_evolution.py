@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import dispersive_ode_oracle
 from ghz_transfer.evolution import (
     Dissipator,
     EvolutionError,
+    Propagator,
     checkpoint_fidelity,
     evolve_unitary,
     krylov_expm_action,
@@ -168,6 +170,19 @@ class TestStaticRoutes:
         assert checkpoint_fidelity(res.states[0], src) >= 1 - 1e-13
         assert checkpoint_fidelity(res.states[-1], res.final) >= 1 - 1e-13
 
+    def test_weight_off_a_compiled_support_is_drift(self, layout11):
+        # a step compiled from |f> alone holds only |f,0>'s Rabi pair; a state
+        # with weight on |g> as well loses that weight and must not pass
+        h = h_resonant_ef(layout11, "L", "q1", MU)
+        excited = QuantumState.from_basis(layout11, {"q1": "f"})
+        ground = QuantumState.from_basis(layout11, {})
+        step = Propagator.compile(h, np.flatnonzero(excited.amplitudes))
+        assert not np.isin(np.flatnonzero(ground.amplitudes), step.support).any()
+        evolve_unitary(excited, step, 1.0 / MU)  # its own seed passes
+        mixed = QuantumState(0.6 * ground.amplitudes + 0.8 * excited.amplitudes, layout11)
+        with pytest.raises(EvolutionError, match="norm drifted"):
+            evolve_unitary(mixed, step, 1.0 / MU)
+
     def test_non_hermitian_generator_rejected(self, layout11):
         mat = sp.csr_matrix(([1.0 + 0j], ([0], [1])), shape=(layout11.dim, layout11.dim))
         bad = OperatorMatrix(mat, layout11, hermitian=False)
@@ -231,18 +246,14 @@ class TestDrivenStage:
         gen = DispersiveGenerator(layout22, params)
         duration = 20.0 / params.delta
         exact = evolve_unitary(probe_state, gen, duration).final
-        literal = evolve_unitary(
-            probe_state, gen, duration, method="ode", tolerance=1e-11
-        ).final
+        literal = dispersive_ode_oracle.integrate(probe_state, gen, duration, tolerance=1e-11)
         assert np.max(np.abs(exact.amplitudes - literal.amplitudes)) < 1e-7
 
     def test_ode_step_cap_is_enforced(self, layout22, probe_state):
         params = dispersive_params(10.0)
         gen = DispersiveGenerator(layout22, params)
         with pytest.raises(ValueError):
-            evolve_unitary(
-                probe_state, gen, 1e-9, method="ode", max_step=1.0 / params.delta
-            )
+            dispersive_ode_oracle.integrate(probe_state, gen, 1e-9, max_step=1.0 / params.delta)
 
     def test_detuning_freeze_out(self, layout22):
         # at delta = 1e4 mu the spectators cannot trade population with the
@@ -313,3 +324,20 @@ class TestLindblad:
         np.testing.assert_allclose(states[0], rho0, atol=1e-15)
         np.testing.assert_allclose(states[1], half, atol=1e-12)
         np.testing.assert_allclose(states[2], final, atol=1e-15)
+
+    @pytest.mark.parametrize("h_kind", ["ramp", "segment"])
+    def test_final_does_not_depend_on_samples(self, layout11, h_kind):
+        # one single-step exponential gives the final state at every sample
+        # count, and a sampled grid ends on that very state
+        params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
+        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU).matrix
+        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e", "cavL": 1}))
+        dissipator = Dissipator(ops, layout11.dim)
+        alone, _ = lindblad_propagate(h, dissipator, rho0, 50e-9)
+        for samples in (0, 1, 2, 3, 5):
+            final, path = lindblad_propagate(h, dissipator, rho0, 50e-9, samples=samples)
+            assert np.array_equal(final, alone)
+            assert len(path) == samples
+            if samples >= 2:
+                assert np.array_equal(path[-1], final)

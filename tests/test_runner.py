@@ -616,6 +616,22 @@ class TestCompiledSchedule:
             reached = support
 
 
+class TestSamplesOnlyChooseOutput:
+    @pytest.mark.parametrize(
+        "mode, n", [("ideal-reduced", 2), ("full-dispersive", 2), ("lindblad", 1), ("lindblad", 2)]
+    )
+    def test_fidelities_are_bitwise_equal_at_every_sample_count(self, params, mode, n):
+        # sampling a trajectory must not change how a segment's final state is computed
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=n)
+        cutoff = 3 if mode == "lindblad" else None
+        scores = []
+        for samples in (0, 1, 2, 3, 7):
+            res = run_protocol(params, spec, mode=mode, fock_cutoff=cutoff, trajectory_samples=samples)
+            checkpoints = {label: rec.fidelity.hex() for label, rec in res.checkpoints.items()}
+            scores.append((res.final_fidelity.hex(), checkpoints))
+        assert all(score == scores[0] for score in scores[1:]), scores
+
+
 class TestExcitationSectors:
     def test_reference_counts(self):
         layout = build_layout(2, 2, 3, 3)
