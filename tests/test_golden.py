@@ -49,6 +49,11 @@ COMMANDS = {
          "--samples", "4", "--emit", "trajectory", "--emit", "checkpoints"],
         ("report.json", "trajectory.csv", "checkpoints.csv"),
     ),
+    "lindblad-n3": (
+        ["run", "--mode", "lindblad", "--n", "3", "--cutoff", "3", "--ghz", "0.6,0.8j",
+         "--emit", "checkpoints"],
+        ("report.json", "checkpoints.csv"),
+    ),
     "random-n3": (
         ["run", "--n", "3", "--ghz", "random:7:3", "--emit", "checkpoints"],
         ("report.json", "checkpoints.csv"),
