@@ -23,11 +23,19 @@ whatever the caller samples:
   segment's Liouvillian on the vectorised density matrix of a block.
   The Liouvillian with H = 0 lives in a :class:`Dissipator` that a run
   builds once per block and passes to every ramp and segment: a ramp
-  evolves under it as it is, a segment adds its one H term.
+  evolves under it as it is, a segment adds its one H term. The action
+  is ``expm_multiply``'s, bit for bit, split into a plan and an apply:
+  the plan (:class:`TaylorPlan`: the shift, the Taylor degree and the
+  substep count) is what scipy derives before its loop, and the apply
+  runs the Taylor products alone. A segment plans once per call; the
+  Dissipator keeps one plan per ramp duration, so the run's ramps,
+  which have three durations, plan three times.
 
 All routes check norm/trace conservation and raise
-:class:`EvolutionError` when the numerics drift; the open-system route
-also warns when the density matrix loses positivity.
+:class:`EvolutionError` when the numerics drift, NaN included; the
+open-system route also warns when the density matrix loses positivity,
+which a Cholesky factorisation decides after every step (the eigenvalues
+are computed only when it fails, for the warning's value).
 """
 
 from __future__ import annotations
@@ -35,12 +43,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
 from ghz_transfer.hamiltonians import DispersiveGenerator
 from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
@@ -286,13 +296,69 @@ def evolve_unitary(
     # the result is zero off its support; weight the step dropped from the
     # input still shows, because the input's norm is taken over the register
     drift = abs(np.linalg.norm(result.final.amplitudes[result.support]) - state.norm)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # NaN fails too
         raise EvolutionError(f"norm drifted by {drift:.3e} during a segment")
     return result
 
 
 # ---------------------------------------------------------------------------
 # open-system evolution
+
+# expm_multiply's tolerance in double precision: the unit roundoff
+TAYLOR_TOL = 2.0**-53
+
+
+class TaylorPlan(NamedTuple):
+    """What ``expm_multiply`` derives from (L, t) before its Taylor loop (Al-Mohy & Higham 2011).
+
+    ``mu`` = tr(tL) / N shifts the spectrum, and the action runs ``substeps``
+    Taylor series of at most ``degree`` terms each on tL - mu I.
+    """
+
+    mu: complex
+    degree: int
+    substeps: int
+
+
+def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
+    """exp(duration gen) vec as ``expm_multiply(gen * duration, vec)`` computes it, bit for bit, and its plan.
+
+    The plan is ``plan`` if given, else derived here: the degree and
+    substep count come from scipy's own selection (``_fragment_3_1`` on the
+    exact 1-norm of tL - mu I). tL - mu I is formed as ``expm_multiply``
+    forms it, and its Taylor loop runs here, updating in place.
+    """
+    scaled = gen * duration
+    mu = scaled.trace() / float(gen.shape[0]) if plan is None else plan.mu
+    shifted = scaled - mu * sp.identity(gen.shape[0], dtype=gen.dtype, format="csr")
+    del scaled  # one Liouvillian-sized copy fewer while the loop runs
+    if plan is None:
+        norm = abs(shifted).sum(axis=0).max()
+        if norm == 0:
+            plan = TaylorPlan(mu, 0, 1)
+        else:
+            info = LazyOperatorNormInfo(shifted, A_1_norm=norm, ell=2)
+            plan = TaylorPlan(mu, *_fragment_3_1(info, 1, TAYLOR_TOL, ell=2))
+    # expm_multiply scales mu by its own t = 1.0; the product can turn a zero's sign
+    eta = np.exp(1.0 * plan.mu / float(plan.substeps))
+    out = vec.copy()
+    term = vec
+    for _ in range(plan.substeps):
+        c1 = np.abs(term).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
+        for j in range(plan.degree):
+            term = shifted @ term
+            # the scalar stays the left operand: numpy's SIMD complex product
+            # does not round the same both ways round
+            np.multiply(1.0 / float(plan.substeps * (j + 1)), term, out=term)
+            c2 = np.abs(term).max()
+            out += term
+            if c1 + c2 <= TAYLOR_TOL * np.abs(out).max():
+                break
+            c1 = c2
+        np.multiply(eta, out, out=out)
+        term = out
+    return out, plan
+
 
 class Dissipator(tuple):
     """A block's collapse matrices, plus the Liouvillian they give with H = 0.
@@ -301,7 +367,9 @@ class Dissipator(tuple):
     D = sum L kron L^* - 1/2 (K kron I + I kron K^*) with K = sum L^+ L,
     built once on a ``dim``-state block (an empty channel list cannot
     supply the size): a ramp evolves under D itself, and a segment adds
-    only its H terms to it (:func:`_liouvillian`).
+    only its H terms to it (:func:`_liouvillian`). ``plans`` keeps one
+    :class:`TaylorPlan` per ramp duration seen, so ramps of equal length
+    derive theirs once; the shifted matrices are not kept.
     """
 
     def __new__(cls, collapse_mats, dim: int):
@@ -315,6 +383,7 @@ class Dissipator(tuple):
             [-0.5 * sp.kron(damping, eye), -0.5 * sp.kron(eye, damping.conj())]
             + [sp.kron(l_op, l_op.conj()) for l_op in self]
         )
+        self.plans: dict[float, TaylorPlan] = {}
         return self
 
 
@@ -356,14 +425,19 @@ def lindblad_propagate(
     leave. The channels come as a :class:`Dissipator`; a caller that
     evolves several segments under the same channels passes one to all of
     them, so a ramp builds nothing and a segment only its H term.
-    The action of the exponential comes from ``expm_multiply`` (Al-Mohy &
-    Higham 2011), which has no step-size tolerance to tune. Returns the
-    final matrix plus ``samples`` matrices on a uniform grid over
-    [0, duration], endpoints included, all hermitised. The final matrix is
-    one single-step action whatever ``samples`` is, and the grid's last
-    entry is that same matrix. Raises
-    :class:`EvolutionError` when the trace drifts; a negative eigenvalue of
-    the final matrix beyond tolerance triggers a warning, not an error.
+    The final matrix is the single-step action of ``expm_multiply``
+    (Al-Mohy & Higham 2011), bit for bit, split into a plan and an apply:
+    the plan (:class:`TaylorPlan`) is derived once per call for a segment
+    and once per duration for a ramp, which takes it from the dissipator,
+    and the apply runs the Taylor products alone. Returns the final matrix
+    plus ``samples`` matrices on a uniform grid over [0, duration],
+    endpoints included, all hermitised; the inner grid points come from
+    ``expm_multiply``'s interval algorithm, and the grid's last entry is
+    the final matrix itself, so ``samples`` never moves it. Raises
+    :class:`EvolutionError` when the trace drifts (NaN included). Warns,
+    without raising, when the final matrix has an eigenvalue below
+    ``NEGATIVE_WEIGHT_LIMIT``: a Cholesky factorisation of
+    rho - LIMIT I decides that, and ``eigvalsh`` runs only when it fails.
     """
     if duration < 0:
         raise ValueError("open-system evolution only runs forward")
@@ -376,7 +450,10 @@ def lindblad_propagate(
         final_vec = vec
     else:
         gen = _liouvillian(h_mat, dissipator)
-        final_vec = expm_multiply(gen * duration, vec)
+        plan = dissipator.plans.get(duration) if h_mat is None else None  # a segment plans per call
+        final_vec, plan = _expm_action(gen, duration, vec, plan)
+        if h_mat is None:
+            dissipator.plans[duration] = plan
         # the grid ends on the final state itself, so sampling cannot move it;
         # the interval algorithm needs two inner points, and a two-point grid's
         # only inner point is t = 0
@@ -392,11 +469,18 @@ def lindblad_propagate(
 
     final = hermitised(final_vec)
     drift = abs(np.trace(final).real - np.trace(rho0).real)
-    if drift > TRACE_DRIFT_LIMIT:
+    if not drift <= TRACE_DRIFT_LIMIT:
         raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
-    min_eig = float(np.linalg.eigvalsh(final)[0])
-    if min_eig < NEGATIVE_WEIGHT_LIMIT:
-        warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
+    # the smallest eigenvalue is below LIMIT exactly when final - LIMIT I is not
+    # positive definite
+    margin = final.copy()
+    margin.flat[:: dim + 1] -= NEGATIVE_WEIGHT_LIMIT
+    try:
+        np.linalg.cholesky(margin)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(final)[0])
+        if min_eig < NEGATIVE_WEIGHT_LIMIT:
+            warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
     return final, [hermitised(v) for v in grid]
 
 

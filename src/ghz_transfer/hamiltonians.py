@@ -177,7 +177,7 @@ def _sideband(layout, cavity, site, to_level, from_level, coupling) -> OperatorM
         site: coupling * transition_op(layout.site_dim(site), to_level, from_level),
         mode: annihilation_op(layout.site_dim(mode)).conj().T,
     }).matrix
-    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True)
+    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True, by_construction=True)
 
 
 def _require_spectators(layout: SystemLayout) -> None:
@@ -218,7 +218,8 @@ class DispersiveGenerator:
         self._g_diag = g
         static = sp.diags(g, format="csr").astype(complex)
         static = static + self._A + self._A_dag + self._B + self._B_dag
-        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True)
+        # a real diagonal plus X + X^+: Hermitian bit for bit
+        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True)
 
     @property
     def max_detuning(self) -> float:
@@ -302,7 +303,9 @@ def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams) -> Operat
         diag -= rates.lam * (layout.level_index_array(site) == 1) * n_a
     for site in layout.right_spectators:
         diag -= rates.lam_prime * (layout.level_index_array(site) == 1) * n_b
-    return OperatorMatrix(sp.diags(diag.astype(complex), format="csr"), layout, hermitian=True)
+    return OperatorMatrix(
+        sp.diags(diag.astype(complex), format="csr"), layout, hermitian=True, by_construction=True
+    )
 
 
 def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> float:
@@ -395,6 +398,11 @@ def read_param(field: str, value) -> float:
     return _read_value(value, "rate" if field in rates else "time", field)
 
 
+# libyaml's parser when PyYAML has it (about eight times faster on the preset);
+# both loaders use SafeConstructor and Resolver, so they give the same values
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_params(path: str | Path) -> PhysicalParams:
     """Read a parameter file: YAML blocks of ``PARAM_SCHEMA`` keys, ``couplings`` and ``detunings`` required.
 
@@ -402,7 +410,7 @@ def load_params(path: str | Path) -> PhysicalParams:
     is SI, or a string: a plain number or a unit expression of the key's kind. Unknown keys are a ValueError.
     """
     try:
-        return params_from_mapping(yaml.safe_load(Path(path).read_text(encoding="utf-8")))
+        return params_from_mapping(yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER))
     except yaml.YAMLError as err:  # its report spans lines; the diagnostic is one
         raise ValueError(f"{path} is not valid YAML: {' '.join(str(err).split())}") from None
 
@@ -467,4 +475,4 @@ def load_preset(name: str) -> PhysicalParams:
     from importlib.resources import files
 
     text = files("ghz_transfer").joinpath(f"presets/{name}.yaml").read_text(encoding="utf-8")
-    return params_from_mapping(yaml.safe_load(text))
+    return params_from_mapping(yaml.load(text, Loader=_YAML_LOADER))

@@ -22,7 +22,7 @@ pass from the local factors' entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -306,23 +306,27 @@ class OperatorMatrix:
     """Sparse operator bound to a layout, with a Hermiticity claim.
 
     The ``hermitian`` flag is asserted at construction time (defect above
-    1e-12 raises), so downstream consumers can trust it.
+    1e-12 raises), so downstream consumers can trust it. A builder whose
+    matrix is Hermitian bit for bit by the way it was formed (X + X^+ plus
+    a real diagonal, or a product of exactly Hermitian factors) passes
+    ``by_construction=True``, which skips that register-sized check.
     """
 
     matrix: sp.csr_matrix
     layout: SystemLayout
     hermitian: bool = False
+    by_construction: InitVar[bool] = False
 
     _HERMITICITY_TOL = 1e-12
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, by_construction: bool) -> None:
         mat = sp.csr_matrix(self.matrix, dtype=complex)
         if mat.shape != (self.layout.dim, self.layout.dim):
             raise ValueError(
                 f"operator shape {mat.shape} does not match layout dim {self.layout.dim}"
             )
         self.matrix = mat
-        if self.hermitian and self.hermiticity_defect() > self._HERMITICITY_TOL:
+        if self.hermitian and not by_construction and self.hermiticity_defect() > self._HERMITICITY_TOL:
             raise ValueError(
                 f"operator flagged hermitian has defect {self.hermiticity_defect():.3e}"
             )
@@ -408,7 +412,9 @@ def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> O
     and column are sums of level x stride, and its value is the product of
     the picked entries in factor order, as the chain multiplies them. The
     CSR is canonical (sorted int32 indices) and bit-identical to the
-    chain's. The claimed Hermiticity is that of the factors.
+    chain's. The claimed Hermiticity is that of the factors: when each is
+    exactly its own conjugate transpose, so is every product of their
+    entries, and the result is Hermitian bit for bit.
     """
     by_position = {layout.factor_index(site): np.asarray(m, dtype=complex) for site, m in factors.items()}
     rows = cols = np.zeros(1, dtype=np.int64)
@@ -422,8 +428,8 @@ def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> O
         data = local[r, c] if data is None else (data[:, None] * local[r, c]).ravel()
     # grouped by factor, each row's columns already increase: the COO-to-CSR pass sorts nothing
     mat = sp.csr_matrix((data, (rows, cols)), shape=(layout.dim, layout.dim))
-    herm = all(np.max(np.abs(m - m.conj().T)) <= 1e-14 for m in by_position.values())
-    return OperatorMatrix(mat, layout, hermitian=herm)
+    herm = all(np.array_equal(m, m.conj().T) for m in by_position.values())
+    return OperatorMatrix(mat, layout, hermitian=herm, by_construction=True)
 
 
 def embed_site_operator(layout: SystemLayout, site: str, local: np.ndarray) -> OperatorMatrix:

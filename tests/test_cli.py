@@ -308,6 +308,22 @@ class TestReuseAcrossRuns:
             alone = run_protocol(load_preset("transmon"), spec).report()
             assert cli._json_text(alone) == cli._json_text(run)
 
+    def test_lindblad_batch_pairs_match_their_runs_alone(self, runner):
+        # later pairs take the ramps' Taylor plans from the first pair's dissipator
+        from ghz_transfer import runner as runner_module
+
+        runner_module._compiled.cache_clear()
+        args = ["run", "--mode", "lindblad", "--n", "2", "--cutoff", "3", "--ghz", "random:7:3"]
+        batch = runner.invoke(main, args)
+        assert batch.exit_code == 0, batch.output
+        runs = json.loads(batch.output)["runs"]
+        specs = cli._parse_ghz("random:7:3", 2)
+        assert len(runs) == len(specs) == 3
+        for spec, run in zip(specs, runs):
+            runner_module._compiled.cache_clear()
+            alone = run_protocol(load_preset("transmon"), spec, mode="lindblad", fock_cutoff=3).report()
+            assert cli._json_text(alone) == cli._json_text(run)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

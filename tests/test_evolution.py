@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.linalg import expm
 import dispersive_ode_oracle
 from ghz_transfer.evolution import (
     Dissipator,
+    NEGATIVE_WEIGHT_LIMIT,
     EvolutionError,
     Propagator,
     checkpoint_fidelity,
@@ -183,6 +185,14 @@ class TestStaticRoutes:
         with pytest.raises(EvolutionError, match="norm drifted"):
             evolve_unitary(mixed, step, 1.0 / MU)
 
+    def test_nan_amplitude_is_drift(self, layout11):
+        # a NaN drift compares false against any limit; the check must still fail
+        h = h_resonant_ef(layout11, "L", "q1", MU)
+        amps = QuantumState.from_basis(layout11, {"q1": "f"}).amplitudes
+        amps[layout11.basis_index({})] = np.nan
+        with pytest.raises(EvolutionError, match="norm drifted by nan"):
+            evolve_unitary(QuantumState(amps, layout11), h, 1.0 / MU)
+
     def test_non_hermitian_generator_rejected(self, layout11):
         mat = sp.csr_matrix(([1.0 + 0j], ([0], [1])), shape=(layout11.dim, layout11.dim))
         bad = OperatorMatrix(mat, layout11, hermitian=False)
@@ -324,6 +334,46 @@ class TestLindblad:
         np.testing.assert_allclose(states[0], rho0, atol=1e-15)
         np.testing.assert_allclose(states[1], half, atol=1e-12)
         np.testing.assert_allclose(states[2], final, atol=1e-15)
+
+    def test_nan_diagonal_is_drift(self, layout11):
+        params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
+        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e"}))
+        rho0[0, 0] = np.nan
+        with pytest.raises(EvolutionError, match="trace drifted by nan"):
+            lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, 50e-9)
+
+    @pytest.mark.parametrize("factor, warns", [(1 + 1e-3, True), (1 - 1e-3, False)])
+    def test_positivity_is_decided_at_the_limit(self, monkeypatch, factor, warns):
+        # with no channels and no H the step is the identity, so the final matrix
+        # has the input's spectrum: its smallest eigenvalue is LIMIT * factor
+        dim = 6
+        rng = np.random.default_rng(5)
+        unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        weights = np.array([NEGATIVE_WEIGHT_LIMIT * factor, 0.1, 0.15, 0.2, 0.25, 0.3])
+        weights[1:] *= (1.0 - weights[0]) / weights[1:].sum()
+        rho = (unitary * weights) @ unitary.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        smallest = float(np.linalg.eigvalsh(rho)[0])
+        assert f"{smallest:.3e}" == f"{NEGATIVE_WEIGHT_LIMIT * factor:.3e}"
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(mat):
+            spectra.append(eigvalsh(mat))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            final, _ = lindblad_propagate(None, Dissipator([], dim), rho, 1e-9)
+        messages = [str(w.message) for w in caught]
+        assert len(spectra) == warns  # eigvalsh runs only when the Cholesky test fails
+        if warns:
+            assert spectra[0][0] == smallest
+            assert messages == [f"density matrix developed negative weight {smallest:.3e}"]
+        else:
+            assert messages == []
 
     @pytest.mark.parametrize("h_kind", ["ramp", "segment"])
     def test_final_does_not_depend_on_samples(self, layout11, h_kind):

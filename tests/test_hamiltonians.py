@@ -5,14 +5,17 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import fields, replace
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghz_transfer import hamiltonians
 from ghz_transfer.hamiltonians import (
     DispersiveGenerator,
     EffectiveRates,
@@ -321,6 +324,30 @@ class TestLocalFactorConstruction:
         assert differ == []
 
 
+class TestHermitianByConstruction:
+    """The builders that skip the register-sized check are Hermitian bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_builder_has_zero_defect(self, n):
+        layout = build_layout(n, n, 3, 3)
+        params = bare_params(**ALL_CHANNELS)
+        built = {}
+        for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+            for q in register + ("A",):
+                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU)
+                if q != "A":
+                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU)
+        if n >= 2:  # the dispersive stage needs spectators
+            built["static"] = DispersiveGenerator(layout, params).static_hamiltonian()
+            built["reduced"] = h_dispersive_reduced(layout, params)
+        dephasing = [op for op in collapse_operators(layout, params) if op.hermitian]
+        assert len(dephasing) == 2 * 2 * n + 1  # two per qudit, one on the coupler
+        built.update({f"dephasing {i}": op for i, op in enumerate(dephasing)})
+        defects = {name: op.hermiticity_defect() for name, op in built.items() if op.hermitian}
+        assert defects.keys() == built.keys()
+        assert set(defects.values()) == {0.0}
+
+
 class TestEffectiveRates:
     def test_values_and_bitwise_recompute(self):
         params = bare_params(delta=20 * MU, delta_prime=40 * MU)
@@ -430,6 +457,13 @@ def valid_params(draw) -> PhysicalParams:
     )
 
 
+def _typed(value):
+    """A parsed YAML value with the type of every leaf beside it."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    return (type(value), value)
+
+
 class TestParameterFiles:
     def test_schema_names_every_field_once(self):
         named = schema_fields()
@@ -456,6 +490,18 @@ class TestParameterFiles:
         params = load_params(path)
         assert params.tau1 == 3e-9
         assert params.delta == params.delta_prime == 6.2e9
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_libyaml_reads_what_the_python_parser_reads(self):
+        preset = files("ghz_transfer").joinpath("presets/transmon.yaml").read_text(encoding="utf-8")
+        fixture = "ramps: {tau1: 3e-9, tauA: 3.0e-9}\ndecoherence:\n  t1: .inf\n  cavity_q: 300000\n"
+        for text in (preset, fixture):
+            fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            slow = yaml.load(text, Loader=yaml.SafeLoader)
+            assert _typed(fast) == _typed(slow)
+        # YAML 1.1 needs a dot in a float: 3e-9 stays a string in both
+        assert yaml.load(fixture, Loader=yaml.CSafeLoader)["ramps"] == {"tau1": "3e-9", "tauA": 3e-9}
+        assert hamiltonians._YAML_LOADER is yaml.CSafeLoader
 
     def test_preset_values(self):
         params = load_preset("transmon")

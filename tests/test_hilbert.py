@@ -137,6 +137,12 @@ class TestProductEmbedding:
         assert embed_operator(layout, {"q2": transition_op(3, "e", "e"), "cavR": number}).hermitian
         assert not embed_operator(layout, {"q2": transition_op(3, "e", "f"), "cavR": number}).hermitian
 
+    def test_a_factor_hermitian_only_to_rounding_claims_nothing(self):
+        # the claim skips the register-sized check, so it needs exactly Hermitian factors
+        layout = build_layout(1, 1, 3, 3)
+        near = np.array([[0.0, 0.1], [np.nextafter(0.1, 1.0), 0.0]])
+        assert not embed_operator(layout, {"A": near}).hermitian
+
     def test_no_factors_is_the_identity(self):
         layout = build_layout(1, 1, 3, 3)
         op = embed_operator(layout, {})

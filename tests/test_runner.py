@@ -9,6 +9,7 @@ import master_equation_oracle
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from ghz_transfer import analysis, evolution, runner
 from ghz_transfer.analysis import (
@@ -542,6 +543,66 @@ class TestRampGenerator:
         fresh = _liouvillian_term_by_term(None, list(shared), keep.size)
         for key in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(shared.generator, key), getattr(fresh, key))
+
+
+class TestTaylorPlanAndApply:
+    """The open-system step is ``expm_multiply``'s, bit for bit, from a plan a ramp shares.
+
+    These pin scipy's private ``_fragment_3_1`` and ``LazyOperatorNormInfo``:
+    a scipy that changes either fails here, not in a report.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_step_equals_expm_multiply_bit_for_bit(self, params, n):
+        layout = build_layout(n, n, 3, 3)
+        schedule = build_schedule(params, n)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        dissipator = compiled.dissipator
+        dim = compiled.support.size
+        generators = [dissipator.generator] + [evolution._liouvillian(h, dissipator) for h in compiled.steps]
+        generators.append(sp.csr_matrix((dim * dim, dim * dim), dtype=complex))  # nothing to expand
+        scheduled = {seg.ramp_s for seg in schedule} | {seg.duration_s for seg in schedule}
+        scheduled = sorted((scheduled | {schedule.closing_ramp_s}) - {0.0})
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim)
+        plans = []
+        for gen in generators:
+            # a 1-norm of 30 needs several substeps and stays below condition (3.13)'s
+            # bound, so scipy chooses them from its table, without random norm estimates
+            width = abs(gen).sum(axis=0).max()
+            long = [30.0 / width] if width else []
+            for duration in scheduled + [1e-12] + long:
+                got, plan = evolution._expm_action(gen, duration, vec)
+                want = expm_multiply(gen * duration, vec)
+                assert got.tobytes() == want.tobytes(), (duration, plan)
+                again, _ = evolution._expm_action(gen, duration, vec, plan)
+                assert again.tobytes() == want.tobytes()
+                plans.append(plan)
+        assert any(plan.substeps > 1 for plan in plans)
+        assert evolution.TaylorPlan(0.0, 0, 1) in plans  # the zero generator
+
+    def test_ramps_share_one_plan_per_duration(self, params, monkeypatch):
+        planned = []
+        act = evolution._expm_action
+
+        def recording(gen, duration, vec, plan=None):
+            planned.append((gen, duration, plan is None))
+            return act(gen, duration, vec, plan)
+
+        monkeypatch.setattr(evolution, "_expm_action", recording)
+        runner._compiled.cache_clear()
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
+        schedule = build_schedule(params, 2)
+        layout = build_layout(2, 2, 3, 3)
+        dissipator = runner._compiled(layout, tuple(schedule), params, "lindblad").dissipator
+        ramps = [(duration, fresh) for gen, duration, fresh in planned if gen is dissipator.generator]
+        segments = [fresh for gen, _, fresh in planned if gen is not dissipator.generator]
+        durations = {seg.ramp_s for seg in schedule if seg.ramp_s > 0} | {schedule.closing_ramp_s}
+        assert len(ramps) == 10 and len(durations) == 3
+        assert sum(fresh for _, fresh in ramps) == 3  # one plan per distinct ramp, not ten
+        assert set(dissipator.plans) == durations
+        assert len(segments) == 9 and all(segments)  # a segment plans once per call
 
 
 def _held(compiled):
