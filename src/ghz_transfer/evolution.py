@@ -28,8 +28,8 @@ whatever the caller samples:
   the plan (:class:`TaylorPlan`: the shift, the Taylor degree and the
   substep count) is what scipy derives before its loop, and the apply
   runs the Taylor products alone. A segment plans once per call; the
-  Dissipator keeps one plan per ramp duration, so the run's ramps,
-  which have three durations, plan three times.
+  Dissipator keeps one plan per ramp duration, so the ten ramps of a
+  run with the transmon preset plan three times.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift, NaN included; the
@@ -471,8 +471,8 @@ def lindblad_propagate(
     drift = abs(np.trace(final).real - np.trace(rho0).real)
     if not drift <= TRACE_DRIFT_LIMIT:
         raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
-    # the smallest eigenvalue is below LIMIT exactly when final - LIMIT I is not
-    # positive definite
+    # an eigenvalue below LIMIT leaves final - LIMIT I indefinite, which a Cholesky
+    # factorisation finds at a fraction of eigvalsh's cost; eigvalsh decides the rest
     margin = final.copy()
     margin.flat[:: dim + 1] -= NEGATIVE_WEIGHT_LIMIT
     try:
