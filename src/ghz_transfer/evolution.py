@@ -20,16 +20,23 @@ whatever the caller samples:
   ``scipy.special`` (about 0.3 s of import), only on its first call;
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
-  segment's Liouvillian on the vectorised density matrix of a block.
-  The Liouvillian with H = 0 lives in a :class:`Dissipator` that a run
-  builds once per block and passes to every ramp and segment: a ramp
-  evolves under it as it is, a segment adds its one H term. The action
-  is ``expm_multiply``'s, bit for bit, split into a plan and an apply:
-  the plan (:class:`TaylorPlan`: the shift, the Taylor degree and the
-  substep count) is what scipy derives before its loop, and the apply
-  runs the Taylor products alone. A segment plans once per call; the
-  Dissipator keeps one plan per ramp duration, so the ten ramps of a
-  run with the transmon preset plan three times.
+  segment's Liouvillian on the density matrix of a block, held as its
+  d^2 real coordinates (Re rho_ij for i <= j, Im rho_ij for i < j), half
+  the numbers of the complex vectorisation. The generator is real: each
+  complex Liouvillian entry folds into at most four real ones. Its H = 0
+  part D lives in a :class:`Dissipator` that a run builds once per block,
+  directly from the channel matrices, and passes to every ramp and
+  segment: a ramp evolves under D as it is, a segment merges its folded
+  H part into it. D stores every diagonal entry, zeros included, so the
+  shift tL - mu I is the scaled data minus mu on the diagonal, in place.
+  The action is ``expm_multiply``'s on the real generator, bit for bit,
+  split into a plan and an apply: the plan (:class:`TaylorPlan`: the
+  shift, the Taylor degree and the substep count) is what scipy derives
+  before its loop, and the apply runs the Taylor products alone. A
+  segment plans once per call; the Dissipator keeps one plan per ramp
+  duration, so the ten ramps of a run with the transmon preset plan
+  three times. Every returned matrix is rebuilt from real coordinates,
+  so it is Hermitian by construction.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift, NaN included; the
@@ -48,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
@@ -302,10 +310,170 @@ def evolve_unitary(
 
 
 # ---------------------------------------------------------------------------
-# open-system evolution
+# open-system evolution, in real Hermitian coordinates
 
 # expm_multiply's tolerance in double precision: the unit roundoff
 TAYLOR_TOL = 2.0**-53
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of a Hermitian (d, d) ``rho``, row-major on a (d, d) grid.
+
+    Re rho_ij (i <= j) sits at (i, j) and Im rho_ij (i < j) at (j, i); the
+    entries below the diagonal are read only for their conjugates.
+    """
+    return np.where(_upper(rho.shape[0]), rho.real, rho.imag.T).ravel()
+
+
+def _density(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian (dim, dim) matrix with real coordinates ``coords``.
+
+    :func:`_coordinates` of it gives ``coords`` back bitwise.
+    """
+    grid = coords.reshape(dim, dim)
+    across, upper = grid.T.copy(), _upper(dim)  # one strided pass, not two
+    imag = np.where(upper, across, -grid)
+    imag.flat[:: dim + 1] = 0.0
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.real = np.where(upper, grid, across)
+    rho.imag = imag
+    return rho
+
+
+def _upper(dim: int) -> np.ndarray:
+    """The contiguous (dim, dim) mask of i <= j."""
+    return ~np.tri(dim, k=-1, dtype=bool)
+
+
+def _folded(i, j, k, l, z, dim: int):
+    """Real entries (rows, cols, values) of the complex Liouvillian entries z at ((i, j), (k, l)), i <= j.
+
+    With (re, im) the coordinates of rho_kl's upper triangle entry, rho_kl
+    is re + i im for k < l and re - i im for k > l, so a + ib adds
+    a re -+ b im to Re (L rho)_ij and b re +- a im to Im (L rho)_ij (upper
+    signs for k < l): at most four real entries, fewer where i = j (Im is
+    no coordinate) or k = l (no im). Exact zeros are dropped.
+    """
+    a, b = z.real, z.imag
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    flip = k > l
+    off_out, off_in = i < j, lo < hi
+    both = off_out & off_in
+    re_row, im_row = i * dim + j, j * dim + i
+    re_col, im_col = lo * dim + hi, hi * dim + lo
+    parts = [
+        (re_row, re_col, a),
+        (re_row[off_in], im_col[off_in], np.where(flip, b, -b)[off_in]),
+        (im_row[off_out], re_col[off_out], b[off_out]),
+        (im_row[both], im_col[both], np.where(flip, -a, a)[both]),
+    ]
+    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray):
+    """For each entry e, every m in [starts[e], stops[e]): the pairs (e, m), concatenated."""
+    counts = stops - starts
+    owner = np.repeat(np.arange(counts.size), counts)
+    offset = np.repeat(np.cumsum(counts) - counts - starts, counts)
+    return owner, (np.arange(owner.size) - offset).astype(starts.dtype)
+
+
+def _sided(g: sp.spmatrix, dim: int):
+    """Complex entries (i, j, k, l, z) of rho -> G rho + rho G^+ on the rows i <= j, group by group.
+
+    That map is (G kron I) + (I kron G^*): G_ik at ((i, j), (k, j)) and
+    G_jl^* at ((i, j), (i, l)). The diagonal of G gives one entry per row,
+    G_ii + G_jj^*.
+    """
+    coo = g.tocoo()
+    coo.sum_duplicates()
+    row, col, val = coo.row.astype(np.int32), coo.col.astype(np.int32), coo.data
+    on = row == col
+    if on.any():
+        diag = np.zeros(dim, dtype=complex)
+        diag[row[on]] = val[on]
+        i, j = (index.astype(np.int32) for index in np.triu_indices(dim))
+        yield i, j, i, j, diag[i] + diag[j].conj()
+    row, col, val = row[~on], col[~on], val[~on]
+    entry, j = _ranges(row, np.full_like(row, dim))
+    yield row[entry], j, col[entry], j, val[entry]
+    entry, i = _ranges(np.zeros_like(row), row + 1)
+    yield i, row[entry], i, col[entry], val[entry].conj()
+
+
+def _sandwiched(l_op: sp.spmatrix):
+    """Complex entries (i, j, k, l, z) of rho -> L rho L^+ on the rows i <= j.
+
+    That map is L kron L^*: L_ik L_jl^* at ((i, j), (k, l)).
+    """
+    coo = l_op.tocoo()
+    row, col = coo.row.astype(np.int32), coo.col.astype(np.int32)
+    p, q = np.nonzero(row[:, None] <= row[None, :])
+    return row[p], row[q], col[p], col[q], coo.data[p] * coo.data[q].conj()
+
+
+def _assembled(parts, dim: int) -> sp.csr_matrix:
+    """The canonical real (dim^2, dim^2) CSR matrix of the iterable of folded ``parts``, duplicates summed.
+
+    Diagonal entries are summed densely as the parts arrive: the damping and
+    every dephasing channel put most of D's terms there, so they never
+    queue up as separate entries.
+    """
+    size = dim * dim
+    diagonal = np.zeros(size)
+    pieces = [(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))]
+    for rows, cols, vals in parts:
+        on = rows == cols
+        if on.any():
+            diagonal += np.bincount(rows[on], weights=vals[on], minlength=size)
+            rows, cols, vals = rows[~on], cols[~on], vals[~on]
+        pieces.append((rows, cols, vals))
+    stored = np.flatnonzero(diagonal).astype(np.int32)
+    pieces.append((stored, stored, diagonal[stored]))
+    del diagonal
+    rows, cols, vals = (np.concatenate(column) for column in zip(*pieces))
+    del pieces  # before CSR conversion allocates
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def _dissipation(channels, dim: int):
+    """The folded entries of D rho = sum L rho L^+ - 1/2 {K, rho}, K = sum L^+ L, one group at a time."""
+    if not channels:
+        return
+    stacked = sp.vstack(channels, format="csr")  # S^+ S = sum L^+ L
+    for group in _sided(-0.5 * (stacked.getH() @ stacked), dim):
+        yield _folded(*group, dim)
+    for l_op in channels:
+        yield _folded(*_sandwiched(l_op), dim)
+
+
+def _with_diagonal(mat: sp.csr_matrix):
+    """``mat`` with every diagonal entry stored, zeros included, and their positions in its data.
+
+    A step then shifts the diagonal in place. ``mat`` must be canonical
+    (sorted, no duplicates); a missing entry is inserted as an explicit
+    zero after the entries of its row left of the diagonal.
+    """
+    size = mat.shape[0]
+    rows = np.repeat(np.arange(size, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    stored = np.flatnonzero(mat.indices == rows)
+    if stored.size == size:
+        return mat, stored
+    present = np.zeros(size, dtype=bool)
+    present[rows[stored]] = True
+    missing = np.flatnonzero(~present)
+    owner, at = _ranges(mat.indptr[missing], mat.indptr[missing + 1])
+    left = np.bincount(owner, weights=mat.indices[at] < missing[owner], minlength=missing.size)
+    at = mat.indptr[missing] + left.astype(mat.indptr.dtype)
+    indptr = mat.indptr + np.searchsorted(missing, np.arange(size + 1))
+    data, indices = np.insert(mat.data, at, 0.0), np.insert(mat.indices, at, missing)
+    mat = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
+    diagonal = np.empty(size, dtype=np.int64)
+    diagonal[present] = stored + np.searchsorted(at, stored, side="right")
+    diagonal[missing] = at + np.arange(missing.size)
+    return mat, diagonal
 
 
 class TaylorPlan(NamedTuple):
@@ -315,23 +483,36 @@ class TaylorPlan(NamedTuple):
     Taylor series of at most ``degree`` terms each on tL - mu I.
     """
 
-    mu: complex
+    mu: float
     degree: int
     substeps: int
 
 
-def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
+def _expm_action(
+    gen: sp.csr_matrix,
+    duration: float,
+    vec: np.ndarray,
+    plan: TaylorPlan | None = None,
+    diagonal: np.ndarray | None = None,
+):
     """exp(duration gen) vec as ``expm_multiply(gen * duration, vec)`` computes it, bit for bit, and its plan.
 
-    The plan is ``plan`` if given, else derived here: the degree and
-    substep count come from scipy's own selection (``_fragment_3_1`` on the
-    exact 1-norm of tL - mu I). tL - mu I is formed as ``expm_multiply``
-    forms it, and its Taylor loop runs here, updating in place.
+    ``gen`` is real and canonical, and ``diagonal`` the positions of its
+    diagonal entries in ``gen.data`` (every one stored; found here when not
+    given). The plan is ``plan`` if given, else derived here: the degree
+    and substep count come from scipy's own selection (``_fragment_3_1`` on
+    the exact 1-norm of tL - mu I). tL - mu I is the scaled data with mu
+    taken off the diagonal in place, and the Taylor loop runs here on
+    preallocated buffers.
     """
-    scaled = gen * duration
-    mu = scaled.trace() / float(gen.shape[0]) if plan is None else plan.mu
-    shifted = scaled - mu * sp.identity(gen.shape[0], dtype=gen.dtype, format="csr")
-    del scaled  # one Liouvillian-sized copy fewer while the loop runs
+    if diagonal is None:
+        gen, diagonal = _with_diagonal(gen)
+    size = gen.shape[0]
+    data = gen.data * duration
+    mu = data[diagonal].sum() / float(size) if plan is None else plan.mu
+    data[diagonal] -= mu
+    # stored zeros that scipy's subtraction drops add only signed zeros to a sum
+    shifted = sp.csr_matrix((data, gen.indices, gen.indptr), shape=gen.shape)
     if plan is None:
         norm = abs(shifted).sum(axis=0).max()
         if norm == 0:
@@ -339,20 +520,22 @@ def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: Tay
         else:
             info = LazyOperatorNormInfo(shifted, A_1_norm=norm, ell=2)
             plan = TaylorPlan(mu, *_fragment_3_1(info, 1, TAYLOR_TOL, ell=2))
-    # expm_multiply scales mu by its own t = 1.0; the product can turn a zero's sign
+    # expm_multiply scales mu by its own t = 1.0
     eta = np.exp(1.0 * plan.mu / float(plan.substeps))
     out = vec.copy()
     term = vec
+    products = (np.empty(size), np.empty(size))  # A @ term lands in the one term is not
+    modulus = np.empty(size)
     for _ in range(plan.substeps):
-        c1 = np.abs(term).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
+        c1 = np.abs(term, out=modulus).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
         for j in range(plan.degree):
-            term = shifted @ term
-            # the scalar stays the left operand: numpy's SIMD complex product
-            # does not round the same both ways round
+            product = products[term is products[0]]
+            _matvec(shifted, term, product)
+            term = product
             np.multiply(1.0 / float(plan.substeps * (j + 1)), term, out=term)
-            c2 = np.abs(term).max()
+            c2 = np.abs(term, out=modulus).max()
             out += term
-            if c1 + c2 <= TAYLOR_TOL * np.abs(out).max():
+            if c1 + c2 <= TAYLOR_TOL * np.abs(out, out=modulus).max():
                 break
             c1 = c2
         np.multiply(eta, out, out=out)
@@ -360,53 +543,50 @@ def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: Tay
     return out, plan
 
 
+def _matvec(mat: sp.csr_matrix, vec: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = mat @ vec`` through the kernel ``mat @ vec`` calls, into a buffer it does not allocate."""
+    out.fill(0.0)
+    csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, vec, out)
+
+
 class Dissipator(tuple):
-    """A block's collapse matrices, plus the Liouvillian they give with H = 0.
+    """A block's collapse matrices, plus the real Liouvillian they give with H = 0.
 
     Iterates as the matrices themselves, held as CSR. ``generator`` is
-    D = sum L kron L^* - 1/2 (K kron I + I kron K^*) with K = sum L^+ L,
-    built once on a ``dim``-state block (an empty channel list cannot
-    supply the size): a ramp evolves under D itself, and a segment adds
-    only its H terms to it (:func:`_liouvillian`). ``plans`` keeps one
+    D rho = sum L rho L^+ - 1/2 {K, rho} with K = sum L^+ L on a ``dim``-state
+    block (an empty channel list cannot supply the size), acting on the
+    real coordinates of :func:`_coordinates`. It is folded entry by entry
+    from the channel matrices, with no complex Liouvillian and no change of
+    basis, and built once: a ramp evolves under D itself, and a segment
+    merges only its H part into it (:func:`_real_liouvillian`). Every
+    diagonal entry is stored, zeros included, at the positions
+    ``diagonal``, so a step shifts D in place. ``plans`` keeps one
     :class:`TaylorPlan` per ramp duration seen, so ramps of equal length
     derive theirs once; the shifted matrices are not kept.
     """
 
     def __new__(cls, collapse_mats, dim: int):
+        if dim * dim >= 2**31:
+            raise ValueError(f"a {dim}-state block has too many real coordinates to index")
         self = super().__new__(cls, [l_op.tocsr() for l_op in collapse_mats])
-        eye = sp.identity(dim, dtype=complex, format="csr")
-        damping = sp.csr_matrix((dim, dim), dtype=complex)
-        if self:
-            stacked = sp.vstack(self, format="csr")  # S^+ S = sum L^+ L
-            damping = stacked.getH() @ stacked
-        self.generator = _summed(
-            [-0.5 * sp.kron(damping, eye), -0.5 * sp.kron(eye, damping.conj())]
-            + [sp.kron(l_op, l_op.conj()) for l_op in self]
-        )
+        self.generator, self.diagonal = _with_diagonal(_assembled(_dissipation(self, dim), dim))
         self.plans: dict[float, TaylorPlan] = {}
         return self
 
 
-def _summed(terms) -> sp.csr_matrix:
-    """The sum of sparse ``terms`` in one COO to CSR pass, entries added in list order."""
-    parts = [term.tocoo() for term in terms]
-    data = np.concatenate([part.data for part in parts])
-    rows = np.concatenate([part.row for part in parts])
-    cols = np.concatenate([part.col for part in parts])
-    return sp.csr_matrix((data, (rows, cols)), shape=parts[0].shape)
+def _real_liouvillian(h_mat, dissipator: Dissipator):
+    """The real master-equation generator and its diagonal positions (see :func:`_with_diagonal`).
 
-
-def _liouvillian(h_mat, dissipator: Dissipator) -> sp.csr_matrix:
-    """Master-equation generator acting on the row-major ``rho.ravel()``.
-
-    d rho/dt = -i [H, rho] + D rho, and row-major vectorisation turns
-    A rho B into (A kron B^T) vec(rho), so the generator is the shared D
-    (``h_mat=None``, a ramp) or D - i (H kron I) + i (I kron H^*).
+    d rho/dt = -i [H, rho] + D rho: the shared D (``h_mat=None``, a ramp),
+    or D plus the H part -i H rho + i rho H folded on its own and merged by
+    one sparse addition. The addition drops D's stored zeros where H adds
+    nothing, so the diagonal is restored after it.
     """
     if h_mat is None:
-        return dissipator.generator
-    eye = sp.identity(h_mat.shape[0], dtype=complex, format="csr")
-    return _summed([dissipator.generator, -1j * sp.kron(h_mat, eye), 1j * sp.kron(eye, h_mat.conj())])
+        return dissipator.generator, dissipator.diagonal
+    dim = h_mat.shape[0]
+    h_part = _assembled((_folded(*group, dim) for group in _sided(-1j * sp.csr_matrix(h_mat), dim)), dim)
+    return _with_diagonal(dissipator.generator + h_part)
 
 
 def lindblad_propagate(
@@ -417,21 +597,25 @@ def lindblad_propagate(
     *,
     samples: int = 0,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """exp(L duration) rho0 for one constant segment, on a dense (d, d) array.
+    """exp(L duration) rho0 for one constant segment, on a dense Hermitian (d, d) array.
 
     L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
     ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
     modelled. Layout-free, so callers can evolve a block the dynamics never
-    leave. The channels come as a :class:`Dissipator`; a caller that
-    evolves several segments under the same channels passes one to all of
-    them, so a ramp builds nothing and a segment only its H term.
-    The final matrix is the single-step action of ``expm_multiply``
-    (Al-Mohy & Higham 2011), bit for bit, split into a plan and an apply:
-    the plan (:class:`TaylorPlan`) is derived once per call for a segment
-    and once per duration for a ramp, which takes it from the dissipator,
-    and the apply runs the Taylor products alone. Returns the final matrix
-    plus ``samples`` matrices on a uniform grid over [0, duration],
-    endpoints included, all hermitised; the inner grid points come from
+    leave. The state evolves as its d^2 real coordinates (Re rho_ij for
+    i <= j, Im rho_ij for i < j; see :func:`_coordinates`) under a real
+    generator, and every returned matrix is rebuilt from them, so it is
+    Hermitian by construction. The channels come as a :class:`Dissipator`
+    holding the real D; a caller that evolves several segments under the
+    same channels passes one to all of them, so a ramp builds nothing and
+    a segment only its H part. The final matrix is the single-step action
+    of ``expm_multiply`` (Al-Mohy & Higham 2011) on the real generator, bit
+    for bit, split into a plan and an apply: the plan (:class:`TaylorPlan`)
+    is derived once per call for a segment and once per duration for a
+    ramp, which takes it from the dissipator, and the apply shifts the
+    generator's diagonal in place and runs the Taylor products alone.
+    Returns the final matrix plus ``samples`` matrices on a uniform grid
+    over [0, duration], endpoints included; the inner grid points come from
     ``expm_multiply``'s interval algorithm, and the grid's last entry is
     the final matrix itself, so ``samples`` never moves it. Raises
     :class:`EvolutionError` when the trace drifts (NaN included). Warns,
@@ -444,14 +628,14 @@ def lindblad_propagate(
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     dim = rho0.shape[0]
-    vec = np.asarray(rho0, dtype=complex).ravel()
+    vec = _coordinates(np.asarray(rho0))
     if duration == 0.0:
         grid = [vec] * samples
         final_vec = vec
     else:
-        gen = _liouvillian(h_mat, dissipator)
+        gen, diagonal = _real_liouvillian(h_mat, dissipator)
         plan = dissipator.plans.get(duration) if h_mat is None else None  # a segment plans per call
-        final_vec, plan = _expm_action(gen, duration, vec, plan)
+        final_vec, plan = _expm_action(gen, duration, vec, plan, diagonal)
         if h_mat is None:
             dissipator.plans[duration] = plan
         # the grid ends on the final state itself, so sampling cannot move it;
@@ -463,11 +647,7 @@ def lindblad_propagate(
         else:
             grid = [vec, final_vec][:samples]
 
-    def hermitised(v: np.ndarray) -> np.ndarray:
-        mat = v.reshape(dim, dim)
-        return 0.5 * (mat + mat.conj().T)
-
-    final = hermitised(final_vec)
+    final = _density(final_vec, dim)
     drift = abs(np.trace(final).real - np.trace(rho0).real)
     if not drift <= TRACE_DRIFT_LIMIT:
         raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
@@ -481,7 +661,7 @@ def lindblad_propagate(
         min_eig = float(np.linalg.eigvalsh(final)[0])
         if min_eig < NEGATIVE_WEIGHT_LIMIT:
             warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
-    return final, [hermitised(v) for v in grid]
+    return final, [_density(v, dim) for v in grid]
 
 
 def checkpoint_fidelity(state: QuantumState | DensityMatrix, oracle: QuantumState) -> float:

@@ -331,7 +331,9 @@ THREAD_CASES = {
     "full-dispersive": ["--mode", "full-dispersive", "--n", "2", "--samples", "50",
                         "--emit", "trajectory"],
     "ideal-batch": ["--mode", "ideal-reduced", "--n", "3", "--ghz", "random:7:5"],
-    "lindblad": ["--mode", "lindblad", "--n", "2", "--cutoff", "3"],
+    # --samples 4 reaches the interval expm_multiply of the sampled grid
+    "lindblad": ["--mode", "lindblad", "--n", "2", "--cutoff", "3", "--samples", "4",
+                 "--emit", "trajectory", "--emit", "checkpoints"],
 }
 
 

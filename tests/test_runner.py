@@ -450,7 +450,7 @@ def _reachable_block_by_sums(psi0, hamiltonians, collapse):
 
 
 def _liouvillian_term_by_term(h_mat, collapse_mats, dim):
-    """The block Liouvillian assembled from scratch: every term from the bare matrices."""
+    """The complex block Liouvillian on the row-major ``rho.ravel()``, every term from the bare matrices."""
     eye = sp.identity(dim, dtype=complex)
     h_eff = sp.csr_matrix((dim, dim) if h_mat is None else h_mat, dtype=complex)
     stacked = sp.vstack(collapse_mats, format="csr")
@@ -462,6 +462,61 @@ def _liouvillian_term_by_term(h_mat, collapse_mats, dim):
     return sp.csr_matrix((entries[0], tuple(entries[1:])), shape=(dim * dim, dim * dim))
 
 
+def _change_of_basis(dim):
+    """C and its inverse with rho.ravel() = C x for the real coordinates x of a Hermitian rho.
+
+    x holds Re rho_ij at i dim + j and Im rho_ij at j dim + i, i <= j (Im
+    only for i < j), so rho_ij = x_re + i x_im and rho_ji = x_re - i x_im.
+    """
+    i, j = np.triu_indices(dim)
+    off = i < j
+    upper, lower = i * dim + j, (j * dim + i)[off]  # where rho_ij and rho_ji sit in rho.ravel()
+    re, im = upper, lower  # ... and where x keeps their real and imaginary parts
+    ones, halves = np.ones(off.sum()), np.full(off.sum(), 0.5)
+    size = (dim * dim, dim * dim)
+    forward = sp.csr_matrix(
+        (np.concatenate([np.ones(i.size), ones, 1j * ones, -1j * ones]),
+         (np.concatenate([upper, lower, upper[off], lower]), np.concatenate([re, re[off], im, im]))),
+        shape=size,
+    )
+    diagonal = upper[~off]
+    inverse = sp.csr_matrix(
+        (np.concatenate([np.ones(diagonal.size), halves, halves, -1j * halves, 1j * halves]),
+         (np.concatenate([diagonal, re[off], re[off], im, im]),
+          np.concatenate([diagonal, upper[off], lower, upper[off], lower]))),
+        shape=size,
+    )
+    return forward, inverse
+
+
+def _assert_real_form(real_gen, complex_gen, dim):
+    """``real_gen`` is C^-1 L C for the complex ``complex_gen``.
+
+    To four ulps of the largest term folded into each entry.
+    """
+    forward, inverse = _change_of_basis(dim)
+    complex_gen = sp.csr_matrix(complex_gen)
+    want = inverse @ complex_gen @ forward
+    bound = 4 * np.finfo(float).eps * (abs(inverse) @ abs(complex_gen) @ abs(forward))
+    # sparse throughout: an entry off the bound's pattern must be exactly zero
+    assert (abs(want.imag) - bound).max() <= 0  # L keeps rho Hermitian
+    assert (abs(real_gen - want.real) - bound).max() <= 0
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for key in ("data", "indices", "indptr"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+
+
+def _assert_diagonal_stored(gen, diagonal):
+    """Every diagonal entry of the canonical ``gen`` is stored, zeros included, at ``diagonal``."""
+    assert gen.has_canonical_format
+    rows = np.repeat(np.arange(gen.shape[0]), np.diff(gen.indptr))
+    assert np.array_equal(rows[diagonal], np.arange(gen.shape[0]))
+    assert np.array_equal(gen.indices[diagonal], np.arange(gen.shape[0]))
+
+
 class TestSharedDissipator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_liouvillian_is_bit_identical_to_a_fresh_build(self, params, n):
@@ -469,20 +524,19 @@ class TestSharedDissipator:
         blocks = [op[keep][:, keep] for op in collapse]
         shared = evolution.Dissipator(blocks, keep.size)  # one instance for the whole run
         for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:  # the ramp first
-            fast = evolution._liouvillian(h_mat, shared)
-            for fresh in (
-                evolution._liouvillian(h_mat, evolution.Dissipator(list(blocks), keep.size)),
-                _liouvillian_term_by_term(h_mat, blocks, keep.size),
-            ):
-                assert fast.shape == fresh.shape
-                for key in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(fast, key), getattr(fresh, key))
+            fast, diagonal = evolution._real_liouvillian(h_mat, shared)
+            fresh_dissipator = evolution.Dissipator(list(blocks), keep.size)
+            fresh, fresh_diagonal = evolution._real_liouvillian(h_mat, fresh_dissipator)
+            assert fast.dtype == np.float64
+            _assert_same_csr(fast, fresh)
+            assert np.array_equal(diagonal, fresh_diagonal)
+            _assert_diagonal_stored(fast, diagonal)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_small_and_dense_blocks_match_a_fresh_build(self, dim):
-        # a random complex channel gives a K = L^+ L that is not diagonal, so D plus the H
-        # terms rounds differently from the H_eff form: compare with the dense kron
-        # definition to a few units of roundoff on the largest term
+        # a random complex channel gives a K = L^+ L that is not diagonal, and complex
+        # entries fold into all four real entries: compare with the dense kron
+        # definition, in real coordinates, to a few units of roundoff on the largest term
         rng = np.random.default_rng(dim)
 
         def matrix(fill):
@@ -491,15 +545,91 @@ class TestSharedDissipator:
 
         blocks = [matrix(0.7)]  # half full with zeros: sp.kron stores the zeros
         eye, l_op = np.eye(dim), blocks[0].toarray()
+        forward, inverse = (part.toarray() for part in _change_of_basis(dim))
         for h_mat in (None, matrix(0.2), matrix(0.7)):
+            if h_mat is not None:
+                h_mat = 0.5 * (h_mat + h_mat.getH())  # a Hamiltonian keeps rho Hermitian
             h_eff = (0 if h_mat is None else h_mat.toarray()) - 0.5j * l_op.conj().T @ l_op
             expected = -1j * np.kron(h_eff, eye) + 1j * np.kron(eye, h_eff.conj()) + np.kron(l_op, l_op.conj())
+            expected = (inverse @ expected @ forward).real
             bound = 4 * np.finfo(float).eps * (np.abs(h_eff).max() + np.abs(l_op).max() ** 2)
             shared = evolution.Dissipator(blocks, dim)
-            assert np.abs(evolution._liouvillian(h_mat, shared).toarray() - expected).max() <= bound
-            fresh = evolution.Dissipator(list(blocks), dim).generator
-            for key in ("data", "indices", "indptr"):
-                assert getattr(shared.generator, key).tobytes() == getattr(fresh, key).tobytes()
+            real_gen, diagonal = evolution._real_liouvillian(h_mat, shared)
+            assert np.abs(real_gen.toarray() - expected).max() <= bound
+            _assert_diagonal_stored(real_gen, diagonal)
+            _assert_same_csr(shared.generator, evolution.Dissipator(list(blocks), dim).generator)
+
+
+class TestRealCoordinates:
+    """The open-system state is the d^2 real coordinates of a Hermitian block matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_generator_is_the_change_of_basis_of_the_liouvillian(self, params, n):
+        keep, generators, collapse = _lindblad_block(params, GhzSpec(alpha=0.6, beta=0.8j, n=n))
+        blocks = [op[keep][:, keep] for op in collapse]
+        dissipator = evolution.Dissipator(blocks, keep.size)
+        for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:
+            real_gen, _ = evolution._real_liouvillian(h_mat, dissipator)
+            _assert_real_form(real_gen, _liouvillian_term_by_term(h_mat, blocks, keep.size), keep.size)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_round_trip_is_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        coords = rng.normal(size=dim * dim)
+        coords[rng.random(dim * dim) < 0.2] = -0.0  # signed zeros come back too
+        rho = evolution._density(coords, dim)
+        assert evolution._coordinates(rho).tobytes() == coords.tobytes()
+        assert evolution._density(evolution._coordinates(rho), dim).tobytes() == rho.tobytes()
+        forward, inverse = _change_of_basis(dim)
+        assert np.array_equal(forward @ coords, rho.ravel())  # the test's C is the same map
+        assert np.array_equal(inverse @ rho.ravel(), coords)
+        # any exactly Hermitian matrix comes back equal (a zero's sign below the diagonal aside)
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        hermitian = 0.5 * (mat + mat.conj().T)
+        assert np.array_equal(evolution._density(evolution._coordinates(hermitian), dim), hermitian)
+
+    @pytest.mark.parametrize("h_kind", ["ramp", "segment"])
+    def test_propagated_matrices_are_hermitian_by_construction(self, params, h_kind):
+        layout = build_layout(2, 2, 3, 3)
+        schedule = build_schedule(params, 2)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        block = runner._oracle_on(layout, GhzSpec(0.6, 0.8j, 2), "initial", compiled.support)
+        h_mat = None if h_kind == "ramp" else compiled.steps[1]
+        rho0, duration = np.outer(block, block.conj()), schedule.segments[1].duration_s
+        final, path = evolution.lindblad_propagate(h_mat, compiled.dissipator, rho0, duration, samples=5)
+        assert len(path) == 5
+        for mat in [final, *path]:
+            assert np.array_equal(mat, mat.conj().T)
+
+    def test_matvec_kernel_equals_matmul_bitwise(self, params):
+        # _expm_action multiplies through scipy's private CSR kernel into its own buffers
+        layout = build_layout(2, 2, 3, 3)
+        compiled = runner._compiled(layout, tuple(build_schedule(params, 2)), params, "lindblad")
+        rng = np.random.default_rng(2)
+        for h_mat in [None, *compiled.steps]:
+            gen, _ = evolution._real_liouvillian(h_mat, compiled.dissipator)
+            vec = rng.normal(size=gen.shape[0])
+            out = rng.normal(size=gen.shape[0])  # whatever the buffer held before
+            evolution._matvec(gen, vec, out)
+            assert out.tobytes() == (gen @ vec).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_missing_diagonal_entries_are_stored_as_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((9, 9)) < 0.3, rng.normal(size=(9, 9)), 0.0)
+        dense[rng.random(9) < 0.5, :] = 0.0  # some rows empty
+        np.fill_diagonal(dense, np.where(rng.random(9) < 0.5, 1.5, 0.0))
+        mat = sp.csr_matrix(dense)
+        stored, diagonal = evolution._with_diagonal(mat)
+        assert np.array_equal(stored.toarray(), dense)
+        _assert_diagonal_stored(stored, diagonal)
+        assert stored.nnz == np.count_nonzero(dense - np.diag(np.diag(dense))) + 9
+
+
+    def test_an_unindexable_block_is_refused(self):
+        # int32 indexes the real coordinates; the refusal comes before any allocation
+        with pytest.raises(ValueError, match="too many real coordinates"):
+            evolution.Dissipator([], 46341)
 
 
 class TestCollapseChannels:
@@ -518,18 +648,18 @@ class TestCollapseChannels:
 class TestRampGenerator:
     def test_one_liouvillian_per_distinct_generator(self, params, monkeypatch):
         dissipators, generators = [], []
-        build = evolution._liouvillian
+        build = evolution._real_liouvillian
         propagate = runner.lindblad_propagate
 
         def recording_build(h_mat, dissipator):
-            generators.append((h_mat is None, build(h_mat, dissipator)))
-            return generators[-1][1]
+            generators.append((h_mat is None, build(h_mat, dissipator)[0]))
+            return build(h_mat, dissipator)
 
         def recording_propagate(h_mat, collapse_mats, rho0, duration, **kwargs):
             dissipators.append(collapse_mats)
             return propagate(h_mat, collapse_mats, rho0, duration, **kwargs)
 
-        monkeypatch.setattr(evolution, "_liouvillian", recording_build)
+        monkeypatch.setattr(evolution, "_real_liouvillian", recording_build)
         monkeypatch.setattr(runner, "lindblad_propagate", recording_propagate)
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
@@ -540,9 +670,7 @@ class TestRampGenerator:
         assert len(ramps) == 10 and all(gen is shared.generator for gen in ramps)  # nine ramps, one closing
 
         keep, _, _ = _lindblad_block(params, spec)
-        fresh = _liouvillian_term_by_term(None, list(shared), keep.size)
-        for key in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(shared.generator, key), getattr(fresh, key))
+        _assert_same_csr(shared.generator, evolution.Dissipator(list(shared), keep.size).generator)
 
 
 class TestTaylorPlanAndApply:
@@ -559,14 +687,15 @@ class TestTaylorPlanAndApply:
         compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
         dissipator = compiled.dissipator
         dim = compiled.support.size
-        generators = [dissipator.generator] + [evolution._liouvillian(h, dissipator) for h in compiled.steps]
-        generators.append(sp.csr_matrix((dim * dim, dim * dim), dtype=complex))  # nothing to expand
+        generators = [evolution._real_liouvillian(h, dissipator) for h in [None, *compiled.steps]]
+        generators.append((sp.csr_matrix((dim * dim, dim * dim)), None))  # nothing to expand, nothing stored
         scheduled = {seg.ramp_s for seg in schedule} | {seg.duration_s for seg in schedule}
         scheduled = sorted((scheduled | {schedule.closing_ramp_s}) - {0.0})
         rng = np.random.default_rng(n)
-        vec = rng.normal(size=dim * dim) + 1j * rng.normal(size=dim * dim)
+        vec = rng.normal(size=dim * dim)
         plans = []
-        for gen in generators:
+        for gen, diagonal in generators:
+            assert gen.dtype == np.float64
             # a 1-norm of 30 needs several substeps and stays below condition (3.13)'s
             # bound, so scipy chooses them from its table, without random norm estimates
             width = abs(gen).sum(axis=0).max()
@@ -575,7 +704,7 @@ class TestTaylorPlanAndApply:
                 got, plan = evolution._expm_action(gen, duration, vec)
                 want = expm_multiply(gen * duration, vec)
                 assert got.tobytes() == want.tobytes(), (duration, plan)
-                again, _ = evolution._expm_action(gen, duration, vec, plan)
+                again, _ = evolution._expm_action(gen, duration, vec, plan, diagonal)
                 assert again.tobytes() == want.tobytes()
                 plans.append(plan)
         assert any(plan.substeps > 1 for plan in plans)
@@ -585,9 +714,9 @@ class TestTaylorPlanAndApply:
         planned = []
         act = evolution._expm_action
 
-        def recording(gen, duration, vec, plan=None):
+        def recording(gen, duration, vec, plan=None, diagonal=None):
             planned.append((gen, duration, plan is None))
-            return act(gen, duration, vec, plan)
+            return act(gen, duration, vec, plan, diagonal)
 
         monkeypatch.setattr(evolution, "_expm_action", recording)
         runner._compiled.cache_clear()
@@ -647,10 +776,13 @@ class TestCompiledSchedule:
         hits = runner._compiled.cache_info().hits
         compiled = runner._compiled(result.layout, tuple(result.schedule), params, mode)
         assert runner._compiled.cache_info().hits == hits + 1  # the run's own compile
+        liouville = compiled.support.size ** 2 if mode == "lindblad" else None
         for item in _held(compiled):
             assert not isinstance(item, (OperatorMatrix, DispersiveGenerator)), type(item)
             if isinstance(item, np.ndarray) or sp.issparse(item):
                 assert result.layout.dim not in item.shape, type(item)
+                # the open-system generators are real: no complex Liouvillian is kept
+                assert liouville not in item.shape or item.dtype.kind != "c", type(item)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mode", MODES)
