@@ -55,7 +55,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
@@ -317,12 +316,14 @@ TAYLOR_TOL = 2.0**-53
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates of a Hermitian (d, d) ``rho``, row-major on a (d, d) grid.
+    """The d^2 real coordinates of the Hermitian part of a (d, d) ``rho``, row-major on a (d, d) grid.
 
-    Re rho_ij (i <= j) sits at (i, j) and Im rho_ij (i < j) at (j, i); the
-    entries below the diagonal are read only for their conjugates.
+    Re rho_ij (i <= j) sits at (i, j) and Im rho_ij (i < j) at (j, i), each
+    taken from (rho_ij + rho_ji^*) / 2, which is rho_ij itself, bitwise,
+    when ``rho`` is exactly Hermitian.
     """
-    return np.where(_upper(rho.shape[0]), rho.real, rho.imag.T).ravel()
+    re, im = rho.real, rho.imag  # real arithmetic: a complex product would flip zeros' signs
+    return np.where(_upper(rho.shape[0]), 0.5 * (re + re.T), 0.5 * (im.T - im)).ravel()
 
 
 def _density(coords: np.ndarray, dim: int) -> np.ndarray:
@@ -490,23 +491,21 @@ class TaylorPlan(NamedTuple):
 
 def _expm_action(
     gen: sp.csr_matrix,
+    diagonal: np.ndarray,
     duration: float,
     vec: np.ndarray,
     plan: TaylorPlan | None = None,
-    diagonal: np.ndarray | None = None,
 ):
     """exp(duration gen) vec as ``expm_multiply(gen * duration, vec)`` computes it, bit for bit, and its plan.
 
     ``gen`` is real and canonical, and ``diagonal`` the positions of its
-    diagonal entries in ``gen.data`` (every one stored; found here when not
-    given). The plan is ``plan`` if given, else derived here: the degree
-    and substep count come from scipy's own selection (``_fragment_3_1`` on
-    the exact 1-norm of tL - mu I). tL - mu I is the scaled data with mu
-    taken off the diagonal in place, and the Taylor loop runs here on
-    preallocated buffers.
+    diagonal entries in ``gen.data``, every one stored (see
+    :func:`_with_diagonal`). The plan is ``plan`` if given, else derived
+    here: the degree and substep count come from scipy's own selection
+    (``_fragment_3_1`` on the exact 1-norm of tL - mu I). tL - mu I is the
+    scaled data with mu taken off the diagonal in place, and the Taylor
+    loop runs here, on real infinity norms.
     """
-    if diagonal is None:
-        gen, diagonal = _with_diagonal(gen)
     size = gen.shape[0]
     data = gen.data * duration
     mu = data[diagonal].sum() / float(size) if plan is None else plan.mu
@@ -524,14 +523,11 @@ def _expm_action(
     eta = np.exp(1.0 * plan.mu / float(plan.substeps))
     out = vec.copy()
     term = vec
-    products = (np.empty(size), np.empty(size))  # A @ term lands in the one term is not
     modulus = np.empty(size)
     for _ in range(plan.substeps):
         c1 = np.abs(term, out=modulus).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
         for j in range(plan.degree):
-            product = products[term is products[0]]
-            _matvec(shifted, term, product)
-            term = product
+            term = shifted @ term
             np.multiply(1.0 / float(plan.substeps * (j + 1)), term, out=term)
             c2 = np.abs(term, out=modulus).max()
             out += term
@@ -541,12 +537,6 @@ def _expm_action(
         np.multiply(eta, out, out=out)
         term = out
     return out, plan
-
-
-def _matvec(mat: sp.csr_matrix, vec: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = mat @ vec`` through the kernel ``mat @ vec`` calls, into a buffer it does not allocate."""
-    out.fill(0.0)
-    csr_matvec(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data, vec, out)
 
 
 class Dissipator(tuple):
@@ -605,10 +595,11 @@ def lindblad_propagate(
     leave. The state evolves as its d^2 real coordinates (Re rho_ij for
     i <= j, Im rho_ij for i < j; see :func:`_coordinates`) under a real
     generator, and every returned matrix is rebuilt from them, so it is
-    Hermitian by construction. The channels come as a :class:`Dissipator`
-    holding the real D; a caller that evolves several segments under the
-    same channels passes one to all of them, so a ramp builds nothing and
-    a segment only its H part. The final matrix is the single-step action
+    Hermitian by construction; a ``rho0`` that is not exactly Hermitian
+    evolves as its Hermitian part (rho0 + rho0^+) / 2. The channels come as
+    a :class:`Dissipator` holding the real D; a caller that evolves several
+    segments under the same channels passes one to all of them, so a ramp
+    builds nothing and a segment only its H part. The final matrix is the single-step action
     of ``expm_multiply`` (Al-Mohy & Higham 2011) on the real generator, bit
     for bit, split into a plan and an apply: the plan (:class:`TaylorPlan`)
     is derived once per call for a segment and once per duration for a
@@ -635,7 +626,7 @@ def lindblad_propagate(
     else:
         gen, diagonal = _real_liouvillian(h_mat, dissipator)
         plan = dissipator.plans.get(duration) if h_mat is None else None  # a segment plans per call
-        final_vec, plan = _expm_action(gen, duration, vec, plan, diagonal)
+        final_vec, plan = _expm_action(gen, diagonal, duration, vec, plan)
         if h_mat is None:
             dissipator.plans[duration] = plan
         # the grid ends on the final state itself, so sampling cannot move it;
