@@ -43,7 +43,6 @@ __all__ = [
     "make_oracle_state",
     "oracle_branches",
     "occupation_probability",
-    "spectator_f_total",
     "logical_encode_pulse",
 ]
 
@@ -215,15 +214,6 @@ def occupation_probability(mu: float, delta: float) -> float:
     if mu <= 0 or delta <= 0:
         raise ValueError("coupling and detuning must be positive")
     return 4.0 * mu**2 / (4.0 * mu**2 + delta**2)
-
-
-def spectator_f_total(state: QuantumState) -> float:
-    """Total f population summed over all spectator qudits."""
-    layout = state.layout
-    total = 0.0
-    for site in layout.left_spectators + layout.right_spectators:
-        total += float(state.site_populations(site)[2])
-    return total
 
 
 def logical_encode_pulse() -> np.ndarray:

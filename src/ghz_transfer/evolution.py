@@ -27,16 +27,15 @@ whatever the caller samples:
   part D lives in a :class:`Dissipator` that a run builds once per block,
   directly from the channel matrices, and passes to every ramp and
   segment: a ramp evolves under D as it is, a segment merges its folded
-  H part into it. D stores every diagonal entry, zeros included, so the
-  shift tL - mu I is the scaled data minus mu on the diagonal, in place.
-  The action is ``expm_multiply``'s on the real generator, bit for bit,
-  split into a plan and an apply: the plan (:class:`TaylorPlan`: the
-  shift, the Taylor degree and the substep count) is what scipy derives
-  before its loop, and the apply runs the Taylor products alone. A
-  segment plans once per call; the Dissipator keeps one plan per ramp
-  duration, so the ten ramps of a run with the transmon preset plan
-  three times. Every returned matrix is rebuilt from real coordinates,
-  so it is Hermitian by construction.
+  H part into it by one sparse addition. The action is
+  ``expm_multiply``'s on the real generator, bit for bit, split into a
+  plan and an apply: the plan (:class:`TaylorPlan`: the shift, the
+  Taylor degree and the substep count) is what scipy derives before its
+  loop, and the apply forms tL - mu I as scipy does and runs the Taylor
+  products alone. A segment plans once per call; the Dissipator keeps
+  one plan per ramp duration, so the ten ramps of a run with the
+  transmon preset plan three times. Every returned matrix is rebuilt
+  from real coordinates, so it is Hermitian by construction.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift, NaN included; the
@@ -450,33 +449,6 @@ def _dissipation(channels, dim: int):
         yield _folded(*_sandwiched(l_op), dim)
 
 
-def _with_diagonal(mat: sp.csr_matrix):
-    """``mat`` with every diagonal entry stored, zeros included, and their positions in its data.
-
-    A step then shifts the diagonal in place. ``mat`` must be canonical
-    (sorted, no duplicates); a missing entry is inserted as an explicit
-    zero after the entries of its row left of the diagonal.
-    """
-    size = mat.shape[0]
-    rows = np.repeat(np.arange(size, dtype=mat.indices.dtype), np.diff(mat.indptr))
-    stored = np.flatnonzero(mat.indices == rows)
-    if stored.size == size:
-        return mat, stored
-    present = np.zeros(size, dtype=bool)
-    present[rows[stored]] = True
-    missing = np.flatnonzero(~present)
-    owner, at = _ranges(mat.indptr[missing], mat.indptr[missing + 1])
-    left = np.bincount(owner, weights=mat.indices[at] < missing[owner], minlength=missing.size)
-    at = mat.indptr[missing] + left.astype(mat.indptr.dtype)
-    indptr = mat.indptr + np.searchsorted(missing, np.arange(size + 1))
-    data, indices = np.insert(mat.data, at, 0.0), np.insert(mat.indices, at, missing)
-    mat = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
-    diagonal = np.empty(size, dtype=np.int64)
-    diagonal[present] = stored + np.searchsorted(at, stored, side="right")
-    diagonal[missing] = at + np.arange(missing.size)
-    return mat, diagonal
-
-
 class TaylorPlan(NamedTuple):
     """What ``expm_multiply`` derives from (L, t) before its Taylor loop (Al-Mohy & Higham 2011).
 
@@ -489,29 +461,19 @@ class TaylorPlan(NamedTuple):
     substeps: int
 
 
-def _expm_action(
-    gen: sp.csr_matrix,
-    diagonal: np.ndarray,
-    duration: float,
-    vec: np.ndarray,
-    plan: TaylorPlan | None = None,
-):
+def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
     """exp(duration gen) vec as ``expm_multiply(gen * duration, vec)`` computes it, bit for bit, and its plan.
 
-    ``gen`` is real and canonical, and ``diagonal`` the positions of its
-    diagonal entries in ``gen.data``, every one stored (see
-    :func:`_with_diagonal`). The plan is ``plan`` if given, else derived
-    here: the degree and substep count come from scipy's own selection
-    (``_fragment_3_1`` on the exact 1-norm of tL - mu I). tL - mu I is the
-    scaled data with mu taken off the diagonal in place, and the Taylor
-    loop runs here, on real infinity norms.
+    The plan is ``plan`` if given, else derived here: the degree and
+    substep count come from scipy's own selection (``_fragment_3_1`` on the
+    exact 1-norm of tL - mu I). tL - mu I is formed as ``expm_multiply``
+    forms it, and the Taylor loop runs here, on real infinity norms.
     """
     size = gen.shape[0]
-    data = gen.data * duration
-    mu = data[diagonal].sum() / float(size) if plan is None else plan.mu
-    data[diagonal] -= mu
-    # stored zeros that scipy's subtraction drops add only signed zeros to a sum
-    shifted = sp.csr_matrix((data, gen.indices, gen.indptr), shape=gen.shape)
+    scaled = gen * duration
+    mu = scaled.trace() / float(size) if plan is None else plan.mu
+    shifted = scaled - mu * sp.identity(size, dtype=gen.dtype, format="csr")
+    del scaled  # one Liouvillian-sized copy fewer while the loop runs
     if plan is None:
         norm = abs(shifted).sum(axis=0).max()
         if norm == 0:
@@ -539,44 +501,39 @@ def _expm_action(
     return out, plan
 
 
-class Dissipator(tuple):
-    """A block's collapse matrices, plus the real Liouvillian they give with H = 0.
+class Dissipator:
+    """The real Liouvillian a block's collapse matrices give with H = 0, and the ramps' plans.
 
-    Iterates as the matrices themselves, held as CSR. ``generator`` is
-    D rho = sum L rho L^+ - 1/2 {K, rho} with K = sum L^+ L on a ``dim``-state
-    block (an empty channel list cannot supply the size), acting on the
-    real coordinates of :func:`_coordinates`. It is folded entry by entry
-    from the channel matrices, with no complex Liouvillian and no change of
-    basis, and built once: a ramp evolves under D itself, and a segment
-    merges only its H part into it (:func:`_real_liouvillian`). Every
-    diagonal entry is stored, zeros included, at the positions
-    ``diagonal``, so a step shifts D in place. ``plans`` keeps one
+    ``generator`` is D rho = sum L rho L^+ - 1/2 {K, rho} with K = sum L^+ L
+    on a ``dim``-state block (an empty channel list cannot supply the size),
+    acting on the real coordinates of :func:`_coordinates`. It is folded
+    entry by entry from the channel matrices, with no complex Liouvillian
+    and no change of basis, and built once: a ramp evolves under D itself,
+    and a segment merges only its H part into it (:func:`_real_liouvillian`).
+    The channel matrices are not kept. ``plans`` keeps one
     :class:`TaylorPlan` per ramp duration seen, so ramps of equal length
-    derive theirs once; the shifted matrices are not kept.
+    derive theirs once; the shifted matrices are not kept either.
     """
 
-    def __new__(cls, collapse_mats, dim: int):
+    def __init__(self, collapse_mats, dim: int):
         if dim * dim >= 2**31:
             raise ValueError(f"a {dim}-state block has too many real coordinates to index")
-        self = super().__new__(cls, [l_op.tocsr() for l_op in collapse_mats])
-        self.generator, self.diagonal = _with_diagonal(_assembled(_dissipation(self, dim), dim))
+        self.generator = _assembled(_dissipation([l_op.tocsr() for l_op in collapse_mats], dim), dim)
         self.plans: dict[float, TaylorPlan] = {}
-        return self
 
 
-def _real_liouvillian(h_mat, dissipator: Dissipator):
-    """The real master-equation generator and its diagonal positions (see :func:`_with_diagonal`).
+def _real_liouvillian(h_mat, dissipator: Dissipator) -> sp.csr_matrix:
+    """The real master-equation generator, canonical (sorted, no duplicates).
 
-    d rho/dt = -i [H, rho] + D rho: the shared D (``h_mat=None``, a ramp),
-    or D plus the H part -i H rho + i rho H folded on its own and merged by
-    one sparse addition. The addition drops D's stored zeros where H adds
-    nothing, so the diagonal is restored after it.
+    d rho/dt = -i [H, rho] + D rho: the shared D itself (``h_mat=None``, a
+    ramp), or D plus the H part -i H rho + i rho H folded on its own and
+    merged by one sparse addition.
     """
     if h_mat is None:
-        return dissipator.generator, dissipator.diagonal
+        return dissipator.generator
     dim = h_mat.shape[0]
     h_part = _assembled((_folded(*group, dim) for group in _sided(-1j * sp.csr_matrix(h_mat), dim)), dim)
-    return _with_diagonal(dissipator.generator + h_part)
+    return dissipator.generator + h_part
 
 
 def lindblad_propagate(
@@ -599,16 +556,17 @@ def lindblad_propagate(
     evolves as its Hermitian part (rho0 + rho0^+) / 2. The channels come as
     a :class:`Dissipator` holding the real D; a caller that evolves several
     segments under the same channels passes one to all of them, so a ramp
-    builds nothing and a segment only its H part. The final matrix is the single-step action
-    of ``expm_multiply`` (Al-Mohy & Higham 2011) on the real generator, bit
-    for bit, split into a plan and an apply: the plan (:class:`TaylorPlan`)
-    is derived once per call for a segment and once per duration for a
-    ramp, which takes it from the dissipator, and the apply shifts the
-    generator's diagonal in place and runs the Taylor products alone.
-    Returns the final matrix plus ``samples`` matrices on a uniform grid
-    over [0, duration], endpoints included; the inner grid points come from
-    ``expm_multiply``'s interval algorithm, and the grid's last entry is
-    the final matrix itself, so ``samples`` never moves it. Raises
+    builds nothing and a segment only its H part. The final matrix is the
+    single-step action of ``expm_multiply`` (Al-Mohy & Higham 2011) on the
+    real generator, bit for bit, split into a plan and an apply: the plan
+    (:class:`TaylorPlan`) is derived once per call for a segment and once
+    per duration for a ramp, which takes it from the dissipator, and the
+    apply shifts the generator as ``expm_multiply`` does and runs the
+    Taylor products alone. Returns the final matrix plus ``samples``
+    matrices on a uniform grid over [0, duration], endpoints included; the
+    inner grid points come from ``expm_multiply``'s interval algorithm, and
+    the grid's last entry is the final matrix itself, so ``samples`` never
+    moves it. Raises
     :class:`EvolutionError` when the trace drifts (NaN included). Warns,
     without raising, when the final matrix has an eigenvalue below
     ``NEGATIVE_WEIGHT_LIMIT``: a Cholesky factorisation of
@@ -624,9 +582,9 @@ def lindblad_propagate(
         grid = [vec] * samples
         final_vec = vec
     else:
-        gen, diagonal = _real_liouvillian(h_mat, dissipator)
+        gen = _real_liouvillian(h_mat, dissipator)
         plan = dissipator.plans.get(duration) if h_mat is None else None  # a segment plans per call
-        final_vec, plan = _expm_action(gen, diagonal, duration, vec, plan)
+        final_vec, plan = _expm_action(gen, duration, vec, plan)
         if h_mat is None:
             dissipator.plans[duration] = plan
         # the grid ends on the final state itself, so sampling cannot move it;

@@ -56,7 +56,6 @@ __all__ = [
     "collapse_operators",
     "PARAM_SCHEMA", "schema_fields", "read_param",
     "load_params",
-    "save_params",
     "load_preset",
     "PRESET_NAMES",
 ]
@@ -448,24 +447,6 @@ def params_from_mapping(raw: dict) -> PhysicalParams:
         kappa = omega / quality if quality else math.inf  # Q = 0 fails as an infinite rate
         kwargs = {"kappaL": kappa, "kappaR": kappa} | kwargs  # an explicit lifetime wins
     return PhysicalParams(**kwargs)
-
-
-def save_params(params: PhysicalParams, path: str | Path) -> None:
-    """Write a parameter file in base units (rad/s and seconds).
-
-    Photon loss is written as the cavity lifetime 1/kappa, so a nonzero
-    kappa can load back one ulp off (1/(1/49.0) is 49.00000000000001);
-    every other field, ``None`` and zero rates included, comes back exactly.
-    """
-    payload: dict[str, dict[str, float]] = {}
-    for block, entries in PARAM_SCHEMA.items():
-        for key, field in entries.items():
-            value = getattr(params, field)
-            if key in _LIFETIMES and value is not None:  # a lossless cavity lives forever: .inf
-                value = 1.0 / value if value else math.inf
-            if value is not None:
-                payload.setdefault(block, {})[key] = float(value)
-    Path(path).write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
 
 
 def load_preset(name: str) -> PhysicalParams:

@@ -155,13 +155,6 @@ class SystemLayout:
             levels[pos] = level
         return int(np.ravel_multi_index(levels, self.factor_dims))
 
-    def basis_labels(self, index: int) -> dict[str, int]:
-        """Inverse of :meth:`basis_index`: per-site levels of a basis state."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"basis index {index} out of range for dim {self.dim}")
-        levels = np.unravel_index(index, self.factor_dims)
-        return {site: int(lv) for site, lv in zip(self.site_names, levels)}
-
     def level_index_array(self, site: str) -> np.ndarray:
         """Level of ``site`` for every flat basis index, shape ``(dim,)``.
 
@@ -265,12 +258,6 @@ class QuantumState:
         # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
         return complex(np.sum(self.amplitudes.conj() * other.amplitudes))
 
-    def site_populations(self, site: str) -> np.ndarray:
-        """Populations of each level of ``site``, summed over the rest."""
-        levels = self.layout.level_index_array(site)
-        weights = np.abs(self.amplitudes) ** 2
-        return np.bincount(levels, weights=weights, minlength=self.layout.site_dim(site))
-
     def copy(self) -> "QuantumState":
         return QuantumState(self.amplitudes.copy(), self.layout)
 
@@ -352,8 +339,8 @@ class DensityMatrix:
     """Density operator bound to a layout, stored sparse (CSR) like an operator.
 
     Open-system dynamics occupy only the block of basis states they can
-    reach, and :meth:`from_block` and :meth:`from_state` store only that
-    block, never a ``dim x dim`` array.
+    reach, and :meth:`from_block` stores only that block, never a
+    ``dim x dim`` array.
     """
 
     matrix: sp.csr_matrix
@@ -375,12 +362,6 @@ class DensityMatrix:
         rows = np.repeat(support, support.size)
         cols = np.tile(support, support.size)
         return cls(sp.csr_matrix((block.ravel(), (rows, cols)), shape=(layout.dim, layout.dim)), layout)
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> "DensityMatrix":
-        support = np.flatnonzero(state.amplitudes)
-        amps = state.amplitudes[support]
-        return cls.from_block(np.outer(amps, amps.conj()), support, state.layout)
 
     @property
     def trace(self) -> float:

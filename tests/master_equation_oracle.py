@@ -4,7 +4,9 @@ The package solves each constant segment exactly with the exponential of its
 Liouvillian. This module integrates the same equation the long way, with
 DOP853 on the dense density matrix, so the tests can compare the two
 routes. It works on bare arrays and has the signature of
-``lindblad_propagate``, so a test can put it in that function's place.
+``lindblad_propagate`` with the channel matrices in place of the
+``Dissipator``, so a test can put it in that function's place by supplying
+the channels the Dissipator was built from.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ghz_transfer import runner
 from ghz_transfer.analysis import (
     CHECKPOINTS,
     STAGE_CHECKPOINTS,
@@ -16,7 +17,6 @@ from ghz_transfer.analysis import (
     occupation_probability,
     oracle_branches,
     random_ghz_spec,
-    spectator_f_total,
 )
 from ghz_transfer.evolution import checkpoint_fidelity, evolve_unitary
 from ghz_transfer.hamiltonians import (
@@ -29,6 +29,13 @@ from ghz_transfer.hamiltonians import (
 from ghz_transfer.hilbert import QuantumState, build_layout, partial_trace
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _spectator_f_total(state: QuantumState) -> float:
+    """The trajectory's ``spectator_f_total`` column for ``state``."""
+    support = np.flatnonzero(state.amplitudes)
+    observable = runner._observables(state.layout, support)[runner._ROW_COLUMNS.index("spectator_f_total")]
+    return float(np.sum(np.abs(state.amplitudes[support]) ** 2 * observable))
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +213,7 @@ class TestHelpers:
             layout2, {"q1": (0, 0, 1), "q2": (0, 0, 1), "q2p": (0, 0, 1)}
         )
         # q1 is a share qudit, not a spectator, so only q2 and q2p count
-        assert spectator_f_total(state) == pytest.approx(2.0, abs=1e-12)
+        assert _spectator_f_total(state) == pytest.approx(2.0, abs=1e-12)
 
     def test_spectator_f_total_on_oracle(self, layout2):
         # the written-down checkpoints keep spectators inside the g/e
@@ -214,7 +221,7 @@ class TestHelpers:
         spec = GhzSpec(alpha=0.6, beta=0.8, n=2)
         for name in STAGE_CHECKPOINTS:
             state = make_oracle_state(layout2, spec, name)
-            assert spectator_f_total(state) < 1e-14
+            assert _spectator_f_total(state) < 1e-14
 
     def test_encode_pulse_is_unitary(self):
         u = logical_encode_pulse()

@@ -513,11 +513,14 @@ class TestSweep:
         assert result.output.splitlines()[1].startswith("n,1.0,1,")
 
     def test_parallel_rows_match_serial(self, runner):
-        args = ["sweep", "--axis", "n", "--values", "2,3"]
-        serial = runner.invoke(main, args)
-        parallel = runner.invoke(main, args, env={"GHZ_TRANSFER_WORKERS": "2"})
-        assert parallel.exit_code == 0
-        assert parallel.output == serial.output
+        for args in (
+            ["sweep", "--axis", "n", "--values", "2,3"],
+            ["sweep", "--mode", "lindblad", "--cutoff", "3", "--axis", "kappa_inv_us", "--values", "20,50"],
+        ):
+            serial = runner.invoke(main, args)
+            parallel = runner.invoke(main, args, env={"GHZ_TRANSFER_WORKERS": "2"})
+            assert parallel.exit_code == 0
+            assert parallel.output == serial.output, args
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_worker_count_is_a_usage_error(self, runner, value):

@@ -353,7 +353,13 @@ class TestLindbladMode:
         # the same run with every segment integrated by the oracle instead
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         exact = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
-        monkeypatch.setattr(runner, "lindblad_propagate", master_equation_oracle.integrate)
+        keep, _, collapse = _lindblad_block(params, spec)
+        blocks = [op[keep][:, keep] for op in collapse]
+
+        def integrate(h_mat, _dissipator, rho0, duration, **kwargs):  # the channels D was built from
+            return master_equation_oracle.integrate(h_mat, blocks, rho0, duration, **kwargs)
+
+        monkeypatch.setattr(runner, "lindblad_propagate", integrate)
         integrated = run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
         assert set(exact.checkpoints) == set(integrated.checkpoints)
         for label, rec in exact.checkpoints.items():
@@ -509,14 +515,6 @@ def _assert_same_csr(got, want):
         assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
 
 
-def _assert_diagonal_stored(gen, diagonal):
-    """Every diagonal entry of the canonical ``gen`` is stored, zeros included, at ``diagonal``."""
-    assert gen.has_canonical_format
-    rows = np.repeat(np.arange(gen.shape[0]), np.diff(gen.indptr))
-    assert np.array_equal(rows[diagonal], np.arange(gen.shape[0]))
-    assert np.array_equal(gen.indices[diagonal], np.arange(gen.shape[0]))
-
-
 class TestSharedDissipator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_liouvillian_is_bit_identical_to_a_fresh_build(self, params, n):
@@ -524,13 +522,12 @@ class TestSharedDissipator:
         blocks = [op[keep][:, keep] for op in collapse]
         shared = evolution.Dissipator(blocks, keep.size)  # one instance for the whole run
         for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:  # the ramp first
-            fast, diagonal = evolution._real_liouvillian(h_mat, shared)
-            fresh_dissipator = evolution.Dissipator(list(blocks), keep.size)
-            fresh, fresh_diagonal = evolution._real_liouvillian(h_mat, fresh_dissipator)
+            fast = evolution._real_liouvillian(h_mat, shared)
+            fresh = evolution._real_liouvillian(h_mat, evolution.Dissipator(list(blocks), keep.size))
             assert fast.dtype == np.float64
             _assert_same_csr(fast, fresh)
-            assert np.array_equal(diagonal, fresh_diagonal)
-            _assert_diagonal_stored(fast, diagonal)
+            # no stored zero: D is assembled without any, and a segment's addition drops them
+            assert fast.has_canonical_format and np.all(fast.data != 0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_small_and_dense_blocks_match_a_fresh_build(self, dim):
@@ -553,9 +550,8 @@ class TestSharedDissipator:
             expected = (inverse @ expected @ forward).real
             bound = 4 * np.finfo(float).eps * (np.abs(h_eff).max() + np.abs(l_op).max() ** 2)
             shared = evolution.Dissipator(blocks, dim)
-            real_gen, diagonal = evolution._real_liouvillian(h_mat, shared)
+            real_gen = evolution._real_liouvillian(h_mat, shared)
             assert np.abs(real_gen.toarray() - expected).max() <= bound
-            _assert_diagonal_stored(real_gen, diagonal)
             _assert_same_csr(shared.generator, evolution.Dissipator(list(blocks), dim).generator)
 
 
@@ -568,7 +564,7 @@ class TestRealCoordinates:
         blocks = [op[keep][:, keep] for op in collapse]
         dissipator = evolution.Dissipator(blocks, keep.size)
         for h_mat in [None] + [gen[keep][:, keep] for gen in generators]:
-            real_gen, _ = evolution._real_liouvillian(h_mat, dissipator)
+            real_gen = evolution._real_liouvillian(h_mat, dissipator)
             _assert_real_form(real_gen, _liouvillian_term_by_term(h_mat, blocks, keep.size), keep.size)
 
     @pytest.mark.parametrize("dim", [1, 2, 7])
@@ -602,18 +598,6 @@ class TestRealCoordinates:
         for mat in [final, *path]:
             assert np.array_equal(mat, mat.conj().T)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_missing_diagonal_entries_are_stored_as_zeros(self, seed):
-        rng = np.random.default_rng(seed)
-        dense = np.where(rng.random((9, 9)) < 0.3, rng.normal(size=(9, 9)), 0.0)
-        dense[rng.random(9) < 0.5, :] = 0.0  # some rows empty
-        np.fill_diagonal(dense, np.where(rng.random(9) < 0.5, 1.5, 0.0))
-        mat = sp.csr_matrix(dense)
-        stored, diagonal = evolution._with_diagonal(mat)
-        assert np.array_equal(stored.toarray(), dense)
-        _assert_diagonal_stored(stored, diagonal)
-        assert stored.nnz == np.count_nonzero(dense - np.diag(np.diag(dense))) + 9
-
     def test_an_unindexable_block_is_refused(self):
         # int32 indexes the real coordinates; the refusal comes before any allocation
         with pytest.raises(ValueError, match="too many real coordinates"):
@@ -640,7 +624,7 @@ class TestRampGenerator:
         propagate = runner.lindblad_propagate
 
         def recording_build(h_mat, dissipator):
-            generators.append((h_mat is None, build(h_mat, dissipator)[0]))
+            generators.append((h_mat is None, build(h_mat, dissipator)))
             return build(h_mat, dissipator)
 
         def recording_propagate(h_mat, collapse_mats, rho0, duration, **kwargs):
@@ -657,8 +641,9 @@ class TestRampGenerator:
         ramps = [gen for is_ramp, gen in generators if is_ramp]
         assert len(ramps) == 10 and all(gen is shared.generator for gen in ramps)  # nine ramps, one closing
 
-        keep, _, _ = _lindblad_block(params, spec)
-        _assert_same_csr(shared.generator, evolution.Dissipator(list(shared), keep.size).generator)
+        keep, _, collapse = _lindblad_block(params, spec)
+        blocks = [op[keep][:, keep] for op in collapse]
+        _assert_same_csr(shared.generator, evolution.Dissipator(blocks, keep.size).generator)
 
 
 class TestTaylorPlanAndApply:
@@ -676,23 +661,23 @@ class TestTaylorPlanAndApply:
         dissipator = compiled.dissipator
         dim = compiled.support.size
         generators = [evolution._real_liouvillian(h, dissipator) for h in [None, *compiled.steps]]
-        generators.append(evolution._with_diagonal(sp.csr_matrix((dim * dim, dim * dim))))  # nothing to expand
+        generators.append(sp.csr_matrix((dim * dim, dim * dim)))  # nothing to expand
         scheduled = {seg.ramp_s for seg in schedule} | {seg.duration_s for seg in schedule}
         scheduled = sorted((scheduled | {schedule.closing_ramp_s}) - {0.0})
         rng = np.random.default_rng(n)
         vec = rng.normal(size=dim * dim)
         plans = []
-        for gen, diagonal in generators:
+        for gen in generators:
             assert gen.dtype == np.float64
             # a 1-norm of 30 needs several substeps and stays below condition (3.13)'s
             # bound, so scipy chooses them from its table, without random norm estimates
             width = abs(gen).sum(axis=0).max()
             long = [30.0 / width] if width else []
             for duration in scheduled + [1e-12] + long:
-                got, plan = evolution._expm_action(gen, diagonal, duration, vec)
+                got, plan = evolution._expm_action(gen, duration, vec)
                 want = expm_multiply(gen * duration, vec)
                 assert got.tobytes() == want.tobytes(), (duration, plan)
-                again, _ = evolution._expm_action(gen, diagonal, duration, vec, plan)
+                again, _ = evolution._expm_action(gen, duration, vec, plan)
                 assert again.tobytes() == want.tobytes()
                 plans.append(plan)
         assert any(plan.substeps > 1 for plan in plans)
@@ -702,9 +687,9 @@ class TestTaylorPlanAndApply:
         planned = []
         act = evolution._expm_action
 
-        def recording(gen, diagonal, duration, vec, plan=None):
+        def recording(gen, duration, vec, plan=None):
             planned.append((gen, duration, plan is None))
-            return act(gen, diagonal, duration, vec, plan)
+            return act(gen, duration, vec, plan)
 
         monkeypatch.setattr(evolution, "_expm_action", recording)
         runner._compiled.cache_clear()
