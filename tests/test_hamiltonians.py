@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+import tempfile
+from dataclasses import fields, replace
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghz_transfer import hamiltonians
 from ghz_transfer.hamiltonians import (
@@ -431,6 +435,48 @@ def _preset_text() -> str:
     return files("ghz_transfer").joinpath("presets/transmon.yaml").read_text(encoding="utf-8")
 
 
+def _write_si(params: PhysicalParams, path: Path) -> None:
+    """Write ``params`` as a parameter file of plain SI numbers under their schema keys.
+
+    A photon-loss rate goes in as the lifetime 1/kappa (a lossless cavity as .inf),
+    as the file format holds it; an unset field is left out.
+    """
+    payload: dict[str, dict[str, float]] = {}
+    for block, entries in hamiltonians.PARAM_SCHEMA.items():
+        for key, field in entries.items():
+            value = getattr(params, field)
+            if field in ("kappaL", "kappaR") and value is not None:
+                value = 1.0 / value if value else math.inf
+            if value is not None:
+                payload.setdefault(block, {})[key] = float(value)
+    path.write_text(yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_params(draw) -> PhysicalParams:
+    """Any ``PhysicalParams`` the constructor accepts, with finite fields.
+
+    A nonzero photon-loss rate stays in [1e-300, 1e300], so its lifetime
+    1/kappa is a normal float rather than an overflow or a subnormal.
+    """
+    rate = st.none() | st.just(0.0) | st.floats(min_value=1e-300, max_value=1e300)
+    return PhysicalParams(
+        **{name: draw(_positive) for name in (
+            "mu1", "mu1_tilde", "mu1p", "mu1p_tilde", "muAL", "muAR",
+            "mu", "mu_prime", "delta", "delta_prime",
+        )},
+        **{name: draw(st.floats(min_value=0.0, allow_infinity=False))
+           for name in ("tauA", "tau1", "tau1p", "tauq", "tauqp")},
+        **{name: draw(st.none() | _positive)
+           for name in ("t1", "t2", "t1f", "t2f", "coupler_t1", "coupler_t2")},
+        kappaL=draw(rate),
+        kappaR=draw(rate),
+    )
+
+
 def _typed(value):
     """A parsed YAML value with the type of every leaf beside it."""
     if isinstance(value, dict):
@@ -491,6 +537,31 @@ class TestParameterFiles:
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             load_preset("nonexistent")
+
+    def test_round_trip(self, tmp_path):
+        params = load_preset("transmon").with_overrides(delta=17 * MU, t2=13e-6)
+        path = tmp_path / "params.yaml"
+        _write_si(params, path)
+        again = load_params(path)
+        assert again == params
+
+    @pytest.mark.filterwarnings("ignore:.*dispersive treatment is marginal")
+    @settings(max_examples=200, deadline=None)
+    @given(params=valid_params())
+    def test_round_trip_of_any_valid_params(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.yaml"
+            _write_si(params, path)
+            again = load_params(path)
+        # the file holds the lifetime 1/kappa, and 1/(1/kappa) can land
+        # one ulp off kappa (49.0 comes back as 49.00000000000001)
+        for name in ("kappaL", "kappaR"):
+            want, got = getattr(params, name), getattr(again, name)
+            if want is None or want == 0.0:
+                assert got == want and type(got) is type(want), name
+            else:
+                assert abs(got - want) <= math.ulp(want), name
+        assert again == replace(params, kappaL=again.kappaL, kappaR=again.kappaR)
 
     def test_zero_photon_loss_is_an_infinite_lifetime(self, tmp_path):
         path = tmp_path / "params.yaml"

@@ -683,6 +683,27 @@ class TestTaylorPlanAndApply:
         assert any(plan.substeps > 1 for plan in plans)
         assert evolution.TaylorPlan(0.0, 0, 1) in plans  # the zero generator
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_missing_diagonal_entries_match_expm_multiply(self, seed):
+        # the shift -mu*I lands on diagonal entries the generator does not store
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((9, 9)) < 0.3, rng.normal(size=(9, 9)), 0.0)
+        dense[rng.random(9) < 0.5, :] = 0.0  # some rows empty
+        np.fill_diagonal(dense, np.where(rng.random(9) < 0.5, 1.5, 0.0))
+        gen = sp.csr_matrix(dense)
+        assert gen.nnz == np.count_nonzero(dense) and np.count_nonzero(np.diag(dense)) < 9
+        stored = [gen.data.tobytes(), gen.indices.tobytes(), gen.indptr.tobytes()]
+        vec = rng.normal(size=9)
+        width = abs(gen).sum(axis=0).max()
+        for duration in (1e-12, 1.0 / width, 30.0 / width):
+            got, plan = evolution._expm_action(gen, duration, vec)
+            want = expm_multiply(gen * duration, vec)
+            assert got.tobytes() == want.tobytes(), (duration, plan)
+            again, _ = evolution._expm_action(gen, duration, vec, plan)
+            assert again.tobytes() == want.tobytes()
+        # the generator a run shares between steps is left as it was
+        assert [gen.data.tobytes(), gen.indices.tobytes(), gen.indptr.tobytes()] == stored
+
     def test_ramps_share_one_plan_per_duration(self, params, monkeypatch):
         planned = []
         act = evolution._expm_action
