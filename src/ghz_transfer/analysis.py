@@ -149,13 +149,27 @@ _G_BRANCH = _FBranch(1.0, "g", "g", "g", PLUS, PLUS, (0, 0))
 
 def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support=None) -> np.ndarray:
     """The unit ket of ``branch``, everywhere or on the basis indices ``support``."""
+    return _product_amplitudes(layout, _branch_vectors(layout, branch), branch.photons, support)
+
+
+def _branch_vectors(layout: SystemLayout, branch: _FBranch) -> dict:
     vectors = {"q1": _LEVEL_VEC.get(branch.q1, branch.q1), "q1p": _LEVEL_VEC.get(branch.q1p, branch.q1p)}
     vectors["A"] = (1.0, 0.0) if branch.coupler == "g" else (0.0, 1.0)
     for site in layout.left_spectators:
         vectors[site] = branch.left_spec
     for site in layout.right_spectators:
         vectors[site] = branch.right_spec
-    return _product_amplitudes(layout, vectors, branch.photons, support)
+    return vectors
+
+
+def _oracle_support(layout: SystemLayout, checkpoint: str) -> np.ndarray:
+    """The sorted basis indices either branch of a checkpoint occupies, found factor by factor."""
+    supports = []
+    for branch in (_G_BRANCH, _f_branch(checkpoint, None, None)):
+        vectors = _branch_vectors(layout, branch)  # every site but the modes, which come last
+        levels = [np.flatnonzero(vectors[site]) for site in layout.site_names[:-2]] + [[n] for n in branch.photons]
+        supports.append(np.ravel_multi_index(np.ix_(*levels), layout.factor_dims).ravel())
+    return np.union1d(*supports)
 
 
 def _oracle_parts(

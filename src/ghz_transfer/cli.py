@@ -8,7 +8,6 @@ files. Sweeps fan out over ``GHZ_TRANSFER_WORKERS`` processes (default
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -46,13 +45,29 @@ def _json_text(payload) -> str:
 
 
 def _write_csv(stream, rows, columns) -> None:
-    """A header, then one line per row of values in ``columns`` order.
+    """A header, then one line per row of values in ``columns`` order, as the csv module writes them.
 
-    The csv module writes floats with ``repr`` and ``None`` as an empty cell.
+    Floats read as ``repr``, ``None`` as an empty cell, anything else as
+    ``str``; no cell needs quoting, since every text value is a fixed label.
+    Rows go out in blocks, column by column: a column of floats formats
+    each distinct value once, told apart by its bits, so -0.0 and 0.0 stay
+    two values.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    from itertools import islice
+
+    stream.write(",".join(columns) + "\n")
+    rows = iter(rows)
+    while block := list(islice(rows, 512)):
+        cells = []
+        for values in zip(*block):
+            if set(map(type, values)) == {float}:
+                distinct, where = np.unique(np.array(values).view(np.uint64), return_inverse=True)
+                text = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
+                cells.append(text[where].tolist())
+            else:
+                cells.append(["" if value is None else repr(value) if isinstance(value, float) else str(value)
+                              for value in values])
+        stream.write("".join([",".join(line) + "\n" for line in zip(*cells)]))
 
 
 def _load_parameters(preset: str | None, params_path: str | None) -> PhysicalParams:

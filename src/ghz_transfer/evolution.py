@@ -226,7 +226,7 @@ class Propagator:
 
     @classmethod
     def compile(cls, generator: OperatorMatrix | DispersiveGenerator, seed: np.ndarray) -> Propagator:
-        """The step of ``generator`` from the basis indices ``seed``.
+        """The step of ``generator`` from the basis indices ``seed``, found on the generator's basis.
 
         A driven generator compiles its detuned frame:
         psi_interaction(t) = e^(+i G t) e^(-i H_static t) psi(0).
@@ -239,20 +239,29 @@ class Propagator:
             raise TypeError(f"cannot evolve under {type(generator).__name__}")
         elif not generator.hermitian:
             raise EvolutionError("unitary evolution needs a generator flagged hermitian")
-        matrix = generator.matrix
+        matrix, basis = generator.matrix, generator.basis
+        if basis is not None:  # the seed's places in the basis, which must hold it
+            if not np.all(np.isin(seed, basis)):
+                raise ValueError("the seed leaves the generator's basis")
+            seed = np.searchsorted(basis, seed)
         _, labels = connected_components(abs(matrix), directed=False)  # reads the pattern only
         support = np.flatnonzero(np.isin(labels, labels[seed]))
         _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
         order = np.lexsort((comp, counts[comp]))  # by size, then component, then index
         support, sizes = support[order], counts[comp][order]
+        place = np.full(matrix.shape[0], -1)
+        place[support] = np.arange(support.size)
+        entries = matrix.tocoo()
+        row, col, data = place[entries.row], place[entries.col], entries.data
         groups = []
         for size, start, count in zip(*np.unique(sizes, return_index=True, return_counts=True)):
-            part = slice(start, start + count)
-            sub = matrix[support[part]][:, support[part]].tocoo()  # one diagonal block each
+            mine = (row >= start) & (row < start + count)  # so is the column: one component
+            r, c = row[mine] - start, col[mine] - start  # one diagonal block each
             blocks = np.zeros((count // size, size, size), dtype=complex)
-            np.add.at(blocks, (sub.row // size, sub.row % size, sub.col % size), sub.data)
-            groups.append((part, *np.linalg.eigh(blocks)))
-        return cls(support, groups, None if frame is None else frame[support])
+            np.add.at(blocks, (r // size, r % size, c % size), data[mine])
+            groups.append((slice(start, start + count), *np.linalg.eigh(blocks)))
+        frame = None if frame is None else frame[support]
+        return cls(support if basis is None else basis[support], groups, frame)
 
     def apply(self, state: QuantumState, duration: float, times: np.ndarray) -> EvolutionResult:
         """The state at ``times`` and ``duration``, every time in one array operation."""

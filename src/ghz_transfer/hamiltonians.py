@@ -17,7 +17,9 @@ Conventions worth stating once:
   frame-change evolution route.
 * Every operator is a sum of Kronecker products of local factors
   (:func:`~ghz_transfer.hilbert.embed_operator`); products such as
-  a_dag |e><f| are formed on the factors, never on the register.
+  a_dag |e><f| are formed on the factors, never on the register, and on
+  the ``basis`` a builder is given (None: the register). The ``*_term(s)``
+  functions list the terms a builder sums, for finding that basis.
 * Pure dephasing collapse operators use the projector form
   sqrt(2/T_phi) |e><e|, which gives the coherence decay 1/T_phi on top of
   the relaxation contribution 1/(2 T1), i.e. 1/T2 = 1/(2 T1) + 1/T_phi.
@@ -50,10 +52,10 @@ __all__ = [
     "EffectiveRates",
     "h_resonant_ef",
     "h_resonant_ge",
-    "h_dispersive_effective",
     "h_dispersive_reduced",
     "DispersiveGenerator",
     "collapse_operators",
+    "sideband_term", "drive_terms", "collapse_terms",
     "PARAM_SCHEMA", "schema_fields", "read_param",
     "load_params",
     "load_preset",
@@ -156,27 +158,32 @@ def _check_register(layout: SystemLayout, cavity: str, site: str) -> None:
         raise KeyError(f"unknown site {site!r}")
 
 
-def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float) -> OperatorMatrix:
-    """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit."""
+def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float, basis=None) -> OperatorMatrix:
+    """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit, on ``basis``."""
     if qubit == "A":
         raise ValueError("the coupler has no f level; use h_resonant_ge")
-    return _sideband(layout, cavity, qubit, "e", "f", coupling)
+    return _sideband(layout, sideband_term(layout, cavity, qubit, "e", "f", coupling), basis)
 
 
-def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float) -> OperatorMatrix:
-    """Sideband drive coupling * (a_dag |g><e| + h.c.); works for the coupler too."""
-    return _sideband(layout, cavity, site, "g", "e", coupling)
+def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float, basis=None) -> OperatorMatrix:
+    """Sideband drive coupling * (a_dag |g><e| + h.c.) on ``basis``; works for the coupler too."""
+    return _sideband(layout, sideband_term(layout, cavity, site, "g", "e", coupling), basis)
 
 
-def _sideband(layout, cavity, site, to_level, from_level, coupling) -> OperatorMatrix:
-    """coupling * (a_dag |to><from| + h.c.) between one site and one cavity mode."""
+def sideband_term(layout: SystemLayout, cavity: str, site: str, to_level: str, from_level: str, coupling: float):
+    """The local factors of coupling * a_dag |to><from|, a sideband drive without its h.c."""
     _check_register(layout, cavity, site)
     mode = "cav" + cavity
-    half = embed_operator(layout, {
+    return {
         site: coupling * transition_op(layout.site_dim(site), to_level, from_level),
         mode: annihilation_op(layout.site_dim(mode)).conj().T,
-    }).matrix
-    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True, by_construction=True)
+    }
+
+
+def _sideband(layout, term, basis) -> OperatorMatrix:
+    """The sideband drive term + h.c. on ``basis``."""
+    half = embed_operator(layout, term, basis).matrix
+    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
 
 
 def _require_spectators(layout: SystemLayout) -> None:
@@ -188,7 +195,7 @@ def _require_spectators(layout: SystemLayout) -> None:
 
 
 class DispersiveGenerator:
-    """Time-dependent dispersive-stage Hamiltonian and its static frame.
+    """Time-dependent dispersive-stage Hamiltonian and its static frame, on a basis.
 
     Interaction picture:
 
@@ -198,27 +205,32 @@ class DispersiveGenerator:
     over the spectator qudits l = 2..n and l' = 2'..n'. The equivalent
     static form (frame generator G = delta sum|f><f| + delta' sum|f><f|,
     mapping psi_interaction(t) = e^(+iGt) psi_static(t)) is exposed through
-    :meth:`static_hamiltonian` and :meth:`frame_diagonal`.
+    :meth:`static_hamiltonian` and :meth:`frame_diagonal`. Every matrix
+    and diagonal lives on ``basis`` (None: the whole register).
     """
 
-    def __init__(self, layout: SystemLayout, params: PhysicalParams):
+    def __init__(self, layout: SystemLayout, params: PhysicalParams, basis=None):
         _require_spectators(layout)
         self.layout = layout
         self.params = params
-        self._A = _photon_to_f(layout, "cavL", params.mu, layout.left_spectators)
-        self._B = _photon_to_f(layout, "cavR", params.mu_prime, layout.right_spectators)
+        self.basis = basis
+        terms, left = drive_terms(layout, params), len(layout.left_spectators)
+        self._A, self._B = (
+            reduce(add, (embed_operator(layout, term, basis).matrix for term in part))
+            for part in (terms[:left], terms[left:])
+        )
         self._A_dag = self._A.getH().tocsr()
         self._B_dag = self._B.getH().tocsr()
-        g = np.zeros(layout.dim)
+        g = np.zeros(layout.dim if basis is None else len(basis))
         for site in layout.left_spectators:
-            g += params.delta * (layout.level_index_array(site) == 2)
+            g += params.delta * (layout.level_index_array(site, basis) == 2)
         for site in layout.right_spectators:
-            g += params.delta_prime * (layout.level_index_array(site) == 2)
+            g += params.delta_prime * (layout.level_index_array(site, basis) == 2)
         self._g_diag = g
         static = sp.diags(g, format="csr").astype(complex)
         static = static + self._A + self._A_dag + self._B + self._B_dag
         # a real diagonal plus X + X^+: Hermitian bit for bit
-        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True)
+        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
 
     @property
     def max_detuning(self) -> float:
@@ -230,7 +242,7 @@ class DispersiveGenerator:
         phase_r = np.exp(1j * self.params.delta_prime * t)
         mat = phase_l * self._A + np.conj(phase_l) * self._A_dag
         mat = mat + phase_r * self._B + np.conj(phase_r) * self._B_dag
-        return OperatorMatrix(mat.tocsr(), self.layout, hermitian=True)
+        return OperatorMatrix(mat.tocsr(), self.layout, hermitian=True, basis=self.basis)
 
     def apply(self, t: float, amplitudes: np.ndarray) -> np.ndarray:
         """H(t) @ amplitudes without assembling the summed matrix."""
@@ -251,59 +263,36 @@ class DispersiveGenerator:
         return self._g_diag.copy()
 
 
-def _photon_to_f(layout: SystemLayout, mode: str, coupling: float, spectators):
-    """coupling * a (x) sum_l |f><e|_l: annihilate a photon, promote e to f."""
-    a = coupling * annihilation_op(layout.site_dim(mode))
-    promote = transition_op(3, "f", "e")
-    return reduce(add, (embed_operator(layout, {site: promote, mode: a}).matrix for site in spectators))
-
-
-def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> OperatorMatrix:
-    """Second-order effective dispersive Hamiltonian.
-
-    Stark terms lam (|f><f| a a_dag - |e><e| a_dag a) per left spectator
-    plus the photon-mediated dipole exchange lam |f>_l<e| (x) |e>_k<f| over
-    ordered spectator pairs l != k, and the primed analogues on the right.
-    """
+def drive_terms(layout: SystemLayout, params: PhysicalParams) -> list[dict]:
+    """The terms of the drive's A = mu a (x) sum_l |f><e|_l, then of B: annihilate a photon, promote e to f."""
     _require_spectators(layout)
-    rates = EffectiveRates.from_params(params)
-    promote, demote = transition_op(3, "f", "e"), transition_op(3, "e", "f")
-    terms = []
-    for lam, mode, spectators in (
-        (rates.lam, "cavL", layout.left_spectators),
-        (rates.lam_prime, "cavR", layout.right_spectators),
-    ):
-        a = annihilation_op(layout.site_dim(mode))
-        n_op = lam * (a.conj().T @ a)
-        anti_n = lam * (a @ a.conj().T)
-        for site in spectators:
-            ff = embed_operator(layout, {site: transition_op(3, "f", "f"), mode: anti_n})
-            ee = embed_operator(layout, {site: transition_op(3, "e", "e"), mode: n_op})
-            terms.append(ff.matrix - ee.matrix)
-        for site_l in spectators:
-            for site_k in spectators:
-                if site_k != site_l:
-                    terms.append(embed_operator(layout, {site_l: lam * promote, site_k: demote}).matrix)
-    return OperatorMatrix(reduce(add, terms).tocsr(), layout, hermitian=True)
+    promote = transition_op(3, "f", "e")
+    return [
+        {site: promote, mode: coupling * annihilation_op(layout.site_dim(mode))}
+        for mode, coupling, spectators in (
+            ("cavL", params.mu, layout.left_spectators), ("cavR", params.mu_prime, layout.right_spectators)
+        )
+        for site in spectators
+    ]
 
 
-def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams) -> OperatorMatrix:
-    """Spectator phase Hamiltonian -lam sum|e><e| a_dag a - lam' sum|e><e| b_dag b.
+def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis=None) -> OperatorMatrix:
+    """Spectator phase Hamiltonian -lam sum|e><e| a_dag a - lam' sum|e><e| b_dag b, on ``basis``.
 
     Diagonal in the product basis; exact once spectator f population is
-    dropped from the effective form.
+    dropped from the second-order effective form.
     """
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
-    diag = np.zeros(layout.dim)
-    n_a = layout.level_index_array("cavL").astype(float)
-    n_b = layout.level_index_array("cavR").astype(float)
+    diag = np.zeros(layout.dim if basis is None else len(basis))
+    n_a = layout.level_index_array("cavL", basis).astype(float)
+    n_b = layout.level_index_array("cavR", basis).astype(float)
     for site in layout.left_spectators:
-        diag -= rates.lam * (layout.level_index_array(site) == 1) * n_a
+        diag -= rates.lam * (layout.level_index_array(site, basis) == 1) * n_a
     for site in layout.right_spectators:
-        diag -= rates.lam_prime * (layout.level_index_array(site) == 1) * n_b
+        diag -= rates.lam_prime * (layout.level_index_array(site, basis) == 1) * n_b
     return OperatorMatrix(
-        sp.diags(diag.astype(complex), format="csr"), layout, hermitian=True, by_construction=True
+        sp.diags(diag.astype(complex), format="csr"), layout, hermitian=True, by_construction=True, basis=basis
     )
 
 
@@ -319,8 +308,13 @@ def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> floa
     return max(rate, 0.0)
 
 
-def collapse_operators(layout: SystemLayout, params: PhysicalParams) -> list[OperatorMatrix]:
-    """Lindblad collapse operators for the register.
+def collapse_operators(layout: SystemLayout, params: PhysicalParams, basis=None) -> list[OperatorMatrix]:
+    """Lindblad collapse operators for the register, on ``basis``: one per :func:`collapse_terms` term."""
+    return [embed_operator(layout, term, basis) for term in collapse_terms(layout, params)]
+
+
+def collapse_terms(layout: SystemLayout, params: PhysicalParams) -> list[dict]:
+    """The local factor of each collapse channel.
 
     Per qudit: relaxation sqrt(1/T1)|g><e| and sqrt(1/T1f)|e><f|, pure
     dephasing sqrt(2/T_phi)|e><e| and sqrt(2/T_phi_f)|f><f|. The coupler
@@ -345,11 +339,7 @@ def collapse_operators(layout: SystemLayout, params: PhysicalParams) -> list[Ope
     channels += [(gamma_c, "A", transition_op(2, "g", "e")), (2.0 * phi_c, "A", transition_op(2, "e", "e"))]
     for mode, kappa in (("cavL", params.kappaL), ("cavR", params.kappaR)):
         channels.append((kappa or 0.0, mode, annihilation_op(layout.site_dim(mode))))
-    return [
-        embed_operator(layout, {site: math.sqrt(rate) * local})
-        for rate, site, local in channels
-        if rate > 0
-    ]
+    return [{site: math.sqrt(rate) * local} for rate, site, local in channels if rate > 0]
 
 
 # ---------------------------------------------------------------------------

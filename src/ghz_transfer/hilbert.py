@@ -16,14 +16,18 @@ the mixed-radix number built from the per-factor levels in that order.
 Operators and density matrices are stored sparse (CSR), pure states as
 dense vectors. Every operator is one Kronecker product of local factors
 (:func:`embed_operator`), or a sum of such products, assembled in one
-pass from the local factors' entries.
+pass from the local factors' entries, on the whole register or on a basis:
+a sorted array of flat indices, such as the states :func:`reachable` finds
+from a seed through the same local factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import InitVar, dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +44,7 @@ __all__ = [
     "level_ket",
     "transition_op",
     "annihilation_op",
-    "embed_operator",
+    "embed_operator", "LocalMoves", "local_moves", "reachable",
     "embed_site_operator",
     "mode_annihilation",
     "mode_creation",
@@ -109,12 +113,12 @@ class SystemLayout:
     def right_spectators(self) -> tuple[str, ...]:
         return self.right_qudits[1:]
 
-    @property
+    @cached_property
     def site_names(self) -> tuple[str, ...]:
         """All tensor factors, slowest index first."""
         return self.left_qudits + ("A",) + self.right_qudits + ("cavL", "cavR")
 
-    @property
+    @cached_property
     def factor_dims(self) -> tuple[int, ...]:
         return (
             (QUDIT_DIM,) * self.n_left
@@ -155,19 +159,15 @@ class SystemLayout:
             levels[pos] = level
         return int(np.ravel_multi_index(levels, self.factor_dims))
 
-    def level_index_array(self, site: str) -> np.ndarray:
-        """Level of ``site`` for every flat basis index, shape ``(dim,)``.
+    def level_index_array(self, site: str, indices: np.ndarray | None = None) -> np.ndarray:
+        """Level of ``site`` for every flat basis index, shape ``(dim,)``, or for ``indices``.
 
         This is the workhorse for diagonal operators and population
         extraction: ``pops[k] = sum(|psi|^2 [levels == k])``.
         """
         pos = self.factor_index(site)
-        dims = self.factor_dims
-        after = 1
-        for d in dims[pos + 1 :]:
-            after *= d
-        idx = np.arange(self.dim)
-        return (idx // after) % dims[pos]
+        idx = np.arange(self.dim) if indices is None else np.asarray(indices)
+        return (idx // math.prod(self.factor_dims[pos + 1 :])) % self.factor_dims[pos]
 
     def to_dict(self) -> dict:
         return {
@@ -292,26 +292,28 @@ def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support=Non
 class OperatorMatrix:
     """Sparse operator bound to a layout, with a Hermiticity claim.
 
+    Its rows and columns stand for the sorted flat indices ``basis``, or
+    for the whole register when ``basis`` is None.
     The ``hermitian`` flag is asserted at construction time (defect above
     1e-12 raises), so downstream consumers can trust it. A builder whose
     matrix is Hermitian bit for bit by the way it was formed (X + X^+ plus
     a real diagonal, or a product of exactly Hermitian factors) passes
-    ``by_construction=True``, which skips that register-sized check.
+    ``by_construction=True``, which skips that check.
     """
 
     matrix: sp.csr_matrix
     layout: SystemLayout
     hermitian: bool = False
     by_construction: InitVar[bool] = False
+    basis: np.ndarray | None = field(default=None, compare=False)
 
     _HERMITICITY_TOL = 1e-12
 
     def __post_init__(self, by_construction: bool) -> None:
         mat = sp.csr_matrix(self.matrix, dtype=complex)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(
-                f"operator shape {mat.shape} does not match layout dim {self.layout.dim}"
-            )
+        size = self.layout.dim if self.basis is None else len(self.basis)
+        if mat.shape != (size, size):
+            raise ValueError(f"operator shape {mat.shape} does not match its basis of {size} states")
         self.matrix = mat
         if self.hermitian and not by_construction and self.hermiticity_defect() > self._HERMITICITY_TOL:
             raise ValueError(
@@ -383,34 +385,114 @@ class ReducedDensityMatrix:
     dims: tuple[int, ...]
 
 
-def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> OperatorMatrix:
-    """The product of local operators on distinct sites, identity elsewhere.
+def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basis=None) -> OperatorMatrix:
+    """The product of local operators on distinct sites, identity elsewhere, on ``basis``.
 
     ``factors`` maps site names (qudits, the coupler ``A``, the modes
-    ``cavL``/``cavR``) to square matrices of the site's dimension. The
-    result is the ``kron`` chain of the layout's factors, built in one
-    pass: each stored entry picks a nonzero entry of every factor, its row
-    and column are sums of level x stride, and its value is the product of
-    the picked entries in factor order, as the chain multiplies them. The
-    CSR is canonical (sorted int32 indices) and bit-identical to the
-    chain's. The claimed Hermiticity is that of the factors: when each is
-    exactly its own conjugate transpose, so is every product of their
-    entries, and the result is Hermitian bit for bit.
+    ``cavL``/``cavR``) to square matrices of the site's dimension;
+    ``basis`` is a sorted array of the flat indices kept (None: all). The
+    result is the ``kron`` chain of the layout's factors restricted to the
+    basis, built column by column from the factors (:func:`local_moves`):
+    each value is the product of one entry per factor, identities' ones
+    included, in factor order, as the chain multiplies them. The CSR is
+    canonical (sorted int32 indices) and bit-identical to the chain's. The
+    claimed Hermiticity is that of the factors: when each is exactly its
+    own conjugate transpose, so is the result, bit for bit.
     """
-    by_position = {layout.factor_index(site): np.asarray(m, dtype=complex) for site, m in factors.items()}
-    rows = cols = np.zeros(1, dtype=np.int64)
-    data = None
-    for pos, (site, d) in enumerate(zip(layout.site_names, layout.factor_dims)):
-        local = by_position.get(pos, np.eye(d))  # an identity's ones are real, as in sp.identity
-        if local.shape != (d, d):
-            raise ValueError(f"local operator must be {d}x{d} for factor {site!r}")
-        r, c = np.nonzero(local)
-        rows, cols = (rows[:, None] * d + r).ravel(), (cols[:, None] * d + c).ravel()
-        data = local[r, c] if data is None else (data[:, None] * local[r, c]).ravel()
-    # grouped by factor, each row's columns already increase: the COO-to-CSR pass sorts nothing
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(layout.dim, layout.dim))
-    herm = all(np.array_equal(m, m.conj().T) for m in by_position.values())
-    return OperatorMatrix(mat, layout, hermitian=herm, by_construction=True)
+    codes = np.arange(layout.dim) if basis is None else np.asarray(basis)
+    moves = local_moves(layout, [factors])
+    rows, moved, (touched, picked) = _moved(layout, moves, codes)
+    values = dict(zip(touched.tolist(), moves.entries[picked].transpose(1, 0, 2)))
+    data = values.get(0, np.ones(rows.shape, dtype=complex))
+    for pos in range(1, len(layout.factor_dims)):
+        data = data * values.get(pos, 1.0)
+    rows, cols, data = rows[moved], np.broadcast_to(np.arange(codes.size), rows.shape)[moved], data[moved]
+    if basis is not None:  # each row's place in the basis, or none
+        at = np.minimum(np.searchsorted(codes, rows), codes.size - 1)
+        inside = codes[at] == rows
+        rows, cols, data = at[inside], cols[inside], data[inside]
+    order = np.lexsort((cols, rows))  # canonical: row by row, each row's columns increasing
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=codes.size))))
+    mat = sp.csr_matrix((data[order], cols[order], indptr), shape=(codes.size, codes.size))
+    herm = all(np.array_equal(m, m.conj().T) for m in map(np.asarray, factors.values()))
+    return OperatorMatrix(mat, layout, hermitian=herm, by_construction=True, basis=basis)
+
+
+class LocalMoves(NamedTuple):
+    """A sum of products of maps, one per factor, each a local matrix with one entry per column at most.
+
+    Map f of product m sends level l of factor f to ``targets[m, f, l]``
+    (-1: no entry) with the entry ``entries[m, f, l]``. ``+`` adds sums.
+    """
+
+    targets: np.ndarray  # (products, factors, levels)
+    entries: np.ndarray
+
+    def __add__(self, other: LocalMoves) -> LocalMoves:
+        return LocalMoves(*(np.concatenate(pair) for pair in zip(self, other)))
+
+
+def local_moves(layout: SystemLayout, terms: Iterable[Mapping[str, np.ndarray]]) -> LocalMoves:
+    """The sum of ``terms``, products of local factors as :func:`embed_operator` takes them, as maps.
+
+    The k-th map of a factor holds the k-th nonzero of each of its columns,
+    so a factor with none leaves its term no product.
+    """
+    levels, products = max(layout.factor_dims), []
+    for factors in terms:
+        per_factor = []
+        for site, local in factors.items():
+            pos, d, local = layout.factor_index(site), layout.site_dim(site), np.asarray(local, dtype=complex)
+            if local.shape != (d, d):
+                raise ValueError(f"local operator must be {d}x{d} for factor {site!r}")
+            col, row = np.nonzero(local.T)  # column by column
+            rank = np.arange(col.size) - np.searchsorted(col, col)  # the place among its column's nonzeros
+            maps = []
+            for k in range(rank.max(initial=-1) + 1):
+                target, value = np.full(levels, -1), np.ones(levels, dtype=complex)
+                target[col[rank == k]] = row[rank == k]
+                value[:d] = local[target[:d], np.arange(d)]
+                maps.append((pos, target, value))
+            per_factor.append(maps)
+        products += itertools.product(*per_factor)
+    # a factor no term names is the identity, whose ones are real, as in sp.identity
+    targets = np.tile(np.arange(levels), (len(products), len(layout.factor_dims), 1))
+    entries = np.ones(targets.shape, dtype=complex)
+    for m, product in enumerate(products):
+        for pos, target, value in product:
+            targets[m, pos], entries[m, pos] = target, value
+    return LocalMoves(targets, entries)
+
+
+def reachable(layout: SystemLayout, seed: np.ndarray, moves: LocalMoves) -> np.ndarray:
+    """The smallest sorted set of flat indices that holds ``seed`` and is closed under ``moves``.
+
+    It grows breadth first, every product of maps on the whole frontier at
+    once, so nothing the size of the register is formed.
+    """
+    reached = frontier = np.unique(np.asarray(seed, dtype=np.int64))
+    while frontier.size:
+        images, moved, _ = _moved(layout, moves, frontier)
+        images = np.unique(images[moved])
+        at = np.minimum(np.searchsorted(reached, images), reached.size - 1)
+        frontier = images[reached[at] != images]
+        reached = np.union1d(reached, frontier)
+    return reached
+
+
+def _moved(layout: SystemLayout, moves: LocalMoves, codes: np.ndarray):
+    """Where each product of ``moves`` sends each of the flat indices ``codes``, and whether it sends it
+    anywhere, both (product, code); then the factors some product does not leave as the identity, and
+    the index of the map entries they pick."""
+    codes = np.asarray(codes, dtype=np.int64)
+    identity = (moves.targets == np.arange(moves.targets.shape[2])).all(axis=2) & (moves.entries == 1).all(axis=2)
+    touched = np.flatnonzero(~identity.all(axis=0))
+    dims = np.array(layout.factor_dims)[touched, None]
+    strides = np.array([math.prod(layout.factor_dims[pos + 1 :]) for pos in touched], dtype=np.int64)[:, None]
+    levels = codes // strides % dims  # (factor, code)
+    picked = (slice(None), touched[:, None], levels)
+    to = moves.targets[picked]
+    return codes + ((to - levels) * strides).sum(axis=1), (to >= 0).all(axis=1), (touched, picked)
 
 
 def embed_site_operator(layout: SystemLayout, site: str, local: np.ndarray) -> OperatorMatrix:

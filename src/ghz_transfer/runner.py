@@ -18,12 +18,13 @@ time bookkeeping while the open-system mode idles under the collapse
 channels for their duration (and for the closing ramp).
 
 A run is compiled once, then applied. :func:`_compiled` walks the
-schedule without the amplitudes and keeps only what acts on the states a
-run can reach: a :class:`~ghz_transfer.evolution.Propagator` per pure
-segment, or each segment's generator and one
-:class:`~ghz_transfer.evolution.Dissipator` on the lindblad block (80^2
-entries where the n=2 cutoff-3 register has 2592^2). The runs of a batch
-share the one cached compile, which holds nothing register-sized. Every
+schedule without the amplitudes, finds the states a run can reach by a
+breadth-first search over the operators' local moves, and builds every
+operator on them, never on the register: a
+:class:`~ghz_transfer.evolution.Propagator` per pure segment, or each
+segment's generator and one :class:`~ghz_transfer.evolution.Dissipator` on
+the lindblad block (80^2 entries where the n=2 cutoff-3 register has
+2592^2). The runs of a batch share the one cached compile. Every
 mode keeps its trajectory rows as arrays (:class:`Trajectory`) and scores
 its checkpoints and final fidelity on the indices the state occupies; a
 lindblad run's final state is its block, stored sparse
@@ -41,17 +42,20 @@ from typing import NamedTuple
 import numpy as np
 
 # make_oracle_state, oracle_branches and checkpoint_fidelity go uncalled; perfbench/tracer.py wraps them on this module
-from .analysis import STAGE_CHECKPOINTS, GhzSpec, _oracle_parts, make_oracle_state, oracle_branches
+from .analysis import STAGE_CHECKPOINTS, GhzSpec, _oracle_parts, _oracle_support, make_oracle_state, oracle_branches
 from .evolution import Dissipator, Propagator, checkpoint_fidelity, evolve_unitary, lindblad_propagate
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
     collapse_operators,
+    collapse_terms,
+    drive_terms,
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
+    sideband_term,
 )
-from .hilbert import DensityMatrix, QuantumState, SystemLayout, build_layout
+from .hilbert import DensityMatrix, QuantumState, SystemLayout, build_layout, local_moves, reachable
 from .scheduling import Schedule, build_schedule
 
 __all__ = [
@@ -271,20 +275,29 @@ def _segment_samples(observables, segment, times_s, weights):
     return (segment, times_s * 1e9, table[:-1]), float(table[:, -1].max())
 
 
-def _segment_generator(layout, seg, params, mode):
+def _segment_generator(layout, seg, params, mode, basis=None):
+    """The segment's generator on ``basis`` (None: the whole register)."""
     if seg.kind == "resonant_ef":
-        return h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling)
+        return h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling, basis)
     if seg.kind == "resonant_ge":
-        return h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling)
-    window_params = params.with_overrides(
-        mu=seg.coupling,
-        delta=seg.detuning,
-        mu_prime=seg.coupling2,
-        delta_prime=seg.detuning2,
-    )
+        return h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling, basis)
     if mode == "full-dispersive":
-        return DispersiveGenerator(layout, window_params)
-    return h_dispersive_reduced(layout, window_params)
+        return DispersiveGenerator(layout, _window_params(seg, params), basis)
+    return h_dispersive_reduced(layout, _window_params(seg, params), basis)
+
+
+def _segment_moves(layout, seg, params, mode):
+    """The local moves of the segment's generator, both ways; its diagonal moves nothing."""
+    if seg.kind != "dispersive":
+        levels = ("e", "f") if seg.kind == "resonant_ef" else ("g", "e")
+        terms = [sideband_term(layout, seg.cavity, seg.site, *levels, seg.coupling)]
+    else:
+        terms = drive_terms(layout, _window_params(seg, params)) if mode == "full-dispersive" else []
+    return local_moves(layout, terms + [{site: local.conj().T for site, local in term.items()} for term in terms])
+
+
+def _window_params(seg, params):
+    return params.with_overrides(mu=seg.coupling, delta=seg.detuning, mu_prime=seg.coupling2, delta_prime=seg.detuning2)
 
 
 def _pure_checkpoint(spec, label, state, support, time_s) -> CheckpointRecord:
@@ -302,15 +315,6 @@ def _pure_checkpoint(spec, label, state, support, time_s) -> CheckpointRecord:
     )
 
 
-def _closure(reach: np.ndarray, edges) -> np.ndarray:
-    """The boolean mask ``reach`` grown until no edge leads out: weight moves from columns to rows."""
-    while True:
-        grown = reach | (edges @ reach > 0)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
-
-
 class _Compiled(NamedTuple):
     """A schedule compiled by :func:`_compiled`; nothing in it is register-sized."""
 
@@ -319,40 +323,58 @@ class _Compiled(NamedTuple):
     dissipator: Dissipator | None  # the block's channels (lindblad only)
 
 
+# a lindblad run peaks near this many bytes per real coordinate of its block (470 MB at n = 4: d = 1280)
+PEAK_BYTES_PER_COORDINATE = 250
+
+
 @lru_cache(maxsize=1)
 def _compiled(layout, segments, params, mode) -> _Compiled:
     """Compile a tuple of segments onto the states a run can reach.
 
     Segment k acts on C_k: the closure of C_(k-1) under its generator
     (both ways) and, in lindblad mode, every collapse channel (forward),
-    from C_0, both initial branches' supports. A pure step is compiled on
-    C_(k-1), so its support is C_k, and its generator is dropped once it
-    is. Lindblad restricts every generator and channel to the final block.
-    The one cached entry holds the last (layout, segments, params, mode).
+    from C_0, both initial branches' supports, each grown from the local
+    terms the operators are made of (:func:`reachable`). A pure step's
+    generator is built on C_k and compiled from C_(k-1), and dropped once
+    it is. Lindblad builds every generator and channel on the final block,
+    closed once more under the channels (the ramps' decay), after a check
+    that the run fits in memory. Nothing is built on the register. The one
+    cached entry holds the last (layout, segments, params, mode).
     """
-    g_part, f_part, _, _ = _oracle_parts(layout, GhzSpec(1.0, 0.0, layout.n_left), "initial", None)
-    seed = np.union1d(np.flatnonzero(g_part), np.flatnonzero(f_part))
+    seed = _oracle_support(layout, "initial")
     if mode != "lindblad":
         steps, reach = [], seed
         for seg in segments:
-            steps.append(Propagator.compile(_segment_generator(layout, seg, params, mode), reach))
+            basis = reachable(layout, reach, _segment_moves(layout, seg, params, mode))
+            steps.append(Propagator.compile(_segment_generator(layout, seg, params, mode, basis), reach))
             reach = steps[-1].support
         return _Compiled(seed, steps, None)
-    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
-    if not collapse:
-        raise ValueError(
-            "lindblad mode needs decoherence parameters (t1/t2/kappa) in the params"
-        )
+    channels = collapse_terms(layout, params)
+    if not channels:
+        raise ValueError("lindblad mode needs decoherence parameters (t1/t2/kappa) in the params")
     # every channel's L^+ L is diagonal (no L sends two basis states to the
-    # same one), so the damping adds no edge of its own
-    channels = sum(abs(l_op) for l_op in collapse)
-    reach = np.isin(np.arange(layout.dim), seed)
-    generators = [_segment_generator(layout, seg, params, mode).matrix for seg in segments]
-    for h_mat in generators:
-        reach = _closure(reach, channels + abs(h_mat) + abs(h_mat).T)
-    keep = np.flatnonzero(_closure(reach, channels))  # the ramps' decay, with or without segments
-    dissipator = Dissipator([op[keep][:, keep] for op in collapse], keep.size)
-    return _Compiled(keep, [h_mat[keep][:, keep] for h_mat in generators], dissipator)
+    # same one), so the damping adds no move of its own
+    channels, reach = local_moves(layout, channels), seed
+    for seg in segments:
+        reach = reachable(layout, reach, _segment_moves(layout, seg, params, mode) + channels)
+    keep = reachable(layout, reach, channels)
+    need, have = PEAK_BYTES_PER_COORDINATE * keep.size**2, _physical_memory()
+    if have is not None and need > have:  # refused before anything of the block's size is built
+        raise ValueError(f"the lindblad block has {keep.size} states: the run needs about "
+                         f"{need / 2**20:,.0f} MiB, more than the {have / 2**20:,.0f} MiB of this machine's memory")
+    dissipator = Dissipator([op.matrix for op in collapse_operators(layout, params, keep)], keep.size)
+    steps = [_segment_generator(layout, seg, params, mode, keep).matrix for seg in segments]
+    return _Compiled(keep, steps, dissipator)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    import os
+
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _oracle_on(layout, spec, label, keep) -> np.ndarray:

@@ -199,6 +199,25 @@ class TestRun:
         assert len(rows) == 7 * 9
         assert (tmp_path / "trajectory.csv").read_text(encoding="utf-8") == expected.getvalue()
 
+    def test_csv_writer_matches_the_csv_module(self):
+        # blocks of rows, each float column formatted by distinct bits: -0.0 stays apart from 0.0
+        floats = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, math.inf, -math.inf, math.nan, 0.1 + 0.2]
+        rows = [
+            (f"step{i % 3}", floats[i % 10], floats[(7 * i) % 10], None if i % 4 else 2.5, i % 5 == 0, i - 600)
+            for i in range(1300)
+        ]
+        columns = ("label", "a", "b", "c", "ok", "n")
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        got = io.StringIO()
+        cli._write_csv(got, iter(rows), columns)
+        assert got.getvalue() == expected.getvalue()
+        empty = io.StringIO()
+        cli._write_csv(empty, [], columns)
+        assert empty.getvalue() == ",".join(columns) + "\n"
+
     def test_emit_without_out_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--emit", "checkpoints"])
         assert result.exit_code == 2
@@ -457,6 +476,16 @@ class TestMemory:
         proc = _run_fresh(["--mode", "lindblad", "--n", "3", "--cutoff", "3"], "1", limit)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_oversized_lindblad_block_is_one_error_line(self, runner, monkeypatch):
+        # the estimate comes from the block size alone, before anything of its size is built
+        from ghz_transfer import runner as runner_module
+
+        monkeypatch.setattr(runner_module, "_physical_memory", lambda: 2**20)
+        runner_module._compiled.cache_clear()
+        result = runner.invoke(main, ["run", "--mode", "lindblad", "--n", "2", "--cutoff", "3"])
+        assert one_error_line(result), result.output
+        assert "80 states" in result.stderr and "MiB" in result.stderr
 
     def test_batch_lets_each_final_state_go(self, runner, monkeypatch):
         # a batch holds at most one register-sized final state at a time

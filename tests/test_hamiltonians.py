@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import yaml
+from dispersive_effective_oracle import h_dispersive_effective
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from ghz_transfer.hamiltonians import (
     EffectiveRates,
     PhysicalParams,
     collapse_operators,
-    h_dispersive_effective,
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
