@@ -23,10 +23,9 @@ from .analysis import (
     occupation_probability,
     random_ghz_spec,
 )
-from .dsl import parse_schedule, serialize_schedule, validate_schedule
 from .evolution import EvolutionError
 from .hamiltonians import PhysicalParams, load_params, load_preset, read_param, schema_fields
-from .hilbert import embed_site_operator, partial_trace
+from .hilbert import embed_operator, local_moves, partial_trace, reachable
 from .runner import MODES, TRAJECTORY_COLUMNS, run_protocol
 from .scheduling import SchedulingError, build_schedule, timing_budget
 from .units import parse_time, seconds_to_ns
@@ -420,8 +419,10 @@ def _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad):
 
     r = 1.0 / math.sqrt(2.0)
     shared = run_protocol(parameters, GhzSpec(alpha=r, beta=r, n=n))
-    encode = embed_site_operator(shared.layout, "q1p", logical_encode_pulse())
-    encoded = encode.apply(shared.final_state)
+    # the pulse acts on the states the final one reaches under it, never on the whole register
+    pulse = {"q1p": logical_encode_pulse()}
+    basis = reachable(shared.layout, np.flatnonzero(shared.final_state.amplitudes), local_moves(shared.layout, [pulse]))
+    encoded = embed_operator(shared.layout, pulse, basis).apply(shared.final_state)
     worst = 0.0
     for site in shared.layout.right_qudits:
         eigvals = np.sort(np.linalg.eigvalsh(partial_trace(encoded, [site]).matrix))
@@ -499,6 +500,8 @@ def cmd_verify(preset, params_path, sets, n, seed, count, skip_full, skip_lindbl
               help="Re-serialize the validated schedule, layout cutoffs included, to stdout.")
 def cmd_parse(sched, preset, params_path, canonical):
     """Check a .sched file; print diagnostics with line and column."""
+    from .dsl import parse_schedule, serialize_schedule, validate_schedule  # only this command reads .sched
+
     text = Path(sched).read_text(encoding="utf-8")
     binding = None
     if preset is not None or params_path is not None:

@@ -27,15 +27,24 @@ whatever the caller samples:
   part D lives in a :class:`Dissipator` that a run builds once per block,
   directly from the channel matrices, and passes to every ramp and
   segment: a ramp evolves under D as it is, a segment merges its folded
-  H part into it by one sparse addition. The action is
-  ``expm_multiply``'s on the real generator, bit for bit, split into a
-  plan and an apply: the plan (:class:`TaylorPlan`: the shift, the
-  Taylor degree and the substep count) is what scipy derives before its
-  loop, and the apply forms tL - mu I as scipy does and runs the Taylor
-  products alone. A segment plans once per call; the Dissipator keeps
-  one plan per ramp duration, so the ten ramps of a run with the
-  transmon preset plan three times. Every returned matrix is rebuilt
-  from real coordinates, so it is Hermitian by construction.
+  H part into it by one sparse addition. The action is the truncated
+  Taylor method of Al-Mohy & Higham 2011, split into a plan and an
+  apply: the plan (:class:`TaylorPlan`: the shift, the Taylor degree and
+  the substep count) comes from the paper's theta_m table on the exact
+  1-norm, and the apply forms tL - mu I and runs the Taylor products as
+  ``expm_multiply`` does, so a step equals ``expm_multiply``'s bit for
+  bit whenever scipy plans from the table alone: a 1-norm up to about
+  63.36, and every step of a transmon-preset run at n <= 4 stays below 19.
+  A segment plans once per call; the Dissipator keeps one plan per ramp
+  duration, so the ten ramps of a run with the transmon preset plan
+  three times. A sampled grid steps from point to point under one plan
+  and restarts from the initial state every ``GRID_RESTART`` points.
+  Every returned matrix is rebuilt from real coordinates, so it is
+  Hermitian by construction.
+
+The run path loads only numpy and ``scipy.sparse``: the components, the
+Taylor table and the stepping are here, and the Lanczos reference imports
+its tridiagonal eigensolver on its first call.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift, NaN included; the
@@ -53,10 +62,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
-from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
 from ghz_transfer.hamiltonians import DispersiveGenerator
 from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
@@ -122,8 +127,11 @@ def _lanczos_step(matrix: sp.csr_matrix, vec: np.ndarray, dt: float, m: int, hno
     into the basis destroys orthogonality and silently corrupts the
     tridiagonal, so closure must be detected at the operator scale. A
     coupling below the threshold rotates by under hnorm*1e-12*dt anyway, so
-    truncating there is exact to working tolerance.
+    truncating there is exact to working tolerance. ``scipy.linalg`` is
+    imported on the first call, so only this reference route loads it.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = vec.size
     m = min(m, n)
     norm0 = np.linalg.norm(vec)
@@ -244,7 +252,7 @@ class Propagator:
             if not np.all(np.isin(seed, basis)):
                 raise ValueError("the seed leaves the generator's basis")
             seed = np.searchsorted(basis, seed)
-        _, labels = connected_components(abs(matrix), directed=False)  # reads the pattern only
+        labels = _components(matrix)
         support = np.flatnonzero(np.isin(labels, labels[seed]))
         _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
         order = np.lexsort((comp, counts[comp]))  # by size, then component, then index
@@ -279,6 +287,28 @@ class Propagator:
         final = np.zeros(state.layout.dim, dtype=complex)
         final[self.support] = amps[-1]
         return EvolutionResult(QuantumState(final, state.layout), times, self.support, amps[:-1])
+
+
+def _components(matrix: sp.csr_matrix) -> np.ndarray:
+    """Each index's connected component in the undirected pattern of ``matrix``, named by its smallest index.
+
+    Every stored entry is an edge, whatever its value. Each round hooks the
+    larger root of every edge whose ends disagree onto the smaller one, and
+    pointer jumping then takes every label to its root; a label never
+    exceeds its index, so the root left in each component is its smallest
+    index.
+    """
+    entries = matrix.tocoo()
+    row, col = entries.row, entries.col
+    labels = np.arange(matrix.shape[0])
+    while True:
+        a, b = labels[row], labels[col]
+        apart = a != b
+        if not apart.any():
+            return labels
+        np.minimum.at(labels, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 def solve_ivp(*args, **kwargs):
@@ -321,6 +351,9 @@ def evolve_unitary(
 
 # expm_multiply's tolerance in double precision: the unit roundoff
 TAYLOR_TOL = 2.0**-53
+# a sampled grid steps each point from the one before, and every GRID_RESTART-th
+# from the initial state in one step, so no point carries the rounding of more steps
+GRID_RESTART = 16
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -458,8 +491,22 @@ def _dissipation(channels, dim: int):
         yield _folded(*_sandwiched(l_op), dim)
 
 
+# theta_m: the largest 1-norm of A for which m Taylor terms of e^A reach TAYLOR_TOL
+# (Al-Mohy & Higham 2011): m <= 30 from table A.3 of Higham & Al-Mohy (2010), the
+# rest from table 3.1; the values expm_multiply uses
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
 class TaylorPlan(NamedTuple):
-    """What ``expm_multiply`` derives from (L, t) before its Taylor loop (Al-Mohy & Higham 2011).
+    """How a step runs its Taylor loop on tL - mu I (Al-Mohy & Higham 2011).
 
     ``mu`` = tr(tL) / N shifts the spectrum, and the action runs ``substeps``
     Taylor series of at most ``degree`` terms each on tL - mu I.
@@ -470,36 +517,77 @@ class TaylorPlan(NamedTuple):
     substeps: int
 
 
-def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
-    """exp(duration gen) vec as ``expm_multiply(gen * duration, vec)`` computes it, bit for bit, and its plan.
+# condition (3.13) of the paper for one column, m_max = 55, p_max = 8 and ell = 2,
+# evaluated in expm_multiply's order: 2 ell p_max (p_max + 3) theta_55 / (1 m_max)
+_TABLE_BOUND = 352 * (_THETA[55] / float(1 * 55))
 
-    The plan is ``plan`` if given, else derived here: the degree and
-    substep count come from scipy's own selection (``_fragment_3_1`` on the
-    exact 1-norm of tL - mu I). tL - mu I is formed as ``expm_multiply``
-    forms it, and the Taylor loop runs here, on real infinity norms.
+
+def _degree_and_substeps(norm: float, shifted: sp.csr_matrix | None = None) -> tuple[int, int]:
+    """Code fragment (3.1) of Al-Mohy & Higham 2011 for A = tL - mu I, whose exact 1-norm is ``norm``.
+
+    Up to condition (3.13)'s bound ``_TABLE_BOUND`` (about 63.36), or
+    without ``shifted``: the (m, ceil(norm / theta_m)) with the fewest
+    products m s, the first in table order on a tie; (0, 1) for the zero
+    matrix. This is the plan ``expm_multiply`` takes, and it meets the
+    tolerance at any 1-norm. Above the bound, the
+    fragment's loop over p = 2..8 with alpha_p = max(d_p, d_p+1): scipy
+    estimates d_p = ||A^p||_1^(1/p) from random vectors, which gives a
+    lower bound, and here d_p is the p-th root of the largest column sum
+    of |A|^p, an upper bound. So the plan is deterministic, never takes
+    fewer products than scipy's, and is scipy's wherever its estimates
+    reach the bound (a pulse generator over the dispersive stage at n = 2).
+    """
+    if norm == 0:
+        return 0, 1
+    if norm <= _TABLE_BOUND or shifted is None:
+        # min keeps the first of equal costs, as the fragment's strict comparison does
+        return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda plan: plan[0] * plan[1])
+    magnitude, sums, d = abs(shifted).T, np.ones(shifted.shape[0]), {}
+    for p in range(1, 10):
+        sums = magnitude @ sums  # the column sums of |A|^p
+        d[p] = sums.max() ** (1.0 / p)
+    plans = (
+        (m, math.ceil(max(d[p], d[p + 1]) / theta))
+        for p in range(2, 9)
+        for m, theta in _THETA.items()
+        if m >= p * (p - 1) - 1
+    )
+    degree, substeps = min(plans, key=lambda plan: plan[0] * plan[1])
+    return degree, max(substeps, 1)
+
+
+def _stepper(gen: sp.csr_matrix, duration: float, plan: TaylorPlan | None = None):
+    """tL - mu I for L = ``gen`` and t = ``duration``, formed as ``expm_multiply`` forms it, and its plan.
+
+    The plan is ``plan`` if given (its ``mu`` shifts), else derived here
+    from tr(tL) and the exact 1-norm of tL - mu I.
     """
     size = gen.shape[0]
     scaled = gen * duration
     mu = scaled.trace() / float(size) if plan is None else plan.mu
     shifted = scaled - mu * sp.identity(size, dtype=gen.dtype, format="csr")
-    del scaled  # one Liouvillian-sized copy fewer while the loop runs
+    del scaled  # one Liouvillian-sized copy fewer while the 1-norm is taken
     if plan is None:
-        norm = abs(shifted).sum(axis=0).max()
-        if norm == 0:
-            plan = TaylorPlan(mu, 0, 1)
-        else:
-            info = LazyOperatorNormInfo(shifted, A_1_norm=norm, ell=2)
-            plan = TaylorPlan(mu, *_fragment_3_1(info, 1, TAYLOR_TOL, ell=2))
-    # expm_multiply scales mu by its own t = 1.0
-    eta = np.exp(1.0 * plan.mu / float(plan.substeps))
+        plan = TaylorPlan(mu, *_degree_and_substeps(abs(shifted).sum(axis=0).max(), shifted))
+    return shifted, plan
+
+
+def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """e^(t mu) e^(t (A - mu I)) vec for A - mu I = ``shifted``: ``expm_multiply``'s loop, on real infinity norms.
+
+    ``t`` is the time factor of scipy's loop, which ``expm_multiply`` sets
+    to 1.0 (it has scaled A already); a grid point takes t = k to step k
+    grid spacings at once from one shifted matrix.
+    """
+    eta = np.exp(t * plan.mu / float(plan.substeps))
     out = vec.copy()
     term = vec
-    modulus = np.empty(size)
+    modulus = np.empty(vec.size)
     for _ in range(plan.substeps):
         c1 = np.abs(term, out=modulus).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
         for j in range(plan.degree):
             term = shifted @ term
-            np.multiply(1.0 / float(plan.substeps * (j + 1)), term, out=term)
+            np.multiply(t / float(plan.substeps * (j + 1)), term, out=term)
             c2 = np.abs(term, out=modulus).max()
             out += term
             if c1 + c2 <= TAYLOR_TOL * np.abs(out, out=modulus).max():
@@ -507,7 +595,20 @@ def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: Tay
             c1 = c2
         np.multiply(eta, out, out=out)
         term = out
-    return out, plan
+    return out
+
+
+def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
+    """exp(duration gen) vec and its plan: ``expm_multiply(gen * duration, vec)``, bit for bit, up to its bound.
+
+    The shift and the Taylor loop are ``expm_multiply``'s; the plan is
+    ``plan`` if given, else :func:`_degree_and_substeps`, which is scipy's
+    own choice for every 1-norm up to condition (3.13)'s bound of about
+    63.36. Above it the plan is deterministic and takes at least scipy's
+    products, so the result is scipy's only where the two plans agree.
+    """
+    shifted, plan = _stepper(gen, duration, plan)
+    return _taylor(shifted, plan, vec), plan
 
 
 class Dissipator:
@@ -565,17 +666,19 @@ def lindblad_propagate(
     evolves as its Hermitian part (rho0 + rho0^+) / 2. The channels come as
     a :class:`Dissipator` holding the real D; a caller that evolves several
     segments under the same channels passes one to all of them, so a ramp
-    builds nothing and a segment only its H part. The final matrix is the
-    single-step action of ``expm_multiply`` (Al-Mohy & Higham 2011) on the
-    real generator, bit for bit, split into a plan and an apply: the plan
+    builds nothing and a segment only its H part. The final matrix is one
+    truncated-Taylor step (:func:`_expm_action`, Al-Mohy & Higham 2011) on
+    the real generator, which is ``expm_multiply``'s single-step action bit
+    for bit at every 1-norm up to condition (3.13)'s bound; its plan
     (:class:`TaylorPlan`) is derived once per call for a segment and once
-    per duration for a ramp, which takes it from the dissipator, and the
-    apply shifts the generator as ``expm_multiply`` does and runs the
-    Taylor products alone. Returns the final matrix plus ``samples``
-    matrices on a uniform grid over [0, duration], endpoints included; the
-    inner grid points come from ``expm_multiply``'s interval algorithm, and
-    the grid's last entry is the final matrix itself, so ``samples`` never
-    moves it. Raises
+    per duration for a ramp, which takes it from the dissipator. Returns
+    the final matrix plus ``samples`` matrices on a uniform grid over
+    [0, duration], endpoints included; each inner grid point is one step
+    of h = duration / (samples - 1) from the one before, every step under
+    the one plan for h, except every ``GRID_RESTART``-th, which is one
+    step of k h from rho0 on the same shifted matrix, so no point carries
+    the rounding of more than ``GRID_RESTART`` steps. The grid's last
+    entry is the final matrix itself, so ``samples`` never moves it. Raises
     :class:`EvolutionError` when the trace drifts (NaN included). Warns,
     without raising, when the final matrix has an eigenvalue below
     ``NEGATIVE_WEIGHT_LIMIT``: a Cholesky factorisation of
@@ -596,14 +699,18 @@ def lindblad_propagate(
         final_vec, plan = _expm_action(gen, duration, vec, plan)
         if h_mat is None:
             dissipator.plans[duration] = plan
-        # the grid ends on the final state itself, so sampling cannot move it;
-        # the interval algorithm needs two inner points, and a two-point grid's
-        # only inner point is t = 0
+        # the grid ends on the final state itself, so sampling cannot move it
+        grid = [vec]
         if samples > 2:
-            inner = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples - 1, endpoint=False)
-            grid = [*inner, final_vec]
-        else:
-            grid = [vec, final_vec][:samples]
+            shifted, step = _stepper(gen, duration / (samples - 1))
+            width = abs(shifted).sum(axis=0).max()
+            for k in range(1, samples - 1):
+                if k % GRID_RESTART:
+                    grid.append(_taylor(shifted, step, grid[-1]))
+                else:  # k steps of h from rho0 in one, so rounding builds up over GRID_RESTART steps at most
+                    grid.append(_taylor(shifted, TaylorPlan(step.mu, *_degree_and_substeps(k * width)), vec, k))
+            del shifted
+        grid = [*grid, final_vec][:samples]
 
     final = _density(final_vec, dim)
     drift = abs(np.trace(final).real - np.trace(rho0).real)

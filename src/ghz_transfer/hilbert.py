@@ -327,8 +327,13 @@ class OperatorMatrix:
         return float(np.max(np.abs(diff.data)))
 
     def apply(self, state: QuantumState) -> QuantumState:
+        """The operator times ``state``; on a ``basis``, it acts as P O P for P the projector onto it."""
         _require_same_layout(self.layout, state.layout)
-        return QuantumState(self.matrix @ state.amplitudes, self.layout)
+        if self.basis is None:
+            return QuantumState(self.matrix @ state.amplitudes, self.layout)
+        amplitudes = np.zeros(self.layout.dim, dtype=complex)
+        amplitudes[self.basis] = self.matrix @ state.amplitudes[self.basis]
+        return QuantumState(amplitudes, self.layout)
 
     def expectation(self, state: QuantumState) -> complex:
         """<state| O |state>; real part only when the operator is hermitian."""

@@ -350,7 +350,7 @@ THREAD_CASES = {
     "full-dispersive": ["--mode", "full-dispersive", "--n", "2", "--samples", "50",
                         "--emit", "trajectory"],
     "ideal-batch": ["--mode", "ideal-reduced", "--n", "3", "--ghz", "random:7:5"],
-    # --samples 4 reaches the interval expm_multiply of the sampled grid
+    # --samples 4 reaches the stepped inner points of the sampled grid
     "lindblad": ["--mode", "lindblad", "--n", "2", "--cutoff", "3", "--samples", "4",
                  "--emit", "trajectory", "--emit", "checkpoints"],
 }
@@ -388,9 +388,14 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
-# what only the literal-ODE test oracle and parallel sweeps need; a plain
-# import or run loading them pays about 0.3 s for nothing
-COLD_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "concurrent.futures.process")
+# what only the literal-ODE test oracle, parallel sweeps, the Lanczos reference
+# (scipy.linalg) and `parse` (the .sched reader) need, and what no command needs
+# (scipy.sparse.linalg, scipy.sparse.csgraph); a plain import or run loading them
+# pays for nothing: about 0.3 s for the integrator's modules, 11 MB for the three scipy ones
+COLD_MODULES = (
+    "scipy.integrate", "scipy.optimize", "scipy.special", "concurrent.futures.process",
+    "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "ghz_transfer.dsl",
+)
 _REPORT_LOADED = (
     "import atexit, sys\n"
     f"loaded = lambda: sorted(set({COLD_MODULES!r}) & set(sys.modules))\n"

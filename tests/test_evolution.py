@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import dispersive_ode_oracle
+from ghz_transfer import evolution
 from ghz_transfer.evolution import (
     Dissipator,
     NEGATIVE_WEIGHT_LIMIT,
@@ -279,6 +280,40 @@ class TestDrivenStage:
 
 def _pure_rho(state: QuantumState) -> np.ndarray:
     return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+@st.composite
+def patterns(draw):
+    """A square sparse pattern: isolated nodes, self-loops, duplicate and stored zero entries, any size from 0."""
+    size = draw(st.integers(0, 12))
+    index = st.integers(0, max(size - 1, 0))
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * size)) if size else []
+    values = draw(st.lists(st.sampled_from([1.0, -2j, 0.0]), min_size=len(edges), max_size=len(edges)))
+    rows, cols = (np.array(column, dtype=np.int64) for column in zip(*edges)) if edges else (np.empty(0, int),) * 2
+    return sp.csr_matrix((np.array(values, dtype=complex), (rows, cols)), shape=(size, size))
+
+
+class TestComponents:
+    """``Propagator.compile``'s labelling against scipy's ``connected_components`` as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=patterns())
+    @example(matrix=sp.csr_matrix((0, 0), dtype=complex))
+    @example(matrix=sp.csr_matrix((5, 5), dtype=complex))
+    def test_partition_and_order_match_connected_components(self, matrix):
+        from scipy.sparse.csgraph import connected_components
+
+        _, want = connected_components(abs(matrix), directed=False)
+        labels = evolution._components(matrix)
+        # the same components, ranked the same way: by their smallest index
+        assert np.array_equal(np.unique(labels, return_inverse=True)[1], want)
+        assert all(labels[i] == np.flatnonzero(want == want[i])[0] for i in range(labels.size))
+
+    def test_long_chain_is_one_component(self):
+        # a path visited from both ends needs several hooking rounds
+        order = np.random.default_rng(3).permutation(200)
+        matrix = sp.csr_matrix((np.ones(199, dtype=complex), (order[:-1], order[1:])), shape=(200, 200))
+        assert np.array_equal(evolution._components(matrix), np.zeros(200, dtype=int))
 
 
 class TestLindblad:

@@ -13,7 +13,7 @@ from register_compile_oracle import register_compile
 from ghz_transfer import runner
 from ghz_transfer.analysis import GhzSpec
 from ghz_transfer.hamiltonians import load_preset
-from ghz_transfer.hilbert import build_layout, embed_operator, local_moves, reachable
+from ghz_transfer.hilbert import QuantumState, build_layout, embed_operator, local_moves, reachable
 from ghz_transfer.runner import MODES, run_protocol
 from ghz_transfer.scheduling import build_schedule
 
@@ -104,6 +104,13 @@ class TestReachable:
             whole = embed_operator(layout, factors).matrix
             assert got.basis is basis
             _same_csr(got.matrix, whole[basis][:, basis])
+            # applied to a register state, it acts as P O P for P the projector onto the basis
+            state = QuantumState(rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim), layout)
+            inside = np.zeros(layout.dim, dtype=complex)
+            inside[basis] = state.amplitudes[basis]
+            projected = np.zeros(layout.dim, dtype=complex)
+            projected[basis] = (whole @ inside)[basis]
+            assert np.abs(got.apply(state).amplitudes - projected).max() <= 1e-13
 
     def test_closure_matches_the_matrix_closure(self):
         layout = build_layout(2, 2, 3, 3)

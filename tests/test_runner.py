@@ -649,9 +649,54 @@ class TestRampGenerator:
 class TestTaylorPlanAndApply:
     """The open-system step is ``expm_multiply``'s, bit for bit, from a plan a ramp shares.
 
-    These pin scipy's private ``_fragment_3_1`` and ``LazyOperatorNormInfo``:
-    a scipy that changes either fails here, not in a report.
+    The package plans by code fragment (3.1) from its own theta_m table;
+    scipy's public ``expm_multiply`` and its private ``_fragment_3_1`` and
+    ``LazyOperatorNormInfo`` are the oracle here, not a dependency, so a
+    scipy that plans or steps differently fails here, not in a report.
     """
+
+    # condition (3.13) for m_max = 55, p_max = 8, ell = 2 and one column, computed
+    # in scipy's order: 2 ell p_max (p_max + 3) times theta_55 / (n0 m_max)
+    BOUND = 352 * (9.9 / float(1 * 55))
+
+    @staticmethod
+    def _scipy_plan(matrix, norm):
+        from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
+
+        return _fragment_3_1(LazyOperatorNormInfo(matrix, A_1_norm=norm, ell=2), 1, 2**-53, ell=2)
+
+    def test_plan_is_scipys_up_to_condition_3_13(self):
+        from scipy.sparse.linalg._expm_multiply import _condition_3_13
+
+        below = np.nextafter(self.BOUND, 0.0)
+        assert evolution._TABLE_BOUND == self.BOUND
+        assert _condition_3_13(self.BOUND, 1, 55, 2) and not _condition_3_13(np.nextafter(self.BOUND, np.inf), 1, 55, 2)
+        for norm in [*np.geomspace(1e-18, self.BOUND, 200), below, self.BOUND]:
+            # below the bound scipy plans from the table alone and never reads the matrix
+            assert evolution._degree_and_substeps(norm) == self._scipy_plan(None, norm), norm
+
+    @pytest.mark.parametrize("width", [64.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("segment", [None, 0])
+    def test_plan_above_the_bound_is_deterministic_and_no_cheaper(self, params, width, segment):
+        # on a segment's generator scipy's estimates reach the bounds and the plans agree
+        # ((55, 11) at 200); on D alone this one takes a few more substeps ((55, 10) against (55, 9))
+        layout = build_layout(1, 1, 3, 3)
+        schedule = build_schedule(params, 1)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        h = None if segment is None else compiled.steps[segment]
+        gen = evolution._real_liouvillian(h, compiled.dissipator)
+        unit, _ = evolution._stepper(gen, 1.0)
+        duration = width / abs(unit).sum(axis=0).max()
+        shifted, plan = evolution._stepper(gen, duration)
+        norm = abs(shifted).sum(axis=0).max()
+        assert norm > np.nextafter(self.BOUND, np.inf)
+        degree, substeps = self._scipy_plan(shifted, norm)  # from random norm estimates
+        assert plan.degree * plan.substeps >= degree * substeps
+        assert evolution._stepper(gen, duration)[1] == plan
+        vec = np.random.default_rng(1).normal(size=gen.shape[0])
+        got, again = evolution._expm_action(gen, duration, vec), evolution._expm_action(gen, duration, vec)
+        assert got[1] == again[1] == plan and got[0].tobytes() == again[0].tobytes()
+        assert np.abs(got[0] - expm_multiply(gen * duration, vec)).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_step_equals_expm_multiply_bit_for_bit(self, params, n):
@@ -683,6 +728,19 @@ class TestTaylorPlanAndApply:
         assert any(plan.substeps > 1 for plan in plans)
         assert evolution.TaylorPlan(0.0, 0, 1) in plans  # the zero generator
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_step_a_run_takes_plans_from_the_table(self, params, n):
+        # so each is expm_multiply's single step bit for bit: the ramps, the segments, the closing ramp
+        layout = build_layout(n, n, 3, 3)
+        schedule = build_schedule(params, n)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        steps = [(None, seg.ramp_s) for seg in schedule if seg.ramp_s > 0]
+        steps += [(h, seg.duration_s) for seg, h in zip(schedule, compiled.steps)]
+        steps.append((None, schedule.closing_ramp_s))
+        for h, duration in steps:
+            shifted, _ = evolution._stepper(evolution._real_liouvillian(h, compiled.dissipator), duration)
+            assert abs(shifted).sum(axis=0).max() <= self.BOUND
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_missing_diagonal_entries_match_expm_multiply(self, seed):
         # the shift -mu*I lands on diagonal entries the generator does not store
@@ -703,6 +761,42 @@ class TestTaylorPlanAndApply:
             assert again.tobytes() == want.tobytes()
         # the generator a run shares between steps is left as it was
         assert [gen.data.tobytes(), gen.indices.tobytes(), gen.indptr.tobytes()] == stored
+
+    @pytest.mark.parametrize("n, counts", [(1, (3, 4, 7, 50)), (2, (300,))])
+    def test_inner_grid_points_are_steps_of_one_plan(self, params, n, counts):
+        # scipy's interval expm_multiply is the oracle for the inner points, on every
+        # step of a run; on a longer step both round further apart (3e-14 at 15 rad,
+        # where scipy's own interval and single-step results differ by 4e-14)
+        layout = build_layout(n, n, 3, 3)
+        schedule = build_schedule(params, n)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        dissipator, dim = compiled.dissipator, compiled.support.size
+        rng = np.random.default_rng(5)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = raw @ raw.conj().T
+        rho0 /= np.trace(rho0).real
+        vec = evolution._coordinates(rho0)
+        steps = [(None, schedule.closing_ramp_s), *zip(compiled.steps, (seg.duration_s for seg in schedule))]
+        for h, duration in steps:
+            gen = evolution._real_liouvillian(h, dissipator)
+            for samples in counts:
+                final, path = evolution.lindblad_propagate(h, dissipator, rho0, duration, samples=samples)
+                got = np.array([evolution._coordinates(rho) for rho in path[:-1]])
+                want = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples - 1, endpoint=False)
+                assert np.abs(got - want).max() <= 1e-14
+                # the trace sums d coordinates, so it shows rounding built up over many steps
+                diagonal = np.arange(dim) * (dim + 1)
+                assert np.abs(got[:, diagonal].sum(axis=1) - want[:, diagonal].sum(axis=1)).max() <= 1e-14
+                assert np.array_equal(path[-1], final)
+                # an inner point is one _expm_action step of h from the one before, or
+                # every GRID_RESTART-th, one step of k h from rho0
+                shifted, plan = evolution._stepper(gen, duration / (samples - 1))  # as _expm_action forms it
+                for k in range(1, samples - 1):
+                    if k % evolution.GRID_RESTART:
+                        assert evolution._taylor(shifted, plan, got[k - 1]).tobytes() == got[k].tobytes()
+                    else:
+                        step, _ = evolution._expm_action(gen, k * (duration / (samples - 1)), vec)
+                        assert np.abs(step - got[k]).max() <= 1e-15
 
     def test_ramps_share_one_plan_per_duration(self, params, monkeypatch):
         planned = []
