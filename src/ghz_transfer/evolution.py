@@ -35,12 +35,11 @@ whatever the caller samples:
   ``expm_multiply`` does, so a step equals ``expm_multiply``'s bit for
   bit whenever scipy plans from the table alone: a 1-norm up to about
   63.36, and every step of a transmon-preset run at n <= 4 stays below 19.
-  A segment plans once per call; the Dissipator keeps one plan per ramp
-  duration, so the ten ramps of a run with the transmon preset plan
-  three times. A sampled grid steps from point to point under one plan
-  and restarts from the initial state every ``GRID_RESTART`` points.
-  Every returned matrix is rebuilt from real coordinates, so it is
-  Hermitian by construction.
+  Every call, ramp or segment, plans from its own generator. A sampled
+  grid steps from point to point under one plan, restarts from the
+  initial state every ``GRID_RESTART`` points, and keeps only each
+  point's populations. The final matrix is rebuilt from real
+  coordinates, so it is Hermitian by construction.
 
 The run path loads only numpy and ``scipy.sparse``: the components, the
 Taylor table and the stepping are here, and the Lanczos reference imports
@@ -556,20 +555,18 @@ def _degree_and_substeps(norm: float, shifted: sp.csr_matrix | None = None) -> t
     return degree, max(substeps, 1)
 
 
-def _stepper(gen: sp.csr_matrix, duration: float, plan: TaylorPlan | None = None):
+def _stepper(gen: sp.csr_matrix, duration: float):
     """tL - mu I for L = ``gen`` and t = ``duration``, formed as ``expm_multiply`` forms it, and its plan.
 
-    The plan is ``plan`` if given (its ``mu`` shifts), else derived here
-    from tr(tL) and the exact 1-norm of tL - mu I.
+    The plan comes from tr(tL) and the exact 1-norm of tL - mu I; at t = 0
+    that is mu = 0 and (0, 1), a step that returns its input's bits.
     """
     size = gen.shape[0]
     scaled = gen * duration
-    mu = scaled.trace() / float(size) if plan is None else plan.mu
+    mu = scaled.trace() / float(size)
     shifted = scaled - mu * sp.identity(size, dtype=gen.dtype, format="csr")
     del scaled  # one Liouvillian-sized copy fewer while the 1-norm is taken
-    if plan is None:
-        plan = TaylorPlan(mu, *_degree_and_substeps(abs(shifted).sum(axis=0).max(), shifted))
-    return shifted, plan
+    return shifted, TaylorPlan(mu, *_degree_and_substeps(abs(shifted).sum(axis=0).max(), shifted))
 
 
 def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -598,21 +595,42 @@ def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float 
     return out
 
 
-def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray, plan: TaylorPlan | None = None):
+def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray):
     """exp(duration gen) vec and its plan: ``expm_multiply(gen * duration, vec)``, bit for bit, up to its bound.
 
     The shift and the Taylor loop are ``expm_multiply``'s; the plan is
-    ``plan`` if given, else :func:`_degree_and_substeps`, which is scipy's
-    own choice for every 1-norm up to condition (3.13)'s bound of about
-    63.36. Above it the plan is deterministic and takes at least scipy's
-    products, so the result is scipy's only where the two plans agree.
+    :func:`_degree_and_substeps`, which is scipy's own choice for every
+    1-norm up to condition (3.13)'s bound of about 63.36. Above it the
+    plan is deterministic and takes at least scipy's products, so the
+    result is scipy's only where the two plans agree.
     """
-    shifted, plan = _stepper(gen, duration, plan)
+    shifted, plan = _stepper(gen, duration)
     return _taylor(shifted, plan, vec), plan
 
 
+def _grid(gen: sp.csr_matrix, duration: float, vec: np.ndarray, samples: int):
+    """The real coordinates of the inner points 1 .. samples - 2 of a uniform grid over [0, duration], one at a time.
+
+    Each point is one step of h = duration / (samples - 1) from the one
+    before, under the one plan for h, except every ``GRID_RESTART``-th,
+    which is one step of k h from ``vec`` on the same shifted matrix. Only
+    ``vec`` and the current point are held.
+    """
+    if samples < 3:
+        return
+    shifted, step = _stepper(gen, duration / (samples - 1))
+    width = abs(shifted).sum(axis=0).max()
+    point = vec
+    for k in range(1, samples - 1):
+        if k % GRID_RESTART:
+            point = _taylor(shifted, step, point)
+        else:  # k steps of h from rho0 in one, so rounding builds up over GRID_RESTART steps at most
+            point = _taylor(shifted, TaylorPlan(step.mu, *_degree_and_substeps(k * width)), vec, k)
+        yield point
+
+
 class Dissipator:
-    """The real Liouvillian a block's collapse matrices give with H = 0, and the ramps' plans.
+    """The real Liouvillian a block's collapse matrices give with H = 0.
 
     ``generator`` is D rho = sum L rho L^+ - 1/2 {K, rho} with K = sum L^+ L
     on a ``dim``-state block (an empty channel list cannot supply the size),
@@ -620,16 +638,14 @@ class Dissipator:
     entry by entry from the channel matrices, with no complex Liouvillian
     and no change of basis, and built once: a ramp evolves under D itself,
     and a segment merges only its H part into it (:func:`_real_liouvillian`).
-    The channel matrices are not kept. ``plans`` keeps one
-    :class:`TaylorPlan` per ramp duration seen, so ramps of equal length
-    derive theirs once; the shifted matrices are not kept either.
+    ``generator`` is all it holds: not the channel matrices, and nothing a
+    step derives from it, so a propagation leaves it as it was.
     """
 
     def __init__(self, collapse_mats, dim: int):
         if dim * dim >= 2**31:
             raise ValueError(f"a {dim}-state block has too many real coordinates to index")
         self.generator = _assembled(_dissipation([l_op.tocsr() for l_op in collapse_mats], dim), dim)
-        self.plans: dict[float, TaylorPlan] = {}
 
 
 def _real_liouvillian(h_mat, dissipator: Dissipator) -> sp.csr_matrix:
@@ -653,32 +669,27 @@ def lindblad_propagate(
     duration: float,
     *,
     samples: int = 0,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """exp(L duration) rho0 for one constant segment, on a dense Hermitian (d, d) array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(L duration) rho0 for one constant segment, on a dense Hermitian (d, d) array, and sampled populations.
 
     L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
     ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
     modelled. Layout-free, so callers can evolve a block the dynamics never
     leave. The state evolves as its d^2 real coordinates (Re rho_ij for
     i <= j, Im rho_ij for i < j; see :func:`_coordinates`) under a real
-    generator, and every returned matrix is rebuilt from them, so it is
+    generator, and the final matrix is rebuilt from them, so it is
     Hermitian by construction; a ``rho0`` that is not exactly Hermitian
     evolves as its Hermitian part (rho0 + rho0^+) / 2. The channels come as
     a :class:`Dissipator` holding the real D; a caller that evolves several
     segments under the same channels passes one to all of them, so a ramp
     builds nothing and a segment only its H part. The final matrix is one
-    truncated-Taylor step (:func:`_expm_action`, Al-Mohy & Higham 2011) on
-    the real generator, which is ``expm_multiply``'s single-step action bit
-    for bit at every 1-norm up to condition (3.13)'s bound; its plan
-    (:class:`TaylorPlan`) is derived once per call for a segment and once
-    per duration for a ramp, which takes it from the dissipator. Returns
-    the final matrix plus ``samples`` matrices on a uniform grid over
-    [0, duration], endpoints included; each inner grid point is one step
-    of h = duration / (samples - 1) from the one before, every step under
-    the one plan for h, except every ``GRID_RESTART``-th, which is one
-    step of k h from rho0 on the same shifted matrix, so no point carries
-    the rounding of more than ``GRID_RESTART`` steps. The grid's last
-    entry is the final matrix itself, so ``samples`` never moves it. Raises
+    truncated-Taylor step (:func:`_expm_action`, Al-Mohy & Higham 2011),
+    planned on every call from the call's own generator: ``expm_multiply``'s
+    single-step action bit for bit at every 1-norm up to condition (3.13)'s
+    bound, and rho0's coordinates unchanged at duration 0. Also returns the
+    (samples, d) populations (diagonals) on a uniform grid over [0, duration],
+    endpoints included: rho0's, :func:`_grid`'s inner points and the final
+    matrix's, so ``samples`` never moves the final state. Raises
     :class:`EvolutionError` when the trace drifts (NaN included). Warns,
     without raising, when the final matrix has an eigenvalue below
     ``NEGATIVE_WEIGHT_LIMIT``: a Cholesky factorisation of
@@ -690,27 +701,15 @@ def lindblad_propagate(
         raise ValueError("samples must be nonnegative")
     dim = rho0.shape[0]
     vec = _coordinates(np.asarray(rho0))
-    if duration == 0.0:
-        grid = [vec] * samples
-        final_vec = vec
-    else:
-        gen = _real_liouvillian(h_mat, dissipator)
-        plan = dissipator.plans.get(duration) if h_mat is None else None  # a segment plans per call
-        final_vec, plan = _expm_action(gen, duration, vec, plan)
-        if h_mat is None:
-            dissipator.plans[duration] = plan
-        # the grid ends on the final state itself, so sampling cannot move it
-        grid = [vec]
-        if samples > 2:
-            shifted, step = _stepper(gen, duration / (samples - 1))
-            width = abs(shifted).sum(axis=0).max()
-            for k in range(1, samples - 1):
-                if k % GRID_RESTART:
-                    grid.append(_taylor(shifted, step, grid[-1]))
-                else:  # k steps of h from rho0 in one, so rounding builds up over GRID_RESTART steps at most
-                    grid.append(_taylor(shifted, TaylorPlan(step.mu, *_degree_and_substeps(k * width)), vec, k))
-            del shifted
-        grid = [*grid, final_vec][:samples]
+    gen = _real_liouvillian(h_mat, dissipator)
+    final_vec, _ = _expm_action(gen, duration, vec)
+    populations = np.empty((samples, dim))
+    if samples:
+        populations[0] = vec[:: dim + 1]
+    if samples > 1:  # the grid ends on the final state itself, so sampling cannot move it
+        populations[-1] = final_vec[:: dim + 1]
+    for k, point in enumerate(_grid(gen, duration, vec, samples), 1):
+        populations[k] = point[:: dim + 1]  # a copy: a view would keep the whole point
 
     final = _density(final_vec, dim)
     drift = abs(np.trace(final).real - np.trace(rho0).real)
@@ -726,7 +725,7 @@ def lindblad_propagate(
         min_eig = float(np.linalg.eigvalsh(final)[0])
         if min_eig < NEGATIVE_WEIGHT_LIMIT:
             warnings.warn(f"density matrix developed negative weight {min_eig:.3e}", stacklevel=2)
-    return final, [_density(v, dim) for v in grid]
+    return final, populations
 
 
 def checkpoint_fidelity(state: QuantumState | DensityMatrix, oracle: QuantumState) -> float:

@@ -24,11 +24,11 @@ operator on them, never on the register: a
 :class:`~ghz_transfer.evolution.Propagator` per pure segment, or each
 segment's generator and one :class:`~ghz_transfer.evolution.Dissipator` on
 the lindblad block (80^2 entries where the n=2 cutoff-3 register has
-2592^2). The runs of a batch share the one cached compile. Every
-mode keeps its trajectory rows as arrays (:class:`Trajectory`) and scores
-its checkpoints and final fidelity on the indices the state occupies; a
-lindblad run's final state is its block, stored sparse
-(:meth:`DensityMatrix.from_block`).
+2592^2). The runs of a batch share the one cached compile and never
+write to it. Every mode keeps its trajectory rows as arrays
+(:class:`Trajectory`) and scores its checkpoints and final fidelity on
+the indices the state occupies; a lindblad run's final state is its
+block, stored sparse (:meth:`DensityMatrix.from_block`).
 """
 
 from __future__ import annotations
@@ -429,12 +429,12 @@ def _run_lindblad(layout, schedule, spec, compiled, samples):
         if seg.ramp_s > 0:
             rho, _ = lindblad_propagate(None, dissipator, rho, seg.ramp_s)
         t_now += seg.ramp_s
-        rho, path = lindblad_propagate(
+        rho, populations = lindblad_propagate(
             h_block, dissipator, rho, seg.duration_s, samples=samples
         )
         entry, top = _segment_samples(
             observables, seg.label, t_now + np.linspace(0.0, seg.duration_s, samples),
-            np.real([np.diag(mat) for mat in [*path, rho]]),
+            np.vstack([populations, np.real(np.diag(rho))]),
         )
         sampled.append(entry)
         truncation = max(truncation, top)

@@ -6,7 +6,9 @@ DOP853 on the dense density matrix, so the tests can compare the two
 routes. It works on bare arrays and has the signature of
 ``lindblad_propagate`` with the channel matrices in place of the
 ``Dissipator``, so a test can put it in that function's place by supplying
-the channels the Dissipator was built from.
+the channels the Dissipator was built from. Like that function, it returns
+the final matrix and the populations (diagonals) of the sampled grid, not
+the sampled matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ ATOL = 1e-13
 
 
 def integrate(h_mat, collapse_mats, rho0, duration, *, samples=0):
-    """Final matrix plus ``samples`` matrices on [0, duration], endpoints included."""
+    """Final matrix plus the (samples, d) populations on [0, duration], endpoints included."""
     dim = rho0.shape[0]
     h_eff = sp.csr_matrix((dim, dim), dtype=complex) if h_mat is None else h_mat.astype(complex)
     for l_op in collapse_mats:
@@ -38,12 +40,12 @@ def integrate(h_mat, collapse_mats, rho0, duration, *, samples=0):
 
     times = np.linspace(0.0, duration, samples)
     if duration == 0.0:
-        return rho0.copy(), [rho0.copy() for _ in times]
+        return rho0.copy(), np.tile(np.real(np.diag(rho0)), (samples, 1))
     sol = solve_ivp(
         rhs, (0.0, duration), rho0.astype(complex).ravel(),
         method="DOP853", rtol=RTOL, atol=ATOL, t_eval=np.union1d(times, [duration]),
     )
     assert sol.success, sol.message
-    mats = [sol.y[:, i].reshape(dim, dim) for i in range(sol.y.shape[1])]
-    final = mats[-1]
-    return 0.5 * (final + final.conj().T), mats[:samples]
+    final = sol.y[:, -1].reshape(dim, dim)
+    populations = np.real(sol.y[:: dim + 1, :samples].T)  # the diagonal of each sampled matrix
+    return 0.5 * (final + final.conj().T), populations

@@ -364,11 +364,12 @@ class TestLindblad:
         h = h_resonant_ge(layout11, "L", "A", MU)
         rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e"}))
         t = 50e-9
-        final, states = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t, samples=3)
+        final, populations = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t, samples=3)
         half, _ = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t / 2)
-        np.testing.assert_allclose(states[0], rho0, atol=1e-15)
-        np.testing.assert_allclose(states[1], half, atol=1e-12)
-        np.testing.assert_allclose(states[2], final, atol=1e-15)
+        assert populations.shape == (3, layout11.dim) and populations.dtype == np.float64
+        assert np.array_equal(populations[0], np.real(np.diag(rho0)))
+        np.testing.assert_allclose(populations[1], np.real(np.diag(half)), atol=1e-12)
+        assert np.array_equal(populations[2], np.real(np.diag(final)))
 
     def test_nan_diagonal_is_drift(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
@@ -421,8 +422,30 @@ class TestLindblad:
         dissipator = Dissipator(ops, layout11.dim)
         alone, _ = lindblad_propagate(h, dissipator, rho0, 50e-9)
         for samples in (0, 1, 2, 3, 5):
-            final, path = lindblad_propagate(h, dissipator, rho0, 50e-9, samples=samples)
+            final, populations = lindblad_propagate(h, dissipator, rho0, 50e-9, samples=samples)
             assert np.array_equal(final, alone)
-            assert len(path) == samples
+            assert populations.shape == (samples, layout11.dim)
             if samples >= 2:
-                assert np.array_equal(path[-1], final)
+                assert np.array_equal(populations[-1], np.real(np.diag(final)))
+
+    @pytest.mark.parametrize("h_kind", ["ramp", "segment"])
+    def test_zero_duration_returns_the_input(self, layout11, h_kind):
+        # the general step at t = 0 has shift 0 and plan (0, 1): rho0's coordinates come
+        # back bit for bit, at every sample count, and every grid point is rho0
+        params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
+        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU).matrix
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(layout11.dim, 4)) + 1j * rng.normal(size=(layout11.dim, 4))
+        rho0 = raw @ raw.conj().T
+        rho0 /= np.trace(rho0).real
+        want = evolution._density(evolution._coordinates(rho0), layout11.dim)
+        dissipator = Dissipator(ops, layout11.dim)
+        for samples in range(6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                final, populations = lindblad_propagate(h, dissipator, rho0, 0.0, samples=samples)
+            assert final.tobytes() == want.tobytes()
+            assert populations.shape == (samples, layout11.dim)
+            for row in populations:
+                assert row.tobytes() == np.real(np.diag(want)).tobytes()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -366,6 +368,28 @@ class TestLindbladMode:
             assert rec.fidelity == pytest.approx(integrated.checkpoints[label].fidelity, abs=1e-9)
         assert exact.final_fidelity == pytest.approx(integrated.final_fidelity, abs=1e-9)
 
+    @pytest.mark.parametrize("h_kind", ["ramp", "segment"])
+    def test_sampled_grid_memory_does_not_grow_with_samples(self, params, h_kind):
+        # a grid point keeps its d populations, not a (d, d) matrix: 200 complex
+        # 80 x 80 matrices would add about 20 MB to the peak
+        layout, schedule = build_layout(2, 2, 3, 3), build_schedule(params, 2)
+        compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
+        block = runner._oracle_on(layout, GhzSpec(0.6, 0.8j, 2), "initial", compiled.support)
+        rho0, dim = np.outer(block, block.conj()), compiled.support.size
+        h_mat = None if h_kind == "ramp" else compiled.steps[1]
+        peaks = {}
+        for samples in (3, 200):
+            tracemalloc.start()
+            try:
+                evolution.lindblad_propagate(
+                    h_mat, compiled.dissipator, rho0, schedule.segments[1].duration_s, samples=samples
+                )
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the 197 extra rows of populations, and less than 64 KiB besides
+        assert peaks[200] - peaks[3] <= 197 * dim * 8 + 2**16
+
     def test_stays_positive_without_warning(self, params):
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         with warnings.catch_warnings():
@@ -593,10 +617,10 @@ class TestRealCoordinates:
         block = runner._oracle_on(layout, GhzSpec(0.6, 0.8j, 2), "initial", compiled.support)
         h_mat = None if h_kind == "ramp" else compiled.steps[1]
         rho0, duration = np.outer(block, block.conj()), schedule.segments[1].duration_s
-        final, path = evolution.lindblad_propagate(h_mat, compiled.dissipator, rho0, duration, samples=5)
-        assert len(path) == 5
-        for mat in [final, *path]:
-            assert np.array_equal(mat, mat.conj().T)
+        final, populations = evolution.lindblad_propagate(h_mat, compiled.dissipator, rho0, duration, samples=5)
+        assert np.array_equal(final, final.conj().T)
+        # a sampled point keeps only its populations, which are real
+        assert populations.shape == (5, compiled.support.size) and populations.dtype == np.float64
 
     def test_an_unindexable_block_is_refused(self):
         # int32 indexes the real coordinates; the refusal comes before any allocation
@@ -647,7 +671,7 @@ class TestRampGenerator:
 
 
 class TestTaylorPlanAndApply:
-    """The open-system step is ``expm_multiply``'s, bit for bit, from a plan a ramp shares.
+    """The open-system step is ``expm_multiply``'s, bit for bit, from the plan each call derives.
 
     The package plans by code fragment (3.1) from its own theta_m table;
     scipy's public ``expm_multiply`` and its private ``_fragment_3_1`` and
@@ -722,8 +746,6 @@ class TestTaylorPlanAndApply:
                 got, plan = evolution._expm_action(gen, duration, vec)
                 want = expm_multiply(gen * duration, vec)
                 assert got.tobytes() == want.tobytes(), (duration, plan)
-                again, _ = evolution._expm_action(gen, duration, vec, plan)
-                assert again.tobytes() == want.tobytes()
                 plans.append(plan)
         assert any(plan.substeps > 1 for plan in plans)
         assert evolution.TaylorPlan(0.0, 0, 1) in plans  # the zero generator
@@ -757,8 +779,6 @@ class TestTaylorPlanAndApply:
             got, plan = evolution._expm_action(gen, duration, vec)
             want = expm_multiply(gen * duration, vec)
             assert got.tobytes() == want.tobytes(), (duration, plan)
-            again, _ = evolution._expm_action(gen, duration, vec, plan)
-            assert again.tobytes() == want.tobytes()
         # the generator a run shares between steps is left as it was
         assert [gen.data.tobytes(), gen.indices.tobytes(), gen.indptr.tobytes()] == stored
 
@@ -776,18 +796,21 @@ class TestTaylorPlanAndApply:
         rho0 = raw @ raw.conj().T
         rho0 /= np.trace(rho0).real
         vec = evolution._coordinates(rho0)
+        diagonal = np.arange(dim) * (dim + 1)
         steps = [(None, schedule.closing_ramp_s), *zip(compiled.steps, (seg.duration_s for seg in schedule))]
         for h, duration in steps:
             gen = evolution._real_liouvillian(h, dissipator)
             for samples in counts:
-                final, path = evolution.lindblad_propagate(h, dissipator, rho0, duration, samples=samples)
-                got = np.array([evolution._coordinates(rho) for rho in path[:-1]])
+                # the full coordinates of the points lindblad_propagate keeps the diagonals of
+                got = np.array([vec, *evolution._grid(gen, duration, vec, samples)])
                 want = expm_multiply(gen, vec, start=0.0, stop=duration, num=samples - 1, endpoint=False)
                 assert np.abs(got - want).max() <= 1e-14
                 # the trace sums d coordinates, so it shows rounding built up over many steps
-                diagonal = np.arange(dim) * (dim + 1)
                 assert np.abs(got[:, diagonal].sum(axis=1) - want[:, diagonal].sum(axis=1)).max() <= 1e-14
-                assert np.array_equal(path[-1], final)
+                final, populations = evolution.lindblad_propagate(h, dissipator, rho0, duration, samples=samples)
+                assert populations.shape == (samples, dim) and populations.dtype == np.float64
+                assert populations[:-1].tobytes() == got[:, diagonal].tobytes()
+                assert populations[-1].tobytes() == np.real(np.diag(final)).tobytes()
                 # an inner point is one _expm_action step of h from the one before, or
                 # every GRID_RESTART-th, one step of k h from rho0
                 shifted, plan = evolution._stepper(gen, duration / (samples - 1))  # as _expm_action forms it
@@ -797,29 +820,6 @@ class TestTaylorPlanAndApply:
                     else:
                         step, _ = evolution._expm_action(gen, k * (duration / (samples - 1)), vec)
                         assert np.abs(step - got[k]).max() <= 1e-15
-
-    def test_ramps_share_one_plan_per_duration(self, params, monkeypatch):
-        planned = []
-        act = evolution._expm_action
-
-        def recording(gen, duration, vec, plan=None):
-            planned.append((gen, duration, plan is None))
-            return act(gen, duration, vec, plan)
-
-        monkeypatch.setattr(evolution, "_expm_action", recording)
-        runner._compiled.cache_clear()
-        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
-        run_protocol(params, spec, mode="lindblad", fock_cutoff=3)
-        schedule = build_schedule(params, 2)
-        layout = build_layout(2, 2, 3, 3)
-        dissipator = runner._compiled(layout, tuple(schedule), params, "lindblad").dissipator
-        ramps = [(duration, fresh) for gen, duration, fresh in planned if gen is dissipator.generator]
-        segments = [fresh for gen, _, fresh in planned if gen is not dissipator.generator]
-        durations = {seg.ramp_s for seg in schedule if seg.ramp_s > 0} | {schedule.closing_ramp_s}
-        assert len(ramps) == 10 and len(durations) == 3
-        assert sum(fresh for _, fresh in ramps) == 3  # one plan per distinct ramp, not ten
-        assert set(dissipator.plans) == durations
-        assert len(segments) == 9 and all(segments)  # a segment plans once per call
 
 
 def _held(compiled):
@@ -871,6 +871,21 @@ class TestCompiledSchedule:
                 assert result.layout.dim not in item.shape, type(item)
                 # the open-system generators are real: no complex Liouvillian is kept
                 assert liouville not in item.shape or item.dtype.kind != "c", type(item)
+
+    def test_lindblad_runs_leave_the_compile_as_it_was(self, params):
+        # every step plans from its own generator, so a run only reads the shared Dissipator
+        layout, schedule = build_layout(2, 2, 3, 3), build_schedule(params, 2)
+        runner._compiled.cache_clear()
+        dissipator = runner._compiled(layout, tuple(schedule), params, "lindblad").dissipator
+        generator = dissipator.generator
+        stored = [getattr(generator, key).tobytes() for key in ("data", "indices", "indptr")]
+        rest = copy.deepcopy({key: value for key, value in vars(dissipator).items() if key != "generator"})
+        for alpha, beta in [(0.6, 0.8j), (1.0, 0.0)]:
+            run_protocol(params, GhzSpec(alpha=alpha, beta=beta, n=2), mode="lindblad", fock_cutoff=3)
+        assert runner._compiled(layout, tuple(schedule), params, "lindblad").dissipator is dissipator
+        assert {key: value for key, value in vars(dissipator).items() if key != "generator"} == rest
+        assert dissipator.generator is generator
+        assert [getattr(generator, key).tobytes() for key in ("data", "indices", "indptr")] == stored
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mode", MODES)
