@@ -417,21 +417,23 @@ def _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad):
         "fidelity_spread": spread,
     })
 
-    r = 1.0 / math.sqrt(2.0)
-    shared = run_protocol(parameters, GhzSpec(alpha=r, beta=r, n=n))
-    # the pulse acts on the states the final one reaches under it, never on the whole register
-    pulse = {"q1p": logical_encode_pulse()}
-    basis = reachable(shared.layout, np.flatnonzero(shared.final_state.amplitudes), local_moves(shared.layout, [pulse]))
-    encoded = embed_operator(shared.layout, pulse, basis).apply(shared.final_state)
-    worst = 0.0
-    for site in shared.layout.right_qudits:
-        eigvals = np.sort(np.linalg.eigvalsh(partial_trace(encoded, [site]).matrix))
-        worst = max(worst, abs(eigvals[-1] - 0.5), abs(eigvals[-2] - 0.5), abs(eigvals[0]))
-    checks.append({
-        "name": "single-share-mixedness",
-        "ok": bool(worst < 1e-9),
-        "worst_eigenvalue_error": worst,
-    })
+    if n >= 2:  # at n = 1 the one share holds the whole secret
+        r = 1.0 / math.sqrt(2.0)
+        shared = run_protocol(parameters, GhzSpec(alpha=r, beta=r, n=n))
+        # the pulse acts on the states the final one reaches under it, never on the whole register
+        pulse = {"q1p": logical_encode_pulse()}
+        moves = local_moves(shared.layout, [pulse])
+        basis = reachable(shared.layout, np.flatnonzero(shared.final_state.amplitudes), moves)
+        encoded = embed_operator(shared.layout, pulse, basis).apply(shared.final_state)
+        worst = 0.0
+        for site in shared.layout.right_qudits:
+            eigvals = np.sort(np.linalg.eigvalsh(partial_trace(encoded, [site])))
+            worst = max(worst, abs(eigvals[-1] - 0.5), abs(eigvals[-2] - 0.5), abs(eigvals[0]))
+        checks.append({
+            "name": "single-share-mixedness",
+            "ok": bool(worst < 1e-9),
+            "worst_eigenvalue_error": worst,
+        })
 
     if not skip_full and n >= 2:
         full = run_protocol(
@@ -472,7 +474,10 @@ def _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad):
 @click.option("--skip-full", is_flag=True, help="Skip the full-dispersive occupation check.")
 @click.option("--skip-lindblad", is_flag=True, help="Skip the open-system check.")
 def cmd_verify(preset, params_path, sets, n, seed, count, skip_full, skip_lindblad):
-    """Run the invariant suite and emit a pass/fail report."""
+    """Run the invariant suite and emit a pass/fail report.
+
+    The single-share and spectator-occupation checks need n >= 2.
+    """
     try:
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
         checks = _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad)

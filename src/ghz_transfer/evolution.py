@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghz_transfer.hamiltonians import DispersiveGenerator
-from ghz_transfer.hilbert import DensityMatrix, OperatorMatrix, QuantumState
+from ghz_transfer.hilbert import OperatorMatrix, QuantumState
 
 __all__ = [
     "EvolutionError",
@@ -728,8 +728,8 @@ def lindblad_propagate(
     return final, populations
 
 
-def checkpoint_fidelity(state: QuantumState | DensityMatrix, oracle: QuantumState) -> float:
-    """Fidelity |<oracle|state>|^2, or <oracle|rho|oracle> for mixed states."""
-    if isinstance(state, DensityMatrix):
+def checkpoint_fidelity(state: QuantumState | OperatorMatrix, oracle: QuantumState) -> float:
+    """Fidelity |<oracle|state>|^2, or <oracle|rho|oracle> for a density matrix."""
+    if isinstance(state, OperatorMatrix):
         return float(np.real(state.expectation(oracle)))
     return float(abs(oracle.overlap(state)) ** 2)

@@ -13,12 +13,13 @@ ordered
 
 with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
-Operators and density matrices are stored sparse (CSR), pure states as
-dense vectors. Every operator is one Kronecker product of local factors
-(:func:`embed_operator`), or a sum of such products, assembled in one
-pass from the local factors' entries, on the whole register or on a basis:
-a sorted array of flat indices, such as the states :func:`reachable` finds
-from a seed through the same local factors.
+Operators are stored sparse (CSR), pure states as dense vectors; a
+density matrix is an operator, on the register or on a basis. Every
+operator is one Kronecker product of local factors (:func:`embed_operator`),
+or a sum of such products, assembled in one pass from the local factors'
+entries, on the whole register or on a basis: a sorted array of flat
+indices, such as the states :func:`reachable` finds from a seed through
+the same local factors.
 """
 
 from __future__ import annotations
@@ -39,15 +40,10 @@ __all__ = [
     "build_layout",
     "QuantumState",
     "OperatorMatrix",
-    "DensityMatrix",
-    "ReducedDensityMatrix",
     "level_ket",
     "transition_op",
     "annihilation_op",
     "embed_operator", "LocalMoves", "local_moves", "reachable",
-    "embed_site_operator",
-    "mode_annihilation",
-    "mode_creation",
     "partial_trace",
 ]
 
@@ -293,7 +289,8 @@ class OperatorMatrix:
     """Sparse operator bound to a layout, with a Hermiticity claim.
 
     Its rows and columns stand for the sorted flat indices ``basis``, or
-    for the whole register when ``basis`` is None.
+    for the whole register when ``basis`` is None. A density matrix is one
+    too: a lindblad run ends in the Hermitian operator on its block.
     The ``hermitian`` flag is asserted at construction time (defect above
     1e-12 raises), so downstream consumers can trust it. A builder whose
     matrix is Hermitian bit for bit by the way it was formed (X + X^+ plus
@@ -336,58 +333,15 @@ class OperatorMatrix:
         return QuantumState(amplitudes, self.layout)
 
     def expectation(self, state: QuantumState) -> complex:
-        """<state| O |state>; real part only when the operator is hermitian."""
-        value = complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
-        return value.real if self.hermitian else value
+        """<state| O |state>, with O as :meth:`apply` takes it; real part only when the operator is hermitian.
 
-
-@dataclass
-class DensityMatrix:
-    """Density operator bound to a layout, stored sparse (CSR) like an operator.
-
-    Open-system dynamics occupy only the block of basis states they can
-    reach, and :meth:`from_block` stores only that block, never a
-    ``dim x dim`` array.
-    """
-
-    matrix: sp.csr_matrix
-    layout: SystemLayout
-
-    def __post_init__(self) -> None:
-        mat = sp.csr_matrix(self.matrix, dtype=complex)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(
-                f"density matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
-            )
-        self.matrix = mat
-
-    @classmethod
-    def from_block(cls, block: np.ndarray, support: np.ndarray, layout: SystemLayout) -> "DensityMatrix":
-        """The matrix equal to ``block`` on the basis indices ``support``, zero elsewhere."""
-        support = np.asarray(support)
-        block = np.asarray(block, dtype=complex)
-        rows = np.repeat(support, support.size)
-        cols = np.tile(support, support.size)
-        return cls(sp.csr_matrix((block.ravel(), (rows, cols)), shape=(layout.dim, layout.dim)), layout)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(self.matrix.diagonal().sum()))
-
-    def expectation(self, state: QuantumState) -> float:
-        """<state| rho |state>, the fidelity of rho against a pure target."""
+        For a density matrix and a pure target, that is the fidelity <psi|rho|psi>.
+        """
         _require_same_layout(self.layout, state.layout)
+        amplitudes = state.amplitudes if self.basis is None else state.amplitudes[self.basis]
         # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
-        return float(np.real(np.sum(state.amplitudes.conj() * (self.matrix @ state.amplitudes))))
-
-
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """Result of a partial trace: a small dense matrix over kept sites."""
-
-    matrix: np.ndarray
-    sites: tuple[str, ...]
-    dims: tuple[int, ...]
+        value = complex(np.sum(amplitudes.conj() * (self.matrix @ amplitudes)))
+        return value.real if self.hermitian else value
 
 
 def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basis=None) -> OperatorMatrix:
@@ -500,47 +454,20 @@ def _moved(layout: SystemLayout, moves: LocalMoves, codes: np.ndarray):
     return codes + ((to - levels) * strides).sum(axis=1), (to >= 0).all(axis=1), (touched, picked)
 
 
-def embed_site_operator(layout: SystemLayout, site: str, local: np.ndarray) -> OperatorMatrix:
-    """Lift a local qudit/coupler operator to the full register.
-
-    Cavity factors are addressed through :func:`mode_annihilation` instead.
-    """
-    if site in ("cavL", "cavR"):
-        raise ValueError("cavity factors are embedded via mode_annihilation / mode_creation")
-    return embed_operator(layout, {site: local})
-
-
-def mode_annihilation(layout: SystemLayout, cavity: str) -> OperatorMatrix:
-    """Annihilation operator of mode a (``cavity="L"``) or b (``"R"``)."""
-    site = _mode_site(cavity)
-    return embed_operator(layout, {site: annihilation_op(layout.site_dim(site))})
-
-
-def mode_creation(layout: SystemLayout, cavity: str) -> OperatorMatrix:
-    """Exactly the conjugate transpose of :func:`mode_annihilation`."""
-    site = _mode_site(cavity)
-    return embed_operator(layout, {site: annihilation_op(layout.site_dim(site)).conj().T})
-
-
-def _mode_site(cavity: str) -> str:
-    if cavity not in ("L", "R"):
-        raise ValueError(f"cavity must be 'L' or 'R', got {cavity!r}")
-    return "cav" + cavity
-
-
-def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) -> ReducedDensityMatrix:
+def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str]) -> np.ndarray:
     """Trace out everything except ``keep_sites``.
 
     Parameters
     ----------
-    obj : QuantumState or DensityMatrix
+    obj : QuantumState or OperatorMatrix
+        A pure state, or a density matrix on the register or on its ``basis``.
     keep_sites : iterable of str
         Factor names to keep, in the order the reduced matrix should use.
         Cavity factors ``cavL``/``cavR`` are allowed.
 
     Returns
     -------
-    ReducedDensityMatrix
+    numpy.ndarray
         Dense matrix of dimension ``prod(site dims kept)``.
     """
     layout = obj.layout
@@ -555,28 +482,24 @@ def partial_trace(obj: QuantumState | DensityMatrix, keep_sites: Iterable[str]) 
         tensor = obj.amplitudes.reshape(dims)
         rest = [i for i in range(len(dims)) if i not in positions]
         mat = tensor.transpose(positions + rest).reshape(keep_dim, -1)
-        reduced = mat @ mat.conj().T
-    elif isinstance(obj, DensityMatrix):
-        # over the stored entries: one survives when its row and column agree on every traced-out level
-        entries = obj.matrix.tocoo()
-        row_levels = np.unravel_index(entries.row, dims)
-        col_levels = np.unravel_index(entries.col, dims)
-        same = np.ones(entries.nnz, dtype=bool)
-        for i in set(range(len(dims))) - set(positions):
-            same &= row_levels[i] == col_levels[i]
-        row = col = np.zeros(entries.nnz, dtype=np.int64)
-        for p in positions:
-            row, col = row * dims[p] + row_levels[p], col * dims[p] + col_levels[p]
-        reduced = np.zeros((keep_dim, keep_dim), dtype=complex)
-        np.add.at(reduced, (row[same], col[same]), entries.data[same])
-    else:
+        return mat @ mat.conj().T
+    if not isinstance(obj, OperatorMatrix):
         raise TypeError(f"cannot partial-trace a {type(obj).__name__}")
-
-    return ReducedDensityMatrix(
-        matrix=reduced,
-        sites=keep,
-        dims=tuple(dims[p] for p in positions),
-    )
+    # over the stored entries: one survives when its row and column agree on every traced-out level
+    entries = obj.matrix.tocoo()
+    rows, cols = entries.row, entries.col
+    if obj.basis is not None:  # places in the basis, as register indices
+        rows, cols = obj.basis[rows], obj.basis[cols]
+    row_levels, col_levels = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
+    same = np.ones(entries.nnz, dtype=bool)
+    for i in set(range(len(dims))) - set(positions):
+        same &= row_levels[i] == col_levels[i]
+    row = col = np.zeros(entries.nnz, dtype=np.int64)
+    for p in positions:
+        row, col = row * dims[p] + row_levels[p], col * dims[p] + col_levels[p]
+    reduced = np.zeros((keep_dim, keep_dim), dtype=complex)
+    np.add.at(reduced, (row[same], col[same]), entries.data[same])
+    return reduced
 
 
 def _require_same_layout(a: SystemLayout, b: SystemLayout) -> None:

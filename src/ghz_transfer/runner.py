@@ -27,8 +27,9 @@ the lindblad block (80^2 entries where the n=2 cutoff-3 register has
 2592^2). The runs of a batch share the one cached compile and never
 write to it. Every mode keeps its trajectory rows as arrays
 (:class:`Trajectory`) and scores its checkpoints and final fidelity on
-the indices the state occupies; a lindblad run's final state is its
-block, stored sparse (:meth:`DensityMatrix.from_block`).
+the indices the state occupies; a lindblad run's final state is the
+density matrix on its block, a Hermitian
+:class:`~ghz_transfer.hilbert.OperatorMatrix` whose ``basis`` is the block.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .hamiltonians import (
     h_resonant_ge,
     sideband_term,
 )
-from .hilbert import DensityMatrix, QuantumState, SystemLayout, build_layout, local_moves, reachable
+from .hilbert import OperatorMatrix, QuantumState, SystemLayout, build_layout, local_moves, reachable
 from .scheduling import Schedule, build_schedule
 
 __all__ = [
@@ -199,7 +200,7 @@ class ProtocolResult:
     schedule: Schedule
     checkpoints: dict[str, CheckpointRecord]
     final_fidelity: float
-    final_state: QuantumState | DensityMatrix
+    final_state: QuantumState | OperatorMatrix
     trajectory: Trajectory
     truncation_top_fock: float
     thresholds: dict
@@ -325,6 +326,8 @@ class _Compiled(NamedTuple):
 
 # a lindblad run peaks near this many bytes per real coordinate of its block (470 MB at n = 4: d = 1280)
 PEAK_BYTES_PER_COORDINATE = 250
+# the kernel's estimate of the memory a new process can take without swapping (Linux 3.14+)
+_MEMINFO = "/proc/meminfo"
 
 
 @lru_cache(maxsize=1)
@@ -358,19 +361,27 @@ def _compiled(layout, segments, params, mode) -> _Compiled:
     for seg in segments:
         reach = reachable(layout, reach, _segment_moves(layout, seg, params, mode) + channels)
     keep = reachable(layout, reach, channels)
-    need, have = PEAK_BYTES_PER_COORDINATE * keep.size**2, _physical_memory()
+    need, have = PEAK_BYTES_PER_COORDINATE * keep.size**2, _available_memory()
     if have is not None and need > have:  # refused before anything of the block's size is built
         raise ValueError(f"the lindblad block has {keep.size} states: the run needs about "
-                         f"{need / 2**20:,.0f} MiB, more than the {have / 2**20:,.0f} MiB of this machine's memory")
+                         f"{need / 2**20:,.0f} MiB, more than the {have / 2**20:,.0f} MiB of memory available")
     dissipator = Dissipator([op.matrix for op in collapse_operators(layout, params, keep)], keep.size)
     steps = [_segment_generator(layout, seg, params, mode, keep).matrix for seg in segments]
     return _Compiled(keep, steps, dissipator)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
+def _available_memory() -> int | None:
+    """Bytes of memory available: ``MemAvailable`` where the system reports it, else physical
+    memory, or None where the system says neither."""
     import os
 
+    try:
+        with open(_MEMINFO) as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -446,7 +457,7 @@ def _run_lindblad(layout, schedule, spec, compiled, samples):
     if schedule.closing_ramp_s > 0:
         rho, _ = lindblad_propagate(None, dissipator, rho, schedule.closing_ramp_s)
     final_fidelity = _block_fidelity(spec, "final", rho, keep, layout)
-    final_state = DensityMatrix.from_block(rho, keep, layout)
+    final_state = OperatorMatrix(rho, layout, hermitian=True, by_construction=True, basis=keep)
     return final_state, checkpoints, Trajectory(sampled), truncation, final_fidelity
 
 

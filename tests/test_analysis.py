@@ -170,7 +170,7 @@ class TestFinalStateStructure:
         # reduced state across the left/right cut has purity one
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
         final = make_oracle_state(layout2, spec, "final")
-        left = partial_trace(final, ["q1", "q2", "A", "cavL"]).matrix
+        left = partial_trace(final, ["q1", "q2", "A", "cavL"])
         purity = float(np.real(np.trace(left @ left)))
         assert abs(purity - 1.0) < 1e-12
 
@@ -179,9 +179,9 @@ class TestFinalStateStructure:
         # |alpha| = |beta| each qudit's reduced state is I/2 on its support
         spec = GhzSpec(alpha=1 / SQRT2, beta=1j / SQRT2, n=2)
         final = make_oracle_state(layout2, spec, "final")
-        first = partial_trace(final, ["q1p"]).matrix
+        first = partial_trace(final, ["q1p"])
         assert np.max(np.abs(first - np.diag([0.5, 0.0, 0.5]))) < 1e-12
-        spectator = partial_trace(final, ["q2p"]).matrix
+        spectator = partial_trace(final, ["q2p"])
         assert np.max(np.abs(spectator - np.diag([0.5, 0.5, 0.0]))) < 1e-12
 
     def test_two_shares_read_out_the_secret(self, layout2):
@@ -189,7 +189,7 @@ class TestFinalStateStructure:
         # the +/- encoding turns the pair back into a perfect GHZ ket
         spec = GhzSpec(alpha=0.6, beta=0.8, n=2)
         final = make_oracle_state(layout2, spec, "final")
-        pair = partial_trace(final, ["q1p", "q2p"]).matrix
+        pair = partial_trace(final, ["q1p", "q2p"])
         u = logical_encode_pulse()
         decoded = np.kron(np.eye(3), u.conj().T) @ pair @ np.kron(np.eye(3), u)
         ghz = np.zeros(9, dtype=complex)

@@ -462,8 +462,8 @@ from ghz_transfer.hilbert import partial_trace
 from ghz_transfer.runner import run_protocol
 spec = GhzSpec(alpha=0.6, beta=0.8j, n=3)
 rho = run_protocol(load_preset("transmon"), spec, mode="lindblad", fock_cutoff=3).final_state
-reduced = partial_trace(rho, ["q1p"]).matrix
-print(rho.matrix.nnz, abs(np.trace(reduced) - 1.0), np.abs(reduced - reduced.conj().T).max())
+reduced = partial_trace(rho, ["q1p"])
+print(rho.matrix.shape[0], rho.basis.size, abs(np.trace(reduced) - 1.0), np.abs(reduced - reduced.conj().T).max())
 """
 
 
@@ -486,7 +486,7 @@ class TestMemory:
         # the estimate comes from the block size alone, before anything of its size is built
         from ghz_transfer import runner as runner_module
 
-        monkeypatch.setattr(runner_module, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(runner_module, "_available_memory", lambda: 2**20)
         runner_module._compiled.cache_clear()
         result = runner.invoke(main, ["run", "--mode", "lindblad", "--n", "2", "--cutoff", "3"])
         assert one_error_line(result), result.output
@@ -513,8 +513,8 @@ class TestMemory:
         # the trace runs over the stored entries, never a dense 23328 x 23328 matrix
         proc = _run_fresh([], "1", self._limit_address_space(), code=_PARTIAL_TRACE_PROBE)
         assert proc.returncode == 0, proc.stderr
-        nnz, trace_gap, hermiticity_gap = proc.stdout.split()
-        assert int(nnz) == 320**2
+        size, basis_size, trace_gap, hermiticity_gap = proc.stdout.split()
+        assert int(size) == int(basis_size) == 320
         assert float(trace_gap) <= 1e-7 and float(hermiticity_gap) <= 1e-12
 
 
@@ -653,3 +653,12 @@ class TestVerify:
             "amplitude-independence", "single-share-mixedness",
         }
         assert report["budget"]["tau_s"] == pytest.approx(0.15e-6, rel=0.05)
+
+    def test_n1_passes_without_the_checks_that_need_two_shares(self, runner):
+        # one share holds the whole secret, and there is no spectator to occupy
+        result = runner.invoke(main, ["verify", "--n", "1", "--count", "2", "--skip-lindblad"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["ok"] is True
+        names = {check["name"] for check in report["checks"]}
+        assert names == {"checkpoint-chain", "transfer-correctness", "amplitude-independence"}

@@ -32,7 +32,6 @@ from ghz_transfer.hamiltonians import (
     h_resonant_ge,
 )
 from ghz_transfer.hilbert import (
-    DensityMatrix,
     OperatorMatrix,
     QuantumState,
     build_layout,
@@ -323,7 +322,7 @@ class TestLindblad:
         t = math.pi / (2 * MU)
         pure = evolve_unitary(src, h, t).final
         rho, _ = lindblad_propagate(h.matrix, Dissipator([], layout11.dim), _pure_rho(src), t)
-        assert abs(checkpoint_fidelity(DensityMatrix(rho, layout11), pure) - 1.0) < 1e-12
+        assert abs(checkpoint_fidelity(OperatorMatrix(rho, layout11, hermitian=True), pure) - 1.0) < 1e-12
 
     def test_photon_decay_rate(self, layout11):
         kappa = 2.0e5
@@ -343,7 +342,7 @@ class TestLindblad:
         src = QuantumState.from_basis(layout11, {"q1": "e"})
         t = 10e-6
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), _pure_rho(src), t)
-        pop_e = DensityMatrix(rho, layout11).expectation(src)
+        pop_e = OperatorMatrix(rho, layout11, hermitian=True).expectation(src)
         assert pop_e == pytest.approx(math.exp(-t / 20e-6), abs=1e-6)
 
     def test_trace_is_conserved(self, layout11):

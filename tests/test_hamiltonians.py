@@ -31,10 +31,9 @@ from ghz_transfer.hamiltonians import (
 )
 from ghz_transfer.hilbert import (
     QuantumState,
+    annihilation_op,
     build_layout,
-    embed_site_operator,
-    mode_annihilation,
-    mode_creation,
+    embed_operator,
     transition_op,
 )
 from ghz_transfer.units import TWO_PI, two_pi_mhz
@@ -238,10 +237,11 @@ def _single_site_products(layout, params) -> dict:
     """
     def site(name, to_level, from_level):
         local = transition_op(layout.site_dim(name), to_level, from_level)
-        return embed_site_operator(layout, name, local).matrix
+        return embed_operator(layout, {name: local}).matrix
 
-    a = {c: mode_annihilation(layout, c).matrix for c in "LR"}
-    adag = {c: mode_creation(layout, c).matrix for c in "LR"}
+    lowering = {c: annihilation_op(layout.site_dim("cav" + c)) for c in "LR"}
+    a = {c: embed_operator(layout, {"cav" + c: lowering[c]}).matrix for c in "LR"}
+    adag = {c: embed_operator(layout, {"cav" + c: lowering[c].conj().T}).matrix for c in "LR"}
     spectators = {"L": layout.left_spectators, "R": layout.right_spectators}
     out = {}
     for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):

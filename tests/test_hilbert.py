@@ -5,17 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from ghz_transfer.hilbert import (
-    DensityMatrix,
     OperatorMatrix,
     QuantumState,
     SystemLayout,
     annihilation_op,
     build_layout,
     embed_operator,
-    embed_site_operator,
     level_ket,
-    mode_annihilation,
-    mode_creation,
     partial_trace,
     transition_op,
 )
@@ -82,8 +78,8 @@ class TestEmbedding:
         for _ in range(5):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            lhs = embed_site_operator(layout, "q2", a @ b)
-            rhs = embed_site_operator(layout, "q2", a).matrix @ embed_site_operator(layout, "q2", b).matrix
+            lhs = embed_operator(layout, {"q2": a @ b})
+            rhs = embed_operator(layout, {"q2": a}).matrix @ embed_operator(layout, {"q2": b}).matrix
             defect = lhs.matrix - rhs
             assert abs(defect).max() < 1e-12
 
@@ -92,25 +88,20 @@ class TestEmbedding:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ea = embed_site_operator(layout, "q1p", a).matrix
-        eb = embed_site_operator(layout, "A", b).matrix
+        ea = embed_operator(layout, {"q1p": a}).matrix
+        eb = embed_operator(layout, {"A": b}).matrix
         comm = ea @ eb - eb @ ea
         assert abs(comm).max() < 1e-12 if comm.nnz else True
 
     def test_identity_embeds_to_identity(self):
         layout = build_layout(1, 1, 3, 3)
-        op = embed_site_operator(layout, "A", np.eye(2))
+        op = embed_operator(layout, {"A": np.eye(2)})
         assert abs(op.matrix - np.eye(layout.dim)).max() < 1e-15
-
-    def test_rejects_cavity_site(self):
-        layout = build_layout(1, 1, 3, 3)
-        with pytest.raises(ValueError):
-            embed_site_operator(layout, "cavL", np.eye(4))
 
     def test_rejects_wrong_local_dim(self):
         layout = build_layout(1, 1, 3, 3)
         with pytest.raises(ValueError):
-            embed_site_operator(layout, "A", np.eye(3))
+            embed_operator(layout, {"A": np.eye(3)})
 
 
 class TestProductEmbedding:
@@ -124,9 +115,9 @@ class TestProductEmbedding:
             "cavL": annihilation_op(4),
         }
         got = embed_operator(layout, locals_).matrix
-        want = embed_site_operator(layout, "q1", locals_["q1"]).matrix
-        want = want @ embed_site_operator(layout, "q2p", locals_["q2p"]).matrix
-        want = want @ mode_annihilation(layout, "L").matrix
+        want = embed_operator(layout, {"q1": locals_["q1"]}).matrix
+        want = want @ embed_operator(layout, {"q2p": locals_["q2p"]}).matrix
+        want = want @ embed_operator(layout, {"cavL": locals_["cavL"]}).matrix
         assert abs(got - want).max() < 1e-12
         assert got.has_sorted_indices
 
@@ -219,17 +210,22 @@ class TestOnePassEmbedding:
         self.assert_same_arrays(layout, {"A": np.zeros((2, 2)), "q1p": with_zeros})
 
 
+def _mode_pair(layout, site):
+    """The annihilation and creation operators of the mode ``site`` on the register."""
+    lowering = annihilation_op(layout.site_dim(site))
+    return embed_operator(layout, {site: lowering}), embed_operator(layout, {site: lowering.conj().T})
+
+
 class TestModeOperators:
     def test_creation_is_exact_dagger(self):
         layout = build_layout(1, 1, 3, 4)
-        for cav in ("L", "R"):
-            a = mode_annihilation(layout, cav)
-            adag = mode_creation(layout, cav)
+        for site in ("cavL", "cavR"):
+            a, adag = _mode_pair(layout, site)
             assert (a.matrix.getH() != adag.matrix).nnz == 0
 
     def test_matrix_elements(self):
         layout = build_layout(1, 1, 3, 3)
-        a = mode_annihilation(layout, "L")
+        a, _ = _mode_pair(layout, "cavL")
         two = QuantumState.from_basis(layout, {"cavL": 2})
         one = QuantumState.from_basis(layout, {"cavL": 1})
         assert abs(one.overlap(a.apply(two)) - np.sqrt(2)) < 1e-14
@@ -239,8 +235,7 @@ class TestModeOperators:
         # [a, a+] equals the identity except at the truncated top Fock
         # level, where the diagonal reads -cutoff instead of +1.
         layout = build_layout(1, 1, cutoff, 3)
-        a = mode_annihilation(layout, "L")
-        adag = mode_creation(layout, "L")
+        a, adag = _mode_pair(layout, "cavL")
         comm = (a.matrix @ adag.matrix - adag.matrix @ a.matrix).toarray()
         photon = layout.level_index_array("cavL")
         expected = np.where(photon == cutoff, -float(cutoff), 1.0)
@@ -268,7 +263,7 @@ class TestStates:
 
     def test_hermitian_flag_is_checked(self):
         layout = build_layout(1, 1, 3, 3)
-        a = mode_annihilation(layout, "L")
+        a, _ = _mode_pair(layout, "cavL")
         with pytest.raises(ValueError):
             OperatorMatrix(a.matrix, layout, hermitian=True)
 
@@ -282,24 +277,28 @@ def _encoded_ghz(layout, alpha, beta):
     return QuantumState(alpha * branch_g.amplitudes + beta * branch_f.amplitudes, layout)
 
 
-class TestDensityMatrix:
-    def test_block_is_stored_sparse_and_agrees_with_dense(self):
+class TestDensityMatrixOnABasis:
+    def test_block_is_stored_sparse_and_agrees_with_the_register(self):
         layout = build_layout(1, 1, 3, 3)
-        support = np.array([3, 40, 7])
+        support = np.array([3, 7, 40])
         rng = np.random.default_rng(11)
         amps = np.zeros(layout.dim, dtype=complex)
         amps[support] = rng.normal(size=3) + 1j * rng.normal(size=3)
         state = QuantumState(amps, layout).normalized()
         kept = state.amplitudes[support]
-        rho = DensityMatrix.from_block(np.outer(kept, kept.conj()), support, layout)
-        dense = DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), layout)
+        rho = OperatorMatrix(np.outer(kept, kept.conj()), layout, hermitian=True, basis=support)
+        dense = OperatorMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), layout, hermitian=True)
         assert rho.matrix.nnz == 9
-        assert rho.trace == pytest.approx(1.0, abs=1e-15)
+        assert rho.matrix.diagonal().sum().real == pytest.approx(1.0, abs=1e-15)
         assert rho.expectation(state) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_array_equal(rho.matrix.toarray(), dense.matrix.toarray())
-        block = rho.matrix[support][:, support].toarray()
-        again = DensityMatrix.from_block(block, support, layout)
-        np.testing.assert_array_equal(again.matrix.toarray(), rho.matrix.toarray())
+        assert rho.expectation(state) == dense.expectation(state)
+        np.testing.assert_array_equal(dense.matrix[support][:, support].toarray(), rho.matrix.toarray())
+        assert dense.matrix.nnz == 9
+
+    def test_expectation_requires_same_layout(self):
+        rho = OperatorMatrix(np.eye(2), build_layout(1, 1, 3, 3), hermitian=True, basis=np.array([0, 5]))
+        with pytest.raises(ValueError, match="layout mismatch"):
+            rho.expectation(QuantumState.from_basis(build_layout(1, 1, 4, 3)))
 
 
 class TestPartialTrace:
@@ -307,13 +306,13 @@ class TestPartialTrace:
         # one-qubit reduction of the balanced encoded GHZ: diag(1/2, 0, 1/2)
         layout = build_layout(3, 1, 3, 3)
         state = _encoded_ghz(layout, 1 / np.sqrt(2), 1 / np.sqrt(2))
-        rho = partial_trace(state, ["q1"]).matrix
+        rho = partial_trace(state, ["q1"])
         np.testing.assert_allclose(rho, np.diag([0.5, 0.0, 0.5]), atol=1e-12)
 
     def test_ghz_spectator_reduction_is_maximally_mixed(self):
         layout = build_layout(3, 1, 3, 3)
         state = _encoded_ghz(layout, 1 / np.sqrt(2), 1 / np.sqrt(2))
-        rho = partial_trace(state, ["q2"]).matrix
+        rho = partial_trace(state, ["q2"])
         # (|+><+| + |-><-|)/2 = I/2 on the g,e block
         np.testing.assert_allclose(rho, np.diag([0.5, 0.5, 0.0]), atol=1e-12)
 
@@ -324,15 +323,15 @@ class TestPartialTrace:
         state = QuantumState(amps, layout).normalized()
         via_state = partial_trace(state, ["A", "cavR"])
         psi = state.amplitudes
-        rho = DensityMatrix.from_block(np.outer(psi, psi.conj()), np.arange(layout.dim), layout)
+        rho = OperatorMatrix(np.outer(psi, psi.conj()), layout, hermitian=True)
         via_density = partial_trace(rho, ["A", "cavR"])
-        np.testing.assert_allclose(via_state.matrix, via_density.matrix, atol=1e-12)
-        assert via_state.dims == (2, 4)
+        np.testing.assert_allclose(via_state, via_density, atol=1e-12)
+        assert via_state.shape == (8, 8)
 
     def test_trace_preserved(self):
         layout = build_layout(2, 1, 3, 3)
         state = _encoded_ghz(layout, 0.6, 0.8)
-        rho = partial_trace(state, ["q1", "q2"]).matrix
+        rho = partial_trace(state, ["q1", "q2"])
         assert abs(np.trace(rho) - 1.0) < 1e-12
 
     def test_unknown_site_rejected(self):

@@ -1,18 +1,21 @@
-"""Property tests: ``.sched`` round trips of random schedules, unit parsing, ``--set``."""
+"""Property tests: ``.sched`` round trips of random schedules, unit parsing, ``--set``, operators on a basis."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ghz_transfer.cli import _apply_overrides
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
 from ghz_transfer.hamiltonians import PhysicalParams, load_preset, schema_fields
-from ghz_transfer.hilbert import build_layout
+from ghz_transfer.hilbert import OperatorMatrix, QuantumState, build_layout, partial_trace
 from ghz_transfer.scheduling import PulseSegment, Schedule, build_schedule
 from ghz_transfer.units import parse_frequency, parse_time
 
@@ -128,3 +131,39 @@ class TestParameterOverrides:
         assert _override(name, own) == (parse_frequency if own is rate else parse_time)(own)
         with pytest.raises(ValueError, match=f"{name} takes a"):
             _override(name, other)
+
+
+_SMALL = build_layout(1, 1, 3, 3)
+_entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_blocks(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted support of the 288-state register and a Hermitian matrix on it."""
+    support = np.array(sorted(draw(st.sets(st.integers(0, _SMALL.dim - 1), min_size=1, max_size=12))))
+    half = draw(hnp.arrays(complex, (support.size, support.size), elements=_entries))
+    return support, half + half.conj().T  # Hermitian bit for bit
+
+
+class TestOperatorOnABasis:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        block=hermitian_blocks(),
+        amplitudes=hnp.arrays(complex, _SMALL.dim, elements=_entries),
+        pair=st.sampled_from(list(itertools.combinations(_SMALL.site_names, 2))),
+    )
+    def test_agrees_with_the_same_matrix_on_the_register(self, block, amplitudes, pair):
+        support, matrix = block
+        on_register = np.zeros((_SMALL.dim, _SMALL.dim), dtype=complex)
+        on_register[np.ix_(support, support)] = matrix
+        on_register = OperatorMatrix(on_register, _SMALL, hermitian=True)
+        on_basis = OperatorMatrix(matrix, _SMALL, hermitian=True, basis=support)
+        norm = np.linalg.norm(amplitudes)
+        state = QuantumState(amplitudes / norm if norm else amplitudes, _SMALL)
+
+        assert abs(on_basis.expectation(state) - on_register.expectation(state)) <= 1e-12
+        gap = on_basis.apply(state).amplitudes - on_register.apply(state).amplitudes
+        assert np.abs(gap).max() <= 1e-12
+        for sites in [(site,) for site in _SMALL.site_names] + [pair]:
+            gap = partial_trace(on_basis, sites) - partial_trace(on_register, sites)
+            assert np.abs(gap).max() <= 1e-12, sites

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -146,13 +147,51 @@ class TestScale:
     def test_an_oversized_lindblad_block_is_refused_before_it_is_built(self, params, monkeypatch):
         # the estimate for the 80-state n = 2 block is 250 * 80^2 = 1.6 MB
         built, dissipator = [], runner.Dissipator
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 1_000_000)
+        monkeypatch.setattr(runner, "_available_memory", lambda: 1_000_000)
         monkeypatch.setattr(runner, "Dissipator", lambda *args: built.append(args) or dissipator(*args))
         runner._compiled.cache_clear()
         with pytest.raises(ValueError, match=r"80 states.*needs about"):
             run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode="lindblad", fock_cutoff=3)
         assert built == []
-        monkeypatch.setattr(runner, "_physical_memory", lambda: 2_000_000)
+        monkeypatch.setattr(runner, "_available_memory", lambda: 2_000_000)
         run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode="lindblad", fock_cutoff=3)
         assert len(built) == 1
         runner._compiled.cache_clear()
+
+
+class TestAvailableMemory:
+    """The preflight reads ``MemAvailable``, and physical memory where the system does not report it."""
+
+    @staticmethod
+    def _machine(monkeypatch, tmp_path, meminfo, physical=16 * 2**30):
+        path = tmp_path / "meminfo"
+        if meminfo is not None:
+            path.write_text(meminfo)
+        monkeypatch.setattr(runner, "_MEMINFO", str(path))
+        pages, sysconf = {"SC_PHYS_PAGES": physical // 4096, "SC_PAGE_SIZE": 4096}, os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else sysconf(name))
+
+    def test_a_block_that_fits_physical_but_not_available_memory_is_refused(self, params, monkeypatch, tmp_path):
+        # the 80-state n = 2 block needs about 1.6 MB: far below 16 GiB, above 1000 kB
+        self._machine(monkeypatch, tmp_path, "MemTotal:       16777216 kB\nMemAvailable:       1000 kB\n")
+        built = []
+        monkeypatch.setattr(runner, "Dissipator", lambda *args: built.append(args))
+        runner._compiled.cache_clear()
+        with pytest.raises(ValueError, match=r"80 states.*more than the 1 MiB of memory available"):
+            run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode="lindblad", fock_cutoff=3)
+        assert built == []
+        runner._compiled.cache_clear()
+
+    def test_reads_mem_available(self, monkeypatch, tmp_path):
+        self._machine(monkeypatch, tmp_path, "MemTotal:       16777216 kB\nMemAvailable:    1234 kB\n")
+        assert runner._available_memory() == 1234 * 1024
+
+    @pytest.mark.parametrize("meminfo", [
+        None,  # no /proc/meminfo at all
+        "MemTotal:       16777216 kB\nMemFree:     1000 kB\n",  # a kernel older than MemAvailable
+        "MemAvailable:\n",
+        "MemAvailable:    lots kB\n",
+    ])
+    def test_missing_or_malformed_meminfo_falls_back_to_physical_memory(self, monkeypatch, tmp_path, meminfo):
+        self._machine(monkeypatch, tmp_path, meminfo, physical=2**30)
+        assert runner._available_memory() == 2**30
