@@ -33,6 +33,7 @@ from .units import parse_time, seconds_to_ns
 WORKERS_ENV = "GHZ_TRANSFER_WORKERS"
 
 CHECKPOINT_COLUMNS = ("label", "time_s", "fidelity", "phase_error")
+_CSV_BLOCK = 512  # rows joined into one write
 
 # MemoryError: a register too big for the machine ends with numpy's
 # "Unable to allocate ..." line (the kernel's out-of-memory kill cannot be caught)
@@ -43,30 +44,32 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(stream, rows, columns) -> None:
-    """A header, then one line per row of values in ``columns`` order, as the csv module writes them.
+def _write_csv(stream, columns, names) -> None:
+    """A header ``names``, then each row of the equal-length ``columns``, as the csv module writes rows.
 
-    Floats read as ``repr``, ``None`` as an empty cell, anything else as
-    ``str``; no cell needs quoting, since every text value is a fixed label.
-    Rows go out in blocks, column by column: a column of floats formats
-    each distinct value once, told apart by its bits, so -0.0 and 0.0 stay
-    two values.
+    A float64 array column is formatted for the whole table by one
+    ``np.unique`` over its bits, with ``repr`` taken once per distinct
+    value, so -0.0 and 0.0 stay two values. Any other cell reads ``None``
+    as an empty cell and anything else as ``str`` (which is ``repr`` for a
+    Python float). No cell needs quoting, since every text value is a fixed
+    label. Lines are joined and written ``_CSV_BLOCK`` rows at a time.
     """
-    from itertools import islice
+    stream.write(",".join(names) + "\n")
+    texts = [_float_text(column) if isinstance(column, np.ndarray) and column.dtype == np.float64 else None
+             for column in columns]
+    for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        block = [
+            ["" if value is None else str(value) for value in column[rows]] if text is None else text[rows].tolist()
+            for column, text in zip(columns, texts)
+        ]
+        stream.write("".join([",".join(line) + "\n" for line in zip(*block)]))
 
-    stream.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    while block := list(islice(rows, 512)):
-        cells = []
-        for values in zip(*block):
-            if set(map(type, values)) == {float}:
-                distinct, where = np.unique(np.array(values).view(np.uint64), return_inverse=True)
-                text = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
-                cells.append(text[where].tolist())
-            else:
-                cells.append(["" if value is None else repr(value) if isinstance(value, float) else str(value)
-                              for value in values])
-        stream.write("".join([",".join(line) + "\n" for line in zip(*cells)]))
+
+def _float_text(column: np.ndarray) -> np.ndarray:
+    """The ``repr`` of every cell, as an object array holding one string per distinct bit pattern."""
+    distinct, where = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)[where]
 
 
 def _load_parameters(preset: str | None, params_path: str | None) -> PhysicalParams:
@@ -209,17 +212,16 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(_json_text(report), encoding="utf-8")
         if "trajectory" in emits:
+            columns = [np.concatenate([trajectory.column(name) for _, trajectory in outcomes])
+                       for name in TRAJECTORY_COLUMNS]
             with (out / "trajectory.csv").open("w", encoding="utf-8", newline="") as fh:
-                records = (record for _, trajectory in outcomes for record in trajectory.records())
-                _write_csv(fh, records, TRAJECTORY_COLUMNS)
+                _write_csv(fh, columns, TRAJECTORY_COLUMNS)
         if "checkpoints" in emits:
-            rows = [
-                (label, rec["time_s"], rec["fidelity"], rec["phase_error"])
-                for run in reports
-                for label, rec in run["checkpoints"].items()
-            ]
+            records = [(label, rec) for run in reports for label, rec in run["checkpoints"].items()]
+            columns = [[label for label, _ in records],
+                       *([rec[name] for _, rec in records] for name in CHECKPOINT_COLUMNS[1:])]
             with (out / "checkpoints.csv").open("w", encoding="utf-8", newline="") as fh:
-                _write_csv(fh, rows, CHECKPOINT_COLUMNS)
+                _write_csv(fh, columns, CHECKPOINT_COLUMNS)
         click.echo(f"wrote {out / 'report.json'}")
     sys.exit(0 if all_ok else 1)
 
@@ -315,11 +317,12 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
     except _FAILURES as err:
         _fail(err)
 
+    columns = list(zip(*rows))  # every sweep has at least one point
     if out_path is None:
-        _write_csv(sys.stdout, rows, SWEEP_COLUMNS)
+        _write_csv(sys.stdout, columns, SWEEP_COLUMNS)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, rows, SWEEP_COLUMNS)
+            _write_csv(fh, columns, SWEEP_COLUMNS)
         click.echo(f"wrote {out_path}")
 
 

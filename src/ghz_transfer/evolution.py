@@ -100,12 +100,6 @@ class EvolutionResult:
     support: np.ndarray
     samples: np.ndarray  # (len(times), len(support))
 
-    @property
-    def states(self) -> list[QuantumState]:
-        full = np.zeros((len(self.times), self.final.layout.dim), dtype=complex)
-        full[:, self.support] = self.samples
-        return [QuantumState(amps, self.final.layout) for amps in full]
-
 
 # ---------------------------------------------------------------------------
 # Lanczos action of exp(-i H t)
@@ -276,13 +270,18 @@ class Propagator:
         initial = state.amplitudes[self.support]
         amps = np.empty((grid.size, self.support.size), dtype=complex)
         # einsum, not matmul: its summation order does not depend on the BLAS
-        # thread count, so neither do the bytes of a report
+        # thread count, so neither do the bytes of a report. Each group's phases,
+        # then its frame phases, are formed in one (times, group) buffer, and its
+        # rotation is written straight into its columns of ``amps``.
         for part, evals, evecs in self.groups:
             coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
-            phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
-            amps[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
-        if self.frame is not None:
-            amps *= np.exp(1j * self.frame * grid[:, None])
+            phased = np.multiply(-1j * evals, grid[:, None, None])
+            np.exp(phased, out=phased)
+            phased *= coeff
+            rotated = np.einsum("kij,tkj->tki", evecs, phased, out=amps[:, part].reshape(phased.shape))
+            if self.frame is not None:
+                np.multiply(1j * self.frame[part].reshape(evals.shape), grid[:, None, None], out=phased)
+                rotated *= np.exp(phased, out=phased)
         final = np.zeros(state.layout.dim, dtype=complex)
         final[self.support] = amps[-1]
         return EvolutionResult(QuantumState(final, state.layout), times, self.support, amps[:-1])

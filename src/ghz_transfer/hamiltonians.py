@@ -232,10 +232,6 @@ class DispersiveGenerator:
         # a real diagonal plus X + X^+: Hermitian bit for bit
         self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
 
-    @property
-    def max_detuning(self) -> float:
-        return max(self.params.delta, self.params.delta_prime)
-
     def at(self, t: float) -> OperatorMatrix:
         """The Hamiltonian at one instant, as a sparse Hermitian operator."""
         phase_l = np.exp(1j * self.params.delta * t)
@@ -243,16 +239,6 @@ class DispersiveGenerator:
         mat = phase_l * self._A + np.conj(phase_l) * self._A_dag
         mat = mat + phase_r * self._B + np.conj(phase_r) * self._B_dag
         return OperatorMatrix(mat.tocsr(), self.layout, hermitian=True, basis=self.basis)
-
-    def apply(self, t: float, amplitudes: np.ndarray) -> np.ndarray:
-        """H(t) @ amplitudes without assembling the summed matrix."""
-        phase_l = np.exp(1j * self.params.delta * t)
-        phase_r = np.exp(1j * self.params.delta_prime * t)
-        out = phase_l * (self._A @ amplitudes)
-        out += np.conj(phase_l) * (self._A_dag @ amplitudes)
-        out += phase_r * (self._B @ amplitudes)
-        out += np.conj(phase_r) * (self._B_dag @ amplitudes)
-        return out
 
     def static_hamiltonian(self) -> OperatorMatrix:
         """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag), built once."""

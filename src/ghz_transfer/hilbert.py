@@ -222,12 +222,6 @@ class QuantumState:
         self.amplitudes = amps
 
     @classmethod
-    def from_basis(cls, layout: SystemLayout, assignments: Mapping[str, int | str] | None = None) -> "QuantumState":
-        vec = np.zeros(layout.dim, dtype=complex)
-        vec[layout.basis_index(assignments or {})] = 1.0
-        return cls(vec, layout)
-
-    @classmethod
     def from_product(
         cls,
         layout: SystemLayout,

@@ -37,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -156,8 +155,9 @@ class Trajectory(Sequence):
     ``segments`` holds one ``(label, t_ns, table)`` entry per segment:
     the sample times in ns and a ``(samples, len(_ROW_COLUMNS))`` table.
     ``len`` counts rows; indexing and iteration build each row on demand
-    as a dict keyed by ``TRAJECTORY_COLUMNS``, and :meth:`records` yields
-    the same rows as plain value tuples in that column order.
+    as a dict keyed by ``TRAJECTORY_COLUMNS``, and :meth:`column` gives
+    one of those columns over every row as an array, which is how the
+    CLI writes the table.
     """
 
     def __init__(self, segments: list[tuple[str, np.ndarray, np.ndarray]]):
@@ -179,17 +179,20 @@ class Trajectory(Sequence):
         raise IndexError("trajectory row out of range")
 
     def __iter__(self):
-        return (dict(zip(TRAJECTORY_COLUMNS, record)) for record in self.records())
-
-    def records(self):
-        """Every row as a tuple of Python values in ``TRAJECTORY_COLUMNS`` order."""
         for label, t_ns, table in self.segments:
-            yield from zip(t_ns.tolist(), repeat(label), *table.T.tolist())
+            for t, values in zip(t_ns.tolist(), table.tolist()):
+                yield dict(zip(TRAJECTORY_COLUMNS, (t, label, *values)))
 
     def column(self, name: str) -> np.ndarray:
-        """One observable column over every row."""
-        col = _ROW_COLUMNS.index(name)
-        return np.concatenate([table[:, col] for _, _, table in self.segments])
+        """One ``TRAJECTORY_COLUMNS`` column over every row; ``segment`` holds the labels."""
+        if name == "t_ns":
+            parts = [t_ns for _, t_ns, _ in self.segments]
+        elif name == "segment":
+            parts = [np.full(t_ns.size, label) for label, t_ns, _ in self.segments]
+        else:
+            col = _ROW_COLUMNS.index(name)
+            parts = [table[:, col] for _, _, table in self.segments]
+        return np.concatenate(parts)
 
 
 @dataclass
@@ -269,10 +272,14 @@ def _segment_samples(observables, segment, times_s, weights):
     """The segment's ``Trajectory`` entry, and the largest top-Fock weight.
 
     ``weights`` has one more row than ``times_s``: the segment's final
-    populations. Summed by numpy, not BLAS, so the bytes do not depend on
-    the BLAS thread count.
+    populations. The table is filled one observable at a time, through one
+    ``weights``-sized buffer; each row is summed by numpy, not BLAS, so the
+    bytes do not depend on the BLAS thread count.
     """
-    table = (weights[:, None, :] * observables).sum(axis=-1)
+    table = np.empty((weights.shape[0], len(observables)))
+    product = np.empty_like(weights)
+    for col, observable in enumerate(observables):
+        table[:, col] = np.multiply(weights, observable, out=product).sum(axis=-1)
     return (segment, times_s * 1e9, table[:-1]), float(table[:, -1].max())
 
 
@@ -407,10 +414,14 @@ def _run_pure(layout, schedule, spec, compiled, samples):
         t_now += seg.ramp_s  # drive off: the state only ages
         result = evolve_unitary(state, step, seg.duration_s, samples=samples)
         state, support = result.final, result.support
-        weights = np.abs(np.vstack([result.samples, state.amplitudes[support]])) ** 2
+        weights = np.empty((result.samples.shape[0] + 1, support.size))  # |amplitude|^2, final row last
+        np.abs(result.samples, out=weights[:-1])
+        np.abs(state.amplitudes[support], out=weights[-1])
+        np.square(weights, out=weights)
         entry, top = _segment_samples(
             _observables(layout, support), seg.label, t_now + result.times, weights
         )
+        del result, weights  # the sampled amplitudes go before the next step allocates its own
         sampled.append(entry)
         truncation = max(truncation, top)
         t_now += seg.duration_s

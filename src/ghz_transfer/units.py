@@ -22,7 +22,6 @@ from decimal import Decimal
 
 __all__ = [
     "TWO_PI",
-    "two_pi_mhz",
     "parse_frequency",
     "parse_time",
     "seconds_to_ns",
@@ -36,11 +35,6 @@ _TIME_EXPONENT = {"s": 0, "ms": -3, "us": -6, "ns": -9, "ps": -12}
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FREQ_RE = re.compile(rf"^(2pi\*)?\s*({_NUMBER})\s*([a-zA-Z/]+)?$")
 _TIME_RE = re.compile(rf"^({_NUMBER})\s*([a-zA-Z]+)?$")
-
-
-def two_pi_mhz(value: float) -> float:
-    """Angular frequency in rad/s for ``value`` megahertz."""
-    return TWO_PI * value * 1e6
 
 
 def parse_frequency(text: str) -> float:

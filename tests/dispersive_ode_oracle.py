@@ -10,16 +10,50 @@ the name is looked up at call time, so a wrapper installed there sees it.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from ghz_transfer import evolution
 from ghz_transfer.evolution import EvolutionError
-from ghz_transfer.hamiltonians import DispersiveGenerator
-from ghz_transfer.hilbert import QuantumState
+from ghz_transfer.hamiltonians import DispersiveGenerator, drive_terms
+from ghz_transfer.hilbert import QuantumState, embed_operator
 
 # phases e^(i delta t) must be sampled many times per cycle by the literal
 # integrator; 50 steps per radian of the fastest detuning is the contract
 FAST_PHASE_STEPS = 50.0
+
+
+def max_detuning(generator: DispersiveGenerator) -> float:
+    """The fastest phase of the drive, in rad/s."""
+    return max(generator.params.delta, generator.params.delta_prime)
+
+
+def drive_action(generator: DispersiveGenerator):
+    """``apply(t, amplitudes)``: H(t) @ amplitudes on the generator's basis, never summing the matrix.
+
+    A and B are built as ``DispersiveGenerator`` builds them, from the drive's
+    local terms, and each of the four parts acts on its own.
+    """
+    layout, params = generator.layout, generator.params
+    terms, left = drive_terms(layout, params), len(layout.left_spectators)
+    a_part, b_part = (
+        reduce(add, (embed_operator(layout, term, generator.basis).matrix for term in part))
+        for part in (terms[:left], terms[left:])
+    )
+    a_dag, b_dag = a_part.getH().tocsr(), b_part.getH().tocsr()
+
+    def apply(t: float, amplitudes: np.ndarray) -> np.ndarray:
+        phase_l = np.exp(1j * params.delta * t)
+        phase_r = np.exp(1j * params.delta_prime * t)
+        out = phase_l * (a_part @ amplitudes)
+        out += np.conj(phase_l) * (a_dag @ amplitudes)
+        out += phase_r * (b_part @ amplitudes)
+        out += np.conj(phase_r) * (b_dag @ amplitudes)
+        return out
+
+    return apply
 
 
 def integrate(
@@ -33,7 +67,7 @@ def integrate(
     """The state after ``duration``, at relative tolerance ``tolerance`` under the step cap."""
     if duration < 0:
         raise ValueError("the literal integrator only runs forward in time")
-    cap = 1.0 / (FAST_PHASE_STEPS * generator.max_detuning)
+    cap = 1.0 / (FAST_PHASE_STEPS * max_detuning(generator))
     if max_step is None:
         max_step = cap
     elif max_step > cap:
@@ -44,8 +78,9 @@ def integrate(
     if duration == 0.0:
         return state.copy()
     rtol = max(tolerance, 1e-12)
+    apply = drive_action(generator)
     sol = evolution.solve_ivp(
-        lambda t, y: -1j * generator.apply(t, y),
+        lambda t, y: -1j * apply(t, y),
         (0.0, duration),
         np.array(state.amplitudes, dtype=complex, copy=True),
         method="DOP853",

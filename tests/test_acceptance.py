@@ -19,6 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import ACCEPTANCE_RESULTS
+from helpers import basis_state, sampled_states
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability, random_ghz_spec
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
@@ -30,12 +31,7 @@ from ghz_transfer.hamiltonians import (
     h_resonant_ge,
     load_preset,
 )
-from ghz_transfer.hilbert import (
-    QuantumState,
-    annihilation_op,
-    build_layout,
-    embed_operator,
-)
+from ghz_transfer.hilbert import annihilation_op, build_layout, embed_operator
 from ghz_transfer.runner import run_protocol
 from ghz_transfer.scheduling import build_schedule, cavity_lifetime
 
@@ -141,7 +137,7 @@ def _window_comparison(preset, ratio: float, samples: int = 600):
     psi0 = make_oracle_state(layout, spec, "after_step2")
     full = evolve_unitary(psi0, DispersiveGenerator(layout, p), t3, samples=samples)
     reduced = evolve_unitary(psi0, h_dispersive_reduced(layout, p), t3, samples=samples)
-    fids = np.array([abs(r.overlap(f)) ** 2 for r, f in zip(reduced.states, full.states)])
+    fids = np.array([abs(r.overlap(f)) ** 2 for r, f in zip(sampled_states(reduced), sampled_states(full))])
     return fids
 
 
@@ -262,7 +258,7 @@ def test_criterion_09_open_system(preset):
         a = embed_operator(layout, {"cavL": annihilation_op(layout.site_dim("cavL"))}).matrix
         lowering = math.sqrt(kappa) * a
         number_op = (a.getH() @ a).toarray()
-        photon = QuantumState.from_basis(layout, {"cavL": 1}).amplitudes
+        photon = basis_state(layout, {"cavL": 1}).amplitudes
         decay_t = 8e-7
         rho_t, _ = lindblad_propagate(
             None, Dissipator([lowering], layout.dim), np.outer(photon, photon.conj()), decay_t

@@ -15,6 +15,7 @@ import weakref
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -178,15 +179,16 @@ class TestRun:
         checkpoints = (out / "checkpoints.csv").read_text().splitlines()
         assert len(checkpoints) == 1 + 9
 
-    def test_trajectory_csv_renders_every_row(self, runner, tmp_path):
+    @pytest.mark.parametrize("samples", [7, 300])
+    def test_trajectory_csv_renders_every_row(self, runner, tmp_path, samples):
         result = runner.invoke(main, [
-            "run", "--mode", "full-dispersive", "--n", "2", "--ghz", "0.6,0.8j", "--samples", "7",
+            "run", "--mode", "full-dispersive", "--n", "2", "--ghz", "0.6,0.8j", "--samples", str(samples),
             "--out", str(tmp_path), "--emit", "trajectory",
         ])
         assert result.exit_code == 0
         (spec,) = cli._parse_ghz("0.6,0.8j", 2)
         rows = run_protocol(
-            load_preset("transmon"), spec, mode="full-dispersive", trajectory_samples=7
+            load_preset("transmon"), spec, mode="full-dispersive", trajectory_samples=samples
         ).trajectory
         header = ["t_ns", "segment", "norm", "spectator_f_total", "q1_f", "q1p_f",
                   "coupler_e", "photons_L", "photons_R", "top_fock"]
@@ -196,27 +198,42 @@ class TestRun:
         for row in rows:
             cells = [row[c] for c in header]
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in cells])
-        assert len(rows) == 7 * 9
+        assert len(rows) == samples * 9  # 2700 rows at 300 samples, as the benchmark writes
         assert (tmp_path / "trajectory.csv").read_text(encoding="utf-8") == expected.getvalue()
 
     def test_csv_writer_matches_the_csv_module(self):
-        # blocks of rows, each float column formatted by distinct bits: -0.0 stays apart from 0.0
+        # float64 array columns are formatted by distinct bits over the whole table, so -0.0
+        # stays apart from 0.0; the rows span three blocks and repeat values across them
         floats = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, math.inf, -math.inf, math.nan, 0.1 + 0.2]
-        rows = [
-            (f"step{i % 3}", floats[i % 10], floats[(7 * i) % 10], None if i % 4 else 2.5, i % 5 == 0, i - 600)
-            for i in range(1300)
-        ]
-        columns = ("label", "a", "b", "c", "ok", "n")
+        count = 1300
+        assert count > 2 * cli._CSV_BLOCK
+        columns = (
+            [f"step{i % 3}" for i in range(count)],  # text
+            np.array([floats[i % 10] for i in range(count)]),  # float64 arrays
+            np.array([floats[(7 * i) % 10] for i in range(count)]),
+            [floats[(3 * i) % 10] for i in range(count)],  # Python floats, as the sweep table holds
+            [None if i % 4 else 2.5 for i in range(count)],  # floats and empty cells, as phase_error
+            [i % 5 == 0 for i in range(count)],  # booleans
+            tuple(i - 600 for i in range(count)),  # integers, in a tuple as a sweep's zip gives
+            np.arange(count) % 7,  # an integer array
+        )
+        names = ("label", "a", "b", "c", "d", "ok", "n", "k")
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerow(names)
+        writer.writerows(
+            [value.item() if isinstance(value, np.generic) else value for value in row] for row in zip(*columns)
+        )
         got = io.StringIO()
-        cli._write_csv(got, iter(rows), columns)
+        cli._write_csv(got, columns, names)
         assert got.getvalue() == expected.getvalue()
+        assert got.getvalue().splitlines()[2].split(",")[1:3] == ["-0.0", "-inf"]
+
+    def test_csv_writer_writes_the_header_of_an_empty_table(self):
+        names = ("label", "time_s", "fidelity")
         empty = io.StringIO()
-        cli._write_csv(empty, [], columns)
-        assert empty.getvalue() == ",".join(columns) + "\n"
+        cli._write_csv(empty, [[], np.empty(0), []], names)
+        assert empty.getvalue() == ",".join(names) + "\n"
 
     def test_emit_without_out_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--emit", "checkpoints"])
@@ -411,12 +428,13 @@ COLD_RUNS = {
                  "--emit", "trajectory"],
 }
 
-# the oracle lives in tests/, so the probe puts that directory on its path
+# the oracle and helpers live in tests/, so the probe puts that directory on its path
 _ODE_PROBE = f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n" + """
 import dispersive_ode_oracle
+from helpers import basis_state
 from ghz_transfer import evolution
 from ghz_transfer.hamiltonians import DispersiveGenerator, load_preset
-from ghz_transfer.hilbert import QuantumState, build_layout
+from ghz_transfer.hilbert import build_layout
 
 assert "scipy.integrate" not in sys.modules
 calls = []
@@ -424,7 +442,7 @@ integrate = evolution.solve_ivp
 evolution.solve_ivp = lambda *a, **k: calls.append(1) or integrate(*a, **k)
 layout = build_layout(2, 2, 3, 3)
 params = load_preset("transmon")
-state = QuantumState.from_basis(layout, {"q2": "e", "cavL": 1})
+state = basis_state(layout, {"q2": "e", "cavL": 1})
 gen = DispersiveGenerator(layout, params)
 duration = 20.0 / params.delta
 exact = evolution.evolve_unitary(state, gen, duration).final.amplitudes

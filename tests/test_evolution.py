@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import dispersive_ode_oracle
+from helpers import basis_state, sampled_states, two_pi_mhz
 from ghz_transfer import evolution
 from ghz_transfer.evolution import (
     Dissipator,
@@ -36,7 +37,6 @@ from ghz_transfer.hilbert import (
     QuantumState,
     build_layout,
 )
-from ghz_transfer.units import two_pi_mhz
 
 MU = two_pi_mhz(50.0)
 
@@ -73,7 +73,7 @@ def probe_state(layout22):
 class TestStaticRoutes:
     def test_zero_duration_is_identity(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        src = QuantumState.from_basis(layout11, {"q1": "f"})
+        src = basis_state(layout11, {"q1": "f"})
         out = evolve_unitary(src, h, 0.0).final
         assert checkpoint_fidelity(out, src) >= 1 - 1e-14
         assert np.array_equal(krylov_expm_action(h.matrix, src.amplitudes, 0.0), src.amplitudes)
@@ -82,15 +82,15 @@ class TestStaticRoutes:
         # the pair {|f,0>, |e,1>} sees a plain Rabi cycle, so a quarter
         # period maps |f,0> onto exactly -i |e,1>
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        src = QuantumState.from_basis(layout11, {"q1": "f"})
-        dst = QuantumState.from_basis(layout11, {"q1": "e", "cavL": 1})
+        src = basis_state(layout11, {"q1": "f"})
+        dst = basis_state(layout11, {"q1": "e", "cavL": 1})
         out = evolve_unitary(src, h, math.pi / (2 * MU)).final
         amp = dst.overlap(out)
         assert abs(amp - (-1j)) < 1e-12
 
     def test_partial_rotation_matches_cosine(self, layout11):
         h = h_resonant_ge(layout11, "R", "A", MU)
-        src = QuantumState.from_basis(layout11, {"A": "e"})
+        src = basis_state(layout11, {"A": "e"})
         t = math.pi / (4 * MU)
         out = evolve_unitary(src, h, t).final
         stay = src.overlap(out)
@@ -109,7 +109,7 @@ class TestStaticRoutes:
 
     def test_composition(self, layout11):
         h = h_resonant_ge(layout11, "L", "A", MU)
-        src = QuantumState.from_basis(layout11, {"A": "e", "cavL": 1})
+        src = basis_state(layout11, {"A": "e", "cavL": 1})
         t1, t2 = 0.31 / MU, 0.77 / MU
         once = evolve_unitary(src, h, t1 + t2).final
         twice = evolve_unitary(evolve_unitary(src, h, t1).final, h, t2).final
@@ -117,7 +117,7 @@ class TestStaticRoutes:
 
     def test_reversibility(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        src = QuantumState.from_basis(layout11, {"q1": "f", "cavL": 1})
+        src = basis_state(layout11, {"q1": "f", "cavL": 1})
         forward = evolve_unitary(src, h, math.pi / (3 * MU)).final
         back = evolve_unitary(forward, h, -math.pi / (3 * MU)).final
         assert checkpoint_fidelity(back, src) >= 1 - 1e-10
@@ -166,18 +166,18 @@ class TestStaticRoutes:
 
     def test_samples_bracket_the_segment(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        src = QuantumState.from_basis(layout11, {"q1": "f"})
+        src = basis_state(layout11, {"q1": "f"})
         res = evolve_unitary(src, h, 1.0 / MU, samples=5)
         assert res.times[0] == 0.0 and res.times[-1] == 1.0 / MU
-        assert checkpoint_fidelity(res.states[0], src) >= 1 - 1e-13
-        assert checkpoint_fidelity(res.states[-1], res.final) >= 1 - 1e-13
+        assert checkpoint_fidelity(sampled_states(res)[0], src) >= 1 - 1e-13
+        assert checkpoint_fidelity(sampled_states(res)[-1], res.final) >= 1 - 1e-13
 
     def test_weight_off_a_compiled_support_is_drift(self, layout11):
         # a step compiled from |f> alone holds only |f,0>'s Rabi pair; a state
         # with weight on |g> as well loses that weight and must not pass
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        excited = QuantumState.from_basis(layout11, {"q1": "f"})
-        ground = QuantumState.from_basis(layout11, {})
+        excited = basis_state(layout11, {"q1": "f"})
+        ground = basis_state(layout11, {})
         step = Propagator.compile(h, np.flatnonzero(excited.amplitudes))
         assert not np.isin(np.flatnonzero(ground.amplitudes), step.support).any()
         evolve_unitary(excited, step, 1.0 / MU)  # its own seed passes
@@ -188,7 +188,7 @@ class TestStaticRoutes:
     def test_nan_amplitude_is_drift(self, layout11):
         # a NaN drift compares false against any limit; the check must still fail
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        amps = QuantumState.from_basis(layout11, {"q1": "f"}).amplitudes
+        amps = basis_state(layout11, {"q1": "f"}).amplitudes
         amps[layout11.basis_index({})] = np.nan
         with pytest.raises(EvolutionError, match="norm drifted by nan"):
             evolve_unitary(QuantumState(amps, layout11), h, 1.0 / MU)
@@ -196,7 +196,7 @@ class TestStaticRoutes:
     def test_non_hermitian_generator_rejected(self, layout11):
         mat = sp.csr_matrix(([1.0 + 0j], ([0], [1])), shape=(layout11.dim, layout11.dim))
         bad = OperatorMatrix(mat, layout11, hermitian=False)
-        src = QuantumState.from_basis(layout11, {})
+        src = basis_state(layout11, {})
         with pytest.raises(EvolutionError):
             evolve_unitary(src, bad, 1e-9)
 
@@ -241,7 +241,7 @@ class TestExactRoute:
         res = evolve_unitary(QuantumState(amps, layout11), h, duration, samples=3)
         half = expm(-0.5j * duration * dense)  # samples sit at 0, duration/2, duration
         exact = [amps, half @ amps, half @ (half @ amps), half @ (half @ amps)]
-        for want, got in zip(exact, [*res.states, res.final]):
+        for want, got in zip(exact, [*sampled_states(res), res.final]):
             assert np.max(np.abs(got.amplitudes - want)) < 1e-12
         # closure: the support holds the state and no element leaves it
         drop = np.setdiff1d(np.arange(layout11.dim), res.support)
@@ -271,10 +271,31 @@ class TestDrivenStage:
         # to (mu/delta)^2 weights
         params = dispersive_params(1e4)
         gen = DispersiveGenerator(layout22, params)
-        src = QuantumState.from_basis(layout22, {"q2": "e", "cavL": 1})
+        src = basis_state(layout22, {"q2": "e", "cavL": 1})
         t3 = math.pi * params.delta / params.mu**2
         out = evolve_unitary(src, gen, t3).final
         assert checkpoint_fidelity(out, src) >= 1 - 1e-6
+
+    @pytest.mark.parametrize("driven", [True, False], ids=["frame", "static"])
+    def test_apply_matches_the_unbuffered_formula_bitwise(self, layout22, probe_state, driven):
+        # the reference forms every phase table as a fresh array and applies the frame to the whole grid
+        params = dispersive_params(10.0)
+        gen = DispersiveGenerator(layout22, params) if driven else h_resonant_ef(layout22, "L", "q1", MU)
+        step = Propagator.compile(gen, np.flatnonzero(probe_state.amplitudes))
+        times = np.linspace(0.0, 7.0 / params.delta, 23)
+        got = step.apply(probe_state, 7.5 / params.delta, times)
+        grid = np.append(times, 7.5 / params.delta)
+        initial = probe_state.amplitudes[step.support]
+        want = np.empty((grid.size, step.support.size), dtype=complex)
+        for part, evals, evecs in step.groups:
+            coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
+            phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
+            want[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
+        if driven:
+            want *= np.exp(1j * step.frame * grid[:, None])
+        assert (step.frame is not None) == driven
+        assert got.samples.tobytes() == want[:-1].tobytes()
+        assert got.final.amplitudes[step.support].tobytes() == want[-1].tobytes()
 
 
 def _pure_rho(state: QuantumState) -> np.ndarray:
@@ -318,7 +339,7 @@ class TestComponents:
 class TestLindblad:
     def test_zero_rates_reduce_to_unitary(self, layout11):
         h = h_resonant_ef(layout11, "L", "q1", MU)
-        src = QuantumState.from_basis(layout11, {"q1": "f"})
+        src = basis_state(layout11, {"q1": "f"})
         t = math.pi / (2 * MU)
         pure = evolve_unitary(src, h, t).final
         rho, _ = lindblad_propagate(h.matrix, Dissipator([], layout11.dim), _pure_rho(src), t)
@@ -329,7 +350,7 @@ class TestLindblad:
         params = dispersive_params().with_overrides(kappaL=kappa)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         assert len(ops) == 1
-        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"cavL": 2}))
+        rho0 = _pure_rho(basis_state(layout11, {"cavL": 2}))
         t = 0.5 / kappa
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, t)
         n_levels = layout11.level_index_array("cavL").astype(float)
@@ -339,7 +360,7 @@ class TestLindblad:
     def test_relaxation_toward_ground(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
-        src = QuantumState.from_basis(layout11, {"q1": "e"})
+        src = basis_state(layout11, {"q1": "e"})
         t = 10e-6
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), _pure_rho(src), t)
         pop_e = OperatorMatrix(rho, layout11, hermitian=True).expectation(src)
@@ -349,7 +370,7 @@ class TestLindblad:
         params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         h = h_resonant_ge(layout11, "L", "A", MU)
-        src = QuantumState.from_basis(layout11, {"A": "e"})
+        src = basis_state(layout11, {"A": "e"})
         rho, states = lindblad_propagate(
             h.matrix, Dissipator(ops, layout11.dim), _pure_rho(src), 50e-9, samples=3
         )
@@ -361,7 +382,7 @@ class TestLindblad:
         params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         h = h_resonant_ge(layout11, "L", "A", MU)
-        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e"}))
+        rho0 = _pure_rho(basis_state(layout11, {"A": "e"}))
         t = 50e-9
         final, populations = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t, samples=3)
         half, _ = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t / 2)
@@ -373,7 +394,7 @@ class TestLindblad:
     def test_nan_diagonal_is_drift(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
-        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e"}))
+        rho0 = _pure_rho(basis_state(layout11, {"A": "e"}))
         rho0[0, 0] = np.nan
         with pytest.raises(EvolutionError, match="trace drifted by nan"):
             lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, 50e-9)
@@ -417,7 +438,7 @@ class TestLindblad:
         params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
         ops = [op.matrix for op in collapse_operators(layout11, params)]
         h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU).matrix
-        rho0 = _pure_rho(QuantumState.from_basis(layout11, {"A": "e", "cavL": 1}))
+        rho0 = _pure_rho(basis_state(layout11, {"A": "e", "cavL": 1}))
         dissipator = Dissipator(ops, layout11.dim)
         alone, _ = lindblad_propagate(h, dissipator, rho0, 50e-9)
         for samples in (0, 1, 2, 3, 5):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import basis_state
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     QuantumState,
@@ -226,8 +227,8 @@ class TestModeOperators:
     def test_matrix_elements(self):
         layout = build_layout(1, 1, 3, 3)
         a, _ = _mode_pair(layout, "cavL")
-        two = QuantumState.from_basis(layout, {"cavL": 2})
-        one = QuantumState.from_basis(layout, {"cavL": 1})
+        two = basis_state(layout, {"cavL": 2})
+        one = basis_state(layout, {"cavL": 1})
         assert abs(one.overlap(a.apply(two)) - np.sqrt(2)) < 1e-14
 
     @pytest.mark.parametrize("cutoff", [3, 4, 5])
@@ -256,8 +257,8 @@ class TestStates:
         assert abs(state.norm - 1.0) < 1e-14
 
     def test_overlap_requires_same_layout(self):
-        s1 = QuantumState.from_basis(build_layout(1, 1, 3, 3))
-        s2 = QuantumState.from_basis(build_layout(1, 1, 4, 3))
+        s1 = basis_state(build_layout(1, 1, 3, 3))
+        s2 = basis_state(build_layout(1, 1, 4, 3))
         with pytest.raises(ValueError):
             s1.overlap(s2)
 
@@ -298,7 +299,7 @@ class TestDensityMatrixOnABasis:
     def test_expectation_requires_same_layout(self):
         rho = OperatorMatrix(np.eye(2), build_layout(1, 1, 3, 3), hermitian=True, basis=np.array([0, 5]))
         with pytest.raises(ValueError, match="layout mismatch"):
-            rho.expectation(QuantumState.from_basis(build_layout(1, 1, 4, 3)))
+            rho.expectation(basis_state(build_layout(1, 1, 4, 3)))
 
 
 class TestPartialTrace:
@@ -336,7 +337,7 @@ class TestPartialTrace:
 
     def test_unknown_site_rejected(self):
         layout = build_layout(1, 1, 3, 3)
-        state = QuantumState.from_basis(layout)
+        state = basis_state(layout)
         with pytest.raises(KeyError):
             partial_trace(state, ["q9"])
 

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from helpers import sampled_states
 from ghz_transfer import analysis, evolution, runner
 from ghz_transfer.analysis import (
     GhzSpec,
@@ -170,12 +171,33 @@ class TestFullDispersiveMode:
         assert len(rows) == len(traj) == 2700
         assert traj[0] == rows[0] and traj[-1] == rows[-1] and traj[1234] == rows[1234]
         assert traj[10:40:7] == rows[10:40:7]
-        assert [tuple(row.values()) for row in rows] == list(traj.records())
-        for column in runner._ROW_COLUMNS:
+        assert [list(row) for row in rows] == [list(runner.TRAJECTORY_COLUMNS)] * len(rows)
+        for column in runner.TRAJECTORY_COLUMNS:
             assert traj.column(column).tolist() == [row[column] for row in rows]
         assert full_n2.max_spectator_f == max(row["spectator_f_total"] for row in rows)
         with pytest.raises(IndexError):
             traj[2700]
+
+
+class TestSegmentSamples:
+    @pytest.mark.parametrize("mode, n, cutoff", [("full-dispersive", 2, 4), ("lindblad", 2, 3)])
+    def test_table_matches_the_broadcast_sum_bitwise(self, params, monkeypatch, mode, n, cutoff):
+        # the reference forms the whole (rows, observables, support) product and sums its last axis
+        seen = []
+        filled = runner._segment_samples
+
+        def checked(observables, segment, times_s, weights):
+            entry, top = filled(observables, segment, times_s, weights)
+            reference = (weights[:, None, :] * observables).sum(axis=-1)
+            assert entry[2].tobytes() == reference[:-1].tobytes(), segment
+            assert top == float(reference[:, -1].max())
+            seen.append(segment)
+            return entry, top
+
+        monkeypatch.setattr(runner, "_segment_samples", checked)
+        result = run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=n), mode=mode,
+                              fock_cutoff=cutoff, trajectory_samples=40)
+        assert seen == [seg.label for seg in result.schedule] and len(result.trajectory) == 40 * len(seen)
 
 
 def _static_form(generator):
@@ -858,7 +880,7 @@ class TestCompiledSchedule:
             got = evolve_unitary(state, step, seg.duration_s, samples=3)
             want = evolve_unitary(state, generator, seg.duration_s, samples=3)
             assert got.final.amplitudes.tobytes() == want.final.amplitudes.tobytes(), seg.label
-            for got_state, want_state in zip(got.states, want.states):
+            for got_state, want_state in zip(sampled_states(got), sampled_states(want)):
                 assert got_state.amplitudes.tobytes() == want_state.amplitudes.tobytes(), seg.label
             state = got.final
 

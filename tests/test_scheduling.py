@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from helpers import two_pi_mhz
 from ghz_transfer.hamiltonians import PhysicalParams, load_preset
 from ghz_transfer.hilbert import build_layout
 from ghz_transfer.scheduling import (
@@ -17,7 +18,7 @@ from ghz_transfer.scheduling import (
     solve_resonance,
     timing_budget,
 )
-from ghz_transfer.units import TWO_PI, two_pi_mhz
+from ghz_transfer.units import TWO_PI
 
 MU = two_pi_mhz(50.0)
 
