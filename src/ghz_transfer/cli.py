@@ -426,7 +426,7 @@ def _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad):
         # the pulse acts on the states the final one reaches under it, never on the whole register
         pulse = {"q1p": logical_encode_pulse()}
         moves = local_moves(shared.layout, [pulse])
-        basis = reachable(shared.layout, np.flatnonzero(shared.final_state.amplitudes), moves)
+        basis = reachable(shared.layout, shared.final_state.basis, moves)
         encoded = embed_operator(shared.layout, pulse, basis).apply(shared.final_state)
         worst = 0.0
         for site in shared.layout.right_qudits:

@@ -9,7 +9,8 @@ whatever the caller samples:
   most 4, 9 and 16 states in the dispersive window at n = 2, 3, 4). The
   route is compile, then apply: :meth:`Propagator.compile` diagonalises
   the components a seed set meets, one batched eigendecomposition per
-  component size, and :meth:`Propagator.apply` rotates a state on them;
+  component size, and :meth:`Propagator.apply` rotates a state on them
+  and returns it on that support, never on the register;
 * the explicitly time-dependent dispersive stage: the same route in the
   detuned frame, which is exact because the oscillating phases come from
   conjugating a static Hamiltonian with a diagonal frame generator.
@@ -91,14 +92,14 @@ NEGATIVE_WEIGHT_LIMIT = -1e-6
 class EvolutionResult:
     """Final state plus optionally sampled intermediate states.
 
-    ``samples[i]`` holds the amplitudes at ``times[i]`` on the basis
-    indices ``support``; every amplitude off the support is exactly zero.
+    ``final`` is a :class:`QuantumState` on the step's support, and
+    ``samples[i]`` holds the amplitudes at ``times[i]`` on the same basis,
+    ``final.basis``.
     """
 
     final: QuantumState
     times: np.ndarray
-    support: np.ndarray
-    samples: np.ndarray  # (len(times), len(support))
+    samples: np.ndarray  # (len(times), len(final.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +266,12 @@ class Propagator:
         return cls(support if basis is None else basis[support], groups, frame)
 
     def apply(self, state: QuantumState, duration: float, times: np.ndarray) -> EvolutionResult:
-        """The state at ``times`` and ``duration``, every time in one array operation."""
+        """The state at ``times`` and ``duration``, every time in one array operation, on ``support``.
+
+        Weight ``state`` holds off the support is dropped, which the caller's norm check sees.
+        """
         grid = np.append(times, duration)
-        initial = state.amplitudes[self.support]
+        initial = state.on(self.support)
         amps = np.empty((grid.size, self.support.size), dtype=complex)
         # einsum, not matmul: its summation order does not depend on the BLAS
         # thread count, so neither do the bytes of a report. Each group's phases,
@@ -282,9 +286,8 @@ class Propagator:
             if self.frame is not None:
                 np.multiply(1j * self.frame[part].reshape(evals.shape), grid[:, None, None], out=phased)
                 rotated *= np.exp(phased, out=phased)
-        final = np.zeros(state.layout.dim, dtype=complex)
-        final[self.support] = amps[-1]
-        return EvolutionResult(QuantumState(final, state.layout), times, self.support, amps[:-1])
+        # a copy: a view would keep the whole grid alive as long as the final state
+        return EvolutionResult(QuantumState(amps[-1].copy(), state.layout, self.support), times, amps[:-1])
 
 
 def _components(matrix: sp.csr_matrix) -> np.ndarray:
@@ -326,19 +329,19 @@ def evolve_unitary(
     """Evolve a pure state under one pulse segment.
 
     A compiled :class:`Propagator` is applied as given, and a generator is
-    first compiled on the state's nonzero amplitudes. ``samples > 0``
-    additionally records that many states on a uniform grid over
-    [0, duration], endpoints included.
+    first compiled on the state's nonzero amplitudes. The final state is on
+    the step's support. ``samples > 0`` additionally records that many
+    states on a uniform grid over [0, duration], endpoints included.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     times = np.linspace(0.0, duration, samples) if samples else np.empty(0)
     if not isinstance(generator, Propagator):
-        generator = Propagator.compile(generator, np.flatnonzero(state.amplitudes))
+        held = np.flatnonzero(state.amplitudes)
+        generator = Propagator.compile(generator, held if state.basis is None else state.basis[held])
     result = generator.apply(state, duration, times)
-    # the result is zero off its support; weight the step dropped from the
-    # input still shows, because the input's norm is taken over the register
-    drift = abs(np.linalg.norm(result.final.amplitudes[result.support]) - state.norm)
+    # weight the step dropped from the input shows: the input's norm is taken over all it holds
+    drift = abs(result.final.norm - state.norm)
     if not drift <= NORM_DRIFT_LIMIT:  # NaN fails too
         raise EvolutionError(f"norm drifted by {drift:.3e} during a segment")
     return result

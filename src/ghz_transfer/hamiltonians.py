@@ -215,12 +215,10 @@ class DispersiveGenerator:
         self.params = params
         self.basis = basis
         terms, left = drive_terms(layout, params), len(layout.left_spectators)
-        self._A, self._B = (
+        a_part, b_part = (
             reduce(add, (embed_operator(layout, term, basis).matrix for term in part))
             for part in (terms[:left], terms[left:])
         )
-        self._A_dag = self._A.getH().tocsr()
-        self._B_dag = self._B.getH().tocsr()
         g = np.zeros(layout.dim if basis is None else len(basis))
         for site in layout.left_spectators:
             g += params.delta * (layout.level_index_array(site, basis) == 2)
@@ -228,17 +226,9 @@ class DispersiveGenerator:
             g += params.delta_prime * (layout.level_index_array(site, basis) == 2)
         self._g_diag = g
         static = sp.diags(g, format="csr").astype(complex)
-        static = static + self._A + self._A_dag + self._B + self._B_dag
+        static = static + a_part + a_part.getH().tocsr() + b_part + b_part.getH().tocsr()
         # a real diagonal plus X + X^+: Hermitian bit for bit
         self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
-
-    def at(self, t: float) -> OperatorMatrix:
-        """The Hamiltonian at one instant, as a sparse Hermitian operator."""
-        phase_l = np.exp(1j * self.params.delta * t)
-        phase_r = np.exp(1j * self.params.delta_prime * t)
-        mat = phase_l * self._A + np.conj(phase_l) * self._A_dag
-        mat = mat + phase_r * self._B + np.conj(phase_r) * self._B_dag
-        return OperatorMatrix(mat.tocsr(), self.layout, hermitian=True, basis=self.basis)
 
     def static_hamiltonian(self) -> OperatorMatrix:
         """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag), built once."""

@@ -13,13 +13,15 @@ ordered
 
 with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
-Operators are stored sparse (CSR), pure states as dense vectors; a
-density matrix is an operator, on the register or on a basis. Every
+Operators are stored sparse (CSR), pure states as dense vectors, each on
+the register or on a basis; a density matrix is an operator. Every
 operator is one Kronecker product of local factors (:func:`embed_operator`),
 or a sum of such products, assembled in one pass from the local factors'
 entries, on the whole register or on a basis: a sorted array of flat
 indices, such as the states :func:`reachable` finds from a seed through
-the same local factors.
+the same local factors. A state's basis holds distinct flat indices in an
+order of its own, such as a propagation step's support; states and
+operators on different bases meet through :meth:`QuantumState.on`.
 """
 
 from __future__ import annotations
@@ -139,22 +141,6 @@ class SystemLayout:
         except ValueError:
             raise KeyError(f"unknown site {site!r}; sites are {self.site_names}") from None
 
-    def basis_index(self, assignments: Mapping[str, int | str]) -> int:
-        """Flat index of the product basis state with the given levels.
-
-        Sites not mentioned sit in their ground/vacuum level. Qudit levels
-        may be given as ``"g"/"e"/"f"`` or as integers; photon numbers as
-        integers.
-        """
-        levels = [0] * len(self.factor_dims)
-        for site, value in assignments.items():
-            pos = self.factor_index(site)
-            level = LEVELS[value] if isinstance(value, str) else int(value)
-            if not 0 <= level < self.factor_dims[pos]:
-                raise ValueError(f"level {value!r} out of range for site {site!r}")
-            levels[pos] = level
-        return int(np.ravel_multi_index(levels, self.factor_dims))
-
     def level_index_array(self, site: str, indices: np.ndarray | None = None) -> np.ndarray:
         """Level of ``site`` for every flat basis index, shape ``(dim,)``, or for ``indices``.
 
@@ -204,21 +190,23 @@ def annihilation_op(dim: int) -> np.ndarray:
 
 @dataclass
 class QuantumState:
-    """Dense state vector bound to a layout.
+    """Dense state vector bound to a layout, on the register or on a basis.
 
-    ``amplitudes`` has shape ``(layout.dim,)`` and complex dtype; the basis
-    ordering is the layout's (see module docstring).
+    ``amplitudes`` stands for the distinct flat indices ``basis``, in that
+    order, or for the whole register (shape ``(layout.dim,)``, the layout's
+    ordering; see module docstring) when ``basis`` is None. Every amplitude
+    off the basis is exactly zero.
     """
 
     amplitudes: np.ndarray
     layout: SystemLayout
+    basis: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.layout.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, layout dim is {self.layout.dim}"
-            )
+        size = self.layout.dim if self.basis is None else len(self.basis)
+        if amps.shape != (size,):
+            raise ValueError(f"amplitude vector has shape {amps.shape}, its basis has {size} states")
         self.amplitudes = amps
 
     @classmethod
@@ -239,17 +227,26 @@ class QuantumState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "QuantumState":
-        return QuantumState(self.amplitudes / self.norm, self.layout)
+    def on(self, indices: np.ndarray | None) -> np.ndarray:
+        """The amplitudes at the flat indices ``indices`` (None: the register), zero where the state has none."""
+        if self.basis is None:
+            return self.amplitudes if indices is None else self.amplitudes[indices]
+        if indices is None:
+            indices = np.arange(self.layout.dim)
+        order = np.argsort(self.basis)  # then one sentinel past the end, which matches no index
+        keys, values = np.append(self.basis[order], -1), np.append(self.amplitudes[order], 0)
+        at = np.searchsorted(keys[:-1], indices)
+        return np.where(keys[at] == indices, values[at], 0)
 
     def overlap(self, other: "QuantumState") -> complex:
-        """Inner product <self|other>."""
+        """Inner product <self|other>, on the basis of either, or on the register when neither has one."""
         _require_same_layout(self.layout, other.layout)
+        if self.basis is None and other.basis is not None:
+            mine, theirs = self.on(other.basis), other.amplitudes
+        else:
+            mine, theirs = self.amplitudes, other.on(self.basis)
         # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
-        return complex(np.sum(self.amplitudes.conj() * other.amplitudes))
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.amplitudes.copy(), self.layout)
+        return complex(np.sum(mine.conj() * theirs))
 
 
 def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support=None) -> np.ndarray:
@@ -318,13 +315,12 @@ class OperatorMatrix:
         return float(np.max(np.abs(diff.data)))
 
     def apply(self, state: QuantumState) -> QuantumState:
-        """The operator times ``state``; on a ``basis``, it acts as P O P for P the projector onto it."""
+        """The operator times ``state``, as a state on the operator's basis.
+
+        On a ``basis``, it acts as P O P for P the projector onto it.
+        """
         _require_same_layout(self.layout, state.layout)
-        if self.basis is None:
-            return QuantumState(self.matrix @ state.amplitudes, self.layout)
-        amplitudes = np.zeros(self.layout.dim, dtype=complex)
-        amplitudes[self.basis] = self.matrix @ state.amplitudes[self.basis]
-        return QuantumState(amplitudes, self.layout)
+        return QuantumState(self.matrix @ state.on(self.basis), self.layout, self.basis)
 
     def expectation(self, state: QuantumState) -> complex:
         """<state| O |state>, with O as :meth:`apply` takes it; real part only when the operator is hermitian.
@@ -332,7 +328,7 @@ class OperatorMatrix:
         For a density matrix and a pure target, that is the fidelity <psi|rho|psi>.
         """
         _require_same_layout(self.layout, state.layout)
-        amplitudes = state.amplitudes if self.basis is None else state.amplitudes[self.basis]
+        amplitudes = state.on(self.basis)
         # numpy, not BLAS: a threaded BLAS dot rounds differently per thread count
         value = complex(np.sum(amplitudes.conj() * (self.matrix @ amplitudes)))
         return value.real if self.hermitian else value
@@ -472,10 +468,13 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
     dims = layout.factor_dims
     keep_dim = math.prod(dims[p] for p in positions)
 
-    if isinstance(obj, QuantumState):
-        tensor = obj.amplitudes.reshape(dims)
+    if isinstance(obj, QuantumState):  # a row per kept level, a column per traced-out level the state holds
+        levels = np.unravel_index(np.arange(layout.dim) if obj.basis is None else obj.basis, dims)
         rest = [i for i in range(len(dims)) if i not in positions]
-        mat = tensor.transpose(positions + rest).reshape(keep_dim, -1)
+        row, col = (np.ravel_multi_index([levels[i] for i in part], [dims[i] for i in part]) for part in (positions, rest))
+        _, col = np.unique(col, return_inverse=True)
+        mat = np.zeros((keep_dim, col.max(initial=-1) + 1), dtype=complex)
+        mat[row, col] = obj.amplitudes
         return mat @ mat.conj().T
     if not isinstance(obj, OperatorMatrix):
         raise TypeError(f"cannot partial-trace a {type(obj).__name__}")

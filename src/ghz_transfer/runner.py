@@ -25,10 +25,13 @@ operator on them, never on the register: a
 segment's generator and one :class:`~ghz_transfer.evolution.Dissipator` on
 the lindblad block (80^2 entries where the n=2 cutoff-3 register has
 2592^2). The runs of a batch share the one cached compile and never
-write to it. Every mode keeps its trajectory rows as arrays
-(:class:`Trajectory`) and scores its checkpoints and final fidelity on
-the indices the state occupies; a lindblad run's final state is the
-density matrix on its block, a Hermitian
+write to it. A pure run starts from the initial state on the seed and
+keeps every state on its step's support, a
+:class:`~ghz_transfer.hilbert.QuantumState` whose ``basis`` is that
+support, so nothing of register size is allocated. Every mode keeps its
+trajectory rows as arrays (:class:`Trajectory`) and scores its checkpoints
+and final fidelity on the basis the state lives on; a lindblad run's final
+state is the density matrix on its block, a Hermitian
 :class:`~ghz_transfer.hilbert.OperatorMatrix` whose ``basis`` is the block.
 """
 
@@ -308,10 +311,10 @@ def _window_params(seg, params):
     return params.with_overrides(mu=seg.coupling, delta=seg.detuning, mu_prime=seg.coupling2, delta_prime=seg.detuning2)
 
 
-def _pure_checkpoint(spec, label, state, support, time_s) -> CheckpointRecord:
-    """Score ``state``, zero off the indices ``support``, against a checkpoint on them."""
-    g_part, f_part, cg_exp, cf_exp = _oracle_parts(state.layout, spec, label, support)
-    amps = state.amplitudes[support]
+def _pure_checkpoint(spec, label, state, time_s) -> CheckpointRecord:
+    """Score ``state`` against a checkpoint on its basis."""
+    g_part, f_part, cg_exp, cf_exp = _oracle_parts(state.layout, spec, label, state.basis)
+    amps = state.amplitudes
     # numpy, not BLAS, as QuantumState.overlap: the bytes do not depend on the thread count
     cg = complex(np.sum(g_part.conj() * amps))
     cf = complex(np.sum(f_part.conj() * amps))
@@ -402,10 +405,7 @@ def _oracle_on(layout, spec, label, keep) -> np.ndarray:
 
 
 def _run_pure(layout, schedule, spec, compiled, samples):
-    support = compiled.support
-    amplitudes = np.zeros(layout.dim, dtype=complex)
-    amplitudes[support] = _oracle_on(layout, spec, "initial", support)
-    state = QuantumState(amplitudes, layout)
+    state = QuantumState(_oracle_on(layout, spec, "initial", compiled.support), layout, compiled.support)
     sampled = []
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
@@ -413,13 +413,13 @@ def _run_pure(layout, schedule, spec, compiled, samples):
     for seg, step in zip(schedule, compiled.steps):
         t_now += seg.ramp_s  # drive off: the state only ages
         result = evolve_unitary(state, step, seg.duration_s, samples=samples)
-        state, support = result.final, result.support
-        weights = np.empty((result.samples.shape[0] + 1, support.size))  # |amplitude|^2, final row last
+        state = result.final
+        weights = np.empty((result.samples.shape[0] + 1, state.basis.size))  # |amplitude|^2, final row last
         np.abs(result.samples, out=weights[:-1])
-        np.abs(state.amplitudes[support], out=weights[-1])
+        np.abs(state.amplitudes, out=weights[-1])
         np.square(weights, out=weights)
         entry, top = _segment_samples(
-            _observables(layout, support), seg.label, t_now + result.times, weights
+            _observables(layout, state.basis), seg.label, t_now + result.times, weights
         )
         del result, weights  # the sampled amplitudes go before the next step allocates its own
         sampled.append(entry)
@@ -427,8 +427,8 @@ def _run_pure(layout, schedule, spec, compiled, samples):
         t_now += seg.duration_s
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
-            checkpoints[label] = _pure_checkpoint(spec, label, state, support, t_now)
-    final_fidelity = _pure_checkpoint(spec, "final", state, support, t_now).fidelity
+            checkpoints[label] = _pure_checkpoint(spec, label, state, t_now)
+    final_fidelity = _pure_checkpoint(spec, "final", state, t_now).fidelity
     return state, checkpoints, Trajectory(sampled), truncation, final_fidelity
 
 

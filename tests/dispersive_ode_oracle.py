@@ -18,7 +18,7 @@ import numpy as np
 from ghz_transfer import evolution
 from ghz_transfer.evolution import EvolutionError
 from ghz_transfer.hamiltonians import DispersiveGenerator, drive_terms
-from ghz_transfer.hilbert import QuantumState, embed_operator
+from ghz_transfer.hilbert import OperatorMatrix, QuantumState, embed_operator
 
 # phases e^(i delta t) must be sampled many times per cycle by the literal
 # integrator; 50 steps per radian of the fastest detuning is the contract
@@ -30,19 +30,34 @@ def max_detuning(generator: DispersiveGenerator) -> float:
     return max(generator.params.delta, generator.params.delta_prime)
 
 
-def drive_action(generator: DispersiveGenerator):
-    """``apply(t, amplitudes)``: H(t) @ amplitudes on the generator's basis, never summing the matrix.
-
-    A and B are built as ``DispersiveGenerator`` builds them, from the drive's
-    local terms, and each of the four parts acts on its own.
-    """
-    layout, params = generator.layout, generator.params
-    terms, left = drive_terms(layout, params), len(layout.left_spectators)
+def _drive_parts(generator: DispersiveGenerator):
+    """A, A^+, B and B^+ on the generator's basis, built as ``DispersiveGenerator`` builds them."""
+    layout = generator.layout
+    terms, left = drive_terms(layout, generator.params), len(layout.left_spectators)
     a_part, b_part = (
         reduce(add, (embed_operator(layout, term, generator.basis).matrix for term in part))
         for part in (terms[:left], terms[left:])
     )
-    a_dag, b_dag = a_part.getH().tocsr(), b_part.getH().tocsr()
+    return a_part, a_part.getH().tocsr(), b_part, b_part.getH().tocsr()
+
+
+def hamiltonian_at(generator: DispersiveGenerator, t: float) -> OperatorMatrix:
+    """The Hamiltonian H(t) at one instant, as a sparse Hermitian operator on the generator's basis."""
+    a_part, a_dag, b_part, b_dag = _drive_parts(generator)
+    phase_l = np.exp(1j * generator.params.delta * t)
+    phase_r = np.exp(1j * generator.params.delta_prime * t)
+    mat = phase_l * a_part + np.conj(phase_l) * a_dag
+    mat = mat + phase_r * b_part + np.conj(phase_r) * b_dag
+    return OperatorMatrix(mat.tocsr(), generator.layout, hermitian=True, basis=generator.basis)
+
+
+def drive_action(generator: DispersiveGenerator):
+    """``apply(t, amplitudes)``: H(t) @ amplitudes on the generator's basis, never summing the matrix.
+
+    Each of the four parts of :func:`_drive_parts` acts on its own.
+    """
+    params = generator.params
+    a_part, a_dag, b_part, b_dag = _drive_parts(generator)
 
     def apply(t: float, amplitudes: np.ndarray) -> np.ndarray:
         phase_l = np.exp(1j * params.delta * t)
@@ -76,7 +91,7 @@ def integrate(
             f"needs <= {cap:g} s"
         )
     if duration == 0.0:
-        return state.copy()
+        return QuantumState(state.amplitudes.copy(), state.layout, state.basis)
     rtol = max(tolerance, 1e-12)
     apply = drive_action(generator)
     sol = evolution.solve_ivp(
@@ -91,4 +106,4 @@ def integrate(
     )
     if not sol.success:
         raise EvolutionError(f"integration failed: {sol.message}")
-    return QuantumState(sol.y[:, -1].copy(), state.layout)
+    return QuantumState(sol.y[:, -1].copy(), state.layout, state.basis)

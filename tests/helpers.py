@@ -7,7 +7,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from ghz_transfer.evolution import EvolutionResult
-from ghz_transfer.hilbert import QuantumState, SystemLayout
+from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout
 from ghz_transfer.units import TWO_PI
 
 
@@ -16,15 +16,40 @@ def two_pi_mhz(value: float) -> float:
     return TWO_PI * value * 1e6
 
 
+def basis_index(layout: SystemLayout, assignments: Mapping[str, int | str]) -> int:
+    """Flat index of the product basis state with the given levels.
+
+    Sites not mentioned sit in their ground/vacuum level. Qudit levels
+    may be given as ``"g"/"e"/"f"`` or as integers; photon numbers as
+    integers.
+    """
+    levels = [0] * len(layout.factor_dims)
+    for site, value in assignments.items():
+        pos = layout.factor_index(site)
+        level = LEVELS[value] if isinstance(value, str) else int(value)
+        if not 0 <= level < layout.factor_dims[pos]:
+            raise ValueError(f"level {value!r} out of range for site {site!r}")
+        levels[pos] = level
+    return int(np.ravel_multi_index(levels, layout.factor_dims))
+
+
 def basis_state(layout: SystemLayout, assignments: Mapping[str, int | str] | None = None) -> QuantumState:
     """The product basis state with the given levels; unlisted sites sit at 0."""
     vec = np.zeros(layout.dim, dtype=complex)
-    vec[layout.basis_index(assignments or {})] = 1.0
+    vec[basis_index(layout, assignments or {})] = 1.0
     return QuantumState(vec, layout)
+
+
+def on_register(state: QuantumState) -> QuantumState:
+    """``state`` on the whole register: its amplitudes scattered onto their flat indices, zero elsewhere."""
+    if state.basis is None:
+        return state
+    full = np.zeros(state.layout.dim, dtype=complex)
+    full[state.basis] = state.amplitudes
+    return QuantumState(full, state.layout)
 
 
 def sampled_states(result: EvolutionResult) -> list[QuantumState]:
     """The sampled states of ``result`` on the whole register, one per sample time."""
-    full = np.zeros((len(result.times), result.final.layout.dim), dtype=complex)
-    full[:, result.support] = result.samples
-    return [QuantumState(amps, result.final.layout) for amps in full]
+    basis, layout = result.final.basis, result.final.layout
+    return [on_register(QuantumState(amps, layout, basis)) for amps in result.samples]

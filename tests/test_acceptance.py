@@ -19,7 +19,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import ACCEPTANCE_RESULTS
-from helpers import basis_state, sampled_states
+from dispersive_ode_oracle import hamiltonian_at
+from helpers import basis_state, on_register, sampled_states
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability, random_ghz_spec
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
@@ -217,7 +218,7 @@ def test_criterion_08_numerical_hygiene(preset):
             else:
                 gen = DispersiveGenerator(layout, preset)
                 for frac in (0.0, 0.3, 0.7, 1.0):
-                    defect = gen.at(frac * seg.duration_s).hermiticity_defect()
+                    defect = hamiltonian_at(gen, frac * seg.duration_s).hermiticity_defect()
                     worst_defect = max(worst_defect, defect)
                 worst_defect = max(
                     worst_defect, h_dispersive_reduced(layout, preset).hermiticity_defect()
@@ -247,7 +248,7 @@ def test_criterion_09_open_system(preset):
         h = h_resonant_ef(layout, "L", "q1", preset.mu1)
         duration = math.pi / (2 * preset.mu1)
 
-        pure = evolve_unitary(psi0, h, duration).final
+        pure = on_register(evolve_unitary(psi0, h, duration).final)
         mixed, _ = lindblad_propagate(
             h.matrix, Dissipator([], layout.dim), np.outer(psi0.amplitudes, psi0.amplitudes.conj()), duration
         )

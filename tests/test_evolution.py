@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import dispersive_ode_oracle
-from helpers import basis_state, sampled_states, two_pi_mhz
+from helpers import basis_index, basis_state, on_register, sampled_states, two_pi_mhz
 from ghz_transfer import evolution
 from ghz_transfer.evolution import (
     Dissipator,
@@ -105,7 +105,7 @@ class TestStaticRoutes:
         t = 3.7 / MU
         via_eigh = evolve_unitary(src, h, t).final
         via_krylov = krylov_expm_action(h.matrix, src.amplitudes, t)
-        assert np.max(np.abs(via_eigh.amplitudes - via_krylov)) < 1e-10
+        assert np.max(np.abs(on_register(via_eigh).amplitudes - via_krylov)) < 1e-10
 
     def test_composition(self, layout11):
         h = h_resonant_ge(layout11, "L", "A", MU)
@@ -161,7 +161,7 @@ class TestStaticRoutes:
         assert checkpoint_fidelity(via_krylov, expected) >= 1 - 1e-10
         # the dust gives the exact route full support: every component runs
         exact = evolve_unitary(src, h, t)
-        assert exact.support.size == layout22.dim
+        assert exact.final.basis.size == layout22.dim
         assert checkpoint_fidelity(exact.final, expected) >= 1 - 1e-10
 
     def test_samples_bracket_the_segment(self, layout11):
@@ -181,15 +181,20 @@ class TestStaticRoutes:
         step = Propagator.compile(h, np.flatnonzero(excited.amplitudes))
         assert not np.isin(np.flatnonzero(ground.amplitudes), step.support).any()
         evolve_unitary(excited, step, 1.0 / MU)  # its own seed passes
-        mixed = QuantumState(0.6 * ground.amplitudes + 0.8 * excited.amplitudes, layout11)
-        with pytest.raises(EvolutionError, match="norm drifted"):
-            evolve_unitary(mixed, step, 1.0 / MU)
+        # on the register, and on a basis of its own
+        both = np.flatnonzero(ground.amplitudes + excited.amplitudes)
+        for mixed in (
+            QuantumState(0.6 * ground.amplitudes + 0.8 * excited.amplitudes, layout11),
+            QuantumState(0.6 * ground.amplitudes[both] + 0.8 * excited.amplitudes[both], layout11, both),
+        ):
+            with pytest.raises(EvolutionError, match="norm drifted"):
+                evolve_unitary(mixed, step, 1.0 / MU)
 
     def test_nan_amplitude_is_drift(self, layout11):
         # a NaN drift compares false against any limit; the check must still fail
         h = h_resonant_ef(layout11, "L", "q1", MU)
         amps = basis_state(layout11, {"q1": "f"}).amplitudes
-        amps[layout11.basis_index({})] = np.nan
+        amps[basis_index(layout11, {})] = np.nan
         with pytest.raises(EvolutionError, match="norm drifted by nan"):
             evolve_unitary(QuantumState(amps, layout11), h, 1.0 / MU)
 
@@ -242,12 +247,13 @@ class TestExactRoute:
         half = expm(-0.5j * duration * dense)  # samples sit at 0, duration/2, duration
         exact = [amps, half @ amps, half @ (half @ amps), half @ (half @ amps)]
         for want, got in zip(exact, [*sampled_states(res), res.final]):
-            assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+            assert np.max(np.abs(on_register(got).amplitudes - want)) < 1e-12
         # closure: the support holds the state and no element leaves it
-        drop = np.setdiff1d(np.arange(layout11.dim), res.support)
-        assert np.all(amps[drop] == 0) and np.all(res.final.amplitudes[drop] == 0)
-        assert not np.any(dense[np.ix_(drop, res.support)])
-        assert res.samples.shape == (3, res.support.size)
+        support = res.final.basis
+        drop = np.setdiff1d(np.arange(layout11.dim), support)
+        assert np.all(amps[drop] == 0) and np.all(on_register(res.final).amplitudes[drop] == 0)
+        assert not np.any(dense[np.ix_(drop, support)])
+        assert res.samples.shape == (3, support.size)
 
 
 class TestDrivenStage:
@@ -257,7 +263,7 @@ class TestDrivenStage:
         duration = 20.0 / params.delta
         exact = evolve_unitary(probe_state, gen, duration).final
         literal = dispersive_ode_oracle.integrate(probe_state, gen, duration, tolerance=1e-11)
-        assert np.max(np.abs(exact.amplitudes - literal.amplitudes)) < 1e-7
+        assert np.max(np.abs(on_register(exact).amplitudes - literal.amplitudes)) < 1e-7
 
     def test_ode_step_cap_is_enforced(self, layout22, probe_state):
         params = dispersive_params(10.0)
@@ -295,7 +301,7 @@ class TestDrivenStage:
             want *= np.exp(1j * step.frame * grid[:, None])
         assert (step.frame is not None) == driven
         assert got.samples.tobytes() == want[:-1].tobytes()
-        assert got.final.amplitudes[step.support].tobytes() == want[-1].tobytes()
+        assert got.final.amplitudes.tobytes() == want[-1].tobytes()
 
 
 def _pure_rho(state: QuantumState) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 import yaml
 from dispersive_effective_oracle import h_dispersive_effective
-from dispersive_ode_oracle import drive_action
+from dispersive_ode_oracle import drive_action, hamiltonian_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,7 +129,7 @@ class TestDispersiveGenerators:
             h_dispersive_reduced(layout11, bare_params())
 
     def test_instant_hamiltonian_is_hermitian(self, layout22):
-        h = DispersiveGenerator(layout22, bare_params()).at(0.37 / (10 * MU))
+        h = hamiltonian_at(DispersiveGenerator(layout22, bare_params()), 0.37 / (10 * MU))
         assert h.hermitian and h.hermiticity_defect() < 1e-12
 
     def test_vanishes_on_ground_spectators(self, layout22):
@@ -148,7 +148,7 @@ class TestDispersiveGenerators:
         rng = np.random.default_rng(42)
         psi = rng.normal(size=layout22.dim) + 1j * rng.normal(size=layout22.dim)
         psi /= np.linalg.norm(psi)
-        for op in (gen.at(2.3e-10).matrix, gen.static_hamiltonian().matrix):
+        for op in (hamiltonian_at(gen, 2.3e-10).matrix, gen.static_hamiltonian().matrix):
             defect = op @ (quanta * psi) - quanta * (op @ psi)
             assert np.max(np.abs(defect)) < 1e-6 * np.max(np.abs(op @ psi))
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import on_register
 from ghz_transfer.cli import _apply_overrides
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
 from ghz_transfer.hamiltonians import PhysicalParams, load_preset, schema_fields
@@ -154,16 +155,23 @@ class TestOperatorOnABasis:
     )
     def test_agrees_with_the_same_matrix_on_the_register(self, block, amplitudes, pair):
         support, matrix = block
-        on_register = np.zeros((_SMALL.dim, _SMALL.dim), dtype=complex)
-        on_register[np.ix_(support, support)] = matrix
-        on_register = OperatorMatrix(on_register, _SMALL, hermitian=True)
+        whole = np.zeros((_SMALL.dim, _SMALL.dim), dtype=complex)
+        whole[np.ix_(support, support)] = matrix
+        whole = OperatorMatrix(whole, _SMALL, hermitian=True)
         on_basis = OperatorMatrix(matrix, _SMALL, hermitian=True, basis=support)
         norm = np.linalg.norm(amplitudes)
         state = QuantumState(amplitudes / norm if norm else amplitudes, _SMALL)
 
-        assert abs(on_basis.expectation(state) - on_register.expectation(state)) <= 1e-12
-        gap = on_basis.apply(state).amplitudes - on_register.apply(state).amplitudes
+        assert abs(on_basis.expectation(state) - whole.expectation(state)) <= 1e-12
+        applied = on_basis.apply(state)
+        assert np.array_equal(applied.basis, support)
+        gap = on_register(applied).amplitudes - whole.apply(state).amplitudes
         assert np.abs(gap).max() <= 1e-12
+        # a state on a basis in an order of its own reduces as it does on the register
+        reordered = QuantumState(applied.amplitudes[::-1], _SMALL, support[::-1])
         for sites in [(site,) for site in _SMALL.site_names] + [pair]:
-            gap = partial_trace(on_basis, sites) - partial_trace(on_register, sites)
-            assert np.abs(gap).max() <= 1e-12, sites
+            for reduced, whole_reduced in (
+                (partial_trace(on_basis, sites), partial_trace(whole, sites)),
+                (partial_trace(reordered, sites), partial_trace(on_register(reordered), sites)),
+            ):
+                assert np.abs(reduced - whole_reduced).max() <= 1e-12, sites

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import on_register
 from register_compile_oracle import register_compile
 
 from ghz_transfer import runner
@@ -111,7 +112,7 @@ class TestReachable:
             inside[basis] = state.amplitudes[basis]
             projected = np.zeros(layout.dim, dtype=complex)
             projected[basis] = (whole @ inside)[basis]
-            assert np.abs(got.apply(state).amplitudes - projected).max() <= 1e-13
+            assert np.abs(on_register(got.apply(state)).amplitudes - projected).max() <= 1e-13
 
     def test_closure_matches_the_matrix_closure(self):
         layout = build_layout(2, 2, 3, 3)
@@ -143,6 +144,21 @@ class TestScale:
             runner._compiled.cache_clear()
         assert peak < 16 * layout.dim, peak
         assert max(step.support.size for step in compiled.steps) < layout.dim // 100
+
+    @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
+    def test_a_pure_run_allocates_less_than_one_register_vector(self, params, mode):
+        # the compile, every step, its checkpoints and the final state, all on supports
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=5)
+        runner._compiled.cache_clear()
+        tracemalloc.start()
+        try:
+            result = run_protocol(params, spec, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            runner._compiled.cache_clear()
+        assert peak < 16 * result.layout.dim, peak
+        assert result.final_state.basis.size < result.layout.dim // 100
 
     def test_an_oversized_lindblad_block_is_refused_before_it_is_built(self, params, monkeypatch):
         # the estimate for the 80-state n = 2 block is 250 * 80^2 = 1.6 MB

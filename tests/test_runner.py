@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from helpers import sampled_states
+from helpers import basis_index, on_register, sampled_states
 from ghz_transfer import analysis, evolution, runner
 from ghz_transfer.analysis import (
     GhzSpec,
@@ -211,14 +211,14 @@ def _krylov_evolve(state, generator, duration, *, samples=0):
     """``evolve_unitary`` routed through the Lanczos reference on the full register."""
     matrix, frame = _static_form(generator)
     times = np.linspace(0.0, duration, samples)
-    amps, t_prev, path = state.amplitudes, 0.0, []
+    amps, t_prev, path = on_register(state).amplitudes, 0.0, []
     for t in [*times, duration]:
         amps = krylov_expm_action(matrix, amps, t - t_prev)
         t_prev = t
         path.append(np.exp(1j * frame * t) * amps)
     dim = state.layout.dim
     return EvolutionResult(
-        QuantumState(path[-1], state.layout), times, np.arange(dim),
+        QuantumState(path[-1], state.layout, np.arange(dim)), times,
         np.array(path[:-1]).reshape(samples, dim),
     )
 
@@ -248,7 +248,8 @@ class TestExactAgainstKrylov:
             assert abs(rec.coeff_f - want.coeff_f) < 1e-10, label
         # the frame phase touches only spectator f amplitudes, which no
         # checkpoint or row sees; the states themselves must agree too
-        assert np.max(np.abs(full_n2.final_state.amplitudes - ref.final_state.amplitudes)) < 1e-10
+        got, want = (on_register(result.final_state).amplitudes for result in (full_n2, ref))
+        assert np.max(np.abs(got - want)) < 1e-10
         assert len(ref.trajectory) == len(full_n2.trajectory)
         for got, want in zip(full_n2.trajectory, ref.trajectory):
             assert got["segment"] == want["segment"] and got["t_ns"] == want["t_ns"]
@@ -262,11 +263,12 @@ class TestExactAgainstKrylov:
         for seg in build_schedule(params, 2):
             generator = runner._segment_generator(layout, seg, params, mode)
             result = evolve_unitary(state, generator, seg.duration_s)
-            drop = np.setdiff1d(np.arange(layout.dim), result.support)
-            leak = _static_form(generator)[0][drop][:, result.support]
+            drop = np.setdiff1d(np.arange(layout.dim), result.final.basis)
+            leak = _static_form(generator)[0][drop][:, result.final.basis]
             leak.eliminate_zeros()
             assert leak.nnz == 0, seg.label
-            assert not np.any(state.amplitudes[drop]) and not np.any(result.final.amplitudes[drop])
+            assert not np.any(on_register(state).amplitudes[drop])
+            assert not np.any(on_register(result.final).amplitudes[drop])
             state = result.final
 
 
@@ -275,8 +277,8 @@ def _scored_checkpoints(monkeypatch, params, spec, mode):
     scored = []
     score = runner._pure_checkpoint
 
-    def keep(spec, label, state, support, time_s):
-        record = score(spec, label, state, support, time_s)
+    def keep(spec, label, state, time_s):
+        record = score(spec, label, state, time_s)
         scored.append((record, state))
         return record
 
@@ -287,6 +289,7 @@ def _scored_checkpoints(monkeypatch, params, spec, mode):
 def _assert_full_register_scores(spec, scored):
     """Each record matches the full-register branch kets and fidelity within 1e-15."""
     for record, state in scored:
+        state = on_register(state)
         g_branch, f_branch, _, _ = oracle_branches(state.layout, spec, record.label)
         oracle = make_oracle_state(state.layout, spec, record.label)
         assert abs(record.fidelity - checkpoint_fidelity(state, oracle)) <= 1e-15
@@ -879,7 +882,8 @@ class TestCompiledSchedule:
             generator = runner._segment_generator(layout, seg, params, mode)
             got = evolve_unitary(state, step, seg.duration_s, samples=3)
             want = evolve_unitary(state, generator, seg.duration_s, samples=3)
-            assert got.final.amplitudes.tobytes() == want.final.amplitudes.tobytes(), seg.label
+            got_final, want_final = on_register(got.final), on_register(want.final)
+            assert got_final.amplitudes.tobytes() == want_final.amplitudes.tobytes(), seg.label
             for got_state, want_state in zip(sampled_states(got), sampled_states(want)):
                 assert got_state.amplitudes.tobytes() == want_state.amplitudes.tobytes(), seg.label
             state = got.final
@@ -960,7 +964,7 @@ class TestExcitationSectors:
         layout = build_layout(2, 2, 3, 3)
         quanta = excitation_numbers(layout)
         assert quanta[0] == 0  # everything ground, vacuum
-        idx = layout.basis_index({"q1": "f", "cavL": 3, "A": 1})
+        idx = basis_index(layout, {"q1": "f", "cavL": 3, "A": 1})
         assert quanta[idx] == 6
         assert int((quanta <= 4).sum()) == 260
 
