@@ -147,8 +147,8 @@ _LEVEL_VEC = {"g": (1.0, 0.0, 0.0), "e": (0.0, 1.0, 0.0), "f": (0.0, 0.0, 1.0)}
 _G_BRANCH = _FBranch(1.0, "g", "g", "g", PLUS, PLUS, (0, 0))
 
 
-def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support=None) -> np.ndarray:
-    """The unit ket of ``branch``, everywhere or on the basis indices ``support``."""
+def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support: np.ndarray) -> np.ndarray:
+    """The unit ket of ``branch`` on the flat indices ``support``."""
     return _product_amplitudes(layout, _branch_vectors(layout, branch), branch.photons, support)
 
 
@@ -173,12 +173,12 @@ def _oracle_support(layout: SystemLayout, checkpoint: str) -> np.ndarray:
 
 
 def _oracle_parts(
-    layout: SystemLayout, spec: GhzSpec, checkpoint: str, support,
+    layout: SystemLayout, spec: GhzSpec, checkpoint: str, support: np.ndarray,
     *, t: float | None = None, rates: EffectiveRates | None = None,
 ) -> tuple[np.ndarray, np.ndarray, complex, complex]:
-    """:func:`oracle_branches`' tuple, with plain kets on the basis indices ``support``.
+    """:func:`oracle_branches`' tuple, with plain kets on the flat indices ``support``.
 
-    ``None`` means everywhere. An entry has the same bits on any support.
+    An entry has the same bits on any support.
     """
     if layout.n_left != spec.n or layout.n_right != spec.n:
         raise ValueError(
@@ -205,9 +205,11 @@ def oracle_branches(
     bookkeeping ((-i) per quarter period) lives in ``coeff_f``, so a
     correct simulation overlaps with ``f_branch`` at exactly
     ``coeff_f = (phase table) * beta``, with no residual sign to explain.
+    Both kets are on the whole register.
     """
-    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, None, t=t, rates=rates)
-    return QuantumState(g_part, layout), QuantumState(f_part, layout), c_g, c_f
+    register = np.arange(layout.dim)
+    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, register, t=t, rates=rates)
+    return QuantumState(g_part, layout, basis=register), QuantumState(f_part, layout, basis=register), c_g, c_f
 
 
 def make_oracle_state(
@@ -218,9 +220,10 @@ def make_oracle_state(
     t: float | None = None,
     rates: EffectiveRates | None = None,
 ) -> QuantumState:
-    """The exact reduced-dynamics state at a protocol checkpoint."""
-    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, None, t=t, rates=rates)
-    return QuantumState(c_g * g_part + c_f * f_part, layout)
+    """The exact reduced-dynamics state at a protocol checkpoint, on the whole register."""
+    register = np.arange(layout.dim)
+    g_part, f_part, c_g, c_f = _oracle_parts(layout, spec, checkpoint, register, t=t, rates=rates)
+    return QuantumState(c_g * g_part + c_f * f_part, layout, basis=register)
 
 
 def occupation_probability(mu: float, delta: float) -> float:

@@ -242,10 +242,9 @@ class Propagator:
         elif not generator.hermitian:
             raise EvolutionError("unitary evolution needs a generator flagged hermitian")
         matrix, basis = generator.matrix, generator.basis
-        if basis is not None:  # the seed's places in the basis, which must hold it
-            if not np.all(np.isin(seed, basis)):
-                raise ValueError("the seed leaves the generator's basis")
-            seed = np.searchsorted(basis, seed)
+        if not np.all(np.isin(seed, basis)):
+            raise ValueError("the seed leaves the generator's basis")
+        seed = np.searchsorted(basis, seed)  # the seed's places in the basis
         labels = _components(matrix)
         support = np.flatnonzero(np.isin(labels, labels[seed]))
         _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
@@ -263,7 +262,7 @@ class Propagator:
             np.add.at(blocks, (r // size, r % size, c % size), data[mine])
             groups.append((slice(start, start + count), *np.linalg.eigh(blocks)))
         frame = None if frame is None else frame[support]
-        return cls(support if basis is None else basis[support], groups, frame)
+        return cls(basis[support], groups, frame)
 
     def apply(self, state: QuantumState, duration: float, times: np.ndarray) -> EvolutionResult:
         """The state at ``times`` and ``duration``, every time in one array operation, on ``support``.
@@ -287,7 +286,7 @@ class Propagator:
                 np.multiply(1j * self.frame[part].reshape(evals.shape), grid[:, None, None], out=phased)
                 rotated *= np.exp(phased, out=phased)
         # a copy: a view would keep the whole grid alive as long as the final state
-        return EvolutionResult(QuantumState(amps[-1].copy(), state.layout, self.support), times, amps[:-1])
+        return EvolutionResult(QuantumState(amps[-1].copy(), state.layout, basis=self.support), times, amps[:-1])
 
 
 def _components(matrix: sp.csr_matrix) -> np.ndarray:
@@ -337,8 +336,7 @@ def evolve_unitary(
         raise ValueError("samples must be nonnegative")
     times = np.linspace(0.0, duration, samples) if samples else np.empty(0)
     if not isinstance(generator, Propagator):
-        held = np.flatnonzero(state.amplitudes)
-        generator = Propagator.compile(generator, held if state.basis is None else state.basis[held])
+        generator = Propagator.compile(generator, state.basis[np.flatnonzero(state.amplitudes)])
     result = generator.apply(state, duration, times)
     # weight the step dropped from the input shows: the input's norm is taken over all it holds
     drift = abs(result.final.norm - state.norm)

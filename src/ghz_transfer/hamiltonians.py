@@ -18,7 +18,7 @@ Conventions worth stating once:
 * Every operator is a sum of Kronecker products of local factors
   (:func:`~ghz_transfer.hilbert.embed_operator`); products such as
   a_dag |e><f| are formed on the factors, never on the register, and on
-  the ``basis`` a builder is given (None: the register). The ``*_term(s)``
+  the sorted flat indices ``basis`` a builder is given. The ``*_term(s)``
   functions list the terms a builder sums, for finding that basis.
 * Pure dephasing collapse operators use the projector form
   sqrt(2/T_phi) |e><e|, which gives the coherence decay 1/T_phi on top of
@@ -158,14 +158,14 @@ def _check_register(layout: SystemLayout, cavity: str, site: str) -> None:
         raise KeyError(f"unknown site {site!r}")
 
 
-def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float, basis=None) -> OperatorMatrix:
+def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float, basis: np.ndarray) -> OperatorMatrix:
     """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit, on ``basis``."""
     if qubit == "A":
         raise ValueError("the coupler has no f level; use h_resonant_ge")
     return _sideband(layout, sideband_term(layout, cavity, qubit, "e", "f", coupling), basis)
 
 
-def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float, basis=None) -> OperatorMatrix:
+def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float, basis: np.ndarray) -> OperatorMatrix:
     """Sideband drive coupling * (a_dag |g><e| + h.c.) on ``basis``; works for the coupler too."""
     return _sideband(layout, sideband_term(layout, cavity, site, "g", "e", coupling), basis)
 
@@ -206,10 +206,10 @@ class DispersiveGenerator:
     static form (frame generator G = delta sum|f><f| + delta' sum|f><f|,
     mapping psi_interaction(t) = e^(+iGt) psi_static(t)) is exposed through
     :meth:`static_hamiltonian` and :meth:`frame_diagonal`. Every matrix
-    and diagonal lives on ``basis`` (None: the whole register).
+    and diagonal lives on ``basis``.
     """
 
-    def __init__(self, layout: SystemLayout, params: PhysicalParams, basis=None):
+    def __init__(self, layout: SystemLayout, params: PhysicalParams, basis: np.ndarray):
         _require_spectators(layout)
         self.layout = layout
         self.params = params
@@ -219,7 +219,7 @@ class DispersiveGenerator:
             reduce(add, (embed_operator(layout, term, basis).matrix for term in part))
             for part in (terms[:left], terms[left:])
         )
-        g = np.zeros(layout.dim if basis is None else len(basis))
+        g = np.zeros(len(basis))
         for site in layout.left_spectators:
             g += params.delta * (layout.level_index_array(site, basis) == 2)
         for site in layout.right_spectators:
@@ -252,7 +252,7 @@ def drive_terms(layout: SystemLayout, params: PhysicalParams) -> list[dict]:
     ]
 
 
-def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis=None) -> OperatorMatrix:
+def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis: np.ndarray) -> OperatorMatrix:
     """Spectator phase Hamiltonian -lam sum|e><e| a_dag a - lam' sum|e><e| b_dag b, on ``basis``.
 
     Diagonal in the product basis; exact once spectator f population is
@@ -260,7 +260,7 @@ def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis=Non
     """
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
-    diag = np.zeros(layout.dim if basis is None else len(basis))
+    diag = np.zeros(len(basis))
     n_a = layout.level_index_array("cavL", basis).astype(float)
     n_b = layout.level_index_array("cavR", basis).astype(float)
     for site in layout.left_spectators:
@@ -284,7 +284,7 @@ def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> floa
     return max(rate, 0.0)
 
 
-def collapse_operators(layout: SystemLayout, params: PhysicalParams, basis=None) -> list[OperatorMatrix]:
+def collapse_operators(layout: SystemLayout, params: PhysicalParams, basis: np.ndarray) -> list[OperatorMatrix]:
     """Lindblad collapse operators for the register, on ``basis``: one per :func:`collapse_terms` term."""
     return [embed_operator(layout, term, basis) for term in collapse_terms(layout, params)]
 

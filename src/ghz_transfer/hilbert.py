@@ -14,14 +14,13 @@ ordered
 with the first factor the slowest-varying index, so the flat basis index is
 the mixed-radix number built from the per-factor levels in that order.
 Operators are stored sparse (CSR), pure states as dense vectors, each on
-the register or on a basis; a density matrix is an operator. Every
-operator is one Kronecker product of local factors (:func:`embed_operator`),
-or a sum of such products, assembled in one pass from the local factors'
-entries, on the whole register or on a basis: a sorted array of flat
-indices, such as the states :func:`reachable` finds from a seed through
-the same local factors. A state's basis holds distinct flat indices in an
-order of its own, such as a propagation step's support; states and
-operators on different bases meet through :meth:`QuantumState.on`.
+the basis it carries; a density matrix is an operator. Every operator is
+one Kronecker product of local factors (:func:`embed_operator`), or a sum
+of such products, assembled in one pass from the local factors' entries
+on a basis: sorted flat indices, such as all of them (the register) or the
+states :func:`reachable` finds from a seed through the same factors. A
+state's basis holds distinct flat indices in an order of its own, such as
+a step's support; states and operators meet through :meth:`QuantumState.on`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,15 +140,14 @@ class SystemLayout:
         except ValueError:
             raise KeyError(f"unknown site {site!r}; sites are {self.site_names}") from None
 
-    def level_index_array(self, site: str, indices: np.ndarray | None = None) -> np.ndarray:
-        """Level of ``site`` for every flat basis index, shape ``(dim,)``, or for ``indices``.
+    def level_index_array(self, site: str, indices: np.ndarray) -> np.ndarray:
+        """Level of ``site`` for each of the flat basis indices ``indices``.
 
         This is the workhorse for diagonal operators and population
         extraction: ``pops[k] = sum(|psi|^2 [levels == k])``.
         """
         pos = self.factor_index(site)
-        idx = np.arange(self.dim) if indices is None else np.asarray(indices)
-        return (idx // math.prod(self.factor_dims[pos + 1 :])) % self.factor_dims[pos]
+        return (np.asarray(indices) // math.prod(self.factor_dims[pos + 1 :])) % self.factor_dims[pos]
 
     def to_dict(self) -> dict:
         return {
@@ -190,58 +188,39 @@ def annihilation_op(dim: int) -> np.ndarray:
 
 @dataclass
 class QuantumState:
-    """Dense state vector bound to a layout, on the register or on a basis.
+    """Dense state vector bound to a layout, on a basis.
 
-    ``amplitudes`` stands for the distinct flat indices ``basis``, in that
-    order, or for the whole register (shape ``(layout.dim,)``, the layout's
-    ordering; see module docstring) when ``basis`` is None. Every amplitude
-    off the basis is exactly zero.
+    ``amplitudes`` stands for the distinct flat indices ``basis`` (see the
+    module docstring), in that order. Every amplitude off the basis is
+    exactly zero.
     """
 
     amplitudes: np.ndarray
     layout: SystemLayout
-    basis: np.ndarray | None = field(default=None, compare=False)
+    basis: np.ndarray = field(kw_only=True, compare=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        size = self.layout.dim if self.basis is None else len(self.basis)
-        if amps.shape != (size,):
-            raise ValueError(f"amplitude vector has shape {amps.shape}, its basis has {size} states")
+        self.basis = _checked_basis(self.basis, self.layout, increasing=False)
+        if amps.shape != self.basis.shape:
+            raise ValueError(f"amplitude vector has shape {amps.shape}, its basis has {self.basis.size} states")
         self.amplitudes = amps
-
-    @classmethod
-    def from_product(
-        cls,
-        layout: SystemLayout,
-        site_vectors: Mapping[str, Sequence[complex]] | None = None,
-        photons: tuple[int, int] = (0, 0),
-    ) -> "QuantumState":
-        """Product state from per-site local vectors.
-
-        Unlisted qudits and the coupler sit in g; the cavities hold the
-        given photon-number states.
-        """
-        return cls(_product_amplitudes(layout, site_vectors, photons), layout)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def on(self, indices: np.ndarray | None) -> np.ndarray:
-        """The amplitudes at the flat indices ``indices`` (None: the register), zero where the state has none."""
-        if self.basis is None:
-            return self.amplitudes if indices is None else self.amplitudes[indices]
-        if indices is None:
-            indices = np.arange(self.layout.dim)
+    def on(self, indices: np.ndarray) -> np.ndarray:
+        """The amplitudes at the flat indices ``indices``, zero where the state has none."""
         order = np.argsort(self.basis)  # then one sentinel past the end, which matches no index
         keys, values = np.append(self.basis[order], -1), np.append(self.amplitudes[order], 0)
         at = np.searchsorted(keys[:-1], indices)
         return np.where(keys[at] == indices, values[at], 0)
 
     def overlap(self, other: "QuantumState") -> complex:
-        """Inner product <self|other>, on the basis of either, or on the register when neither has one."""
+        """Inner product <self|other>, on the smaller basis of the two, ``self``'s when they are the same size."""
         _require_same_layout(self.layout, other.layout)
-        if self.basis is None and other.basis is not None:
+        if other.basis.size < self.basis.size:
             mine, theirs = self.on(other.basis), other.amplitudes
         else:
             mine, theirs = self.amplitudes, other.on(self.basis)
@@ -249,13 +228,14 @@ class QuantumState:
         return complex(np.sum(mine.conj() * theirs))
 
 
-def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support=None) -> np.ndarray:
-    """:meth:`QuantumState.from_product`'s amplitudes, everywhere or on the indices ``support``.
+def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support) -> np.ndarray:
+    """The product state of per-site local vectors on the flat indices ``support``.
 
-    Each is a product of one entry per factor, multiplied left to right as
-    a ``np.kron`` chain does, so both give the same bits.
+    Unlisted qudits and the coupler sit in g, the modes in ``photons``. Each
+    amplitude is a product of one entry per factor, multiplied left to right
+    as a ``np.kron`` chain does, so both give the same bits.
     """
-    vectors = {**(site_vectors or {}), "cavL": level_ket(layout.site_dim("cavL"), photons[0])}
+    vectors = {**site_vectors, "cavL": level_ket(layout.site_dim("cavL"), photons[0])}
     vectors["cavR"] = level_ket(layout.site_dim("cavR"), photons[1])
     factors = []
     for site, dim in zip(layout.site_names, layout.factor_dims):
@@ -265,23 +245,20 @@ def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support=Non
     unknown = set(vectors) - set(layout.site_names)
     if unknown:
         raise KeyError(f"unknown sites {sorted(unknown)}")
-    if support is None:  # an open grid: the products broadcast to the full tensor
-        levels = np.ix_(*(np.arange(dim) for dim in layout.factor_dims))
-    else:
-        levels = np.unravel_index(support, layout.factor_dims)
+    levels = np.unravel_index(support, layout.factor_dims)
     amps = factors[0][levels[0]]
     for factor, level in zip(factors[1:], levels[1:]):
         amps = amps * factor[level]
-    return amps.ravel()
+    return amps
 
 
 @dataclass
 class OperatorMatrix:
     """Sparse operator bound to a layout, with a Hermiticity claim.
 
-    Its rows and columns stand for the sorted flat indices ``basis``, or
-    for the whole register when ``basis`` is None. A density matrix is one
-    too: a lindblad run ends in the Hermitian operator on its block.
+    Its rows and columns stand for the sorted flat indices ``basis``. A
+    density matrix is one too: a lindblad run ends in the Hermitian
+    operator on its block.
     The ``hermitian`` flag is asserted at construction time (defect above
     1e-12 raises), so downstream consumers can trust it. A builder whose
     matrix is Hermitian bit for bit by the way it was formed (X + X^+ plus
@@ -293,15 +270,15 @@ class OperatorMatrix:
     layout: SystemLayout
     hermitian: bool = False
     by_construction: InitVar[bool] = False
-    basis: np.ndarray | None = field(default=None, compare=False)
+    basis: np.ndarray = field(kw_only=True, compare=False)
 
     _HERMITICITY_TOL = 1e-12
 
     def __post_init__(self, by_construction: bool) -> None:
         mat = sp.csr_matrix(self.matrix, dtype=complex)
-        size = self.layout.dim if self.basis is None else len(self.basis)
-        if mat.shape != (size, size):
-            raise ValueError(f"operator shape {mat.shape} does not match its basis of {size} states")
+        self.basis = _checked_basis(self.basis, self.layout, increasing=True)
+        if mat.shape != (self.basis.size,) * 2:
+            raise ValueError(f"operator shape {mat.shape} does not match its basis of {self.basis.size} states")
         self.matrix = mat
         if self.hermitian and not by_construction and self.hermiticity_defect() > self._HERMITICITY_TOL:
             raise ValueError(
@@ -320,7 +297,7 @@ class OperatorMatrix:
         On a ``basis``, it acts as P O P for P the projector onto it.
         """
         _require_same_layout(self.layout, state.layout)
-        return QuantumState(self.matrix @ state.on(self.basis), self.layout, self.basis)
+        return QuantumState(self.matrix @ state.on(self.basis), self.layout, basis=self.basis)
 
     def expectation(self, state: QuantumState) -> complex:
         """<state| O |state>, with O as :meth:`apply` takes it; real part only when the operator is hermitian.
@@ -334,12 +311,12 @@ class OperatorMatrix:
         return value.real if self.hermitian else value
 
 
-def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basis=None) -> OperatorMatrix:
+def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basis: np.ndarray) -> OperatorMatrix:
     """The product of local operators on distinct sites, identity elsewhere, on ``basis``.
 
     ``factors`` maps site names (qudits, the coupler ``A``, the modes
     ``cavL``/``cavR``) to square matrices of the site's dimension;
-    ``basis`` is a sorted array of the flat indices kept (None: all). The
+    ``basis`` is a sorted array of the flat indices kept. The
     result is the ``kron`` chain of the layout's factors restricted to the
     basis, built column by column from the factors (:func:`local_moves`):
     each value is the product of one entry per factor, identities' ones
@@ -348,7 +325,7 @@ def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basi
     claimed Hermiticity is that of the factors: when each is exactly its
     own conjugate transpose, so is the result, bit for bit.
     """
-    codes = np.arange(layout.dim) if basis is None else np.asarray(basis)
+    codes = np.asarray(basis)
     moves = local_moves(layout, [factors])
     rows, moved, (touched, picked) = _moved(layout, moves, codes)
     values = dict(zip(touched.tolist(), moves.entries[picked].transpose(1, 0, 2)))
@@ -356,10 +333,9 @@ def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basi
     for pos in range(1, len(layout.factor_dims)):
         data = data * values.get(pos, 1.0)
     rows, cols, data = rows[moved], np.broadcast_to(np.arange(codes.size), rows.shape)[moved], data[moved]
-    if basis is not None:  # each row's place in the basis, or none
-        at = np.minimum(np.searchsorted(codes, rows), codes.size - 1)
-        inside = codes[at] == rows
-        rows, cols, data = at[inside], cols[inside], data[inside]
+    at = np.minimum(np.searchsorted(codes, rows), codes.size - 1)  # each row's place in the basis, or none
+    inside = codes[at] == rows
+    rows, cols, data = at[inside], cols[inside], data[inside]
     order = np.lexsort((cols, rows))  # canonical: row by row, each row's columns increasing
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=codes.size))))
     mat = sp.csr_matrix((data[order], cols[order], indptr), shape=(codes.size, codes.size))
@@ -450,7 +426,7 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
     Parameters
     ----------
     obj : QuantumState or OperatorMatrix
-        A pure state, or a density matrix on the register or on its ``basis``.
+        A pure state or a density matrix, each on its ``basis``.
     keep_sites : iterable of str
         Factor names to keep, in the order the reduced matrix should use.
         Cavity factors ``cavL``/``cavR`` are allowed.
@@ -469,7 +445,7 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
     keep_dim = math.prod(dims[p] for p in positions)
 
     if isinstance(obj, QuantumState):  # a row per kept level, a column per traced-out level the state holds
-        levels = np.unravel_index(np.arange(layout.dim) if obj.basis is None else obj.basis, dims)
+        levels = np.unravel_index(obj.basis, dims)
         rest = [i for i in range(len(dims)) if i not in positions]
         row, col = (np.ravel_multi_index([levels[i] for i in part], [dims[i] for i in part]) for part in (positions, rest))
         _, col = np.unique(col, return_inverse=True)
@@ -480,9 +456,7 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
         raise TypeError(f"cannot partial-trace a {type(obj).__name__}")
     # over the stored entries: one survives when its row and column agree on every traced-out level
     entries = obj.matrix.tocoo()
-    rows, cols = entries.row, entries.col
-    if obj.basis is not None:  # places in the basis, as register indices
-        rows, cols = obj.basis[rows], obj.basis[cols]
+    rows, cols = obj.basis[entries.row], obj.basis[entries.col]  # places in the basis, as flat indices
     row_levels, col_levels = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
     same = np.ones(entries.nnz, dtype=bool)
     for i in set(range(len(dims))) - set(positions):
@@ -493,6 +467,16 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
     reduced = np.zeros((keep_dim, keep_dim), dtype=complex)
     np.add.at(reduced, (row[same], col[same]), entries.data[same])
     return reduced
+
+
+def _checked_basis(basis, layout: SystemLayout, *, increasing: bool) -> np.ndarray:
+    """``basis`` as an array of distinct flat indices of ``layout``, in increasing order if asked; else a ValueError."""
+    basis = np.asarray(basis)
+    if basis.ndim != 1 or basis.size and not 0 <= basis.min() <= basis.max() < layout.dim:
+        raise ValueError(f"a basis is a 1-d array of flat indices in [0, {layout.dim})")
+    if np.any(np.diff(basis if increasing else np.sort(basis)) <= 0):
+        raise ValueError("the basis indices must increase strictly" if increasing else "the basis repeats an index")
+    return basis
 
 
 def _require_same_layout(a: SystemLayout, b: SystemLayout) -> None:

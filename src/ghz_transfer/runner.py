@@ -101,18 +101,15 @@ CHECKPOINT_AFTER_SEGMENT = {
 }
 
 
-def excitation_numbers(layout: SystemLayout) -> np.ndarray:
-    """Total quanta of every basis state, shape ``(dim,)``.
+def excitation_numbers(layout: SystemLayout, indices: np.ndarray) -> np.ndarray:
+    """Total quanta of each of the flat basis indices ``indices``.
 
     Qudit levels count their excitation number (g, e, f = 0, 1, 2), the
     coupler 0/1, photons as-is. Sideband pulses trade one qudit level
     for one photon and the dispersive drive trades e+photon for f, so
     every generator conserves this; collapse channels only lower it.
     """
-    total = np.zeros(layout.dim, dtype=np.int64)
-    for site in layout.site_names:
-        total += layout.level_index_array(site)
-    return total
+    return np.sum(np.unravel_index(indices, layout.factor_dims), axis=0)
 
 
 def _complex_pair(z: complex | None) -> list[float] | None:
@@ -286,8 +283,8 @@ def _segment_samples(observables, segment, times_s, weights):
     return (segment, times_s * 1e9, table[:-1]), float(table[:, -1].max())
 
 
-def _segment_generator(layout, seg, params, mode, basis=None):
-    """The segment's generator on ``basis`` (None: the whole register)."""
+def _segment_generator(layout, seg, params, mode, basis):
+    """The segment's generator on ``basis``."""
     if seg.kind == "resonant_ef":
         return h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling, basis)
     if seg.kind == "resonant_ge":
@@ -405,7 +402,7 @@ def _oracle_on(layout, spec, label, keep) -> np.ndarray:
 
 
 def _run_pure(layout, schedule, spec, compiled, samples):
-    state = QuantumState(_oracle_on(layout, spec, "initial", compiled.support), layout, compiled.support)
+    state = QuantumState(_oracle_on(layout, spec, "initial", compiled.support), layout, basis=compiled.support)
     sampled = []
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}

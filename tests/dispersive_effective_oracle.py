@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
+from helpers import register
 from ghz_transfer.hamiltonians import EffectiveRates, PhysicalParams, _require_spectators
 from ghz_transfer.hilbert import OperatorMatrix, SystemLayout, annihilation_op, embed_operator, transition_op
 
@@ -26,7 +27,7 @@ def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> Oper
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
     promote, demote = transition_op(3, "f", "e"), transition_op(3, "e", "f")
-    terms = []
+    terms, whole = [], register(layout)
     for lam, mode, spectators in (
         (rates.lam, "cavL", layout.left_spectators),
         (rates.lam_prime, "cavR", layout.right_spectators),
@@ -35,11 +36,11 @@ def h_dispersive_effective(layout: SystemLayout, params: PhysicalParams) -> Oper
         n_op = lam * (a.conj().T @ a)
         anti_n = lam * (a @ a.conj().T)
         for site in spectators:
-            ff = embed_operator(layout, {site: transition_op(3, "f", "f"), mode: anti_n})
-            ee = embed_operator(layout, {site: transition_op(3, "e", "e"), mode: n_op})
+            ff = embed_operator(layout, {site: transition_op(3, "f", "f"), mode: anti_n}, whole)
+            ee = embed_operator(layout, {site: transition_op(3, "e", "e"), mode: n_op}, whole)
             terms.append(ff.matrix - ee.matrix)
         for site_l in spectators:
             for site_k in spectators:
                 if site_k != site_l:
-                    terms.append(embed_operator(layout, {site_l: lam * promote, site_k: demote}).matrix)
-    return OperatorMatrix(reduce(add, terms).tocsr(), layout, hermitian=True)
+                    terms.append(embed_operator(layout, {site_l: lam * promote, site_k: demote}, whole).matrix)
+    return OperatorMatrix(reduce(add, terms).tocsr(), layout, hermitian=True, basis=whole)

@@ -91,7 +91,7 @@ def integrate(
             f"needs <= {cap:g} s"
         )
     if duration == 0.0:
-        return QuantumState(state.amplitudes.copy(), state.layout, state.basis)
+        return QuantumState(state.amplitudes.copy(), state.layout, basis=state.basis)
     rtol = max(tolerance, 1e-12)
     apply = drive_action(generator)
     sol = evolution.solve_ivp(
@@ -106,4 +106,4 @@ def integrate(
     )
     if not sol.success:
         raise EvolutionError(f"integration failed: {sol.message}")
-    return QuantumState(sol.y[:, -1].copy(), state.layout, state.basis)
+    return QuantumState(sol.y[:, -1].copy(), state.layout, basis=state.basis)

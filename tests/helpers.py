@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from ghz_transfer.evolution import EvolutionResult
-from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout
+from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout, _product_amplitudes
 from ghz_transfer.units import TWO_PI
 
 
 def two_pi_mhz(value: float) -> float:
     """Angular frequency in rad/s for ``value`` megahertz."""
     return TWO_PI * value * 1e6
+
+
+def register(layout: SystemLayout) -> np.ndarray:
+    """The whole register as a basis: every flat index, in order."""
+    return np.arange(layout.dim)
 
 
 def basis_index(layout: SystemLayout, assignments: Mapping[str, int | str]) -> int:
@@ -37,19 +42,31 @@ def basis_state(layout: SystemLayout, assignments: Mapping[str, int | str] | Non
     """The product basis state with the given levels; unlisted sites sit at 0."""
     vec = np.zeros(layout.dim, dtype=complex)
     vec[basis_index(layout, assignments or {})] = 1.0
-    return QuantumState(vec, layout)
+    return QuantumState(vec, layout, basis=register(layout))
+
+
+def from_product(
+    layout: SystemLayout,
+    site_vectors: Mapping[str, Sequence[complex]] | None = None,
+    photons: tuple[int, int] = (0, 0),
+) -> QuantumState:
+    """Product state from per-site local vectors, on the whole register.
+
+    Unlisted qudits and the coupler sit in g; the cavities hold the
+    given photon-number states.
+    """
+    whole = register(layout)
+    return QuantumState(_product_amplitudes(layout, site_vectors or {}, photons, whole), layout, basis=whole)
 
 
 def on_register(state: QuantumState) -> QuantumState:
     """``state`` on the whole register: its amplitudes scattered onto their flat indices, zero elsewhere."""
-    if state.basis is None:
-        return state
     full = np.zeros(state.layout.dim, dtype=complex)
     full[state.basis] = state.amplitudes
-    return QuantumState(full, state.layout)
+    return QuantumState(full, state.layout, basis=register(state.layout))
 
 
 def sampled_states(result: EvolutionResult) -> list[QuantumState]:
     """The sampled states of ``result`` on the whole register, one per sample time."""
     basis, layout = result.final.basis, result.final.layout
-    return [on_register(QuantumState(amps, layout, basis)) for amps in result.samples]
+    return [on_register(QuantumState(amps, layout, basis=basis)) for amps in result.samples]

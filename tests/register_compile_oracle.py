@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from helpers import register
 from ghz_transfer import runner
 from ghz_transfer.analysis import GhzSpec, _oracle_parts
 from ghz_transfer.evolution import Dissipator, Propagator
@@ -37,18 +38,19 @@ def register_compile(layout, segments, params, mode):
     from C_0, both initial branches' supports. Lindblad restricts every
     generator and channel to the final block.
     """
-    g_part, f_part, _, _ = _oracle_parts(layout, GhzSpec(1.0, 0.0, layout.n_left), "initial", None)
+    whole = register(layout)
+    g_part, f_part, _, _ = _oracle_parts(layout, GhzSpec(1.0, 0.0, layout.n_left), "initial", whole)
     seed = np.union1d(np.flatnonzero(g_part), np.flatnonzero(f_part))
     if mode != "lindblad":
         steps, reach = [], seed
         for seg in segments:
-            steps.append(Propagator.compile(runner._segment_generator(layout, seg, params, mode), reach))
+            steps.append(Propagator.compile(runner._segment_generator(layout, seg, params, mode, whole), reach))
             reach = steps[-1].support
         return runner._Compiled(seed, steps, None)
-    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
+    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params, whole)]
     channels = sum(abs(l_op) for l_op in collapse)
-    reach = np.isin(np.arange(layout.dim), seed)
-    generators = [runner._segment_generator(layout, seg, params, mode).matrix for seg in segments]
+    reach = np.isin(whole, seed)
+    generators = [runner._segment_generator(layout, seg, params, mode, whole).matrix for seg in segments]
     for h_mat in generators:
         reach = _closure(reach, channels + abs(h_mat) + abs(h_mat).T)
     keep = np.flatnonzero(_closure(reach, channels))

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from conftest import ACCEPTANCE_RESULTS
 from dispersive_ode_oracle import hamiltonian_at
-from helpers import basis_state, on_register, sampled_states
+from helpers import basis_state, on_register, register, sampled_states
 from ghz_transfer.analysis import GhzSpec, make_oracle_state, occupation_probability, random_ghz_spec
 from ghz_transfer.cli import main
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
@@ -136,8 +136,8 @@ def _window_comparison(preset, ratio: float, samples: int = 600):
     spec = GhzSpec(alpha=EQUAL, beta=EQUAL, n=2)
     t3 = build_schedule(p, 2).segment("step3").duration_s
     psi0 = make_oracle_state(layout, spec, "after_step2")
-    full = evolve_unitary(psi0, DispersiveGenerator(layout, p), t3, samples=samples)
-    reduced = evolve_unitary(psi0, h_dispersive_reduced(layout, p), t3, samples=samples)
+    full = evolve_unitary(psi0, DispersiveGenerator(layout, p, register(layout)), t3, samples=samples)
+    reduced = evolve_unitary(psi0, h_dispersive_reduced(layout, p, register(layout)), t3, samples=samples)
     fids = np.array([abs(r.overlap(f)) ** 2 for r, f in zip(sampled_states(reduced), sampled_states(full))])
     return fids
 
@@ -210,18 +210,18 @@ def test_criterion_08_numerical_hygiene(preset):
         worst_defect = 0.0
         for seg in sched:
             if seg.kind == "resonant_ef":
-                h = h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling)
+                h = h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling, register(layout))
                 worst_defect = max(worst_defect, h.hermiticity_defect())
             elif seg.kind == "resonant_ge":
-                h = h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling)
+                h = h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling, register(layout))
                 worst_defect = max(worst_defect, h.hermiticity_defect())
             else:
-                gen = DispersiveGenerator(layout, preset)
+                gen = DispersiveGenerator(layout, preset, register(layout))
                 for frac in (0.0, 0.3, 0.7, 1.0):
                     defect = hamiltonian_at(gen, frac * seg.duration_s).hermiticity_defect()
                     worst_defect = max(worst_defect, defect)
                 worst_defect = max(
-                    worst_defect, h_dispersive_reduced(layout, preset).hermiticity_defect()
+                    worst_defect, h_dispersive_reduced(layout, preset, register(layout)).hermiticity_defect()
                 )
         assert worst_defect <= 1e-12
 
@@ -245,7 +245,7 @@ def test_criterion_09_open_system(preset):
         layout = build_layout(1, 1, 3, 3)
         spec = GhzSpec(alpha=0.6, beta=0.8j, n=1)
         psi0 = make_oracle_state(layout, spec, "initial")
-        h = h_resonant_ef(layout, "L", "q1", preset.mu1)
+        h = h_resonant_ef(layout, "L", "q1", preset.mu1, register(layout))
         duration = math.pi / (2 * preset.mu1)
 
         pure = on_register(evolve_unitary(psi0, h, duration).final)
@@ -256,7 +256,7 @@ def test_criterion_09_open_system(preset):
         assert gap <= 1e-12, f"zero-rate evolution differs from unitary by {gap!r}"
 
         kappa = 1.0 / 5.138e-6
-        a = embed_operator(layout, {"cavL": annihilation_op(layout.site_dim("cavL"))}).matrix
+        a = embed_operator(layout, {"cavL": annihilation_op(layout.site_dim("cavL"))}, register(layout)).matrix
         lowering = math.sqrt(kappa) * a
         number_op = (a.getH() @ a).toarray()
         photon = basis_state(layout, {"cavL": 1}).amplitudes

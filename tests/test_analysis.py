@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import from_product, register
 from ghz_transfer import runner
 from ghz_transfer.analysis import (
     CHECKPOINTS,
@@ -50,20 +51,20 @@ def layout2():
 
 def chain_segments(layout, p):
     """The nine pulse segments, with the reduced generator for the window."""
-    rates = EffectiveRates.from_params(p)
+    rates, whole = EffectiveRates.from_params(p), register(layout)
     segs = [
-        ("after_step1a", h_resonant_ef(layout, "L", "q1", p.mu1), math.pi / (2 * p.mu1)),
-        ("after_step1", h_resonant_ge(layout, "L", "q1", p.mu1_tilde), math.pi / (2 * SQRT2 * p.mu1_tilde)),
-        ("after_step2a", h_resonant_ge(layout, "L", "A", p.muAL), math.pi / (2 * SQRT2 * p.muAL)),
-        ("after_step2", h_resonant_ge(layout, "R", "A", p.muAR), math.pi / (2 * p.muAR)),
+        ("after_step1a", h_resonant_ef(layout, "L", "q1", p.mu1, whole), math.pi / (2 * p.mu1)),
+        ("after_step1", h_resonant_ge(layout, "L", "q1", p.mu1_tilde, whole), math.pi / (2 * SQRT2 * p.mu1_tilde)),
+        ("after_step2a", h_resonant_ge(layout, "L", "A", p.muAL, whole), math.pi / (2 * SQRT2 * p.muAL)),
+        ("after_step2", h_resonant_ge(layout, "R", "A", p.muAR, whole), math.pi / (2 * p.muAR)),
     ]
     if layout.n_left > 1:
-        segs.append(("after_step3", h_dispersive_reduced(layout, p), math.pi / rates.lam))
+        segs.append(("after_step3", h_dispersive_reduced(layout, p, whole), math.pi / rates.lam))
     segs += [
-        ("after_step4a", h_resonant_ge(layout, "L", "A", p.muAL), math.pi / (2 * p.muAL)),
-        ("after_step4", h_resonant_ge(layout, "R", "A", p.muAR), math.pi / (2 * SQRT2 * p.muAR)),
-        ("after_step5a", h_resonant_ge(layout, "R", "q1p", p.mu1p_tilde), math.pi / (2 * SQRT2 * p.mu1p_tilde)),
-        ("final", h_resonant_ef(layout, "R", "q1p", p.mu1p), math.pi / (2 * p.mu1p)),
+        ("after_step4a", h_resonant_ge(layout, "L", "A", p.muAL, whole), math.pi / (2 * p.muAL)),
+        ("after_step4", h_resonant_ge(layout, "R", "A", p.muAR, whole), math.pi / (2 * SQRT2 * p.muAR)),
+        ("after_step5a", h_resonant_ge(layout, "R", "q1p", p.mu1p_tilde, whole), math.pi / (2 * SQRT2 * p.mu1p_tilde)),
+        ("final", h_resonant_ef(layout, "R", "q1p", p.mu1p, whole), math.pi / (2 * p.mu1p)),
     ]
     return segs
 
@@ -156,7 +157,7 @@ class TestChainAgainstSimulation:
         rates = EffectiveRates.from_params(params)
         spec = GhzSpec(alpha=0.6, beta=0.8, n=2)
         start = make_oracle_state(layout2, spec, "after_step2")
-        h = h_dispersive_reduced(layout2, params)
+        h = h_dispersive_reduced(layout2, params, register(layout2))
         for frac in (0.21, 0.5, 0.83):
             t = frac * math.pi / rates.lam
             evolved = evolve_unitary(start, h, t).final
@@ -209,7 +210,7 @@ class TestHelpers:
             occupation_probability(1.0, -2.0)
 
     def test_spectator_f_total_counts_only_spectators(self, layout2):
-        state = QuantumState.from_product(
+        state = from_product(
             layout2, {"q1": (0, 0, 1), "q2": (0, 0, 1), "q2p": (0, 0, 1)}
         )
         # q1 is a share qudit, not a spectator, so only q2 and q2p count

@@ -431,7 +431,7 @@ COLD_RUNS = {
 # the oracle and helpers live in tests/, so the probe puts that directory on its path
 _ODE_PROBE = f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n" + """
 import dispersive_ode_oracle
-from helpers import basis_state, on_register
+from helpers import basis_state, on_register, register
 from ghz_transfer import evolution
 from ghz_transfer.hamiltonians import DispersiveGenerator, load_preset
 from ghz_transfer.hilbert import build_layout
@@ -443,7 +443,7 @@ evolution.solve_ivp = lambda *a, **k: calls.append(1) or integrate(*a, **k)
 layout = build_layout(2, 2, 3, 3)
 params = load_preset("transmon")
 state = basis_state(layout, {"q2": "e", "cavL": 1})
-gen = DispersiveGenerator(layout, params)
+gen = DispersiveGenerator(layout, params, register(layout))
 duration = 20.0 / params.delta
 exact = on_register(evolution.evolve_unitary(state, gen, duration).final).amplitudes
 literal = dispersive_ode_oracle.integrate(state, gen, duration).amplitudes

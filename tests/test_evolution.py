@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import dispersive_ode_oracle
-from helpers import basis_index, basis_state, on_register, sampled_states, two_pi_mhz
+from helpers import basis_index, basis_state, from_product, on_register, register, sampled_states, two_pi_mhz
 from ghz_transfer import evolution
 from ghz_transfer.evolution import (
     Dissipator,
@@ -63,7 +63,7 @@ def probe_state(layout22):
     # spectators partly excited with photons present on both sides, so
     # both Stark phases and residual exchange show up
     inv = math.sqrt(0.5)
-    return QuantumState.from_product(
+    return from_product(
         layout22,
         {"q2": (inv, inv, 0), "q2p": (inv, inv, 0)},
         photons=(1, 1),
@@ -72,7 +72,7 @@ def probe_state(layout22):
 
 class TestStaticRoutes:
     def test_zero_duration_is_identity(self, layout11):
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         out = evolve_unitary(src, h, 0.0).final
         assert checkpoint_fidelity(out, src) >= 1 - 1e-14
@@ -81,7 +81,7 @@ class TestStaticRoutes:
     def test_half_pulse_lands_on_minus_i_photon(self, layout11):
         # the pair {|f,0>, |e,1>} sees a plain Rabi cycle, so a quarter
         # period maps |f,0> onto exactly -i |e,1>
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         dst = basis_state(layout11, {"q1": "e", "cavL": 1})
         out = evolve_unitary(src, h, math.pi / (2 * MU)).final
@@ -89,7 +89,7 @@ class TestStaticRoutes:
         assert abs(amp - (-1j)) < 1e-12
 
     def test_partial_rotation_matches_cosine(self, layout11):
-        h = h_resonant_ge(layout11, "R", "A", MU)
+        h = h_resonant_ge(layout11, "R", "A", MU, register(layout11))
         src = basis_state(layout11, {"A": "e"})
         t = math.pi / (4 * MU)
         out = evolve_unitary(src, h, t).final
@@ -98,17 +98,17 @@ class TestStaticRoutes:
 
     def test_krylov_agrees_with_eigh(self, layout11):
         # the exact route diagonalises each component; Lanczos is the reference
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         rng = np.random.default_rng(21)
         amps = rng.normal(size=layout11.dim) + 1j * rng.normal(size=layout11.dim)
-        src = QuantumState(amps / np.linalg.norm(amps), layout11)
+        src = QuantumState(amps / np.linalg.norm(amps), layout11, basis=register(layout11))
         t = 3.7 / MU
         via_eigh = evolve_unitary(src, h, t).final
         via_krylov = krylov_expm_action(h.matrix, src.amplitudes, t)
         assert np.max(np.abs(on_register(via_eigh).amplitudes - via_krylov)) < 1e-10
 
     def test_composition(self, layout11):
-        h = h_resonant_ge(layout11, "L", "A", MU)
+        h = h_resonant_ge(layout11, "L", "A", MU, register(layout11))
         src = basis_state(layout11, {"A": "e", "cavL": 1})
         t1, t2 = 0.31 / MU, 0.77 / MU
         once = evolve_unitary(src, h, t1 + t2).final
@@ -116,7 +116,7 @@ class TestStaticRoutes:
         assert checkpoint_fidelity(twice, once) >= 1 - 1e-10
 
     def test_reversibility(self, layout11):
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f", "cavL": 1})
         forward = evolve_unitary(src, h, math.pi / (3 * MU)).final
         back = evolve_unitary(forward, h, -math.pi / (3 * MU)).final
@@ -145,19 +145,20 @@ class TestStaticRoutes:
         # the basis wrecks orthogonality and once returned e^{-iHt} == 1
         # while the error estimate stayed silent.
         mu = MU
-        h = h_resonant_ge(layout22, "R", "q1p", mu)
-        idle = QuantumState.from_product(layout22, {}, photons=(0, 0))
-        loaded = QuantumState.from_product(layout22, {}, photons=(0, 2))
+        h = h_resonant_ge(layout22, "R", "q1p", mu, register(layout22))
+        idle = from_product(layout22, {}, photons=(0, 0))
+        loaded = from_product(layout22, {}, photons=(0, 2))
         rng = np.random.default_rng(77)
         dust = rng.normal(size=layout22.dim) + 1j * rng.normal(size=layout22.dim)
         amps = 0.6 * idle.amplitudes + 0.8 * loaded.amplitudes + 1e-15 * dust
-        src = QuantumState(amps / np.linalg.norm(amps), layout22)
+        whole = register(layout22)
+        src = QuantumState(amps / np.linalg.norm(amps), layout22, basis=whole)
         t = math.pi / (2 * math.sqrt(2) * mu)
-        target = QuantumState.from_product(layout22, {"q1p": (0, 1, 0)}, photons=(0, 1))
+        target = from_product(layout22, {"q1p": (0, 1, 0)}, photons=(0, 1))
         expected = QuantumState(
-            0.6 * idle.amplitudes + 0.8 * (-1j) * target.amplitudes, layout22
+            0.6 * idle.amplitudes + 0.8 * (-1j) * target.amplitudes, layout22, basis=whole
         )
-        via_krylov = QuantumState(krylov_expm_action(h.matrix, src.amplitudes, t), layout22)
+        via_krylov = QuantumState(krylov_expm_action(h.matrix, src.amplitudes, t), layout22, basis=whole)
         assert checkpoint_fidelity(via_krylov, expected) >= 1 - 1e-10
         # the dust gives the exact route full support: every component runs
         exact = evolve_unitary(src, h, t)
@@ -165,7 +166,7 @@ class TestStaticRoutes:
         assert checkpoint_fidelity(exact.final, expected) >= 1 - 1e-10
 
     def test_samples_bracket_the_segment(self, layout11):
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         res = evolve_unitary(src, h, 1.0 / MU, samples=5)
         assert res.times[0] == 0.0 and res.times[-1] == 1.0 / MU
@@ -175,7 +176,7 @@ class TestStaticRoutes:
     def test_weight_off_a_compiled_support_is_drift(self, layout11):
         # a step compiled from |f> alone holds only |f,0>'s Rabi pair; a state
         # with weight on |g> as well loses that weight and must not pass
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         excited = basis_state(layout11, {"q1": "f"})
         ground = basis_state(layout11, {})
         step = Propagator.compile(h, np.flatnonzero(excited.amplitudes))
@@ -184,23 +185,23 @@ class TestStaticRoutes:
         # on the register, and on a basis of its own
         both = np.flatnonzero(ground.amplitudes + excited.amplitudes)
         for mixed in (
-            QuantumState(0.6 * ground.amplitudes + 0.8 * excited.amplitudes, layout11),
-            QuantumState(0.6 * ground.amplitudes[both] + 0.8 * excited.amplitudes[both], layout11, both),
+            QuantumState(0.6 * ground.amplitudes + 0.8 * excited.amplitudes, layout11, basis=register(layout11)),
+            QuantumState(0.6 * ground.amplitudes[both] + 0.8 * excited.amplitudes[both], layout11, basis=both),
         ):
             with pytest.raises(EvolutionError, match="norm drifted"):
                 evolve_unitary(mixed, step, 1.0 / MU)
 
     def test_nan_amplitude_is_drift(self, layout11):
         # a NaN drift compares false against any limit; the check must still fail
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         amps = basis_state(layout11, {"q1": "f"}).amplitudes
         amps[basis_index(layout11, {})] = np.nan
         with pytest.raises(EvolutionError, match="norm drifted by nan"):
-            evolve_unitary(QuantumState(amps, layout11), h, 1.0 / MU)
+            evolve_unitary(QuantumState(amps, layout11, basis=register(layout11)), h, 1.0 / MU)
 
     def test_non_hermitian_generator_rejected(self, layout11):
         mat = sp.csr_matrix(([1.0 + 0j], ([0], [1])), shape=(layout11.dim, layout11.dim))
-        bad = OperatorMatrix(mat, layout11, hermitian=False)
+        bad = OperatorMatrix(mat, layout11, hermitian=False, basis=register(layout11))
         src = basis_state(layout11, {})
         with pytest.raises(EvolutionError):
             evolve_unitary(src, bad, 1e-9)
@@ -242,8 +243,8 @@ class TestExactRoute:
     @given(problem=block_problems())
     def test_matches_dense_expm(self, layout11, problem):
         dense, amps, duration = problem
-        h = OperatorMatrix(sp.csr_matrix(dense), layout11, hermitian=True)
-        res = evolve_unitary(QuantumState(amps, layout11), h, duration, samples=3)
+        h = OperatorMatrix(sp.csr_matrix(dense), layout11, hermitian=True, basis=register(layout11))
+        res = evolve_unitary(QuantumState(amps, layout11, basis=register(layout11)), h, duration, samples=3)
         half = expm(-0.5j * duration * dense)  # samples sit at 0, duration/2, duration
         exact = [amps, half @ amps, half @ (half @ amps), half @ (half @ amps)]
         for want, got in zip(exact, [*sampled_states(res), res.final]):
@@ -259,7 +260,7 @@ class TestExactRoute:
 class TestDrivenStage:
     def test_frame_route_matches_literal_integration(self, layout22, probe_state):
         params = dispersive_params(10.0)
-        gen = DispersiveGenerator(layout22, params)
+        gen = DispersiveGenerator(layout22, params, register(layout22))
         duration = 20.0 / params.delta
         exact = evolve_unitary(probe_state, gen, duration).final
         literal = dispersive_ode_oracle.integrate(probe_state, gen, duration, tolerance=1e-11)
@@ -267,7 +268,7 @@ class TestDrivenStage:
 
     def test_ode_step_cap_is_enforced(self, layout22, probe_state):
         params = dispersive_params(10.0)
-        gen = DispersiveGenerator(layout22, params)
+        gen = DispersiveGenerator(layout22, params, register(layout22))
         with pytest.raises(ValueError):
             dispersive_ode_oracle.integrate(probe_state, gen, 1e-9, max_step=1.0 / params.delta)
 
@@ -276,7 +277,7 @@ class TestDrivenStage:
         # photons at all: after a full phase period the state is unmoved up
         # to (mu/delta)^2 weights
         params = dispersive_params(1e4)
-        gen = DispersiveGenerator(layout22, params)
+        gen = DispersiveGenerator(layout22, params, register(layout22))
         src = basis_state(layout22, {"q2": "e", "cavL": 1})
         t3 = math.pi * params.delta / params.mu**2
         out = evolve_unitary(src, gen, t3).final
@@ -286,7 +287,8 @@ class TestDrivenStage:
     def test_apply_matches_the_unbuffered_formula_bitwise(self, layout22, probe_state, driven):
         # the reference forms every phase table as a fresh array and applies the frame to the whole grid
         params = dispersive_params(10.0)
-        gen = DispersiveGenerator(layout22, params) if driven else h_resonant_ef(layout22, "L", "q1", MU)
+        whole = register(layout22)
+        gen = DispersiveGenerator(layout22, params, whole) if driven else h_resonant_ef(layout22, "L", "q1", MU, whole)
         step = Propagator.compile(gen, np.flatnonzero(probe_state.amplitudes))
         times = np.linspace(0.0, 7.0 / params.delta, 23)
         got = step.apply(probe_state, 7.5 / params.delta, times)
@@ -344,38 +346,39 @@ class TestComponents:
 
 class TestLindblad:
     def test_zero_rates_reduce_to_unitary(self, layout11):
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         t = math.pi / (2 * MU)
         pure = evolve_unitary(src, h, t).final
         rho, _ = lindblad_propagate(h.matrix, Dissipator([], layout11.dim), _pure_rho(src), t)
-        assert abs(checkpoint_fidelity(OperatorMatrix(rho, layout11, hermitian=True), pure) - 1.0) < 1e-12
+        rho = OperatorMatrix(rho, layout11, hermitian=True, basis=register(layout11))
+        assert abs(checkpoint_fidelity(rho, pure) - 1.0) < 1e-12
 
     def test_photon_decay_rate(self, layout11):
         kappa = 2.0e5
         params = dispersive_params().with_overrides(kappaL=kappa)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
         assert len(ops) == 1
         rho0 = _pure_rho(basis_state(layout11, {"cavL": 2}))
         t = 0.5 / kappa
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, t)
-        n_levels = layout11.level_index_array("cavL").astype(float)
+        n_levels = layout11.level_index_array("cavL", register(layout11)).astype(float)
         mean_photons = float(np.real(np.diag(rho)) @ n_levels)
         assert abs(mean_photons - 2.0 * math.exp(-kappa * t)) < 1e-6
 
     def test_relaxation_toward_ground(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
         src = basis_state(layout11, {"q1": "e"})
         t = 10e-6
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), _pure_rho(src), t)
-        pop_e = OperatorMatrix(rho, layout11, hermitian=True).expectation(src)
+        pop_e = OperatorMatrix(rho, layout11, hermitian=True, basis=register(layout11)).expectation(src)
         assert pop_e == pytest.approx(math.exp(-t / 20e-6), abs=1e-6)
 
     def test_trace_is_conserved(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
-        h = h_resonant_ge(layout11, "L", "A", MU)
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
+        h = h_resonant_ge(layout11, "L", "A", MU, register(layout11))
         src = basis_state(layout11, {"A": "e"})
         rho, states = lindblad_propagate(
             h.matrix, Dissipator(ops, layout11.dim), _pure_rho(src), 50e-9, samples=3
@@ -386,8 +389,8 @@ class TestLindblad:
 
     def test_samples_match_separate_runs(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
-        h = h_resonant_ge(layout11, "L", "A", MU)
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
+        h = h_resonant_ge(layout11, "L", "A", MU, register(layout11))
         rho0 = _pure_rho(basis_state(layout11, {"A": "e"}))
         t = 50e-9
         final, populations = lindblad_propagate(h.matrix, Dissipator(ops, layout11.dim), rho0, t, samples=3)
@@ -399,7 +402,7 @@ class TestLindblad:
 
     def test_nan_diagonal_is_drift(self, layout11):
         params = dispersive_params().with_overrides(t1=20e-6, kappaL=1e5)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
         rho0 = _pure_rho(basis_state(layout11, {"A": "e"}))
         rho0[0, 0] = np.nan
         with pytest.raises(EvolutionError, match="trace drifted by nan"):
@@ -442,8 +445,8 @@ class TestLindblad:
         # one single-step exponential gives the final state at every sample
         # count, and a sampled grid ends on that very state
         params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
-        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU).matrix
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
+        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU, register(layout11)).matrix
         rho0 = _pure_rho(basis_state(layout11, {"A": "e", "cavL": 1}))
         dissipator = Dissipator(ops, layout11.dim)
         alone, _ = lindblad_propagate(h, dissipator, rho0, 50e-9)
@@ -459,8 +462,8 @@ class TestLindblad:
         # the general step at t = 0 has shift 0 and plan (0, 1): rho0's coordinates come
         # back bit for bit, at every sample count, and every grid point is rho0
         params = dispersive_params().with_overrides(t1=20e-6, t2=15e-6, kappaL=1e5)
-        ops = [op.matrix for op in collapse_operators(layout11, params)]
-        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU).matrix
+        ops = [op.matrix for op in collapse_operators(layout11, params, register(layout11))]
+        h = None if h_kind == "ramp" else h_resonant_ge(layout11, "L", "A", MU, register(layout11)).matrix
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(layout11.dim, 4)) + 1j * rng.normal(size=(layout11.dim, 4))
         rho0 = raw @ raw.conj().T

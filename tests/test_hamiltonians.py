@@ -17,7 +17,7 @@ from dispersive_ode_oracle import drive_action, hamiltonian_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import basis_state, two_pi_mhz
+from helpers import basis_state, register, two_pi_mhz
 from ghz_transfer import hamiltonians
 from ghz_transfer.hamiltonians import (
     DispersiveGenerator,
@@ -64,7 +64,7 @@ def layout22():
 
 class TestResonantFactories:
     def test_ef_matrix_element_single_photon(self, layout11):
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         dst = basis_state(layout11, {"q1": "e", "cavL": 1})
         amp = dst.overlap(h.apply(src))
@@ -72,7 +72,7 @@ class TestResonantFactories:
 
     def test_ef_bose_enhancement(self, layout11):
         # one photon already present: the emission element picks up sqrt(2)
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f", "cavL": 1})
         dst = basis_state(layout11, {"q1": "e", "cavL": 2})
         amp = dst.overlap(h.apply(src))
@@ -80,60 +80,60 @@ class TestResonantFactories:
 
     def test_ef_two_dim_block_squares_to_identity(self, layout11):
         # {|f,0>, |e,1>} is closed, so H^2 acts there as mu^2
-        h = h_resonant_ef(layout11, "L", "q1", MU)
+        h = h_resonant_ef(layout11, "L", "q1", MU, register(layout11))
         src = basis_state(layout11, {"q1": "f"})
         twice = h.apply(h.apply(src))
         assert np.allclose(twice.amplitudes, MU**2 * src.amplitudes, rtol=1e-13)
 
     def test_ge_on_coupler_with_photon_present(self, layout11):
-        h = h_resonant_ge(layout11, "L", "A", MU)
+        h = h_resonant_ge(layout11, "L", "A", MU, register(layout11))
         src = basis_state(layout11, {"A": "e", "cavL": 1})
         dst = basis_state(layout11, {"A": "g", "cavL": 2})
         amp = dst.overlap(h.apply(src))
         assert amp == pytest.approx(math.sqrt(2) * MU, rel=1e-14)
 
     def test_ge_annihilates_global_ground(self, layout11):
-        h = h_resonant_ge(layout11, "R", "A", MU)
+        h = h_resonant_ge(layout11, "R", "A", MU, register(layout11))
         vac = basis_state(layout11, {})
         assert np.all(h.apply(vac).amplitudes == 0)
 
     def test_factories_are_hermitian_exactly(self, layout11):
         for h in (
-            h_resonant_ef(layout11, "L", "q1", MU),
-            h_resonant_ge(layout11, "L", "A", MU),
-            h_resonant_ge(layout11, "R", "q1p", MU),
+            h_resonant_ef(layout11, "L", "q1", MU, register(layout11)),
+            h_resonant_ge(layout11, "L", "A", MU, register(layout11)),
+            h_resonant_ge(layout11, "R", "q1p", MU, register(layout11)),
         ):
             assert h.hermitian
             assert h.hermiticity_defect() == 0.0
 
     def test_coupler_has_no_f_transition(self, layout11):
         with pytest.raises(ValueError):
-            h_resonant_ef(layout11, "L", "A", MU)
+            h_resonant_ef(layout11, "L", "A", MU, register(layout11))
 
     def test_cross_register_drive_rejected(self, layout11):
         with pytest.raises(ValueError):
-            h_resonant_ef(layout11, "R", "q1", MU)
+            h_resonant_ef(layout11, "R", "q1", MU, register(layout11))
         with pytest.raises(ValueError):
-            h_resonant_ge(layout11, "L", "q1p", MU)
+            h_resonant_ge(layout11, "L", "q1p", MU, register(layout11))
 
     def test_unknown_site_rejected(self, layout11):
         with pytest.raises(KeyError):
-            h_resonant_ef(layout11, "L", "q7", MU)
+            h_resonant_ef(layout11, "L", "q7", MU, register(layout11))
 
 
 class TestDispersiveGenerators:
     def test_needs_spectators(self, layout11):
         with pytest.raises(ValueError):
-            DispersiveGenerator(layout11, bare_params())
+            DispersiveGenerator(layout11, bare_params(), register(layout11))
         with pytest.raises(ValueError):
-            h_dispersive_reduced(layout11, bare_params())
+            h_dispersive_reduced(layout11, bare_params(), register(layout11))
 
     def test_instant_hamiltonian_is_hermitian(self, layout22):
-        h = hamiltonian_at(DispersiveGenerator(layout22, bare_params()), 0.37 / (10 * MU))
+        h = hamiltonian_at(DispersiveGenerator(layout22, bare_params(), register(layout22)), 0.37 / (10 * MU))
         assert h.hermitian and h.hermiticity_defect() < 1e-12
 
     def test_vanishes_on_ground_spectators(self, layout22):
-        gen = DispersiveGenerator(layout22, bare_params())
+        gen = DispersiveGenerator(layout22, bare_params(), register(layout22))
         # q1 excited, photons present, spectators in g: nothing couples
         state = basis_state(layout22, {"q1": "f", "cavL": 2, "cavR": 1})
         apply = drive_action(gen)
@@ -141,10 +141,10 @@ class TestDispersiveGenerators:
         assert np.all(apply(1e-9, state.amplitudes) == 0)
 
     def test_conserves_total_quanta(self, layout22):
-        gen = DispersiveGenerator(layout22, bare_params())
+        gen = DispersiveGenerator(layout22, bare_params(), register(layout22))
         quanta = np.zeros(layout22.dim)
         for site in layout22.site_names:
-            quanta += layout22.level_index_array(site)
+            quanta += layout22.level_index_array(site, register(layout22))
         rng = np.random.default_rng(42)
         psi = rng.normal(size=layout22.dim) + 1j * rng.normal(size=layout22.dim)
         psi /= np.linalg.norm(psi)
@@ -153,12 +153,12 @@ class TestDispersiveGenerators:
             assert np.max(np.abs(defect)) < 1e-6 * np.max(np.abs(op @ psi))
 
     def test_static_form_is_built_once(self, layout22):
-        gen = DispersiveGenerator(layout22, bare_params())
+        gen = DispersiveGenerator(layout22, bare_params(), register(layout22))
         assert gen.static_hamiltonian() is gen.static_hamiltonian()
 
     def test_interaction_picture_matches_frame_conjugation(self, layout22):
         params = bare_params()
-        gen = DispersiveGenerator(layout22, params)
+        gen = DispersiveGenerator(layout22, params, register(layout22))
         g = gen.frame_diagonal()
         static = gen.static_hamiltonian().matrix
         offdiag = static - sp.diags(g).astype(complex)
@@ -173,14 +173,14 @@ class TestDispersiveGenerators:
         layout = build_layout(3, 3, fock_cutoff_left=3, fock_cutoff_right=3)
         params = bare_params()
         h_eff = h_dispersive_effective(layout, params)
-        h_red = h_dispersive_reduced(layout, params)
+        h_red = h_dispersive_reduced(layout, params, register(layout))
         rng = np.random.default_rng(8)
         psi = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         # project out every spectator f component
         for site in layout.left_spectators + layout.right_spectators:
-            psi[layout.level_index_array(site) == 2] = 0.0
+            psi[layout.level_index_array(site, register(layout)) == 2] = 0.0
         psi /= np.linalg.norm(psi)
-        state = QuantumState(psi, layout)
+        state = QuantumState(psi, layout, basis=register(layout))
         out_eff = h_eff.apply(state).amplitudes
         out_red = h_red.apply(state).amplitudes
         scale = EffectiveRates.from_params(params).lam
@@ -189,7 +189,7 @@ class TestDispersiveGenerators:
     def test_reduced_eigenvalues(self, layout22):
         params = bare_params()
         rates = EffectiveRates.from_params(params)
-        h = h_dispersive_reduced(layout22, params)
+        h = h_dispersive_reduced(layout22, params, register(layout22))
 
         transfer_branch = basis_state(layout22, {"q1": "f", "cavL": 1})
         assert h.expectation(transfer_branch) == pytest.approx(0.0, abs=1e-30)
@@ -240,15 +240,15 @@ def _single_site_products(layout, params) -> dict:
     """
     def site(name, to_level, from_level):
         local = transition_op(layout.site_dim(name), to_level, from_level)
-        return embed_operator(layout, {name: local}).matrix
+        return embed_operator(layout, {name: local}, register(layout)).matrix
 
     lowering = {c: annihilation_op(layout.site_dim("cav" + c)) for c in "LR"}
-    a = {c: embed_operator(layout, {"cav" + c: lowering[c]}).matrix for c in "LR"}
-    adag = {c: embed_operator(layout, {"cav" + c: lowering[c].conj().T}).matrix for c in "LR"}
+    a = {c: embed_operator(layout, {"cav" + c: lowering[c]}, register(layout)).matrix for c in "LR"}
+    adag = {c: embed_operator(layout, {"cav" + c: lowering[c].conj().T}, register(layout)).matrix for c in "LR"}
     spectators = {"L": layout.left_spectators, "R": layout.right_spectators}
     out = {}
-    for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
-        for q in register + ("A",):
+    for cavity, qudits in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+        for q in qudits + ("A",):
             half = MU * (adag[cavity] @ site(q, "g", "e"))
             out[f"ge {cavity} {q}"] = half + half.getH()
             if q != "A":
@@ -261,7 +261,7 @@ def _single_site_products(layout, params) -> dict:
         c: coupling * (a[c] @ sum(site(s, "f", "e") for s in spectators[c]))
         for c, coupling in (("L", params.mu), ("R", params.mu_prime))
     }
-    static = sp.diags(DispersiveGenerator(layout, params).frame_diagonal()).astype(complex)
+    static = sp.diags(DispersiveGenerator(layout, params, register(layout)).frame_diagonal()).astype(complex)
     out["static"] = static + drive["L"] + drive["L"].getH() + drive["R"] + drive["R"].getH()
 
     terms = []
@@ -300,14 +300,14 @@ class TestLocalFactorConstruction:
         layout = build_layout(n, n, cutoff, cutoff)
         params = bare_params(**ALL_CHANNELS)
         built = {}
-        for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
-            for q in register + ("A",):
-                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU)
+        for cavity, qudits in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+            for q in qudits + ("A",):
+                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU, register(layout))
                 if q != "A":
-                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU)
-        built["static"] = DispersiveGenerator(layout, params).static_hamiltonian()
+                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU, register(layout))
+        built["static"] = DispersiveGenerator(layout, params, register(layout)).static_hamiltonian()
         built["effective"] = h_dispersive_effective(layout, params)
-        collapse = collapse_operators(layout, params)
+        collapse = collapse_operators(layout, params, register(layout))
         assert len(collapse) == 4 * 2 * n + 2 + 2
         built.update({f"collapse {i}": op for i, op in enumerate(collapse)})
 
@@ -334,15 +334,15 @@ class TestHermitianByConstruction:
         layout = build_layout(n, n, 3, 3)
         params = bare_params(**ALL_CHANNELS)
         built = {}
-        for cavity, register in (("L", layout.left_qudits), ("R", layout.right_qudits)):
-            for q in register + ("A",):
-                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU)
+        for cavity, qudits in (("L", layout.left_qudits), ("R", layout.right_qudits)):
+            for q in qudits + ("A",):
+                built[f"ge {cavity} {q}"] = h_resonant_ge(layout, cavity, q, MU, register(layout))
                 if q != "A":
-                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU)
+                    built[f"ef {cavity} {q}"] = h_resonant_ef(layout, cavity, q, MU, register(layout))
         if n >= 2:  # the dispersive stage needs spectators
-            built["static"] = DispersiveGenerator(layout, params).static_hamiltonian()
-            built["reduced"] = h_dispersive_reduced(layout, params)
-        dephasing = [op for op in collapse_operators(layout, params) if op.hermitian]
+            built["static"] = DispersiveGenerator(layout, params, register(layout)).static_hamiltonian()
+            built["reduced"] = h_dispersive_reduced(layout, params, register(layout))
+        dephasing = [op for op in collapse_operators(layout, params, register(layout)) if op.hermitian]
         assert len(dephasing) == 2 * 2 * n + 1  # two per qudit, one on the coupler
         built.update({f"dephasing {i}": op for i, op in enumerate(dephasing)})
         defects = {name: op.hermiticity_defect() for name, op in built.items() if op.hermitian}
@@ -383,7 +383,7 @@ class TestPhysicalParams:
 
     @pytest.mark.parametrize("name", ["t1", "t2", "t1f", "t2f", "coupler_t1", "coupler_t2"])
     def test_infinite_coherence_time_is_no_channel(self, name, layout11):
-        assert collapse_operators(layout11, bare_params(**{name: math.inf})) == []
+        assert collapse_operators(layout11, bare_params(**{name: math.inf}), register(layout11)) == []
 
     def test_warns_when_detuning_marginal(self):
         with pytest.warns(UserWarning):
@@ -400,7 +400,7 @@ class TestPhysicalParams:
 class TestCollapseOperators:
     def test_channel_census_for_preset(self, layout11):
         params = load_preset("transmon")
-        ops = collapse_operators(layout11, params)
+        ops = collapse_operators(layout11, params, register(layout11))
         # per qudit: g<-e, e<-f, e dephasing (f dephasing drops out since
         # 1/T2f = 1/(2 T1f) exactly); coupler: relaxation + dephasing;
         # one photon-loss channel per cavity
@@ -408,30 +408,30 @@ class TestCollapseOperators:
 
     def test_t2_at_relaxation_limit_has_no_dephasing(self, layout11):
         params = bare_params(t1=20e-6, t2=40e-6)
-        ops = collapse_operators(layout11, params)
+        ops = collapse_operators(layout11, params, register(layout11))
         assert len(ops) == 2  # one relaxation channel per qudit
 
     def test_t2_beyond_limit_rejected(self, layout11):
         params = bare_params(t1=20e-6, t2=41e-6)
         with pytest.raises(ValueError):
-            collapse_operators(layout11, params)
+            collapse_operators(layout11, params, register(layout11))
 
     def test_relaxation_amplitude(self, layout11):
         params = bare_params(t1=20e-6)
-        op = collapse_operators(layout11, params)[0]
+        op = collapse_operators(layout11, params, register(layout11))[0]
         src = basis_state(layout11, {"q1": "e"})
         dst = basis_state(layout11, {})
         assert dst.overlap(op.apply(src)) == pytest.approx(math.sqrt(1 / 20e-6), rel=1e-15)
 
     def test_photon_loss_amplitude(self, layout11):
         params = bare_params(kappaL=2.0e5)
-        (op,) = collapse_operators(layout11, params)
+        (op,) = collapse_operators(layout11, params, register(layout11))
         src = basis_state(layout11, {"cavL": 2})
         dst = basis_state(layout11, {"cavL": 1})
         assert dst.overlap(op.apply(src)) == pytest.approx(math.sqrt(2 * 2.0e5), rel=1e-15)
 
     def test_no_channels_for_ideal_hardware(self, layout11):
-        assert collapse_operators(layout11, bare_params()) == []
+        assert collapse_operators(layout11, bare_params(), register(layout11)) == []
 
 
 def _preset_text() -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import basis_index, basis_state
+from helpers import basis_index, basis_state, from_product, register
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     QuantumState,
@@ -68,7 +68,7 @@ class TestLayout:
         rng = np.random.default_rng(7)
         indices = rng.integers(0, layout.dim, size=20)
         for site, levels in zip(layout.site_names, np.unravel_index(indices, layout.factor_dims)):
-            assert np.array_equal(layout.level_index_array(site)[indices], levels)
+            assert np.array_equal(layout.level_index_array(site, register(layout))[indices], levels)
 
 
 class TestEmbedding:
@@ -79,8 +79,9 @@ class TestEmbedding:
         for _ in range(5):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            lhs = embed_operator(layout, {"q2": a @ b})
-            rhs = embed_operator(layout, {"q2": a}).matrix @ embed_operator(layout, {"q2": b}).matrix
+            whole = register(layout)
+            lhs = embed_operator(layout, {"q2": a @ b}, whole)
+            rhs = embed_operator(layout, {"q2": a}, whole).matrix @ embed_operator(layout, {"q2": b}, whole).matrix
             defect = lhs.matrix - rhs
             assert abs(defect).max() < 1e-12
 
@@ -89,20 +90,20 @@ class TestEmbedding:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ea = embed_operator(layout, {"q1p": a}).matrix
-        eb = embed_operator(layout, {"A": b}).matrix
+        ea = embed_operator(layout, {"q1p": a}, register(layout)).matrix
+        eb = embed_operator(layout, {"A": b}, register(layout)).matrix
         comm = ea @ eb - eb @ ea
         assert abs(comm).max() < 1e-12 if comm.nnz else True
 
     def test_identity_embeds_to_identity(self):
         layout = build_layout(1, 1, 3, 3)
-        op = embed_operator(layout, {"A": np.eye(2)})
+        op = embed_operator(layout, {"A": np.eye(2)}, register(layout))
         assert abs(op.matrix - np.eye(layout.dim)).max() < 1e-15
 
     def test_rejects_wrong_local_dim(self):
         layout = build_layout(1, 1, 3, 3)
         with pytest.raises(ValueError):
-            embed_operator(layout, {"A": np.eye(3)})
+            embed_operator(layout, {"A": np.eye(3)}, register(layout))
 
 
 class TestProductEmbedding:
@@ -115,36 +116,37 @@ class TestProductEmbedding:
             "q2p": rng.normal(size=(3, 3)),
             "cavL": annihilation_op(4),
         }
-        got = embed_operator(layout, locals_).matrix
-        want = embed_operator(layout, {"q1": locals_["q1"]}).matrix
-        want = want @ embed_operator(layout, {"q2p": locals_["q2p"]}).matrix
-        want = want @ embed_operator(layout, {"cavL": locals_["cavL"]}).matrix
+        got = embed_operator(layout, locals_, register(layout)).matrix
+        want = embed_operator(layout, {"q1": locals_["q1"]}, register(layout)).matrix
+        want = want @ embed_operator(layout, {"q2p": locals_["q2p"]}, register(layout)).matrix
+        want = want @ embed_operator(layout, {"cavL": locals_["cavL"]}, register(layout)).matrix
         assert abs(got - want).max() < 1e-12
         assert got.has_sorted_indices
 
     def test_hermitian_claim_follows_the_factors(self):
         layout = build_layout(2, 1, 3, 3)
         number = annihilation_op(4).conj().T @ annihilation_op(4)
-        assert embed_operator(layout, {"q2": transition_op(3, "e", "e"), "cavR": number}).hermitian
-        assert not embed_operator(layout, {"q2": transition_op(3, "e", "f"), "cavR": number}).hermitian
+        whole = register(layout)
+        assert embed_operator(layout, {"q2": transition_op(3, "e", "e"), "cavR": number}, whole).hermitian
+        assert not embed_operator(layout, {"q2": transition_op(3, "e", "f"), "cavR": number}, whole).hermitian
 
     def test_a_factor_hermitian_only_to_rounding_claims_nothing(self):
         # the claim skips the register-sized check, so it needs exactly Hermitian factors
         layout = build_layout(1, 1, 3, 3)
         near = np.array([[0.0, 0.1], [np.nextafter(0.1, 1.0), 0.0]])
-        assert not embed_operator(layout, {"A": near}).hermitian
+        assert not embed_operator(layout, {"A": near}, register(layout)).hermitian
 
     def test_no_factors_is_the_identity(self):
         layout = build_layout(1, 1, 3, 3)
-        op = embed_operator(layout, {})
+        op = embed_operator(layout, {}, register(layout))
         assert (op.matrix != sp.identity(layout.dim)).nnz == 0 and op.hermitian
 
     def test_rejects_unknown_site_and_wrong_dim(self):
         layout = build_layout(1, 1, 3, 3)
         with pytest.raises(KeyError):
-            embed_operator(layout, {"q2": np.eye(3)})
+            embed_operator(layout, {"q2": np.eye(3)}, register(layout))
         with pytest.raises(ValueError):
-            embed_operator(layout, {"cavL": np.eye(5)})
+            embed_operator(layout, {"cavL": np.eye(5)}, register(layout))
 
 
 def _kron_chain(layout, factors):
@@ -174,7 +176,7 @@ class TestOnePassEmbedding:
 
     @staticmethod
     def assert_same_arrays(layout, factors):
-        got, want = embed_operator(layout, factors).matrix, _kron_chain(layout, factors)
+        got, want = embed_operator(layout, factors, register(layout)).matrix, _kron_chain(layout, factors)
         for key in ("data", "indices", "indptr"):
             x, y = getattr(got, key), getattr(want, key)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
@@ -214,7 +216,8 @@ class TestOnePassEmbedding:
 def _mode_pair(layout, site):
     """The annihilation and creation operators of the mode ``site`` on the register."""
     lowering = annihilation_op(layout.site_dim(site))
-    return embed_operator(layout, {site: lowering}), embed_operator(layout, {site: lowering.conj().T})
+    whole = register(layout)
+    return embed_operator(layout, {site: lowering}, whole), embed_operator(layout, {site: lowering.conj().T}, whole)
 
 
 class TestModeOperators:
@@ -238,7 +241,7 @@ class TestModeOperators:
         layout = build_layout(1, 1, cutoff, 3)
         a, adag = _mode_pair(layout, "cavL")
         comm = (a.matrix @ adag.matrix - adag.matrix @ a.matrix).toarray()
-        photon = layout.level_index_array("cavL")
+        photon = layout.level_index_array("cavL", register(layout))
         expected = np.where(photon == cutoff, -float(cutoff), 1.0)
         assert abs(comm - np.diag(expected)).max() < 1e-12
 
@@ -246,11 +249,11 @@ class TestModeOperators:
 class TestStates:
     def test_product_state_populations(self):
         layout = build_layout(2, 1, 3, 3)
-        state = QuantumState.from_product(layout, {"q2": PLUS}, photons=(2, 0))
+        state = from_product(layout, {"q2": PLUS}, photons=(2, 0))
 
         def populations(site):
             weights = np.abs(state.amplitudes) ** 2
-            return np.bincount(layout.level_index_array(site), weights, layout.site_dim(site))
+            return np.bincount(layout.level_index_array(site, register(layout)), weights, layout.site_dim(site))
 
         np.testing.assert_allclose(populations("q2"), [0.5, 0.5, 0.0], atol=1e-15)
         np.testing.assert_allclose(populations("cavL"), [0, 0, 1, 0], atol=1e-15)
@@ -266,16 +269,41 @@ class TestStates:
         layout = build_layout(1, 1, 3, 3)
         a, _ = _mode_pair(layout, "cavL")
         with pytest.raises(ValueError):
-            OperatorMatrix(a.matrix, layout, hermitian=True)
+            OperatorMatrix(a.matrix, layout, hermitian=True, basis=register(layout))
+
+
+class TestBasisIsCheckedWhereItIsStored:
+    def test_embed_operator_rejects_an_unsorted_basis(self):
+        # |g><e| + |e><g| on q1 has four entries among these states, two of them below 96
+        layout = build_layout(1, 1, 3, 3)
+        flip = transition_op(3, "e", "g") + transition_op(3, "g", "e")
+        with pytest.raises(ValueError, match="increase strictly"):
+            embed_operator(layout, {"q1": flip}, np.array([0, 96, 192, 1, 97]))
+
+    def test_operator_rejects_an_unsorted_basis(self):
+        with pytest.raises(ValueError, match="increase strictly"):
+            OperatorMatrix(np.eye(2), build_layout(1, 1, 3, 3), hermitian=True, basis=np.array([5, 3]))
+
+    def test_state_rejects_a_repeated_index(self):
+        layout = build_layout(1, 1, 3, 3)
+        assert QuantumState(np.ones(2), layout, basis=np.array([5, 3])).norm == pytest.approx(np.sqrt(2))
+        with pytest.raises(ValueError, match="repeats"):
+            QuantumState(np.ones(2), layout, basis=np.array([5, 5]))
+
+    def test_state_rejects_an_index_off_the_register(self):
+        layout = build_layout(1, 1, 3, 3)
+        for outside in (layout.dim, -1):
+            with pytest.raises(ValueError, match="flat indices in"):
+                QuantumState(np.ones(2), layout, basis=np.array([0, outside]))
 
 
 def _encoded_ghz(layout, alpha, beta):
     # alpha |g>_1 prod |+>  +  beta |f>_1 prod |->  on the left register
     plus_sites = {s: PLUS for s in layout.left_spectators}
     minus_sites = {s: MINUS for s in layout.left_spectators}
-    branch_g = QuantumState.from_product(layout, {"q1": level_ket(3, "g"), **plus_sites})
-    branch_f = QuantumState.from_product(layout, {"q1": level_ket(3, "f"), **minus_sites})
-    return QuantumState(alpha * branch_g.amplitudes + beta * branch_f.amplitudes, layout)
+    branch_g = from_product(layout, {"q1": level_ket(3, "g"), **plus_sites})
+    branch_f = from_product(layout, {"q1": level_ket(3, "f"), **minus_sites})
+    return QuantumState(alpha * branch_g.amplitudes + beta * branch_f.amplitudes, layout, basis=register(layout))
 
 
 class TestDensityMatrixOnABasis:
@@ -285,10 +313,11 @@ class TestDensityMatrixOnABasis:
         rng = np.random.default_rng(11)
         amps = np.zeros(layout.dim, dtype=complex)
         amps[support] = rng.normal(size=3) + 1j * rng.normal(size=3)
-        state = QuantumState(amps / np.linalg.norm(amps), layout)
+        whole = register(layout)
+        state = QuantumState(amps / np.linalg.norm(amps), layout, basis=whole)
         kept = state.amplitudes[support]
         rho = OperatorMatrix(np.outer(kept, kept.conj()), layout, hermitian=True, basis=support)
-        dense = OperatorMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), layout, hermitian=True)
+        dense = OperatorMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), layout, hermitian=True, basis=whole)
         assert rho.matrix.nnz == 9
         assert rho.matrix.diagonal().sum().real == pytest.approx(1.0, abs=1e-15)
         assert rho.expectation(state) == pytest.approx(1.0, abs=1e-15)
@@ -321,10 +350,10 @@ class TestPartialTrace:
         layout = build_layout(1, 1, 3, 3)
         rng = np.random.default_rng(3)
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        state = QuantumState(amps / np.linalg.norm(amps), layout)
+        state = QuantumState(amps / np.linalg.norm(amps), layout, basis=register(layout))
         via_state = partial_trace(state, ["A", "cavR"])
         psi = state.amplitudes
-        rho = OperatorMatrix(np.outer(psi, psi.conj()), layout, hermitian=True)
+        rho = OperatorMatrix(np.outer(psi, psi.conj()), layout, hermitian=True, basis=register(layout))
         via_density = partial_trace(rho, ["A", "cavR"])
         np.testing.assert_allclose(via_state, via_density, atol=1e-12)
         assert via_state.shape == (8, 8)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import on_register
+from helpers import on_register, register
 from ghz_transfer.cli import _apply_overrides
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
 from ghz_transfer.hamiltonians import PhysicalParams, load_preset, schema_fields
@@ -157,10 +157,10 @@ class TestOperatorOnABasis:
         support, matrix = block
         whole = np.zeros((_SMALL.dim, _SMALL.dim), dtype=complex)
         whole[np.ix_(support, support)] = matrix
-        whole = OperatorMatrix(whole, _SMALL, hermitian=True)
+        whole = OperatorMatrix(whole, _SMALL, hermitian=True, basis=register(_SMALL))
         on_basis = OperatorMatrix(matrix, _SMALL, hermitian=True, basis=support)
         norm = np.linalg.norm(amplitudes)
-        state = QuantumState(amplitudes / norm if norm else amplitudes, _SMALL)
+        state = QuantumState(amplitudes / norm if norm else amplitudes, _SMALL, basis=register(_SMALL))
 
         assert abs(on_basis.expectation(state) - whole.expectation(state)) <= 1e-12
         applied = on_basis.apply(state)
@@ -168,7 +168,7 @@ class TestOperatorOnABasis:
         gap = on_register(applied).amplitudes - whole.apply(state).amplitudes
         assert np.abs(gap).max() <= 1e-12
         # a state on a basis in an order of its own reduces as it does on the register
-        reordered = QuantumState(applied.amplitudes[::-1], _SMALL, support[::-1])
+        reordered = QuantumState(applied.amplitudes[::-1], _SMALL, basis=support[::-1])
         for sites in [(site,) for site in _SMALL.site_names] + [pair]:
             for reduced, whole_reduced in (
                 (partial_trace(on_basis, sites), partial_trace(whole, sites)),

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import on_register
+from helpers import on_register, register
 from register_compile_oracle import register_compile
 
-from ghz_transfer import runner
+from ghz_transfer import cli, runner
 from ghz_transfer.analysis import GhzSpec
 from ghz_transfer.hamiltonians import load_preset
 from ghz_transfer.hilbert import QuantumState, build_layout, embed_operator, local_moves, reachable
@@ -103,11 +103,12 @@ class TestReachable:
                 local = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 factors[site] = np.where(rng.random((d, d)) < 0.5, local, 0)  # some columns hold two or more
             got = embed_operator(layout, factors, basis)
-            whole = embed_operator(layout, factors).matrix
+            whole = embed_operator(layout, factors, register(layout)).matrix
             assert got.basis is basis
             _same_csr(got.matrix, whole[basis][:, basis])
             # applied to a register state, it acts as P O P for P the projector onto the basis
-            state = QuantumState(rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim), layout)
+            amplitudes = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+            state = QuantumState(amplitudes, layout, basis=register(layout))
             inside = np.zeros(layout.dim, dtype=complex)
             inside[basis] = state.amplitudes[basis]
             projected = np.zeros(layout.dim, dtype=complex)
@@ -119,7 +120,7 @@ class TestReachable:
         rng = np.random.default_rng(6)
         terms = [{"q1": rng.random((3, 3)) < 0.3, "cavL": np.eye(4, k=1)}, {"A": np.eye(2, k=-1)}]
         seed = rng.choice(layout.dim, size=5, replace=False)
-        edges = sum(abs(embed_operator(layout, term).matrix) for term in terms)
+        edges = sum(abs(embed_operator(layout, term, register(layout)).matrix) for term in terms)
         reach = np.isin(np.arange(layout.dim), seed)
         while True:
             grown = reach | (edges @ reach > 0)
@@ -159,6 +160,20 @@ class TestScale:
             runner._compiled.cache_clear()
         assert peak < 16 * result.layout.dim, peak
         assert result.final_state.basis.size < result.layout.dim // 100
+
+    def test_verify_single_share_check_allocates_less_than_one_register_vector(self, params):
+        # n = 5: the ideal runs, then the encode pulse and every reduction on the final state's basis
+        layout = build_layout(5, 5, 4, 4)
+        runner._compiled.cache_clear()
+        tracemalloc.start()
+        try:
+            checks = cli._verify_checks(params, 5, 7, 2, True, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            runner._compiled.cache_clear()
+        assert peak < 16 * layout.dim, peak
+        assert {check["name"]: check["ok"] for check in checks}["single-share-mixedness"]
 
     def test_an_oversized_lindblad_block_is_refused_before_it_is_built(self, params, monkeypatch):
         # the estimate for the 80-state n = 2 block is 250 * 80^2 = 1.6 MB

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from helpers import basis_index, on_register, sampled_states
+from helpers import basis_index, on_register, register, sampled_states
 from ghz_transfer import analysis, evolution, runner
 from ghz_transfer.analysis import (
     GhzSpec,
@@ -218,7 +218,7 @@ def _krylov_evolve(state, generator, duration, *, samples=0):
         path.append(np.exp(1j * frame * t) * amps)
     dim = state.layout.dim
     return EvolutionResult(
-        QuantumState(path[-1], state.layout, np.arange(dim)), times,
+        QuantumState(path[-1], state.layout, basis=register(state.layout)), times,
         np.array(path[:-1]).reshape(samples, dim),
     )
 
@@ -226,7 +226,8 @@ def _krylov_evolve(state, generator, duration, *, samples=0):
 def _route_through_krylov(monkeypatch, params, n, mode):
     """Patch the runner's propagator calls with ``_krylov_evolve`` under each segment's generator."""
     schedule = build_schedule(params, n)
-    generators = iter([runner._segment_generator(schedule.layout, seg, params, mode) for seg in schedule])
+    whole = register(schedule.layout)
+    generators = iter([runner._segment_generator(schedule.layout, seg, params, mode, whole) for seg in schedule])
 
     def evolve(state, step, duration, **kwargs):
         return _krylov_evolve(state, next(generators), duration, **kwargs)
@@ -261,7 +262,7 @@ class TestExactAgainstKrylov:
         layout = build_layout(2, 2, 4, 4)
         state = make_oracle_state(layout, GhzSpec(alpha=0.6, beta=0.8j, n=2), "initial")
         for seg in build_schedule(params, 2):
-            generator = runner._segment_generator(layout, seg, params, mode)
+            generator = runner._segment_generator(layout, seg, params, mode, register(layout))
             result = evolve_unitary(state, generator, seg.duration_s)
             drop = np.setdiff1d(np.arange(layout.dim), result.final.basis)
             leak = _static_form(generator)[0][drop][:, result.final.basis]
@@ -325,8 +326,8 @@ class TestSupportScoring:
         whole = []
         build = analysis._branch_amplitudes
 
-        def count(layout, branch, support=None):
-            whole.append(support is None)
+        def count(layout, branch, support):
+            whole.append(support.size == layout.dim)
             return build(layout, branch, support)
 
         monkeypatch.setattr(analysis, "_branch_amplitudes", count)
@@ -360,14 +361,14 @@ class TestLindbladMode:
         layout = build_layout(1, 1, 3, 3)
         psi0 = make_oracle_state(layout, spec, "initial").amplitudes
         rho = np.outer(psi0, psi0.conj())
-        cops = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
+        cops = [op.matrix.tocsr() for op in collapse_operators(layout, params, register(layout))]
         for seg in build_schedule(params, 1):
             if seg.ramp_s > 0:
                 rho, _ = master_equation_oracle.integrate(None, cops, rho, seg.ramp_s)
             if seg.kind == "resonant_ef":
-                h = h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling)
+                h = h_resonant_ef(layout, seg.cavity, seg.site, seg.coupling, register(layout))
             else:
-                h = h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling)
+                h = h_resonant_ge(layout, seg.cavity, seg.site, seg.coupling, register(layout))
             rho, _ = master_equation_oracle.integrate(h.matrix, cops, rho, seg.duration_s)
         rho, _ = master_equation_oracle.integrate(
             None, cops, rho, build_schedule(params, 1).closing_ramp_s
@@ -465,10 +466,10 @@ def _lindblad_block(params, spec, cutoff=3):
     layout = build_layout(spec.n, spec.n, cutoff, cutoff)
     schedule = build_schedule(params, spec.n)
     generators = [
-        runner._segment_generator(layout, seg, params, "lindblad").matrix.tocsr()
+        runner._segment_generator(layout, seg, params, "lindblad", register(layout)).matrix.tocsr()
         for seg in schedule
     ]
-    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params)]
+    collapse = [op.matrix.tocsr() for op in collapse_operators(layout, params, register(layout))]
     keep = runner._compiled(layout, tuple(schedule), params, "lindblad").support
     return keep, generators, collapse
 
@@ -663,7 +664,7 @@ class TestCollapseChannels:
     def test_every_damping_term_is_diagonal(self, every_channel, n):
         # _reachable_block gives L^+ L no edges of its own, which holds because it is diagonal
         layout = build_layout(n, n, 3, 3)
-        collapse = collapse_operators(layout, every_channel)
+        collapse = collapse_operators(layout, every_channel, register(layout))
         # four channel kinds per qudit, two on the coupler, one per cavity
         assert len(collapse) == 4 * len(layout.left_qudits + layout.right_qudits) + 4
         for op in collapse:
@@ -879,7 +880,7 @@ class TestCompiledSchedule:
         compiled = runner._compiled(layout, tuple(schedule), params, mode)
         state = make_oracle_state(layout, GhzSpec(alpha=alpha, beta=beta, n=n), "initial")
         for seg, step in zip(schedule, compiled.steps):
-            generator = runner._segment_generator(layout, seg, params, mode)
+            generator = runner._segment_generator(layout, seg, params, mode, register(layout))
             got = evolve_unitary(state, step, seg.duration_s, samples=3)
             want = evolve_unitary(state, generator, seg.duration_s, samples=3)
             got_final, want_final = on_register(got.final), on_register(want.final)
@@ -924,7 +925,7 @@ class TestCompiledSchedule:
         layout = build_layout(n, n, 3, 3)
         schedule = build_schedule(every_channel, n)
         compiled = runner._compiled(layout, tuple(schedule), every_channel, mode)
-        collapse = [op.matrix for op in collapse_operators(layout, every_channel)]
+        collapse = [op.matrix for op in collapse_operators(layout, every_channel, register(layout))]
         if mode == "lindblad":
             # every segment acts on the one final block: the channels act between segments
             supports = [compiled.support] * len(schedule.segments)
@@ -934,7 +935,7 @@ class TestCompiledSchedule:
         reached = compiled.support
         for seg, support in zip(schedule, supports):
             assert np.all(np.isin(reached, support)), seg.label  # C_(k-1) lies in C_k
-            generator = _static_form(runner._segment_generator(layout, seg, every_channel, mode))[0]
+            generator = _static_form(runner._segment_generator(layout, seg, every_channel, mode, register(layout)))[0]
             drop = np.setdiff1d(np.arange(layout.dim), support)
             for mat in [generator, generator.T, *collapse]:  # the generator both ways, channels forward
                 leak = mat.tocsr()[drop][:, support]
@@ -962,7 +963,7 @@ class TestSamplesOnlyChooseOutput:
 class TestExcitationSectors:
     def test_reference_counts(self):
         layout = build_layout(2, 2, 3, 3)
-        quanta = excitation_numbers(layout)
+        quanta = excitation_numbers(layout, register(layout))
         assert quanta[0] == 0  # everything ground, vacuum
         idx = basis_index(layout, {"q1": "f", "cavL": 3, "A": 1})
         assert quanta[idx] == 6
@@ -972,19 +973,19 @@ class TestExcitationSectors:
     def test_generators_conserve_quanta(self, params, builder):
         layout = build_layout(2, 2, 3, 3)
         if builder == "ef":
-            h = h_resonant_ef(layout, "L", "q1", params.mu1)
+            h = h_resonant_ef(layout, "L", "q1", params.mu1, register(layout))
         elif builder == "ge":
-            h = h_resonant_ge(layout, "L", "A", params.muAL)
+            h = h_resonant_ge(layout, "L", "A", params.muAL, register(layout))
         else:
-            h = h_dispersive_reduced(layout, params)
-        quanta = excitation_numbers(layout)
+            h = h_dispersive_reduced(layout, params, register(layout))
+        quanta = excitation_numbers(layout, register(layout))
         rows, cols = h.matrix.nonzero()
         assert np.all(quanta[rows] == quanta[cols])
 
     def test_collapse_channels_never_raise_quanta(self, params):
         layout = build_layout(2, 2, 3, 3)
-        quanta = excitation_numbers(layout)
-        for op in collapse_operators(layout, params):
+        quanta = excitation_numbers(layout, register(layout))
+        for op in collapse_operators(layout, params, register(layout)):
             rows, cols = op.matrix.nonzero()
             assert np.all(quanta[rows] <= quanta[cols])
 
