@@ -21,26 +21,20 @@ whatever the caller samples:
   ``scipy.special`` (about 0.3 s of import), only on its first call;
 * open-system runs (:func:`lindblad_propagate`, the one open-system
   entry point, layout-free): the action of the exponential of the
-  segment's Liouvillian on the density matrix of a block, held as its
-  d^2 real coordinates (Re rho_ij for i <= j, Im rho_ij for i < j), half
-  the numbers of the complex vectorisation. The generator is real: each
-  complex Liouvillian entry folds into at most four real ones. Its H = 0
-  part D lives in a :class:`Dissipator` that a run builds once per block,
-  directly from the channel matrices, and passes to every ramp and
-  segment: a ramp evolves under D as it is, a segment merges its folded
-  H part into it by one sparse addition. The action is the truncated
-  Taylor method of Al-Mohy & Higham 2011, split into a plan and an
-  apply: the plan (:class:`TaylorPlan`: the shift, the Taylor degree and
-  the substep count) comes from the paper's theta_m table on the exact
-  1-norm, and the apply forms tL - mu I and runs the Taylor products as
-  ``expm_multiply`` does, so a step equals ``expm_multiply``'s bit for
-  bit whenever scipy plans from the table alone: a 1-norm up to about
-  63.36, and every step of a transmon-preset run at n <= 4 stays below 19.
-  Every call, ramp or segment, plans from its own generator. A sampled
-  grid steps from point to point under one plan, restarts from the
-  initial state every ``GRID_RESTART`` points, and keeps only each
-  point's populations. The final matrix is rebuilt from real
-  coordinates, so it is Hermitian by construction.
+  segment's Liouvillian on the d^2 real coordinates of a block's density
+  matrix (Re rho_ij for i <= j, Im rho_ij for i < j), under a real
+  generator. Its H = 0 part D lives in a :class:`Dissipator` that a run
+  builds once per block and passes to every ramp and segment; a segment
+  adds its folded H part to it. The action is the truncated Taylor
+  method of Al-Mohy & Higham 2011: a plan (:class:`TaylorPlan`) from the
+  paper's theta_m table on the exact 1-norm, tL - mu I formed in one pass
+  over a copy of L's entries, and the Taylor products, whose stop test
+  reads max|out| only when an upper bound on it lets the test pass. Every
+  entry and every break is scipy's, so a step equals ``expm_multiply``'s
+  bit for bit whenever scipy plans from the table alone, at a 1-norm up
+  to about 63.36 (a transmon-preset run at n <= 4 stays below 19). A
+  sampled grid steps from point to point under one plan and restarts
+  from the initial state every ``GRID_RESTART`` points.
 
 The run path loads only numpy and ``scipy.sparse``: the components, the
 Taylor table and the stepping are here, and the Lanczos reference imports
@@ -48,9 +42,7 @@ its tridiagonal eigensolver on its first call.
 
 All routes check norm/trace conservation and raise
 :class:`EvolutionError` when the numerics drift, NaN included; the
-open-system route also warns when the density matrix loses positivity,
-which a Cholesky factorisation decides after every step (the eigenvalues
-are computed only when it fails, for the warning's value).
+open-system route also warns when the density matrix loses positivity.
 """
 
 from __future__ import annotations
@@ -521,27 +513,27 @@ class TaylorPlan(NamedTuple):
 _TABLE_BOUND = 352 * (_THETA[55] / float(1 * 55))
 
 
-def _degree_and_substeps(norm: float, shifted: sp.csr_matrix | None = None) -> tuple[int, int]:
+def _degree_and_substeps(norm: float, magnitude: sp.csc_matrix | None = None) -> tuple[int, int]:
     """Code fragment (3.1) of Al-Mohy & Higham 2011 for A = tL - mu I, whose exact 1-norm is ``norm``.
 
     Up to condition (3.13)'s bound ``_TABLE_BOUND`` (about 63.36), or
-    without ``shifted``: the (m, ceil(norm / theta_m)) with the fewest
-    products m s, the first in table order on a tie; (0, 1) for the zero
-    matrix. This is the plan ``expm_multiply`` takes, and it meets the
-    tolerance at any 1-norm. Above the bound, the
-    fragment's loop over p = 2..8 with alpha_p = max(d_p, d_p+1): scipy
-    estimates d_p = ||A^p||_1^(1/p) from random vectors, which gives a
-    lower bound, and here d_p is the p-th root of the largest column sum
-    of |A|^p, an upper bound. So the plan is deterministic, never takes
-    fewer products than scipy's, and is scipy's wherever its estimates
-    reach the bound (a pulse generator over the dispersive stage at n = 2).
+    without ``magnitude`` (|A| transposed): the (m, ceil(norm / theta_m))
+    with the fewest products m s, the first in table order on a tie; (0, 1)
+    for the zero matrix. That is ``expm_multiply``'s plan, and it meets the
+    tolerance at any 1-norm. Above the bound, the fragment's loop over
+    p = 2..8 with alpha_p = max(d_p, d_p+1), where d_p is the p-th root of
+    the largest column sum of |A|^p: an upper bound on ||A^p||_1^(1/p),
+    which scipy estimates from below with random vectors. So the plan is
+    deterministic, never takes fewer products than scipy's, and is scipy's
+    wherever its estimates reach the bound (a pulse generator over the
+    dispersive stage at n = 2).
     """
     if norm == 0:
         return 0, 1
-    if norm <= _TABLE_BOUND or shifted is None:
+    if norm <= _TABLE_BOUND or magnitude is None:
         # min keeps the first of equal costs, as the fragment's strict comparison does
         return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda plan: plan[0] * plan[1])
-    magnitude, sums, d = abs(shifted).T, np.ones(shifted.shape[0]), {}
+    sums, d = np.ones(magnitude.shape[0]), {}
     for p in range(1, 10):
         sums = magnitude @ sums  # the column sums of |A|^p
         d[p] = sums.max() ** (1.0 / p)
@@ -556,17 +548,34 @@ def _degree_and_substeps(norm: float, shifted: sp.csr_matrix | None = None) -> t
 
 
 def _stepper(gen: sp.csr_matrix, duration: float):
-    """tL - mu I for L = ``gen`` and t = ``duration``, formed as ``expm_multiply`` forms it, and its plan.
+    """``expm_multiply``'s tL - mu I for the canonical L = ``gen`` and t = ``duration``, its plan and its 1-norm.
 
-    The plan comes from tr(tL) and the exact 1-norm of tL - mu I; at t = 0
-    that is mu = 0 and (0, 1), a step that returns its input's bits.
+    One copy of L's entries, with a zero inserted where a row stores no
+    diagonal entry (D has none for the ground state's population), is
+    scaled by t and shifted by mu = tr(tL) / N at the diagonal places, mu
+    summed over the array scipy's ``trace()`` sums; an explicit zero left
+    where t L_ii = mu adds nothing to a product or a column sum. The
+    1-norm is the transposed matvec on |entries| that ``abs(A).sum(axis=0)``
+    runs, the same additions in order. L's arrays are only read.
     """
-    size = gen.shape[0]
-    scaled = gen * duration
-    mu = scaled.trace() / float(size)
-    shifted = scaled - mu * sp.identity(size, dtype=gen.dtype, format="csr")
-    del scaled  # one Liouvillian-sized copy fewer while the 1-norm is taken
-    return shifted, TaylorPlan(mu, *_degree_and_substeps(abs(shifted).sum(axis=0).max(), shifted))
+    size, indices, indptr = gen.shape[0], gen.indices, gen.indptr
+    # the diagonal of a matrix of each entry's place plus one: each row's diagonal place, or -1
+    places = sp.csr_matrix((np.arange(1, gen.nnz + 1, dtype=indices.dtype), indices, indptr), shape=gen.shape)
+    place = places.diagonal() - 1
+    missing = np.flatnonzero(place < 0)
+    owner, entry = _ranges(indptr[missing], indptr[missing + 1])  # a missing entry goes where its column sorts
+    place[missing] = indptr[missing] + np.bincount(owner[indices[entry] < missing[owner]], minlength=missing.size)
+    data = np.insert(gen.data, place[missing], 0.0)
+    data *= duration
+    ahead = np.cumsum(np.bincount(missing + 1, minlength=size + 1), dtype=indptr.dtype)  # inserted before each row
+    indices, indptr, place = np.insert(indices, place[missing], missing), indptr + ahead, place + ahead[:-1]
+    diagonal = data[place]
+    mu = diagonal.sum() / float(size)
+    data[place] = diagonal - mu
+    magnitude = sp.csc_matrix((np.abs(data), indices, indptr), shape=gen.shape)  # |tL - mu I| transposed
+    norm = (magnitude @ np.ones(size)).max()
+    plan = TaylorPlan(mu, *_degree_and_substeps(norm, magnitude))
+    return sp.csr_matrix((data, indices, indptr), shape=gen.shape), plan, norm
 
 
 def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -574,21 +583,27 @@ def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float 
 
     ``t`` is the time factor of scipy's loop, which ``expm_multiply`` sets
     to 1.0 (it has scaled A already); a grid point takes t = k to step k
-    grid spacings at once from one shifted matrix.
+    grid spacings at once from one shifted matrix. The stop test reads
+    max|out| only when it passes on an upper bound of it, exact at each
+    substep and each read: a test that fails on the bound fails on the
+    exact value too, so every break, and every bit, is scipy's.
     """
     eta = np.exp(t * plan.mu / float(plan.substeps))
     out = vec.copy()
     term = vec
     modulus = np.empty(vec.size)
     for _ in range(plan.substeps):
-        c1 = np.abs(term, out=modulus).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
+        c1 = bound = np.abs(term, out=modulus).max()  # np.linalg.norm(term, np.inf), as expm_multiply takes it
         for j in range(plan.degree):
             term = shifted @ term
             np.multiply(t / float(plan.substeps * (j + 1)), term, out=term)
             c2 = np.abs(term, out=modulus).max()
             out += term
-            if c1 + c2 <= TAYLOR_TOL * np.abs(out, out=modulus).max():
-                break
+            bound = (bound + c2) * (1.0 + 4 * 2.0**-53)  # |fl(o + x)| <= (|o| + |x|)(1 + u); 4u: its own roundings
+            if c1 + c2 <= TAYLOR_TOL * bound:
+                bound = np.abs(out, out=modulus).max()
+                if c1 + c2 <= TAYLOR_TOL * bound:
+                    break
             c1 = c2
         np.multiply(eta, out, out=out)
         term = out
@@ -596,15 +611,8 @@ def _taylor(shifted: sp.csr_matrix, plan: TaylorPlan, vec: np.ndarray, t: float 
 
 
 def _expm_action(gen: sp.csr_matrix, duration: float, vec: np.ndarray):
-    """exp(duration gen) vec and its plan: ``expm_multiply(gen * duration, vec)``, bit for bit, up to its bound.
-
-    The shift and the Taylor loop are ``expm_multiply``'s; the plan is
-    :func:`_degree_and_substeps`, which is scipy's own choice for every
-    1-norm up to condition (3.13)'s bound of about 63.36. Above it the
-    plan is deterministic and takes at least scipy's products, so the
-    result is scipy's only where the two plans agree.
-    """
-    shifted, plan = _stepper(gen, duration)
+    """exp(duration gen) vec and its plan: ``expm_multiply(gen * duration, vec)``, bit for bit, up to its bound."""
+    shifted, plan, _ = _stepper(gen, duration)
     return _taylor(shifted, plan, vec), plan
 
 
@@ -618,8 +626,7 @@ def _grid(gen: sp.csr_matrix, duration: float, vec: np.ndarray, samples: int):
     """
     if samples < 3:
         return
-    shifted, step = _stepper(gen, duration / (samples - 1))
-    width = abs(shifted).sum(axis=0).max()
+    shifted, step, width = _stepper(gen, duration / (samples - 1))
     point = vec
     for k in range(1, samples - 1):
         if k % GRID_RESTART:
@@ -673,21 +680,16 @@ def lindblad_propagate(
     """exp(L duration) rho0 for one constant segment, on a dense Hermitian (d, d) array, and sampled populations.
 
     L is d rho/dt = -i[H, rho] + sum_k (L_k rho L_k^+ - 1/2 {L_k^+ L_k, rho});
-    ``h_mat=None`` means pure decay (H = 0), which is how ramp windows are
-    modelled. Layout-free, so callers can evolve a block the dynamics never
-    leave. The state evolves as its d^2 real coordinates (Re rho_ij for
-    i <= j, Im rho_ij for i < j; see :func:`_coordinates`) under a real
-    generator, and the final matrix is rebuilt from them, so it is
-    Hermitian by construction; a ``rho0`` that is not exactly Hermitian
-    evolves as its Hermitian part (rho0 + rho0^+) / 2. The channels come as
-    a :class:`Dissipator` holding the real D; a caller that evolves several
-    segments under the same channels passes one to all of them, so a ramp
-    builds nothing and a segment only its H part. The final matrix is one
-    truncated-Taylor step (:func:`_expm_action`, Al-Mohy & Higham 2011),
-    planned on every call from the call's own generator: ``expm_multiply``'s
-    single-step action bit for bit at every 1-norm up to condition (3.13)'s
-    bound, and rho0's coordinates unchanged at duration 0. Also returns the
-    (samples, d) populations (diagonals) on a uniform grid over [0, duration],
+    ``h_mat=None`` means pure decay (H = 0), how ramp windows are modelled.
+    Layout-free, so callers can evolve a block the dynamics never leave.
+    The state evolves as its d^2 real coordinates (:func:`_coordinates`)
+    and the final matrix is rebuilt from them, so it is Hermitian by
+    construction; a ``rho0`` that is not exactly Hermitian evolves as
+    (rho0 + rho0^+) / 2. ``dissipator`` holds the real D, which a caller
+    passes to every segment under the same channels. The final matrix is
+    one step of :func:`_expm_action`, planned from this call's generator
+    (rho0's coordinates unchanged at duration 0). Also returns the
+    (samples, d) populations on a uniform grid over [0, duration],
     endpoints included: rho0's, :func:`_grid`'s inner points and the final
     matrix's, so ``samples`` never moves the final state. Raises
     :class:`EvolutionError` when the trace drifts (NaN included). Warns,
@@ -715,8 +717,6 @@ def lindblad_propagate(
     drift = abs(np.trace(final).real - np.trace(rho0).real)
     if not drift <= TRACE_DRIFT_LIMIT:
         raise EvolutionError(f"trace drifted by {drift:.3e} during open evolution")
-    # an eigenvalue below LIMIT leaves final - LIMIT I indefinite, which a Cholesky
-    # factorisation finds at a fraction of eigvalsh's cost; eigvalsh decides the rest
     margin = final.copy()
     margin.flat[:: dim + 1] -= NEGATIVE_WEIGHT_LIMIT
     try:

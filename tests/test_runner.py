@@ -740,10 +740,11 @@ class TestTaylorPlanAndApply:
         compiled = runner._compiled(layout, tuple(schedule), params, "lindblad")
         h = None if segment is None else compiled.steps[segment]
         gen = evolution._real_liouvillian(h, compiled.dissipator)
-        unit, _ = evolution._stepper(gen, 1.0)
+        unit, _, _ = evolution._stepper(gen, 1.0)
         duration = width / abs(unit).sum(axis=0).max()
-        shifted, plan = evolution._stepper(gen, duration)
+        shifted, plan, width = evolution._stepper(gen, duration)
         norm = abs(shifted).sum(axis=0).max()
+        assert width == norm  # the step's own 1-norm, bit for bit
         assert norm > np.nextafter(self.BOUND, np.inf)
         degree, substeps = self._scipy_plan(shifted, norm)  # from random norm estimates
         assert plan.degree * plan.substeps >= degree * substeps
@@ -753,7 +754,7 @@ class TestTaylorPlanAndApply:
         assert got[1] == again[1] == plan and got[0].tobytes() == again[0].tobytes()
         assert np.abs(got[0] - expm_multiply(gen * duration, vec)).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_step_equals_expm_multiply_bit_for_bit(self, params, n):
         layout = build_layout(n, n, 3, 3)
         schedule = build_schedule(params, n)
@@ -762,18 +763,21 @@ class TestTaylorPlanAndApply:
         dim = compiled.support.size
         generators = [evolution._real_liouvillian(h, dissipator) for h in [None, *compiled.steps]]
         generators.append(sp.csr_matrix((dim * dim, dim * dim)))  # nothing to expand
-        scheduled = {seg.ramp_s for seg in schedule} | {seg.duration_s for seg in schedule}
-        scheduled = sorted((scheduled | {schedule.closing_ramp_s}) - {0.0})
+        ramps = {seg.ramp_s for seg in schedule} | {schedule.closing_ramp_s}
+        scheduled = sorted((ramps | {seg.duration_s for seg in schedule}) - {0.0})
+        durations = [scheduled] * len(generators)
+        if n == 3:  # each generator of about 345k entries takes the durations a run gives it
+            durations = [sorted(ramps - {0.0}), *([seg.duration_s] for seg in schedule), scheduled]
         rng = np.random.default_rng(n)
         vec = rng.normal(size=dim * dim)
         plans = []
-        for gen in generators:
+        for gen, own in zip(generators, durations, strict=True):
             assert gen.dtype == np.float64
             # a 1-norm of 30 needs several substeps and stays below condition (3.13)'s
             # bound, so scipy chooses them from its table, without random norm estimates
             width = abs(gen).sum(axis=0).max()
             long = [30.0 / width] if width else []
-            for duration in scheduled + [1e-12] + long:
+            for duration in own + [1e-12] + long:
                 got, plan = evolution._expm_action(gen, duration, vec)
                 want = expm_multiply(gen * duration, vec)
                 assert got.tobytes() == want.tobytes(), (duration, plan)
@@ -791,7 +795,7 @@ class TestTaylorPlanAndApply:
         steps += [(h, seg.duration_s) for seg, h in zip(schedule, compiled.steps)]
         steps.append((None, schedule.closing_ramp_s))
         for h, duration in steps:
-            shifted, _ = evolution._stepper(evolution._real_liouvillian(h, compiled.dissipator), duration)
+            shifted, _, _ = evolution._stepper(evolution._real_liouvillian(h, compiled.dissipator), duration)
             assert abs(shifted).sum(axis=0).max() <= self.BOUND
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -812,6 +816,22 @@ class TestTaylorPlanAndApply:
             assert got.tobytes() == want.tobytes(), (duration, plan)
         # the generator a run shares between steps is left as it was
         assert [gen.data.tobytes(), gen.indices.tobytes(), gen.indptr.tobytes()] == stored
+
+    def test_cancelling_partial_sums_match_expm_multiply(self):
+        # vec along a strongly damped diagonal: each substep's Taylor partial sums cancel,
+        # so max|out| ends far below the bound the loop keeps on it, and the stop test
+        # reads the exact value again and again, failing on it once per substep
+        rng = np.random.default_rng(3)
+        rate = 40.0
+        damping = np.where(np.arange(9) % 3 == 0, 0.0, -rate)  # no entry stored where it is 0
+        gen = sp.csr_matrix(np.diag(damping))
+        vec = np.where(damping < 0, rng.normal(size=9), 0.0)
+        for width in (1.0, 10.0, 30.0, 60.0):
+            got, plan = evolution._expm_action(gen, width / rate, vec)
+            want = expm_multiply(gen * (width / rate), vec)
+            assert got.tobytes() == want.tobytes(), (width, plan)
+            assert plan.degree * plan.substeps > 1
+        assert np.abs(got).max() < 1e-20 * np.abs(vec).max()  # e^-60 of what it started with
 
     @pytest.mark.parametrize("n, counts", [(1, (3, 4, 7, 50)), (2, (300,))])
     def test_inner_grid_points_are_steps_of_one_plan(self, params, n, counts):
@@ -844,7 +864,7 @@ class TestTaylorPlanAndApply:
                 assert populations[-1].tobytes() == np.real(np.diag(final)).tobytes()
                 # an inner point is one _expm_action step of h from the one before, or
                 # every GRID_RESTART-th, one step of k h from rho0
-                shifted, plan = evolution._stepper(gen, duration / (samples - 1))  # as _expm_action forms it
+                shifted, plan, _ = evolution._stepper(gen, duration / (samples - 1))  # as _expm_action forms it
                 for k in range(1, samples - 1):
                     if k % evolution.GRID_RESTART:
                         assert evolution._taylor(shifted, plan, got[k - 1]).tobytes() == got[k].tobytes()
