@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghz_transfer.hamiltonians import EffectiveRates
-from ghz_transfer.hilbert import QuantumState, SystemLayout, _product_amplitudes
+from ghz_transfer.hilbert import QuantumState, SystemLayout, _distinct, _product_amplitudes
 
 __all__ = [
     "GhzSpec",
@@ -169,7 +169,7 @@ def _oracle_support(layout: SystemLayout, checkpoint: str) -> np.ndarray:
         vectors = _branch_vectors(layout, branch)  # every site but the modes, which come last
         levels = [np.flatnonzero(vectors[site]) for site in layout.site_names[:-2]] + [[n] for n in branch.photons]
         supports.append(np.ravel_multi_index(np.ix_(*levels), layout.factor_dims).ravel())
-    return np.union1d(*supports)
+    return _distinct(np.concatenate(supports))
 
 
 def _oracle_parts(

@@ -234,18 +234,20 @@ class Propagator:
         elif not generator.hermitian:
             raise EvolutionError("unitary evolution needs a generator flagged hermitian")
         matrix, basis = generator.matrix, generator.basis
-        if not np.all(np.isin(seed, basis)):
+        at = np.searchsorted(basis, seed)  # the seed's places in the basis; one past its end matches no index
+        if np.any(np.append(basis, -1)[at] != seed):
             raise ValueError("the seed leaves the generator's basis")
-        seed = np.searchsorted(basis, seed)  # the seed's places in the basis
         labels = _components(matrix)
-        support = np.flatnonzero(np.isin(labels, labels[seed]))
+        met = np.zeros(labels.size, dtype=bool)  # the components the seed meets, by label
+        met[labels[at]] = True
+        support = np.flatnonzero(met[labels])
         _, comp, counts = np.unique(labels[support], return_inverse=True, return_counts=True)
         order = np.lexsort((comp, counts[comp]))  # by size, then component, then index
         support, sizes = support[order], counts[comp][order]
         place = np.full(matrix.shape[0], -1)
         place[support] = np.arange(support.size)
-        entries = matrix.tocoo()
-        row, col, data = place[entries.row], place[entries.col], entries.data
+        row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))  # each stored entry's, as tocoo gives it
+        row, col, data = place[row], place[matrix.indices], matrix.data
         groups = []
         for size, start, count in zip(*np.unique(sizes, return_index=True, return_counts=True)):
             mine = (row >= start) & (row < start + count)  # so is the column: one component
@@ -290,8 +292,7 @@ def _components(matrix: sp.csr_matrix) -> np.ndarray:
     exceeds its index, so the root left in each component is its smallest
     index.
     """
-    entries = matrix.tocoo()
-    row, col = entries.row, entries.col
+    row, col = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices  # as tocoo gives them
     labels = np.arange(matrix.shape[0])
     while True:
         a, b = labels[row], labels[col]

@@ -15,8 +15,8 @@ Conventions worth stating once:
   phases (interaction picture); the factory also exposes the equivalent
   static form H = delta |f><f| + coupling (a |f><e| + h.c.) used by the
   frame-change evolution route.
-* Every operator is a sum of Kronecker products of local factors
-  (:func:`~ghz_transfer.hilbert.embed_operator`); products such as
+* Every operator is a sum of Kronecker products of local factors, built
+  in one pass (:func:`~ghz_transfer.hilbert.embed_sum`); products such as
   a_dag |e><f| are formed on the factors, never on the register, and on
   the sorted flat indices ``basis`` a builder is given. The ``*_term(s)``
   functions list the terms a builder sums, for finding that basis.
@@ -30,19 +30,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 import yaml
 
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     SystemLayout,
     annihilation_op,
-    embed_operator,
+    embed_sum,
+    local_moves,
     transition_op,
 )
 from ghz_transfer.units import parse_frequency, parse_time
@@ -55,7 +53,7 @@ __all__ = [
     "h_dispersive_reduced",
     "DispersiveGenerator",
     "collapse_operators",
-    "sideband_term", "drive_terms", "collapse_terms",
+    "sideband_term", "drive_terms", "collapse_terms", "hermitian_moves",
     "PARAM_SCHEMA", "schema_fields", "read_param",
     "load_params",
     "load_preset",
@@ -162,12 +160,12 @@ def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float
     """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit, on ``basis``."""
     if qubit == "A":
         raise ValueError("the coupler has no f level; use h_resonant_ge")
-    return _sideband(layout, sideband_term(layout, cavity, qubit, "e", "f", coupling), basis)
+    return _hermitian(layout, [sideband_term(layout, cavity, qubit, "e", "f", coupling)], basis)
 
 
 def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float, basis: np.ndarray) -> OperatorMatrix:
     """Sideband drive coupling * (a_dag |g><e| + h.c.) on ``basis``; works for the coupler too."""
-    return _sideband(layout, sideband_term(layout, cavity, site, "g", "e", coupling), basis)
+    return _hermitian(layout, [sideband_term(layout, cavity, site, "g", "e", coupling)], basis)
 
 
 def sideband_term(layout: SystemLayout, cavity: str, site: str, to_level: str, from_level: str, coupling: float):
@@ -180,10 +178,15 @@ def sideband_term(layout: SystemLayout, cavity: str, site: str, to_level: str, f
     }
 
 
-def _sideband(layout, term, basis) -> OperatorMatrix:
-    """The sideband drive term + h.c. on ``basis``."""
-    half = embed_operator(layout, term, basis).matrix
-    return OperatorMatrix((half + half.getH()).tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
+def _hermitian(layout, terms, basis, diagonal=None) -> OperatorMatrix:
+    """The sum X + X^+ of ``terms`` plus a real ``diagonal`` on ``basis``, in one pass: Hermitian bit for bit."""
+    matrix = embed_sum(layout, hermitian_moves(layout, terms), basis, diagonal=diagonal)
+    return OperatorMatrix(matrix, layout, hermitian=True, by_construction=True, basis=basis)
+
+
+def hermitian_moves(layout: SystemLayout, terms: list[dict]):
+    """The local moves of ``terms``, each followed by its conjugate transpose: X + X^+."""
+    return local_moves(layout, [x for term in terms for x in (term, {s: local.conj().T for s, local in term.items()})])
 
 
 def _require_spectators(layout: SystemLayout) -> None:
@@ -214,21 +217,11 @@ class DispersiveGenerator:
         self.layout = layout
         self.params = params
         self.basis = basis
-        terms, left = drive_terms(layout, params), len(layout.left_spectators)
-        a_part, b_part = (
-            reduce(add, (embed_operator(layout, term, basis).matrix for term in part))
-            for part in (terms[:left], terms[left:])
-        )
-        g = np.zeros(len(basis))
-        for site in layout.left_spectators:
-            g += params.delta * (layout.level_index_array(site, basis) == 2)
-        for site in layout.right_spectators:
-            g += params.delta_prime * (layout.level_index_array(site, basis) == 2)
-        self._g_diag = g
-        static = sp.diags(g, format="csr").astype(complex)
-        static = static + a_part + a_part.getH().tocsr() + b_part + b_part.getH().tocsr()
-        # a real diagonal plus X + X^+: Hermitian bit for bit
-        self._static = OperatorMatrix(static.tocsr(), layout, hermitian=True, by_construction=True, basis=basis)
+        self._g_diag = g = np.zeros(len(basis))
+        for sites, delta in ((layout.left_spectators, params.delta), (layout.right_spectators, params.delta_prime)):
+            for site in sites:
+                g += delta * (layout.level_index_array(site, basis) == 2)
+        self._static = _hermitian(layout, drive_terms(layout, params), basis, g)
 
     def static_hamiltonian(self) -> OperatorMatrix:
         """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag), built once."""
@@ -261,15 +254,12 @@ def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis: np
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
     diag = np.zeros(len(basis))
-    n_a = layout.level_index_array("cavL", basis).astype(float)
-    n_b = layout.level_index_array("cavR", basis).astype(float)
-    for site in layout.left_spectators:
-        diag -= rates.lam * (layout.level_index_array(site, basis) == 1) * n_a
-    for site in layout.right_spectators:
-        diag -= rates.lam_prime * (layout.level_index_array(site, basis) == 1) * n_b
-    return OperatorMatrix(
-        sp.diags(diag.astype(complex), format="csr"), layout, hermitian=True, by_construction=True, basis=basis
-    )
+    for sites, lam, cavity in ((layout.left_spectators, rates.lam, "cavL"),
+                               (layout.right_spectators, rates.lam_prime, "cavR")):
+        photons = layout.level_index_array(cavity, basis).astype(float)
+        for site in sites:
+            diag -= lam * (layout.level_index_array(site, basis) == 1) * photons
+    return _hermitian(layout, [], basis, diag)
 
 
 def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> float:
@@ -285,8 +275,13 @@ def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> floa
 
 
 def collapse_operators(layout: SystemLayout, params: PhysicalParams, basis: np.ndarray) -> list[OperatorMatrix]:
-    """Lindblad collapse operators for the register, on ``basis``: one per :func:`collapse_terms` term."""
-    return [embed_operator(layout, term, basis) for term in collapse_terms(layout, params)]
+    """Lindblad collapse operators for the register, on ``basis``: one per :func:`collapse_terms` term, all from one
+    pass, as a channel's factor holds at most one entry per column and so each term is one product."""
+    terms = collapse_terms(layout, params)
+    matrices = embed_sum(layout, local_moves(layout, terms), basis, each=True)
+    herm = [all(np.array_equal(m, m.conj().T) for m in term.values()) for term in terms]
+    return [OperatorMatrix(matrix, layout, hermitian, by_construction=True, basis=basis)
+            for matrix, hermitian in zip(matrices, herm, strict=True)]
 
 
 def collapse_terms(layout: SystemLayout, params: PhysicalParams) -> list[dict]:

@@ -44,7 +44,7 @@ __all__ = [
     "level_ket",
     "transition_op",
     "annihilation_op",
-    "embed_operator", "LocalMoves", "local_moves", "reachable",
+    "embed_operator", "embed_sum", "LocalMoves", "local_moves", "reachable",
     "partial_trace",
 ]
 
@@ -312,35 +312,70 @@ class OperatorMatrix:
 
 
 def embed_operator(layout: SystemLayout, factors: Mapping[str, np.ndarray], basis: np.ndarray) -> OperatorMatrix:
-    """The product of local operators on distinct sites, identity elsewhere, on ``basis``.
+    """The product of local operators on distinct sites, identity elsewhere, on the sorted flat indices ``basis``.
 
-    ``factors`` maps site names (qudits, the coupler ``A``, the modes
-    ``cavL``/``cavR``) to square matrices of the site's dimension;
-    ``basis`` is a sorted array of the flat indices kept. The
-    result is the ``kron`` chain of the layout's factors restricted to the
-    basis, built column by column from the factors (:func:`local_moves`):
-    each value is the product of one entry per factor, identities' ones
-    included, in factor order, as the chain multiplies them. The CSR is
-    canonical (sorted int32 indices) and bit-identical to the chain's. The
-    claimed Hermiticity is that of the factors: when each is exactly its
-    own conjugate transpose, so is the result, bit for bit.
+    ``factors`` maps site names (qudits, the coupler ``A``, the modes ``cavL``/``cavR``) to square matrices of
+    the site's dimension. The canonical CSR (sorted int32 indices) is bit-identical to the restricted ``kron``
+    chain: each value is the product of one entry per factor in factor order, times 1.0 for each run of identity
+    factors, as the chain multiplies by one merged identity. It is claimed Hermitian when every factor is exactly
+    its own conjugate transpose, as the result then is.
     """
-    codes = np.asarray(basis)
-    moves = local_moves(layout, [factors])
-    rows, moved, (touched, picked) = _moved(layout, moves, codes)
-    values = dict(zip(touched.tolist(), moves.entries[picked].transpose(1, 0, 2)))
-    data = values.get(0, np.ones(rows.shape, dtype=complex))
-    for pos in range(1, len(layout.factor_dims)):
-        data = data * values.get(pos, 1.0)
-    rows, cols, data = rows[moved], np.broadcast_to(np.arange(codes.size), rows.shape)[moved], data[moved]
-    at = np.minimum(np.searchsorted(codes, rows), codes.size - 1)  # each row's place in the basis, or none
-    inside = codes[at] == rows
-    rows, cols, data = at[inside], cols[inside], data[inside]
-    order = np.lexsort((cols, rows))  # canonical: row by row, each row's columns increasing
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=codes.size))))
-    mat = sp.csr_matrix((data[order], cols[order], indptr), shape=(codes.size, codes.size))
+    matrix = _csr(*_entries(layout, local_moves(layout, [factors]), np.asarray(basis))[:3], len(basis))
     herm = all(np.array_equal(m, m.conj().T) for m in map(np.asarray, factors.values()))
-    return OperatorMatrix(mat, layout, hermitian=herm, by_construction=True, basis=basis)
+    return OperatorMatrix(matrix, layout, hermitian=herm, by_construction=True, basis=basis)
+
+
+def embed_sum(layout: SystemLayout, moves: LocalMoves, basis: np.ndarray, *, diagonal=None, each: bool = False):
+    """The sum of the products of ``moves``, plus ``diagonal`` if given, on ``basis``, as one canonical CSR.
+
+    Each product has :func:`embed_operator`'s values, and no two store an entry in the same place. The sum
+    keeps what scipy's sparse add of their matrices keeps: each value plus 0 (a -0.0 part becomes +0.0), and
+    no exact zero. With ``each``, a list of one CSR per product instead, each with its own values.
+
+    >>> layout, up = build_layout(1, 1, 3, 3), {"A": transition_op(2, "e", "g"), "cavL": annihilation_op(4)}
+    >>> moves = local_moves(layout, [up, {site: local.conj().T for site, local in up.items()}])  # |e><g| a + h.c.
+    >>> h, parts = embed_sum(layout, moves, np.arange(288)), embed_sum(layout, moves, np.arange(288), each=True)
+    >>> h.nnz, (h != h.getH()).nnz, h.has_canonical_format, [part.nnz for part in parts]
+    (216, 0, True, [108, 108])
+    """
+    rows, cols, data, product = _entries(layout, moves, np.asarray(basis))
+    if each:
+        mine = (product == m for m in range(len(moves.targets)))  # each product's entries
+        return [_csr(rows[m], cols[m], data[m], len(basis)) for m in mine]
+    if diagonal is not None:
+        places = np.arange(len(basis))
+        rows, cols, data = np.append(rows, places), np.append(cols, places), np.append(data, diagonal)
+    data = data + 0j
+    kept = data != 0
+    return _csr(rows[kept], cols[kept], data[kept], len(basis))
+
+
+def _entries(layout: SystemLayout, moves: LocalMoves, codes: np.ndarray):
+    """The stored entries of the products of ``moves`` on the sorted flat indices ``codes``: row and column place,
+    value and product. Each run of products that act on the same factors is moved at once, so that no array spans
+    a factor the run leaves alone (over every product at once they grow as n squared); only entries are joined."""
+    acts, parts = _acts(moves), [(np.empty(0, np.int64),) * 2 + (np.empty(0, complex), np.empty(0, np.int64))]
+    for members in np.split(np.arange(len(acts)), np.flatnonzero((acts[1:] != acts[:-1]).any(axis=1)) + 1):
+        touched = np.flatnonzero(acts[members[:1]].any(axis=0))
+        images, moved, levels = _moved(layout, moves.targets[members], codes, touched)
+        which, cols = np.nonzero(moved)
+        images = images[which, cols]
+        at = np.minimum(np.searchsorted(codes, images), codes.size - 1)  # each row's place in the basis, or none
+        which, cols, at = (part[codes[at] == images] for part in (which, cols, at))
+        # the kron chain's products at the stored entries: factor by factor, and 1.0 for each run of identities
+        data, after = np.ones(cols.size, dtype=complex), 0
+        for pos, value in zip(touched.tolist(), moves.entries[members[which], touched[:, None], levels[:, cols]]):
+            data, after = value if pos == 0 else (data if pos == after else data * 1.0) * value, pos + 1
+        data = data if after == len(layout.factor_dims) else data * 1.0
+        parts.append((at, cols, data, members[which]))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, size: int) -> sp.csr_matrix:
+    """The canonical CSR of entries in distinct places: row by row, each row's columns increasing."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    order = np.argsort(rows * size + cols)
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(size, size))
 
 
 class LocalMoves(NamedTuple):
@@ -395,29 +430,43 @@ def reachable(layout: SystemLayout, seed: np.ndarray, moves: LocalMoves) -> np.n
     It grows breadth first, every product of maps on the whole frontier at
     once, so nothing the size of the register is formed.
     """
-    reached = frontier = np.unique(np.asarray(seed, dtype=np.int64))
+    reached = frontier = _distinct(np.asarray(seed, dtype=np.int64))
+    touched = np.flatnonzero(_acts(moves).any(axis=0))
     while frontier.size:
-        images, moved, _ = _moved(layout, moves, frontier)
-        images = np.unique(images[moved])
+        images, moved, _ = _moved(layout, moves.targets, frontier, touched)
+        images = _distinct(images[moved])
         at = np.minimum(np.searchsorted(reached, images), reached.size - 1)
         frontier = images[reached[at] != images]
-        reached = np.union1d(reached, frontier)
+        reached = np.sort(np.concatenate((reached, frontier)))  # disjoint, so this is their union
     return reached
 
 
-def _moved(layout: SystemLayout, moves: LocalMoves, codes: np.ndarray):
-    """Where each product of ``moves`` sends each of the flat indices ``codes``, and whether it sends it
-    anywhere, both (product, code); then the factors some product does not leave as the identity, and
-    the index of the map entries they pick."""
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, increasing, by sorting: ``np.unique`` hashes, some 50 times slower on numpy 2.4."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _acts(moves: LocalMoves) -> np.ndarray:
+    """(product, factor): whether the product's map on the factor is not the identity."""
+    return ~((moves.targets == np.arange(moves.targets.shape[2])).all(axis=2) & (moves.entries == 1).all(axis=2))
+
+
+def _moved(layout: SystemLayout, targets: np.ndarray, codes: np.ndarray, touched: np.ndarray):
+    """Where each product of the maps ``targets`` sends each of the flat indices ``codes``, and whether it sends
+    it anywhere, both (product, code), through the factors ``touched``, which hold every factor some product does
+    not leave as the identity; then each touched factor's level of each code."""
     codes = np.asarray(codes, dtype=np.int64)
-    identity = (moves.targets == np.arange(moves.targets.shape[2])).all(axis=2) & (moves.entries == 1).all(axis=2)
-    touched = np.flatnonzero(~identity.all(axis=0))
-    dims = np.array(layout.factor_dims)[touched, None]
     strides = np.array([math.prod(layout.factor_dims[pos + 1 :]) for pos in touched], dtype=np.int64)[:, None]
-    levels = codes // strides % dims  # (factor, code)
-    picked = (slice(None), touched[:, None], levels)
-    to = moves.targets[picked]
-    return codes + ((to - levels) * strides).sum(axis=1), (to >= 0).all(axis=1), (touched, picked)
+    levels = codes // strides % np.array(layout.factor_dims)[touched, None]  # (factor, code)
+    # each level's shift of the flat index, per product and factor; -dim where it has no image, which keeps any
+    # sum that holds one negative, as every other partial sum is a flat index
+    maps = targets[:, touched]
+    shifts = np.where(maps >= 0, (maps - np.arange(maps.shape[2])) * strides, -layout.dim)
+    images = np.repeat(codes[None], len(targets), axis=0)
+    for shift, level in zip(shifts.transpose(1, 0, 2), levels):
+        images += np.take(shift, level, axis=1)
+    return images, images >= 0, levels
 
 
 def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str]) -> np.ndarray:

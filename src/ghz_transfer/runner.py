@@ -56,6 +56,7 @@ from .hamiltonians import (
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
+    hermitian_moves,
     sideband_term,
 )
 from .hilbert import OperatorMatrix, QuantumState, SystemLayout, build_layout, local_moves, reachable
@@ -301,7 +302,7 @@ def _segment_moves(layout, seg, params, mode):
         terms = [sideband_term(layout, seg.cavity, seg.site, *levels, seg.coupling)]
     else:
         terms = drive_terms(layout, _window_params(seg, params)) if mode == "full-dispersive" else []
-    return local_moves(layout, terms + [{site: local.conj().T for site, local in term.items()} for term in terms])
+    return hermitian_moves(layout, terms)
 
 
 def _window_params(seg, params):

@@ -31,7 +31,7 @@ def max_detuning(generator: DispersiveGenerator) -> float:
 
 
 def _drive_parts(generator: DispersiveGenerator):
-    """A, A^+, B and B^+ on the generator's basis, built as ``DispersiveGenerator`` builds them."""
+    """A, A^+, B and B^+ on the generator's basis, each summed term by term."""
     layout = generator.layout
     terms, left = drive_terms(layout, generator.params), len(layout.left_spectators)
     a_part, b_part = (

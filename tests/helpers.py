@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ghz_transfer.evolution import EvolutionResult
 from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout, _product_amplitudes
@@ -19,6 +20,29 @@ def two_pi_mhz(value: float) -> float:
 def register(layout: SystemLayout) -> np.ndarray:
     """The whole register as a basis: every flat index, in order."""
     return np.arange(layout.dim)
+
+
+def kron_chain(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> sp.csr_matrix:
+    """The reference construction of a product of local factors on the register: one ``sp.kron`` chain,
+    unlisted runs merged into identities, as canonical CSR."""
+    by_position = {layout.factor_index(site): local for site, local in factors.items()}
+    pieces, identity = [], 1
+    for pos, d in enumerate(layout.factor_dims):
+        if pos not in by_position:
+            identity *= d
+            continue
+        if identity > 1:
+            pieces.append(sp.identity(identity, format="csr"))
+            identity = 1
+        pieces.append(sp.csr_matrix(np.asarray(by_position[pos], dtype=complex)))
+    if identity > 1 or not pieces:
+        pieces.append(sp.identity(identity, format="csr"))
+    mat = pieces[0]
+    for piece in pieces[1:]:
+        mat = sp.kron(mat, piece, format="csr")
+    mat = sp.csr_matrix(mat, dtype=complex)
+    mat.sort_indices()
+    return mat
 
 
 def basis_index(layout: SystemLayout, assignments: Mapping[str, int | str]) -> int:

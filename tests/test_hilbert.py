@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import basis_index, basis_state, from_product, register
+from helpers import basis_index, basis_state, from_product, kron_chain, register
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     QuantumState,
@@ -149,34 +149,12 @@ class TestProductEmbedding:
             embed_operator(layout, {"cavL": np.eye(5)}, register(layout))
 
 
-def _kron_chain(layout, factors):
-    """The reference construction: one ``sp.kron`` chain, unlisted runs merged into identities."""
-    by_position = {layout.factor_index(site): local for site, local in factors.items()}
-    pieces, identity = [], 1
-    for pos, d in enumerate(layout.factor_dims):
-        if pos not in by_position:
-            identity *= d
-            continue
-        if identity > 1:
-            pieces.append(sp.identity(identity, format="csr"))
-            identity = 1
-        pieces.append(sp.csr_matrix(np.asarray(by_position[pos], dtype=complex)))
-    if identity > 1 or not pieces:
-        pieces.append(sp.identity(identity, format="csr"))
-    mat = pieces[0]
-    for piece in pieces[1:]:
-        mat = sp.kron(mat, piece, format="csr")
-    mat = sp.csr_matrix(mat, dtype=complex)
-    mat.sort_indices()
-    return mat
-
-
 class TestOnePassEmbedding:
     """``embed_operator`` stores exactly the arrays of the ``kron`` chain it replaces."""
 
     @staticmethod
     def assert_same_arrays(layout, factors):
-        got, want = embed_operator(layout, factors, register(layout)).matrix, _kron_chain(layout, factors)
+        got, want = embed_operator(layout, factors, register(layout)).matrix, kron_chain(layout, factors)
         for key in ("data", "indices", "indptr"):
             x, y = getattr(got, key), getattr(want, key)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key

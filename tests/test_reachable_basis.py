@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import on_register, register
-from register_compile_oracle import register_compile
+from register_compile_oracle import register_channels, register_compile, register_generator
 
 from ghz_transfer import cli, runner
 from ghz_transfer.analysis import GhzSpec
-from ghz_transfer.hamiltonians import load_preset
+from ghz_transfer.hamiltonians import DispersiveGenerator, collapse_operators, load_preset
 from ghz_transfer.hilbert import QuantumState, build_layout, embed_operator, local_moves, reachable
 from ghz_transfer.runner import MODES, run_protocol
 from ghz_transfer.scheduling import build_schedule
@@ -46,8 +47,22 @@ def _assert_same_compile(layout, params, mode):
     if mode == "lindblad":
         for got_step, want_step in zip(got.steps, want.steps):
             _same_csr(got_step, want_step)
+        keep = got.support
+        for got_op, want_op in zip(collapse_operators(layout, params, keep), register_channels(layout, params), strict=True):
+            _same_csr(got_op.matrix, want_op[keep][:, keep])
         _same_csr(got.dissipator.generator, want.dissipator.generator)
         return
+    # each pure step's generator, built on the states its step reaches, is the register's cut down to them
+    reach = got.support
+    for seg, step in zip(segments, got.steps):
+        basis = reachable(layout, reach, runner._segment_moves(layout, seg, params, mode))
+        built = runner._segment_generator(layout, seg, params, mode, basis)
+        whole, frame = register_generator(layout, seg, params, mode)
+        if frame is not None:
+            _same_array(built.frame_diagonal(), frame[basis])
+            built = built.static_hamiltonian()
+        _same_csr(built.matrix, whole[basis][:, basis])
+        reach = step.support
     for got_step, want_step in zip(got.steps, want.steps):
         _same_array(got_step.support, want_step.support)
         assert (got_step.frame is None) == (want_step.frame is None)
@@ -146,6 +161,21 @@ class TestScale:
         assert peak < 16 * layout.dim, peak
         assert max(step.support.size for step in compiled.steps) < layout.dim // 100
 
+    def test_full_dispersive_n6_compile_stays_under_its_traced_peak(self, params):
+        # the bound is the 88.2 MiB traced here when the BFS formed (products x factors x states) arrays;
+        # a one-pass dispersive build that formed them over every factor any product touches traced 183 MiB
+        layout = build_layout(6, 6, 4, 4)
+        segments = tuple(build_schedule(params, 6))
+        runner._compiled.cache_clear()
+        tracemalloc.start()
+        try:
+            runner._compiled(layout, segments, params, "full-dispersive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            runner._compiled.cache_clear()
+        assert peak < 96 * 2**20, peak
+
     @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
     def test_a_pure_run_allocates_less_than_one_register_vector(self, params, mode):
         # the compile, every step, its checkpoints and the final state, all on supports
@@ -188,6 +218,33 @@ class TestScale:
         run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode="lindblad", fock_cutoff=3)
         assert len(built) == 1
         runner._compiled.cache_clear()
+
+
+class TestBuildCounts:
+    """A compile builds through the names perfbench/tracer.py wraps to count generator builds."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_n2_compile_builds_each_generator_and_the_channels_once(self, params, mode, monkeypatch):
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("h_resonant_ef", "h_resonant_ge", "h_dispersive_reduced", "collapse_operators"):
+            monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
+        monkeypatch.setattr(DispersiveGenerator, "__init__", counted("DispersiveGenerator", DispersiveGenerator.__init__))
+        runner._compiled.cache_clear()
+        try:
+            runner._compiled(build_layout(2, 2, 3, 3), tuple(build_schedule(params, 2)), params, mode)
+        finally:
+            runner._compiled.cache_clear()
+        driven = mode == "full-dispersive"
+        assert calls["h_resonant_ef"] + calls["h_resonant_ge"] == 8
+        assert (calls["DispersiveGenerator"], calls["h_dispersive_reduced"]) == ((1, 0) if driven else (0, 1))
+        assert calls["collapse_operators"] == (mode == "lindblad")
 
 
 class TestAvailableMemory:
