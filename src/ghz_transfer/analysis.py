@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ghz_transfer.hamiltonians import EffectiveRates
-from ghz_transfer.hilbert import QuantumState, SystemLayout, _distinct, _product_amplitudes
+from ghz_transfer.hilbert import QuantumState, SystemLayout, _distinct
 
 __all__ = [
     "GhzSpec",
@@ -147,29 +148,61 @@ _LEVEL_VEC = {"g": (1.0, 0.0, 0.0), "e": (0.0, 1.0, 0.0), "f": (0.0, 0.0, 1.0)}
 _G_BRANCH = _FBranch(1.0, "g", "g", "g", PLUS, PLUS, (0, 0))
 
 
-def _branch_amplitudes(layout: SystemLayout, branch: _FBranch, support: np.ndarray) -> np.ndarray:
-    """The unit ket of ``branch`` on the flat indices ``support``."""
-    return _product_amplitudes(layout, _branch_vectors(layout, branch), branch.photons, support)
-
-
 def _branch_vectors(layout: SystemLayout, branch: _FBranch) -> dict:
+    """Each factor's local vector in ``branch``."""
     vectors = {"q1": _LEVEL_VEC.get(branch.q1, branch.q1), "q1p": _LEVEL_VEC.get(branch.q1p, branch.q1p)}
     vectors["A"] = (1.0, 0.0) if branch.coupler == "g" else (0.0, 1.0)
     for site in layout.left_spectators:
         vectors[site] = branch.left_spec
     for site in layout.right_spectators:
         vectors[site] = branch.right_spec
+    for mode, photons in zip(("cavL", "cavR"), branch.photons):
+        vectors[mode] = tuple(float(level == photons) for level in range(layout.site_dim(mode)))
     return vectors
 
 
+def _branch_kets(layout: SystemLayout, branches: list[_FBranch]) -> tuple[np.ndarray, np.ndarray]:
+    """The unit kets of ``branches`` on their own supports, one row each: the sorted flat indices where the ket is
+    nonzero and its amplitudes there, each the product of one entry per factor, multiplied left to right as a
+    ``np.kron`` chain does.
+
+    Both are grown factor by factor, so a ket at n spans 4^(n-1) states (each spectator in g and e), never the
+    register. Every branch must have as many nonzero levels on each factor as the others, as the checkpoint
+    table's do.
+    """
+    vectors = [_branch_vectors(layout, branch) for branch in branches]
+    indices, amplitudes = np.zeros((len(branches), 1), dtype=np.int64), None
+    for site, dim in zip(layout.site_names, layout.factor_dims):
+        local = np.array([each[site] for each in vectors], dtype=complex)
+        levels = np.nonzero(local)[1].reshape(len(branches), 1, -1)
+        values = np.take_along_axis(local[:, None], levels, axis=2)
+        indices = (indices[:, :, None] * dim + levels).reshape(len(branches), -1)
+        # left to right, one factor at a time, as the chain on a support multiplies
+        amplitudes = values[:, 0] if amplitudes is None else (amplitudes[:, :, None] * values).reshape(len(branches), -1)
+    return indices, amplitudes
+
+
+@lru_cache(maxsize=4)
+def _stage_kets(layout: SystemLayout) -> dict[str | None, tuple[np.ndarray, np.ndarray]]:
+    """The g branch's ket, under None, and the f branch's ket of each checkpoint that takes no t, as
+    :func:`_branch_kets` forms them: all at once, once per layout, shared and read-only."""
+    labels = [label for label in CHECKPOINTS if label != "during_step3"]
+    indices, amplitudes = _branch_kets(layout, [_G_BRANCH] + [_f_branch(label, None, None) for label in labels])
+    indices.flags.writeable = amplitudes.flags.writeable = False
+    return dict(zip([None, *labels], zip(indices, amplitudes)))
+
+
+def _placed(ket: tuple[np.ndarray, np.ndarray], support: np.ndarray) -> np.ndarray:
+    """The amplitudes of ``ket``, on its own sorted indices, at the flat indices ``support``: +0 off its own."""
+    indices, amplitudes = ket
+    at = np.minimum(indices.searchsorted(support), indices.size - 1)  # each index's place among the ket's, if any
+    return np.where(indices[at] == support, amplitudes[at], 0)
+
+
 def _oracle_support(layout: SystemLayout, checkpoint: str) -> np.ndarray:
-    """The sorted basis indices either branch of a checkpoint occupies, found factor by factor."""
-    supports = []
-    for branch in (_G_BRANCH, _f_branch(checkpoint, None, None)):
-        vectors = _branch_vectors(layout, branch)  # every site but the modes, which come last
-        levels = [np.flatnonzero(vectors[site]) for site in layout.site_names[:-2]] + [[n] for n in branch.photons]
-        supports.append(np.ravel_multi_index(np.ix_(*levels), layout.factor_dims).ravel())
-    return _distinct(np.concatenate(supports))
+    """The sorted basis indices either branch of a checkpoint occupies."""
+    kets = _stage_kets(layout)
+    return _distinct(np.concatenate((kets[None][0], kets[checkpoint][0])))
 
 
 def _oracle_parts(
@@ -178,15 +211,16 @@ def _oracle_parts(
 ) -> tuple[np.ndarray, np.ndarray, complex, complex]:
     """:func:`oracle_branches`' tuple, with plain kets on the flat indices ``support``.
 
-    An entry has the same bits on any support.
+    Each ket is formed on its own support and placed: an entry has the same
+    bits on any support, and is +0 where the ket has none.
     """
     if layout.n_left != spec.n or layout.n_right != spec.n:
         raise ValueError(
             f"spec is for n = {spec.n}, layout hosts ({layout.n_left}, {layout.n_right})"
         )
-    branch = _f_branch(checkpoint, t, rates)
-    g_part = _branch_amplitudes(layout, _G_BRANCH, support)
-    f_part = _branch_amplitudes(layout, branch, support)
+    branch, kets = _f_branch(checkpoint, t, rates), _stage_kets(layout)
+    f_ket = kets[checkpoint] if t is None else [rows[0] for rows in _branch_kets(layout, [branch])]
+    g_part, f_part = _placed(kets[None], support), _placed(f_ket, support)
     return g_part, f_part, complex(spec.alpha), complex(branch.coeff) * complex(spec.beta)
 
 

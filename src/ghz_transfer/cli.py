@@ -49,14 +49,15 @@ def _write_csv(stream, columns, names) -> None:
 
     A float64 array column is formatted for the whole table by one
     ``np.unique`` over its bits, with ``repr`` taken once per distinct
-    value, so -0.0 and 0.0 stay two values. Any other cell reads ``None``
-    as an empty cell and anything else as ``str`` (which is ``repr`` for a
-    Python float). No cell needs quoting, since every text value is a fixed
-    label. Lines are joined and written ``_CSV_BLOCK`` rows at a time.
+    value, so -0.0 and 0.0 stay two values, and a string array column's
+    items are its text. Any other cell reads ``None`` as an empty cell and
+    anything else as ``str`` (which is ``repr`` for a Python float). No
+    cell needs quoting, since every text value is a fixed label. Lines are
+    joined and written ``_CSV_BLOCK`` rows at a time.
     """
     stream.write(",".join(names) + "\n")
-    texts = [_float_text(column) if isinstance(column, np.ndarray) and column.dtype == np.float64 else None
-             for column in columns]
+    texts = [(_float_text(column) if column.dtype == np.float64 else column if column.dtype.kind == "U" else None)
+             if isinstance(column, np.ndarray) else None for column in columns]
     for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
         block = [

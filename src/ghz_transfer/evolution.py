@@ -63,6 +63,7 @@ __all__ = [
     "EvolutionResult",
     "Dissipator",
     "Propagator",
+    "Distinct",
     "evolve_unitary",
     "lindblad_propagate",
     "krylov_expm_action",
@@ -203,6 +204,19 @@ def krylov_expm_action(
 # ---------------------------------------------------------------------------
 # exact pure-state propagation: compile a step, then apply it
 
+class Distinct(NamedTuple):
+    """A float array as its distinct values, told apart by their bits, and a compact map back: the array is
+    ``values[inverse]``, and ``inverse`` has the smallest unsigned type that holds a place among the values."""
+
+    values: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, array: np.ndarray) -> Distinct:
+        bits, inverse = np.unique(np.ascontiguousarray(array, dtype=np.float64).view(np.uint64), return_inverse=True)
+        return cls(bits.view(np.float64), inverse.astype(np.min_scalar_type(max(bits.size - 1, 0))))
+
+
 @dataclass
 class Propagator:
     """exp(-i H t), compiled on the connected components of H's pattern that meet a seed set.
@@ -210,13 +224,16 @@ class Propagator:
     ``support`` is their union, closed under H with no threshold because
     the pattern alone decides connectivity, grouped by component size with
     each component's states consecutive. ``groups`` holds one ``(slice of
-    the support, eigenvalues (k, s), eigenvectors (k, s, s))`` per size s,
-    and ``frame`` a frame generator's diagonal on the support, or None.
+    the support, eigenvectors (k, s, s))`` per size s; ``eigenvalues`` holds
+    every component's eigenvalues on the support, and ``frame`` a frame
+    generator's diagonal there, or None, each as its :class:`Distinct`
+    values, since a step's spectrum repeats a few values many times.
     """
 
     support: np.ndarray
     groups: list
-    frame: np.ndarray | None = None
+    eigenvalues: Distinct
+    frame: Distinct | None = None
 
     @classmethod
     def compile(cls, generator: OperatorMatrix | DispersiveGenerator, seed: np.ndarray) -> Propagator:
@@ -248,15 +265,17 @@ class Propagator:
         place[support] = np.arange(support.size)
         row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))  # each stored entry's, as tocoo gives it
         row, col, data = place[row], place[matrix.indices], matrix.data
-        groups = []
+        groups, eigenvalues = [], [np.empty(0)]
         for size, start, count in zip(*np.unique(sizes, return_index=True, return_counts=True)):
             mine = (row >= start) & (row < start + count)  # so is the column: one component
             r, c = row[mine] - start, col[mine] - start  # one diagonal block each
             blocks = np.zeros((count // size, size, size), dtype=complex)
             np.add.at(blocks, (r // size, r % size, c % size), data[mine])
-            groups.append((slice(start, start + count), *np.linalg.eigh(blocks)))
-        frame = None if frame is None else frame[support]
-        return cls(basis[support], groups, frame)
+            evals, evecs = np.linalg.eigh(blocks)
+            groups.append((slice(start, start + count), evecs))
+            eigenvalues.append(evals.ravel())
+        frame = None if frame is None else Distinct.of(frame[support])
+        return cls(basis[support], groups, Distinct.of(np.concatenate(eigenvalues)), frame)
 
     def apply(self, state: QuantumState, duration: float, times: np.ndarray) -> EvolutionResult:
         """The state at ``times`` and ``duration``, every time in one array operation, on ``support``.
@@ -266,19 +285,22 @@ class Propagator:
         grid = np.append(times, duration)
         initial = state.on(self.support)
         amps = np.empty((grid.size, self.support.size), dtype=complex)
+        # one phase per distinct value and time, gathered where each value stands: exp and the products are
+        # elementwise, so each entry has the bits of its own exp
+        phases = np.exp(np.multiply(-1j * self.eigenvalues.values, grid[:, None]))
+        turns = None if self.frame is None else np.exp(np.multiply(1j * self.frame.values, grid[:, None]))
         # einsum, not matmul: its summation order does not depend on the BLAS
         # thread count, so neither do the bytes of a report. Each group's phases,
-        # then its frame phases, are formed in one (times, group) buffer, and its
-        # rotation is written straight into its columns of ``amps``.
-        for part, evals, evecs in self.groups:
-            coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
-            phased = np.multiply(-1j * evals, grid[:, None, None])
-            np.exp(phased, out=phased)
+        # then its frame phases, are gathered into one (times, group) buffer, and
+        # its rotation is written straight into its columns of ``amps``.
+        for part, evecs in self.groups:
+            shape = evecs.shape[:2]
+            coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(shape))
+            phased = np.take(phases, self.eigenvalues.inverse[part].reshape(shape), axis=1)
             phased *= coeff
             rotated = np.einsum("kij,tkj->tki", evecs, phased, out=amps[:, part].reshape(phased.shape))
-            if self.frame is not None:
-                np.multiply(1j * self.frame[part].reshape(evals.shape), grid[:, None, None], out=phased)
-                rotated *= np.exp(phased, out=phased)
+            if turns is not None:  # "clip" writes into ``out`` unbuffered; every place is in range
+                rotated *= np.take(turns, self.frame.inverse[part].reshape(shape), axis=1, out=phased, mode="clip")
         # a copy: a view would keep the whole grid alive as long as the final state
         return EvolutionResult(QuantumState(amps[-1].copy(), state.layout, basis=self.support), times, amps[:-1])
 

@@ -30,12 +30,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from ghz_transfer.hilbert import (
+    LocalMoves,
     OperatorMatrix,
     SystemLayout,
     annihilation_op,
@@ -54,6 +56,7 @@ __all__ = [
     "DispersiveGenerator",
     "collapse_operators",
     "sideband_term", "drive_terms", "collapse_terms", "hermitian_moves",
+    "sideband_moves", "drive_moves", "channel_moves",
     "PARAM_SCHEMA", "schema_fields", "read_param",
     "load_params",
     "load_preset",
@@ -160,12 +163,41 @@ def h_resonant_ef(layout: SystemLayout, cavity: str, qubit: str, coupling: float
     """Sideband drive coupling * (a_dag |e><f| + h.c.) on a three-level qudit, on ``basis``."""
     if qubit == "A":
         raise ValueError("the coupler has no f level; use h_resonant_ge")
-    return _hermitian(layout, [sideband_term(layout, cavity, qubit, "e", "f", coupling)], basis)
+    return _hermitian(layout, sideband_moves(layout, cavity, qubit, "e", "f", coupling), basis)
 
 
 def h_resonant_ge(layout: SystemLayout, cavity: str, site: str, coupling: float, basis: np.ndarray) -> OperatorMatrix:
     """Sideband drive coupling * (a_dag |g><e| + h.c.) on ``basis``; works for the coupler too."""
-    return _hermitian(layout, [sideband_term(layout, cavity, site, "g", "e", coupling)], basis)
+    return _hermitian(layout, sideband_moves(layout, cavity, site, "g", "e", coupling), basis)
+
+
+# A compile asks for a segment's moves twice (its reachable states, then its generator), and a schedule repeats
+# drives (step 4 applies step 2's again), so each distinct set is formed once and shared. Their arrays are read-only.
+
+@lru_cache(maxsize=64)
+def sideband_moves(layout: SystemLayout, cavity: str, site: str, to_level: str, from_level: str,
+                   coupling: float) -> LocalMoves:
+    """The local moves of the sideband drive coupling * (a_dag |to><from| + h.c.)."""
+    return _shared(hermitian_moves(layout, [sideband_term(layout, cavity, site, to_level, from_level, coupling)]))
+
+
+@lru_cache(maxsize=16)
+def drive_moves(layout: SystemLayout, params: PhysicalParams | None) -> LocalMoves:
+    """The local moves of the dispersive drive A + A^+ + B + B^+ at ``params``' couplings; with no ``params``,
+    of no drive: the reduced window's generator is diagonal."""
+    return _shared(hermitian_moves(layout, [] if params is None else drive_terms(layout, params)))
+
+
+@lru_cache(maxsize=16)
+def channel_moves(layout: SystemLayout, params: PhysicalParams) -> LocalMoves:
+    """The local moves of the :func:`collapse_terms` channels, one product each, in their order."""
+    return _shared(local_moves(layout, collapse_terms(layout, params)))
+
+
+def _shared(moves: LocalMoves) -> LocalMoves:
+    for array in moves:
+        array.flags.writeable = False
+    return moves
 
 
 def sideband_term(layout: SystemLayout, cavity: str, site: str, to_level: str, from_level: str, coupling: float):
@@ -178,9 +210,10 @@ def sideband_term(layout: SystemLayout, cavity: str, site: str, to_level: str, f
     }
 
 
-def _hermitian(layout, terms, basis, diagonal=None) -> OperatorMatrix:
-    """The sum X + X^+ of ``terms`` plus a real ``diagonal`` on ``basis``, in one pass: Hermitian bit for bit."""
-    matrix = embed_sum(layout, hermitian_moves(layout, terms), basis, diagonal=diagonal)
+def _hermitian(layout, moves, basis, diagonal=None) -> OperatorMatrix:
+    """The sum of ``moves``, each term followed by its h.c. (:func:`hermitian_moves`), plus a real ``diagonal``
+    on ``basis``, in one pass: Hermitian bit for bit."""
+    matrix = embed_sum(layout, moves, basis, diagonal=diagonal)
     return OperatorMatrix(matrix, layout, hermitian=True, by_construction=True, basis=basis)
 
 
@@ -221,7 +254,7 @@ class DispersiveGenerator:
         for sites, delta in ((layout.left_spectators, params.delta), (layout.right_spectators, params.delta_prime)):
             for site in sites:
                 g += delta * (layout.level_index_array(site, basis) == 2)
-        self._static = _hermitian(layout, drive_terms(layout, params), basis, g)
+        self._static = _hermitian(layout, drive_moves(layout, params), basis, g)
 
     def static_hamiltonian(self) -> OperatorMatrix:
         """Time-independent detuned-frame form G + (A + A_dag) + (B + B_dag), built once."""
@@ -259,7 +292,7 @@ def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis: np
         photons = layout.level_index_array(cavity, basis).astype(float)
         for site in sites:
             diag -= lam * (layout.level_index_array(site, basis) == 1) * photons
-    return _hermitian(layout, [], basis, diag)
+    return _hermitian(layout, drive_moves(layout, None), basis, diag)
 
 
 def _pure_dephasing_rate(t1: float | None, t2: float | None, label: str) -> float:
@@ -278,7 +311,7 @@ def collapse_operators(layout: SystemLayout, params: PhysicalParams, basis: np.n
     """Lindblad collapse operators for the register, on ``basis``: one per :func:`collapse_terms` term, all from one
     pass, as a channel's factor holds at most one entry per column and so each term is one product."""
     terms = collapse_terms(layout, params)
-    matrices = embed_sum(layout, local_moves(layout, terms), basis, each=True)
+    matrices = embed_sum(layout, channel_moves(layout, params), basis, each=True)
     herm = [all(np.array_equal(m, m.conj().T) for m in term.values()) for term in terms]
     return [OperatorMatrix(matrix, layout, hermitian, by_construction=True, basis=basis)
             for matrix, hermitian in zip(matrices, herm, strict=True)]

@@ -228,30 +228,6 @@ class QuantumState:
         return complex(np.sum(mine.conj() * theirs))
 
 
-def _product_amplitudes(layout: SystemLayout, site_vectors, photons, support) -> np.ndarray:
-    """The product state of per-site local vectors on the flat indices ``support``.
-
-    Unlisted qudits and the coupler sit in g, the modes in ``photons``. Each
-    amplitude is a product of one entry per factor, multiplied left to right
-    as a ``np.kron`` chain does, so both give the same bits.
-    """
-    vectors = {**site_vectors, "cavL": level_ket(layout.site_dim("cavL"), photons[0])}
-    vectors["cavR"] = level_ket(layout.site_dim("cavR"), photons[1])
-    factors = []
-    for site, dim in zip(layout.site_names, layout.factor_dims):
-        factors.append(np.asarray(vectors.get(site, level_ket(dim, 0)), dtype=complex))
-        if factors[-1].shape != (dim,):
-            raise ValueError(f"local vector for {site!r} must have dim {dim}")
-    unknown = set(vectors) - set(layout.site_names)
-    if unknown:
-        raise KeyError(f"unknown sites {sorted(unknown)}")
-    levels = np.unravel_index(support, layout.factor_dims)
-    amps = factors[0][levels[0]]
-    for factor, level in zip(factors[1:], levels[1:]):
-        amps = amps * factor[level]
-    return amps
-
-
 @dataclass
 class OperatorMatrix:
     """Sparse operator bound to a layout, with a Hermiticity claim.
@@ -339,9 +315,14 @@ def embed_sum(layout: SystemLayout, moves: LocalMoves, basis: np.ndarray, *, dia
     (216, 0, True, [108, 108])
     """
     rows, cols, data, product = _entries(layout, moves, np.asarray(basis))
-    if each:
-        mine = (product == m for m in range(len(moves.targets)))  # each product's entries
-        return [_csr(rows[m], cols[m], data[m], len(basis)) for m in mine]
+    if each:  # one sort and one count over every product's entries, then each product's share of them
+        size, products = len(basis), len(moves.targets)
+        order = np.argsort((product * size + rows) * size + cols)
+        counts = np.bincount(product * size + rows, minlength=products * size).reshape(products, size)
+        indptr = np.zeros((products, size + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=indptr[:, 1:])
+        mine = np.split(order, np.cumsum(indptr[:-1, -1]))
+        return [sp.csr_matrix((data[m], cols[m], ptr), shape=(size, size)) for m, ptr in zip(mine, indptr)]
     if diagonal is not None:
         places = np.arange(len(basis))
         rows, cols, data = np.append(rows, places), np.append(cols, places), np.append(data, diagonal)

@@ -50,16 +50,15 @@ from .evolution import Dissipator, Propagator, checkpoint_fidelity, evolve_unita
 from .hamiltonians import (
     DispersiveGenerator,
     PhysicalParams,
+    channel_moves,
     collapse_operators,
-    collapse_terms,
-    drive_terms,
+    drive_moves,
     h_dispersive_reduced,
     h_resonant_ef,
     h_resonant_ge,
-    hermitian_moves,
-    sideband_term,
+    sideband_moves,
 )
-from .hilbert import OperatorMatrix, QuantumState, SystemLayout, build_layout, local_moves, reachable
+from .hilbert import OperatorMatrix, QuantumState, SystemLayout, build_layout, reachable
 from .scheduling import Schedule, build_schedule
 
 __all__ = [
@@ -296,13 +295,11 @@ def _segment_generator(layout, seg, params, mode, basis):
 
 
 def _segment_moves(layout, seg, params, mode):
-    """The local moves of the segment's generator, both ways; its diagonal moves nothing."""
+    """The local moves of the segment's generator, both ways, which its builder shares; its diagonal moves nothing."""
     if seg.kind != "dispersive":
         levels = ("e", "f") if seg.kind == "resonant_ef" else ("g", "e")
-        terms = [sideband_term(layout, seg.cavity, seg.site, *levels, seg.coupling)]
-    else:
-        terms = drive_terms(layout, _window_params(seg, params)) if mode == "full-dispersive" else []
-    return hermitian_moves(layout, terms)
+        return sideband_moves(layout, seg.cavity, seg.site, *levels, seg.coupling)
+    return drive_moves(layout, _window_params(seg, params) if mode == "full-dispersive" else None)
 
 
 def _window_params(seg, params):
@@ -360,12 +357,11 @@ def _compiled(layout, segments, params, mode) -> _Compiled:
             steps.append(Propagator.compile(_segment_generator(layout, seg, params, mode, basis), reach))
             reach = steps[-1].support
         return _Compiled(seed, steps, None)
-    channels = collapse_terms(layout, params)
-    if not channels:
+    channels, reach = channel_moves(layout, params), seed
+    if not len(channels.targets):
         raise ValueError("lindblad mode needs decoherence parameters (t1/t2/kappa) in the params")
     # every channel's L^+ L is diagonal (no L sends two basis states to the
     # same one), so the damping adds no move of its own
-    channels, reach = local_moves(layout, channels), seed
     for seg in segments:
         reach = reachable(layout, reach, _segment_moves(layout, seg, params, mode) + channels)
     keep = reachable(layout, reach, channels)

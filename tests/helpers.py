@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghz_transfer.evolution import EvolutionResult
-from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout, _product_amplitudes
+from ghz_transfer.hilbert import LEVELS, QuantumState, SystemLayout, level_ket
 from ghz_transfer.units import TWO_PI
 
 
@@ -43,6 +43,31 @@ def kron_chain(layout: SystemLayout, factors: Mapping[str, np.ndarray]) -> sp.cs
     mat = sp.csr_matrix(mat, dtype=complex)
     mat.sort_indices()
     return mat
+
+
+def product_amplitudes(layout: SystemLayout, site_vectors, photons, support) -> np.ndarray:
+    """The product state of per-site local vectors on the flat indices ``support``, the literal reference.
+
+    Unlisted qudits and the coupler sit in g, the modes in ``photons``. Each
+    amplitude is a product of one entry per factor, multiplied left to right
+    as a ``np.kron`` chain does, so both give the same bits, and so does the
+    package's oracle ket at every entry of its own support.
+    """
+    vectors = {**site_vectors, "cavL": level_ket(layout.site_dim("cavL"), photons[0])}
+    vectors["cavR"] = level_ket(layout.site_dim("cavR"), photons[1])
+    factors = []
+    for site, dim in zip(layout.site_names, layout.factor_dims):
+        factors.append(np.asarray(vectors.get(site, level_ket(dim, 0)), dtype=complex))
+        if factors[-1].shape != (dim,):
+            raise ValueError(f"local vector for {site!r} must have dim {dim}")
+    unknown = set(vectors) - set(layout.site_names)
+    if unknown:
+        raise KeyError(f"unknown sites {sorted(unknown)}")
+    levels = np.unravel_index(support, layout.factor_dims)
+    amps = factors[0][levels[0]]
+    for factor, level in zip(factors[1:], levels[1:]):
+        amps = amps * factor[level]
+    return amps
 
 
 def basis_index(layout: SystemLayout, assignments: Mapping[str, int | str]) -> int:
@@ -80,7 +105,7 @@ def from_product(
     given photon-number states.
     """
     whole = register(layout)
-    return QuantumState(_product_amplitudes(layout, site_vectors or {}, photons, whole), layout, basis=whole)
+    return QuantumState(product_amplitudes(layout, site_vectors or {}, photons, whole), layout, basis=whole)
 
 
 def on_register(state: QuantumState) -> QuantumState:

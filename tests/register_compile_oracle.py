@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from helpers import kron_chain, register
 from ghz_transfer import runner
 from ghz_transfer.analysis import GhzSpec, _oracle_parts
-from ghz_transfer.evolution import Dissipator, Propagator
+from ghz_transfer.evolution import Dissipator, Distinct, Propagator
 from ghz_transfer.hamiltonians import EffectiveRates, collapse_terms, drive_terms, sideband_term
 from ghz_transfer.hilbert import OperatorMatrix
 
@@ -87,7 +87,7 @@ def register_compile(layout, segments, params, mode):
         steps, reach = [], seed
         for h_mat, frame in generators:
             step = Propagator.compile(OperatorMatrix(h_mat, layout, hermitian=True, by_construction=True, basis=whole), reach)
-            steps.append(step if frame is None else replace(step, frame=frame[step.support]))
+            steps.append(step if frame is None else replace(step, frame=Distinct.of(frame[step.support])))
             reach = steps[-1].support
         return runner._Compiled(seed, steps, None)
     collapse = register_channels(layout, params)

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import dispersive_ode_oracle
 from helpers import basis_index, basis_state, from_product, on_register, register, sampled_states, two_pi_mhz
-from ghz_transfer import evolution
+from ghz_transfer import evolution, runner
 from ghz_transfer.evolution import (
     Dissipator,
     NEGATIVE_WEIGHT_LIMIT,
@@ -31,12 +31,14 @@ from ghz_transfer.hamiltonians import (
     collapse_operators,
     h_resonant_ef,
     h_resonant_ge,
+    load_preset,
 )
 from ghz_transfer.hilbert import (
     OperatorMatrix,
     QuantumState,
     build_layout,
 )
+from ghz_transfer.scheduling import build_schedule
 
 MU = two_pi_mhz(50.0)
 
@@ -285,25 +287,45 @@ class TestDrivenStage:
 
     @pytest.mark.parametrize("driven", [True, False], ids=["frame", "static"])
     def test_apply_matches_the_unbuffered_formula_bitwise(self, layout22, probe_state, driven):
-        # the reference forms every phase table as a fresh array and applies the frame to the whole grid
         params = dispersive_params(10.0)
         whole = register(layout22)
         gen = DispersiveGenerator(layout22, params, whole) if driven else h_resonant_ef(layout22, "L", "q1", MU, whole)
         step = Propagator.compile(gen, np.flatnonzero(probe_state.amplitudes))
-        times = np.linspace(0.0, 7.0 / params.delta, 23)
-        got = step.apply(probe_state, 7.5 / params.delta, times)
-        grid = np.append(times, 7.5 / params.delta)
-        initial = probe_state.amplitudes[step.support]
-        want = np.empty((grid.size, step.support.size), dtype=complex)
-        for part, evals, evecs in step.groups:
-            coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
-            phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
-            want[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
-        if driven:
-            want *= np.exp(1j * step.frame * grid[:, None])
         assert (step.frame is not None) == driven
-        assert got.samples.tobytes() == want[:-1].tobytes()
-        assert got.final.amplitudes.tobytes() == want[-1].tobytes()
+        _assert_apply_is_the_unbuffered_formula(step, probe_state, np.linspace(0.0, 7.0 / params.delta, 23), 7.5 / params.delta)
+
+    @pytest.mark.parametrize("samples", [0, 1, 300])
+    @pytest.mark.parametrize("mode, label", [("full-dispersive", "step3"), ("ideal-reduced", "step2a")])
+    def test_a_compiled_n3_step_matches_the_unbuffered_formula_bitwise(self, mode, label, samples):
+        # a driven dispersive window and a sideband pulse, from a random state on the support the step starts from
+        params = load_preset("transmon")
+        layout, schedule = build_layout(3, 3, 4, 4), build_schedule(params, 3)
+        compiled = runner._compiled(layout, tuple(schedule), params, mode)
+        k = [seg.label for seg in schedule].index(label)
+        step, seed = compiled.steps[k], compiled.steps[k - 1].support
+        assert (step.frame is not None) == (mode == "full-dispersive")
+        rng = np.random.default_rng(k)
+        state = QuantumState(rng.normal(size=seed.size) + 1j * rng.normal(size=seed.size), layout, basis=seed)
+        duration = schedule.segments[k].duration_s
+        _assert_apply_is_the_unbuffered_formula(step, state, np.linspace(0.0, duration, samples), duration)
+
+
+def _assert_apply_is_the_unbuffered_formula(step, state, times, duration):
+    """``step.apply`` against a reference that forms every phase table as a fresh array, one exp per entry, and
+    applies the frame to the whole grid."""
+    got = step.apply(state, duration, times)
+    grid = np.append(times, duration)
+    initial = state.on(step.support)
+    want = np.empty((grid.size, step.support.size), dtype=complex)
+    for part, evecs in step.groups:
+        evals = step.eigenvalues.values[step.eigenvalues.inverse[part]].reshape(evecs.shape[:2])
+        coeff = np.einsum("kji,kj->ki", evecs.conj(), initial[part].reshape(evals.shape))
+        phased = np.exp(-1j * evals * grid[:, None, None]) * coeff
+        want[:, part] = np.einsum("kij,tkj->tki", evecs, phased).reshape(grid.size, -1)
+    if step.frame is not None:
+        want *= np.exp(1j * step.frame.values[step.frame.inverse] * grid[:, None])
+    assert got.samples.tobytes() == want[:-1].tobytes()
+    assert got.final.amplitudes.tobytes() == want[-1].tobytes()
 
 
 def _pure_rho(state: QuantumState) -> np.ndarray:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from helpers import on_register, register
 from register_compile_oracle import register_channels, register_compile, register_generator
 
-from ghz_transfer import cli, runner
+from ghz_transfer import analysis, cli, hamiltonians, runner
 from ghz_transfer.analysis import GhzSpec
-from ghz_transfer.hamiltonians import DispersiveGenerator, collapse_operators, load_preset
+from ghz_transfer.hamiltonians import DispersiveGenerator, collapse_operators, collapse_terms, load_preset
 from ghz_transfer.hilbert import QuantumState, build_layout, embed_operator, local_moves, reachable
 from ghz_transfer.runner import MODES, run_protocol
 from ghz_transfer.scheduling import build_schedule
@@ -66,12 +66,13 @@ def _assert_same_compile(layout, params, mode):
     for got_step, want_step in zip(got.steps, want.steps):
         _same_array(got_step.support, want_step.support)
         assert (got_step.frame is None) == (want_step.frame is None)
-        if got_step.frame is not None:
-            _same_array(got_step.frame, want_step.frame)
+        for got_distinct, want_distinct in zip((got_step.eigenvalues, got_step.frame), (want_step.eigenvalues, want_step.frame)):
+            for got_array, want_array in zip(got_distinct or (), want_distinct or (), strict=True):
+                _same_array(got_array, want_array)
         assert len(got_step.groups) == len(want_step.groups)
         for (got_part, *got_eig), (want_part, *want_eig) in zip(got_step.groups, want_step.groups):
             assert got_part == want_part
-            for got_array, want_array in zip(got_eig, want_eig):
+            for got_array, want_array in zip(got_eig, want_eig, strict=True):
                 _same_array(got_array, want_array)
 
 
@@ -99,7 +100,7 @@ class TestAgainstTheRegister:
         overrides.update(mu1=scale * params.mu1, muAR=scale * params.muAR)
         varied = params.with_overrides(**overrides)
         layout = build_layout(n, n, 3, 3)
-        if mode == "lindblad" and not runner.collapse_terms(layout, varied):
+        if mode == "lindblad" and not collapse_terms(layout, varied):
             with pytest.raises(ValueError, match="decoherence"):
                 runner._compiled(layout, tuple(build_schedule(varied, n)), varied, mode)
             return
@@ -191,6 +192,22 @@ class TestScale:
         assert peak < 16 * result.layout.dim, peak
         assert result.final_state.basis.size < result.layout.dim // 100
 
+    @pytest.mark.parametrize("mode, bound_mib", [("ideal-reduced", 7.25), ("full-dispersive", 26.0)])
+    def test_an_n6_pure_run_stays_under_its_traced_peak(self, params, mode, bound_mib):
+        # a cold run: the compile, the oracle kets, every step and its checkpoints; the bounds sit about 10 %
+        # above the 6.58 and 23.70 MiB traced when each scoring formed both kets on the state's whole support
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=6)
+        runner._compiled.cache_clear()
+        analysis._stage_kets.cache_clear()
+        tracemalloc.start()
+        try:
+            run_protocol(params, spec, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            runner._compiled.cache_clear()
+        assert peak < bound_mib * 2**20, peak
+
     def test_verify_single_share_check_allocates_less_than_one_register_vector(self, params):
         # n = 5: the ideal runs, then the encode pulse and every reduction on the final state's basis
         layout = build_layout(5, 5, 4, 4)
@@ -245,6 +262,21 @@ class TestBuildCounts:
         assert calls["h_resonant_ef"] + calls["h_resonant_ge"] == 8
         assert (calls["DispersiveGenerator"], calls["h_dispersive_reduced"]) == ((1, 0) if driven else (0, 1))
         assert calls["collapse_operators"] == (mode == "lindblad")
+
+
+    @pytest.mark.parametrize("mode, sets", [("full-dispersive", 7), ("lindblad", 8)])
+    def test_a_cold_n2_compile_forms_each_distinct_set_of_moves_once(self, params, mode, sets, monkeypatch):
+        # nine segments, seven distinct generators (step 4 applies step 2's drives again); the channels add one
+        formed = []
+        monkeypatch.setattr(hamiltonians, "local_moves", lambda *args: formed.append(args) or local_moves(*args))
+        for cached in (hamiltonians.sideband_moves, hamiltonians.drive_moves, hamiltonians.channel_moves):
+            cached.cache_clear()
+        runner._compiled.cache_clear()
+        try:
+            runner._compiled(build_layout(2, 2, 3, 3), tuple(build_schedule(params, 2)), params, mode)
+        finally:
+            runner._compiled.cache_clear()
+        assert len(formed) == sets
 
 
 class TestAvailableMemory:

@@ -13,13 +13,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from helpers import basis_index, on_register, register, sampled_states
+from helpers import basis_index, on_register, product_amplitudes, register, sampled_states
 from ghz_transfer import analysis, evolution, runner
 from ghz_transfer.analysis import (
     GhzSpec,
     make_oracle_state,
     occupation_probability,
     oracle_branches,
+    random_ghz_spec,
 )
 from ghz_transfer.dsl import parse_schedule, serialize_schedule, validate_schedule
 from ghz_transfer.evolution import (
@@ -39,6 +40,7 @@ from ghz_transfer.hamiltonians import (
 from ghz_transfer.hilbert import OperatorMatrix, QuantumState, build_layout
 from ghz_transfer.runner import (
     CHECKPOINT_AFTER_SEGMENT,
+    CheckpointRecord,
     MODES,
     excitation_numbers,
     run_protocol,
@@ -322,25 +324,69 @@ class TestSupportScoring:
             assert result.final_fidelity == result.checkpoints["final"].fidelity
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_only_the_initial_state_spans_the_register(self, params, monkeypatch, mode):
-        whole = []
-        build = analysis._branch_amplitudes
+    def test_each_branch_ket_is_formed_once_on_its_own_support(self, params, monkeypatch, mode):
+        shapes = []
+        build = analysis._branch_kets
 
-        def count(layout, branch, support):
-            whole.append(support.size == layout.dim)
-            return build(layout, branch, support)
+        def count(layout, branches):
+            kets = build(layout, branches)
+            shapes.append(kets[1].shape)
+            return kets
 
-        monkeypatch.setattr(analysis, "_branch_amplitudes", count)
+        monkeypatch.setattr(analysis, "_branch_kets", count)
+        analysis._stage_kets.cache_clear()
         runner._compiled.cache_clear()
-        counts = []
-        for _ in range(2):  # the first run compiles, the second reuses the compile
-            whole.clear()
+        built = []
+        for _ in range(2):  # the first run compiles and forms the kets, the second reuses both
+            shapes.clear()
             run_protocol(params, GhzSpec(alpha=0.6, beta=0.8j, n=2), mode=mode, fock_cutoff=3)
-            counts.append((whole.count(True), whole.count(False)))
-        # the compile finds the initial state's two branches factor by factor; a run
-        # scores the initial state, every checkpoint and the final fidelity on its support
-        scored = 2 * (len(CHECKPOINT_AFTER_SEGMENT) + 2)
-        assert counts == [(0, scored), (0, scored)]
+            built.append(list(shapes))
+        # in one pass: the g branch, then the f branch of the initial state and of each checkpoint,
+        # each on its 4^(n-1) states (every spectator in g or e)
+        assert built == [[(2 + len(CHECKPOINT_AFTER_SEGMENT), 4)], []]
+
+
+def _literal_parts(layout, spec, checkpoint, support):
+    """``_oracle_parts``' tuple, each ket the product chain on the whole of ``support``, as it was formed before
+    the kets were placed from their own supports."""
+    branch = analysis._f_branch(checkpoint, None, None)
+    g_part, f_part = (product_amplitudes(layout, analysis._branch_vectors(layout, ket), ket.photons, support)
+                      for ket in (analysis._G_BRANCH, branch))
+    return g_part, f_part, complex(spec.alpha), complex(branch.coeff) * complex(spec.beta)
+
+
+def _bits(value):
+    """``value``'s floats as ``float.hex``, which tells every pair of bit patterns apart, signed zeros too."""
+    if isinstance(value, CheckpointRecord):
+        return [_bits(getattr(value, name)) for name in value.__dataclass_fields__]
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestPlacedOracleKets:
+    """Scores with the branch kets placed from their own supports, where every entry off a ket's support is +0,
+    have the bits of scores with the kets formed literally on the whole basis, where the product chain leaves -0
+    on some of those entries."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("amplitudes", ["alpha 0", "alpha 1", "random"])
+    def test_records_and_block_fidelities_match_the_literal_kets_bitwise(self, params, monkeypatch, n, mode, amplitudes):
+        if amplitudes == "random":
+            spec = random_ghz_spec(n, np.random.default_rng(n))
+        else:
+            spec = GhzSpec(alpha=1.0, beta=0.0, n=n) if amplitudes == "alpha 1" else GhzSpec(alpha=0.0, beta=1.0, n=n)
+        calls = []
+        for name in ("_pure_checkpoint", "_block_fidelity"):
+            scored = getattr(runner, name)
+            monkeypatch.setattr(runner, name, lambda *args, scored=scored: calls.append((scored, args)) or scored(*args))
+        result = run_protocol(params, spec, mode=mode, fock_cutoff=3 if mode == "lindblad" else None)
+        monkeypatch.undo()
+        assert len(calls) == len(result.checkpoints) + 1  # and the final fidelity
+        placed = [_bits(scored(*args)) for scored, args in calls]
+        monkeypatch.setattr(runner, "_oracle_parts", _literal_parts)
+        assert placed == [_bits(scored(*args)) for scored, args in calls]
 
 
 class TestLindbladMode:
