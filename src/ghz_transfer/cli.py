@@ -23,11 +23,11 @@ from .analysis import (
     occupation_probability,
     random_ghz_spec,
 )
-from .evolution import EvolutionError
+from .evolution import Distinct, EvolutionError
 from .hamiltonians import PhysicalParams, load_params, load_preset, read_param, schema_fields
 from .hilbert import embed_operator, local_moves, partial_trace, reachable
 from .runner import MODES, TRAJECTORY_COLUMNS, run_protocol
-from .scheduling import SchedulingError, build_schedule, timing_budget
+from .scheduling import SchedulingError, build_schedule
 from .units import parse_time, seconds_to_ns
 
 WORKERS_ENV = "GHZ_TRANSFER_WORKERS"
@@ -47,9 +47,10 @@ def _json_text(payload) -> str:
 def _write_csv(stream, columns, names) -> None:
     """A header ``names``, then each row of the equal-length ``columns``, as the csv module writes rows.
 
-    A float64 array column is formatted for the whole table by one
-    ``np.unique`` over its bits, with ``repr`` taken once per distinct
-    value, so -0.0 and 0.0 stay two values, and a string array column's
+    A float64 array column is formatted for the whole table from its
+    :class:`~ghz_transfer.evolution.Distinct` values, told apart by their
+    bits, with ``repr`` taken once per distinct value, so -0.0 and 0.0 stay
+    two values, and a string array column's
     items are its text. Any other cell reads ``None`` as an empty cell and
     anything else as ``str`` (which is ``repr`` for a Python float). No
     cell needs quoting, since every text value is a fixed label. Lines are
@@ -69,8 +70,8 @@ def _write_csv(stream, columns, names) -> None:
 
 def _float_text(column: np.ndarray) -> np.ndarray:
     """The ``repr`` of every cell, as an object array holding one string per distinct bit pattern."""
-    distinct, where = np.unique(column.view(np.uint64), return_inverse=True)
-    return np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)[where]
+    distinct = Distinct.of(column)
+    return np.array([repr(value) for value in distinct.values.tolist()], dtype=object)[distinct.inverse]
 
 
 def _load_parameters(preset: str | None, params_path: str | None) -> PhysicalParams:
@@ -137,6 +138,15 @@ def _sweep_workers() -> int:
 def _consumed(result) -> tuple:
     """All that ``run`` writes of a result, its report and trajectory, without its final state."""
     return result.report(), result.trajectory
+
+
+def _budget(schedule, parameters: PhysicalParams) -> dict:
+    """The schedule's timing budget and each cavity's lifetime 1/kappa in seconds, None when it is lossless."""
+    budget = schedule.budget()
+    for side in "LR":
+        kappa = getattr(parameters, f"kappa{side}")
+        budget[f"cavity_lifetime_{side}_s"] = 1.0 / kappa if kappa else None
+    return budget
 
 
 def _fail(err: Exception) -> None:
@@ -346,13 +356,12 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
             ramp_s = parse_time(f"{ramp_ns!r} ns")
             parameters = parameters.with_overrides(**dict.fromkeys(schema_fields("ramps"), ramp_s))
         schedule = build_schedule(parameters, n)
-        budget = timing_budget(parameters, n)
     except _FAILURES as err:
         _fail(err)
 
+    budget = _budget(schedule, parameters)
     if as_json:
-        payload = budget.to_dict()
-        payload["segments"] = [
+        budget["segments"] = [
             {
                 "label": seg.label,
                 "kind": seg.kind,
@@ -363,8 +372,8 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
             }
             for seg in schedule
         ]
-        payload["closing_ramp_ns"] = seconds_to_ns(schedule.closing_ramp_s)
-        click.echo(_json_text(payload), nl=False)
+        budget["closing_ramp_ns"] = seconds_to_ns(schedule.closing_ramp_s)
+        click.echo(_json_text(budget), nl=False)
         return
 
     click.echo(f"{'segment':<9}{'kind':<13}{'cavity':<7}{'site':<12}{'ramp':>9}{'duration':>12}")
@@ -375,17 +384,16 @@ def cmd_budget(preset, params_path, sets, n, ramp_ns, as_json):
         )
     click.echo(f"{'closing':<9}{'':<13}{'':<7}{'':<12}{seconds_to_ns(schedule.closing_ramp_s):>7.2f} ns")
     click.echo("")
-    click.echo(f"tau_r  {budget.tau_r * 1e9:8.2f} ns   resonant pulses ({budget.tau_r!r} s)")
-    click.echo(f"tau_o  {budget.tau_o * 1e9:8.2f} ns   dispersive window ({budget.tau_o!r} s)")
-    click.echo(f"tau_a  {budget.tau_a * 1e9:8.2f} ns   level adjustments ({budget.tau_a!r} s)")
-    click.echo(f"tau    {budget.tau * 1e9:8.2f} ns   total ({budget.tau!r} s)")
-    if budget.m is not None:
-        click.echo(f"window multiples: m={budget.m} k={budget.k}")
-    if budget.cavity_lifetime_L is not None:
-        click.echo(
-            f"cavity lifetimes: L {budget.cavity_lifetime_L * 1e6:.3f} us, "
-            f"R {budget.cavity_lifetime_R * 1e6:.3f} us"
-        )
+    for name, what in (("tau_r", "resonant pulses"), ("tau_o", "dispersive window"),
+                       ("tau_a", "level adjustments"), ("tau", "total")):
+        value = budget[f"{name}_s"]
+        click.echo(f"{name:<7}{value * 1e9:8.2f} ns   {what} ({value!r} s)")
+    if budget["resonance_m"] is not None:
+        click.echo(f"window multiples: m={budget['resonance_m']} k={budget['resonance_k']}")
+    lifetimes = ((side, budget[f"cavity_lifetime_{side}_s"]) for side in "LR")
+    click.echo("cavity lifetimes: " + ", ".join(
+        f"{side} lossless" if lifetime is None else f"{side} {lifetime * 1e6:.3f} us" for side, lifetime in lifetimes
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +493,12 @@ def cmd_verify(preset, params_path, sets, n, seed, count, skip_full, skip_lindbl
     try:
         parameters = _apply_overrides(_load_parameters(preset, params_path), sets)
         checks = _verify_checks(parameters, n, seed, count, skip_full, skip_lindblad)
-        budget = timing_budget(parameters, n)
+        budget = _budget(build_schedule(parameters, n), parameters)
     except _FAILURES as err:
         _fail(err)
     report = {
         "n": n,
-        "budget": budget.to_dict(),
+        "budget": budget,
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 from ghz_transfer.hamiltonians import PhysicalParams, schema_fields
 from ghz_transfer.hilbert import BASIS_ORDERING_TAG, SystemLayout
@@ -48,7 +47,7 @@ from ghz_transfer.scheduling import (
     quarter_period,
     solve_resonance,
 )
-from ghz_transfer.units import parse_frequency, parse_time
+from ghz_transfer.units import ns_decimal, parse_frequency, parse_time
 
 __all__ = [
     "Diagnostic",
@@ -64,9 +63,12 @@ FORMAT_VERSION = "v1"
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_SEGMENT_KEYS = ("cavity", "site", "coupling", "detuning", "coupling2", "detuning2", "duration", "ramp")
+# a segment's rate fields, as the PulseSegment fields of the same names; only dispersive
+# segments take the last three
+_RATE_FIELDS = ("coupling", "detuning", "coupling2", "detuning2")
+_DISPERSIVE_ONLY = _RATE_FIELDS[1:]
 _RESONANT_KEYS = ("cavity", "site", "coupling", "duration", "ramp")
-_DISPERSIVE_ONLY = ("detuning", "coupling2", "detuning2")
+_SEGMENT_KEYS = _RESONANT_KEYS + _DISPERSIVE_ONLY
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,8 @@ class ValidationResult:
 # number formatting: seconds -> exact decimal ns text
 
 def _time_text(seconds: float) -> str:
-    # repr() is the shortest decimal that round-trips the double; shifting
-    # its exponent in Decimal is exact, so parsing this text reconstructs
-    # the seconds value bit for bit (a float ns intermediate would not)
-    if seconds == 0:
-        return "0"  # the shift would write 0E+8
-    return str(Decimal(repr(float(seconds))).scaleb(9))
+    # exact, so parsing this text reconstructs the seconds value bit for bit
+    return "0" if seconds == 0 else str(ns_decimal(seconds))  # the shift would write 0 as 0E+8
 
 
 def _rate_text(value: float) -> str:
@@ -345,7 +343,7 @@ def _parse_segment_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
         return
 
     rates: dict[str, float | str | None] = {}
-    for key in ("coupling", "detuning", "coupling2", "detuning2"):
+    for key in _RATE_FIELDS:
         if key not in raw:
             rates[key] = None
             continue
@@ -373,10 +371,7 @@ def _parse_segment_line(rd: _LineReader, tokens: list[tuple[str, int]]) -> None:
     rd.doc.segments.append(
         SegmentDecl(
             label=label, kind=kind, cavity=cavity, site=site,
-            coupling=rates["coupling"], duration_s=times["duration"], ramp_s=times["ramp"],
-            line=rd.line_no,
-            detuning=rates["detuning"], coupling2=rates["coupling2"],
-            detuning2=rates["detuning2"],
+            duration_s=times["duration"], ramp_s=times["ramp"], line=rd.line_no, **rates,
         )
     )
 
@@ -446,27 +441,6 @@ def parse_schedule(text: str) -> ScheduleDocument:
 # ---------------------------------------------------------------------------
 # validation
 
-def _resolve_rate(
-    value: float | str | None,
-    bindings: dict[str, float],
-    seg: SegmentDecl,
-    key: str,
-    diags: list[Diagnostic],
-) -> float | None:
-    if value is None or isinstance(value, float):
-        return value
-    if value in bindings:
-        return bindings[value]
-    diags.append(
-        Diagnostic(
-            "error", "unknown-symbol",
-            f"segment {seg.label}: {key}={value} is not a bound param",
-            seg.line, 1, value,
-        )
-    )
-    return None
-
-
 def validate_schedule(
     document: ScheduleDocument,
     params: PhysicalParams | None = None,
@@ -497,35 +471,31 @@ def validate_schedule(
         bindings.update({name: getattr(params, name) for name in schema_fields("couplings", "detunings")})
     bindings.update(document.params)
 
+    def fail(seg: SegmentDecl, code: str, message: str, token: str | None = None) -> None:
+        diags.append(Diagnostic("error", code, message, seg.line, 1, seg.label if token is None else token))
+
     resolved: list[PulseSegment] = []
     resonance: tuple[int, int] | None = None
     for seg in document.segments:
-        coupling = _resolve_rate(seg.coupling, bindings, seg, "coupling", diags)
-        detuning = _resolve_rate(seg.detuning, bindings, seg, "detuning", diags)
-        coupling2 = _resolve_rate(seg.coupling2, bindings, seg, "coupling2", diags)
-        detuning2 = _resolve_rate(seg.detuning2, bindings, seg, "detuning2", diags)
-        if coupling is None or (seg.kind == "dispersive" and None in (detuning, coupling2, detuning2)):
+        rates = {key: getattr(seg, key) for key in _RATE_FIELDS}
+        unbound = [(key, value) for key, value in rates.items() if isinstance(value, str) and value not in bindings]
+        for key, value in unbound:
+            fail(seg, "unknown-symbol", f"segment {seg.label}: {key}={value} is not a bound param", value)
+        if unbound:
             continue
-        if coupling <= 0 or (seg.kind == "dispersive" and (detuning <= 0 or coupling2 <= 0 or detuning2 <= 0)):
-            diags.append(
-                Diagnostic(
-                    "error", "bad-rate",
-                    f"segment {seg.label}: rates must be positive",
-                    seg.line, 1, seg.label,
-                )
-            )
+        rates = {key: bindings[value] if isinstance(value, str) else value for key, value in rates.items()}
+        if any(value is not None and value <= 0 for value in rates.values()):
+            fail(seg, "bad-rate", f"segment {seg.label}: rates must be positive")
             continue
 
         if seg.kind == "dispersive":
-            lam = coupling**2 / detuning
-            lam_prime = coupling2**2 / detuning2
+            lam = rates["coupling"]**2 / rates["detuning"]
+            lam_prime = rates["coupling2"]**2 / rates["detuning2"]
             if seg.duration_s == "auto":
                 try:
                     sol = solve_resonance(lam, lam_prime)
                 except SchedulingError as exc:
-                    diags.append(
-                        Diagnostic("error", "resonance-violation", str(exc), seg.line, 1, seg.label)
-                    )
+                    fail(seg, "resonance-violation", str(exc))
                     continue
                 duration = sol.duration_s
                 window = (sol.m, sol.k)
@@ -534,45 +504,30 @@ def validate_schedule(
                 m, res_m = _odd_multiple_residual(duration, lam)
                 k, res_k = _odd_multiple_residual(duration, lam_prime)
                 if res_m > RESONANCE_TOLERANCE or res_k > RESONANCE_TOLERANCE:
-                    diags.append(
-                        Diagnostic(
-                            "error", "resonance-violation",
-                            "resonance condition violated: requires odd multiple of pi/lam "
-                            f"on both sides (lam={lam!r}, lam_prime={lam_prime!r} rad/s; "
-                            f"closest (2m+1, 2k+1) = ({2 * m + 1}, {2 * k + 1}), "
-                            f"residuals ({res_m:.3e}, {res_k:.3e}))",
-                            seg.line, 1, seg.label,
-                        )
-                    )
+                    fail(seg, "resonance-violation",
+                         "resonance condition violated: requires odd multiple of pi/lam "
+                         f"on both sides (lam={lam!r}, lam_prime={lam_prime!r} rad/s; "
+                         f"closest (2m+1, 2k+1) = ({2 * m + 1}, {2 * k + 1}), "
+                         f"residuals ({res_m:.3e}, {res_k:.3e}))")
                     continue
                 window = (m, k)
             if resonance is None:
                 resonance = window
         elif seg.duration_s == "auto":
             if seg.label not in QUARTER_PERIOD_FACTOR:
-                diags.append(
-                    Diagnostic(
-                        "error", "auto-unresolvable",
-                        f"segment {seg.label}: duration=auto needs a canonical step label "
-                        f"({', '.join(QUARTER_PERIOD_FACTOR)})",
-                        seg.line, 1, seg.label,
-                    )
-                )
+                fail(seg, "auto-unresolvable",
+                     f"segment {seg.label}: duration=auto needs a canonical step label "
+                     f"({', '.join(QUARTER_PERIOD_FACTOR)})")
                 continue
-            duration = quarter_period(seg.label, coupling)
+            duration = quarter_period(seg.label, rates["coupling"])
         else:
             duration = seg.duration_s
 
         try:
-            resolved.append(
-                PulseSegment(
-                    label=seg.label, kind=seg.kind, cavity=seg.cavity, site=seg.site,
-                    coupling=coupling, duration_s=duration, ramp_s=seg.ramp_s,
-                    detuning=detuning, coupling2=coupling2, detuning2=detuning2,
-                )
-            )
+            resolved.append(PulseSegment(label=seg.label, kind=seg.kind, cavity=seg.cavity, site=seg.site,
+                                         duration_s=duration, ramp_s=seg.ramp_s, **rates))
         except ValueError as exc:
-            diags.append(Diagnostic("error", "bad-segment", f"segment {seg.label}: {exc}", seg.line, 1, seg.label))
+            fail(seg, "bad-segment", f"segment {seg.label}: {exc}")
 
     if any(d.severity == "error" for d in diags):
         return ValidationResult(None, diags)
@@ -605,14 +560,6 @@ def _segment_line(label: str, kind: str, cavity: str, site: str, fields: list[tu
     return " ".join(parts)
 
 
-def _rate_field(key: str, value: float | str | None) -> list[tuple[str, str]]:
-    if value is None:
-        return []
-    if isinstance(value, str):
-        return [(key, value)]
-    return [(key, _rate_text(value) + "rad/s")]
-
-
 def serialize_schedule(obj: Schedule | ScheduleDocument) -> str:
     """Canonical ``.sched`` text. Byte-stable under parse -> serialize."""
     lines = [f"schedule {FORMAT_VERSION}"]
@@ -626,10 +573,9 @@ def serialize_schedule(obj: Schedule | ScheduleDocument) -> str:
     for name, value in params.items():
         lines.append(f"param {name} {_rate_text(value)}rad/s")
     for seg in obj.segments:
-        fields = _rate_field("coupling", seg.coupling)
-        fields += _rate_field("detuning", seg.detuning)
-        fields += _rate_field("coupling2", seg.coupling2)
-        fields += _rate_field("detuning2", seg.detuning2)
+        rates = ((key, getattr(seg, key)) for key in _RATE_FIELDS)
+        fields = [(key, value if isinstance(value, str) else _rate_text(value) + "rad/s")
+                  for key, value in rates if value is not None]
         duration = seg.duration_s
         fields.append(("duration", "auto" if duration == "auto" else _time_text(duration) + "ns"))
         fields.append(("ramp", _time_text(seg.ramp_s) + "ns"))

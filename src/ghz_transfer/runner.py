@@ -220,22 +220,13 @@ class ProtocolResult:
         return float(self.trajectory.column("spectator_f_total").max())
 
     def report(self) -> dict:
-        sched = self.schedule
-        m, k = sched.resonance if sched.resonance else (None, None)
         return {
             "mode": self.mode,
             "n": self.spec.n,
             "alpha": _complex_pair(complex(self.spec.alpha)),
             "beta": _complex_pair(complex(self.spec.beta)),
             "layout": self.layout.to_dict(),
-            "budget": {
-                "tau_r_s": sched.tau_r,
-                "tau_o_s": sched.tau_o,
-                "tau_a_s": sched.tau_a,
-                "tau_s": sched.tau,
-                "resonance_m": m,
-                "resonance_k": k,
-            },
+            "budget": self.schedule.budget(),
             "checkpoints": {
                 label: rec.as_dict() for label, rec in self.checkpoints.items()
             },
@@ -251,20 +242,26 @@ class ProtocolResult:
 def _observables(layout: SystemLayout, support: np.ndarray) -> np.ndarray:
     """Value of each ``_ROW_COLUMNS`` observable on the basis states ``support``.
 
-    Shape ``(len(_ROW_COLUMNS), len(support))``; levels are decoded from
-    the indices themselves, so nothing of full register size is built.
+    Shape ``(len(_ROW_COLUMNS), len(support))``; the levels are decoded from
+    the indices themselves, once, into one ``(factor, state)`` array of
+    small integers, so nothing of full register size is built.
     """
-    levels = dict(zip(layout.site_names, np.unravel_index(support, layout.factor_dims)))
-    spectators = layout.left_spectators + layout.right_spectators
+    dims = layout.factor_dims
+    levels = np.empty((len(dims), support.size), dtype=np.uint8)
+    rest = support
+    for factor in range(len(dims) - 1, -1, -1):  # the last factor is the fastest digit
+        rest, levels[factor] = np.divmod(rest, dims[factor])
+    at = dict(zip(layout.site_names, levels))
+    spectators = [layout.factor_index(site) for site in layout.left_spectators + layout.right_spectators]
     return np.array([
         np.ones(support.size),
-        sum((levels[site] == 2 for site in spectators), np.zeros(support.size)),
-        levels["q1"] == 2,
-        levels["q1p"] == 2,
-        levels["A"] == 1,
-        levels["cavL"],
-        levels["cavR"],
-        (levels["cavL"] == layout.fock_cutoff_left) | (levels["cavR"] == layout.fock_cutoff_right),
+        np.count_nonzero(levels[spectators] == 2, axis=0),
+        at["q1"] == 2,
+        at["q1p"] == 2,
+        at["A"] == 1,
+        at["cavL"],
+        at["cavR"],
+        (at["cavL"] == layout.fock_cutoff_left) | (at["cavR"] == layout.fock_cutoff_right),
     ], dtype=float)
 
 
@@ -403,7 +400,7 @@ def _run_pure(layout, schedule, spec, compiled, samples):
     sampled = []
     truncation = 0.0  # the initial state holds no photons
     checkpoints: dict[str, CheckpointRecord] = {}
-    t_now = 0.0
+    t_now, label = 0.0, None
     for seg, step in zip(schedule, compiled.steps):
         t_now += seg.ramp_s  # drive off: the state only ages
         result = evolve_unitary(state, step, seg.duration_s, samples=samples)
@@ -422,8 +419,9 @@ def _run_pure(layout, schedule, spec, compiled, samples):
         label = CHECKPOINT_AFTER_SEGMENT.get(seg.label)
         if label is not None:
             checkpoints[label] = _pure_checkpoint(spec, label, state, t_now)
-    final_fidelity = _pure_checkpoint(spec, "final", state, t_now).fidelity
-    return state, checkpoints, Trajectory(sampled), truncation, final_fidelity
+    # the closing ramp only ages the state: a last segment that lands on "final" has scored it
+    final = checkpoints["final"] if label == "final" else _pure_checkpoint(spec, "final", state, t_now)
+    return state, checkpoints, Trajectory(sampled), truncation, final.fidelity
 
 
 def _block_fidelity(spec, label, rho, keep, layout) -> float:

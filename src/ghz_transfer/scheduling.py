@@ -31,11 +31,9 @@ __all__ = [
     "PulseSegment",
     "Schedule",
     "ResonanceSolution",
-    "TimingBudget",
     "SEGMENT_ORDER",
     "build_schedule",
     "solve_resonance",
-    "timing_budget",
     "cavity_lifetime",
 ]
 
@@ -153,6 +151,18 @@ class Schedule:
         atoms.append(self.closing_ramp_s)
         return math.fsum(atoms)
 
+    def budget(self) -> dict:
+        """The timing budget in seconds, and the window's (m, k), None without a window."""
+        m, k = self.resonance or (None, None)
+        return {
+            "tau_r_s": self.tau_r,
+            "tau_o_s": self.tau_o,
+            "tau_a_s": self.tau_a,
+            "tau_s": self.tau,
+            "resonance_m": m,
+            "resonance_k": k,
+        }
+
 
 @dataclass(frozen=True)
 class ResonanceSolution:
@@ -255,48 +265,6 @@ def build_schedule(params: PhysicalParams, n: int) -> Schedule:
         layout=build_layout(n, n),
         closing_ramp_s=p.tau1p,
         resonance=resonance,
-    )
-
-
-@dataclass(frozen=True)
-class TimingBudget:
-    """Wall-time split of one transfer, all in seconds."""
-
-    tau_r: float  # resonant pulses
-    tau_o: float  # dispersive window
-    tau_a: float  # level adjustments
-    tau: float  # total
-    m: int | None
-    k: int | None
-    cavity_lifetime_L: float | None = None
-    cavity_lifetime_R: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_r_s": self.tau_r,
-            "tau_o_s": self.tau_o,
-            "tau_a_s": self.tau_a,
-            "tau_s": self.tau,
-            "resonance_m": self.m,
-            "resonance_k": self.k,
-            "cavity_lifetime_L_s": self.cavity_lifetime_L,
-            "cavity_lifetime_R_s": self.cavity_lifetime_R,
-        }
-
-
-def timing_budget(params: PhysicalParams, n: int = 2) -> TimingBudget:
-    """Budget of the n-qubit transfer (n only decides whether step3 exists)."""
-    sched = build_schedule(params, n)
-    m, k = sched.resonance if sched.resonance else (None, None)
-    return TimingBudget(
-        tau_r=sched.tau_r,
-        tau_o=sched.tau_o,
-        tau_a=sched.tau_a,
-        tau=sched.tau,
-        m=m,
-        k=k,
-        cavity_lifetime_L=1.0 / params.kappaL if params.kappaL else None,
-        cavity_lifetime_R=1.0 / params.kappaR if params.kappaR else None,
     )
 
 

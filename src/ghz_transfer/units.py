@@ -24,6 +24,7 @@ __all__ = [
     "TWO_PI",
     "parse_frequency",
     "parse_time",
+    "ns_decimal",
     "seconds_to_ns",
 ]
 
@@ -87,6 +88,12 @@ def _finite(value: float, text: str) -> float:
     return value
 
 
+def ns_decimal(value_s: float) -> Decimal:
+    """The seconds value in ns, exactly: ``repr`` is the shortest decimal that round-trips
+    the double, and shifting its exponent in Decimal loses nothing (a float ns would)."""
+    return Decimal(repr(float(value_s))).scaleb(9)
+
+
 def seconds_to_ns(value_s: float) -> float:
     """Exact decimal rescale s -> ns (one binary rounding), for display."""
-    return float(Decimal(repr(float(value_s))).scaleb(9))
+    return float(ns_decimal(value_s))

@@ -27,6 +27,8 @@ from ghz_transfer.hamiltonians import load_params, load_preset
 from ghz_transfer.runner import run_protocol
 from ghz_transfer.scheduling import build_schedule
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture()
 def runner():
@@ -64,6 +66,32 @@ class TestBudget:
         assert result.exit_code == 0
         for label in ("step1a", "step3", "step5b", "tau_r", "tau"):
             assert label in result.output
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_human_table_is_pinned(self, runner, n):
+        # pure-Python float formatting, no BLAS: the bytes are the same on every machine
+        result = runner.invoke(main, ["budget", "--n", str(n)])
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / f"budget-n{n}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("lossless, line", [
+        ("R", "cavity lifetimes: L 5.138 us, R lossless"),
+        ("L", "cavity lifetimes: L lossless, R 5.138 us"),
+    ])
+    def test_one_lossless_cavity(self, runner, tmp_path, lossless, line):
+        # as a zero rate on the command line, and as an infinite lifetime in a parameter file
+        raw = yaml.safe_load(files("ghz_transfer").joinpath("presets/transmon.yaml").read_text())
+        raw["decoherence"][f"cavity_lifetime_{lossless}"] = math.inf
+        path = tmp_path / "params.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        lossy = "L" if lossless == "R" else "R"
+        for args in (["--set", f"kappa{lossless}=0"], ["--params", str(path)]):
+            text = runner.invoke(main, ["budget", *args])
+            assert text.exit_code == 0, text.output
+            assert text.output.splitlines()[-1] == line
+            budget = json.loads(runner.invoke(main, ["budget", "--json", *args]).output)
+            assert budget[f"cavity_lifetime_{lossless}_s"] is None
+            assert budget[f"cavity_lifetime_{lossy}_s"] == pytest.approx(5.1378e-6, rel=1e-4)
 
     def test_one_ns_ramps(self, runner):
         result = runner.invoke(main, ["budget", "--n", "2", "--ramp-ns", "1", "--json"])

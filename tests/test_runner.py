@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import master_equation_oracle
@@ -275,7 +276,7 @@ class TestExactAgainstKrylov:
             state = result.final
 
 
-def _scored_checkpoints(monkeypatch, params, spec, mode):
+def _scored_checkpoints(monkeypatch, params, spec, mode, schedule=None):
     """Run the protocol and keep every ``(record, state)`` pair it scored."""
     scored = []
     score = runner._pure_checkpoint
@@ -286,7 +287,7 @@ def _scored_checkpoints(monkeypatch, params, spec, mode):
         return record
 
     monkeypatch.setattr(runner, "_pure_checkpoint", keep)
-    return run_protocol(params, spec, mode=mode), scored
+    return run_protocol(params, spec, mode=mode, schedule=schedule), scored
 
 
 def _assert_full_register_scores(spec, scored):
@@ -309,7 +310,21 @@ class TestSupportScoring:
     def test_agrees_with_full_register_scoring(self, params, monkeypatch, n, mode, alpha, beta):
         spec = GhzSpec(alpha=alpha, beta=beta, n=n)
         result, scored = _scored_checkpoints(monkeypatch, params, spec, mode)
-        assert len(scored) == len(result.checkpoints) + 1  # and the final fidelity
+        assert len(scored) == len(result.checkpoints)  # step5b's record is the final fidelity's
+        _assert_full_register_scores(spec, scored)
+
+    @pytest.mark.parametrize("mode", ["ideal-reduced", "full-dispersive"])
+    def test_a_schedule_ending_elsewhere_scores_its_final_state(self, params, monkeypatch, mode):
+        canonical = build_schedule(params, 2)
+        *head, step5a, step5b = canonical.segments
+        schedule = replace(canonical, segments=(*head, step5b, step5a))
+        spec = GhzSpec(alpha=0.6, beta=0.8j, n=2)
+        result, scored = _scored_checkpoints(monkeypatch, params, spec, mode, schedule)
+        assert len(scored) == len(result.checkpoints) + 1
+        record, state = scored[-1]
+        assert record.label == "final" and state is result.final_state
+        assert result.final_fidelity == record.fidelity
+        assert record.time_s > result.checkpoints["final"].time_s  # that one was scored before step5a
         _assert_full_register_scores(spec, scored)
 
     def test_agrees_on_a_whole_register_support(self, params, monkeypatch):
@@ -383,7 +398,8 @@ class TestPlacedOracleKets:
             monkeypatch.setattr(runner, name, lambda *args, scored=scored: calls.append((scored, args)) or scored(*args))
         result = run_protocol(params, spec, mode=mode, fock_cutoff=3 if mode == "lindblad" else None)
         monkeypatch.undo()
-        assert len(calls) == len(result.checkpoints) + 1  # and the final fidelity
+        # lindblad scores its final fidelity after the closing ramp; a pure run's is step5b's record
+        assert len(calls) == len(result.checkpoints) + (mode == "lindblad")
         placed = [_bits(scored(*args)) for scored, args in calls]
         monkeypatch.setattr(runner, "_oracle_parts", _literal_parts)
         assert placed == [_bits(scored(*args)) for scored, args in calls]

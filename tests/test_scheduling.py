@@ -7,6 +7,7 @@ import math
 import pytest
 
 from helpers import two_pi_mhz
+from ghz_transfer.cli import _budget
 from ghz_transfer.hamiltonians import PhysicalParams, load_preset
 from ghz_transfer.hilbert import build_layout
 from ghz_transfer.scheduling import (
@@ -16,7 +17,6 @@ from ghz_transfer.scheduling import (
     build_schedule,
     cavity_lifetime,
     solve_resonance,
-    timing_budget,
 )
 from ghz_transfer.units import TWO_PI
 
@@ -120,21 +120,21 @@ class TestBuildSchedule:
 
 class TestTimingBudget:
     def test_preset_budget_values(self, preset):
-        budget = timing_budget(preset)
+        budget = build_schedule(preset, 2).budget()
         # six sqrt(2)-enhanced quarter periods at 3.536 ns plus two plain
         # ones at 5 ns
-        assert budget.tau_r == 3.121320343559642e-08
-        assert budget.tau_o == 7.071067811865476e-08
+        assert budget["tau_r_s"] == 3.121320343559642e-08
+        assert budget["tau_o_s"] == 7.071067811865476e-08
         # sixteen retunes at 3 ns each; the sum must land on 48 ns on the
         # nose, not within rounding of it
-        assert budget.tau_a == 48e-9
-        assert budget.tau == 1.4992388155425117e-07
-        assert (budget.m, budget.k) == (0, 0)
+        assert budget["tau_a_s"] == 48e-9
+        assert budget["tau_s"] == 1.4992388155425117e-07
+        assert (budget["resonance_m"], budget["resonance_k"]) == (0, 0)
 
     def test_total_is_the_sum_of_parts(self, preset):
-        budget = timing_budget(preset)
-        assert budget.tau == pytest.approx(
-            budget.tau_r + budget.tau_o + budget.tau_a, rel=1e-15
+        budget = build_schedule(preset, 2).budget()
+        assert budget["tau_s"] == pytest.approx(
+            budget["tau_r_s"] + budget["tau_o_s"] + budget["tau_a_s"], rel=1e-15
         )
 
     def test_independent_of_register_width(self, preset):
@@ -151,9 +151,9 @@ class TestTimingBudget:
             cavity_lifetime(0.0, 1.0)
 
     def test_budget_reports_preset_lifetimes(self, preset):
-        budget = timing_budget(preset)
-        assert budget.cavity_lifetime_L == pytest.approx(5.1378e-6, rel=1e-4)
-        payload = budget.to_dict()
+        payload = _budget(build_schedule(preset, 2), preset)
+        assert payload["cavity_lifetime_L_s"] == pytest.approx(5.1378e-6, rel=1e-4)
+        assert payload["cavity_lifetime_R_s"] == pytest.approx(5.1378e-6, rel=1e-4)
         assert payload["tau_a_s"] == 48e-9
         assert payload["resonance_m"] == 0
 
