@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from ghz_transfer.hamiltonians import EffectiveRates
-from ghz_transfer.hilbert import QuantumState, SystemLayout, _distinct
+from ghz_transfer.hilbert import QuantumState, SystemLayout, _distinct, _places
 
 __all__ = [
     "GhzSpec",
@@ -195,8 +195,8 @@ def _stage_kets(layout: SystemLayout) -> dict[str | None, tuple[np.ndarray, np.n
 def _placed(ket: tuple[np.ndarray, np.ndarray], support: np.ndarray) -> np.ndarray:
     """The amplitudes of ``ket``, on its own sorted indices, at the flat indices ``support``: +0 off its own."""
     indices, amplitudes = ket
-    at = np.minimum(indices.searchsorted(support), indices.size - 1)  # each index's place among the ket's, if any
-    return np.where(indices[at] == support, amplitudes[at], 0)
+    at, found = _places(indices, support)  # each index's place among the ket's, if any
+    return np.where(found, amplitudes[at], 0)
 
 
 def _oracle_support(layout: SystemLayout, checkpoint: str) -> np.ndarray:

@@ -36,8 +36,9 @@ CHECKPOINT_COLUMNS = ("label", "time_s", "fidelity", "phase_error")
 _CSV_BLOCK = 512  # rows joined into one write
 
 # MemoryError: a register too big for the machine ends with numpy's
-# "Unable to allocate ..." line (the kernel's out-of-memory kill cannot be caught)
-_FAILURES = (ValueError, KeyError, SchedulingError, EvolutionError, MemoryError)
+# "Unable to allocate ..." line (the kernel's out-of-memory kill cannot be caught);
+# OSError: a file that cannot be read or written ends with a line that names it
+_FAILURES = (ValueError, KeyError, SchedulingError, EvolutionError, MemoryError, OSError)
 
 
 def _json_text(payload) -> str:
@@ -200,40 +201,39 @@ def cmd_run(preset, params_path, sets, n, mode, ghz, cutoff, samples, min_fideli
             ))
             for spec in specs
         ]
+        reports = [run for run, _ in outcomes]
+        all_ok = all(run["ok"] for run in reports)
+        if len(reports) == 1:
+            report = reports[0]
+        else:
+            finals = [run["final_fidelity"] for run in reports]
+            report = {
+                "ghz_request": ghz,
+                "runs": reports,
+                "fidelity_spread": max(finals) - min(finals),
+                "ok": all_ok,
+            }
+
+        if out_dir is None:
+            click.echo(_json_text(report), nl=False)
+        else:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.json").write_text(_json_text(report), encoding="utf-8")
+            if "trajectory" in emits:
+                columns = [np.concatenate([trajectory.column(name) for _, trajectory in outcomes])
+                           for name in TRAJECTORY_COLUMNS]
+                with (out / "trajectory.csv").open("w", encoding="utf-8", newline="") as fh:
+                    _write_csv(fh, columns, TRAJECTORY_COLUMNS)
+            if "checkpoints" in emits:
+                records = [(label, rec) for run in reports for label, rec in run["checkpoints"].items()]
+                columns = [[label for label, _ in records],
+                           *([rec[name] for _, rec in records] for name in CHECKPOINT_COLUMNS[1:])]
+                with (out / "checkpoints.csv").open("w", encoding="utf-8", newline="") as fh:
+                    _write_csv(fh, columns, CHECKPOINT_COLUMNS)
+            click.echo(f"wrote {out / 'report.json'}")
     except _FAILURES as err:
         _fail(err)
-
-    reports = [run for run, _ in outcomes]
-    all_ok = all(run["ok"] for run in reports)
-    if len(reports) == 1:
-        report = reports[0]
-    else:
-        finals = [run["final_fidelity"] for run in reports]
-        report = {
-            "ghz_request": ghz,
-            "runs": reports,
-            "fidelity_spread": max(finals) - min(finals),
-            "ok": all_ok,
-        }
-
-    if out_dir is None:
-        click.echo(_json_text(report), nl=False)
-    else:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(_json_text(report), encoding="utf-8")
-        if "trajectory" in emits:
-            columns = [np.concatenate([trajectory.column(name) for _, trajectory in outcomes])
-                       for name in TRAJECTORY_COLUMNS]
-            with (out / "trajectory.csv").open("w", encoding="utf-8", newline="") as fh:
-                _write_csv(fh, columns, TRAJECTORY_COLUMNS)
-        if "checkpoints" in emits:
-            records = [(label, rec) for run in reports for label, rec in run["checkpoints"].items()]
-            columns = [[label for label, _ in records],
-                       *([rec[name] for _, rec in records] for name in CHECKPOINT_COLUMNS[1:])]
-            with (out / "checkpoints.csv").open("w", encoding="utf-8", newline="") as fh:
-                _write_csv(fh, columns, CHECKPOINT_COLUMNS)
-        click.echo(f"wrote {out / 'report.json'}")
     sys.exit(0 if all_ok else 1)
 
 
@@ -325,16 +325,15 @@ def cmd_sweep(preset, params_path, sets, axis, values, n, mode, ghz, cutoff, sam
                 rows = list(pool.map(_sweep_point, tasks))
         else:
             rows = [_sweep_point(task) for task in tasks]
+        columns = list(zip(*rows))  # every sweep has at least one point
+        if out_path is None:
+            _write_csv(sys.stdout, columns, SWEEP_COLUMNS)
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                _write_csv(fh, columns, SWEEP_COLUMNS)
+            click.echo(f"wrote {out_path}")
     except _FAILURES as err:
         _fail(err)
-
-    columns = list(zip(*rows))  # every sweep has at least one point
-    if out_path is None:
-        _write_csv(sys.stdout, columns, SWEEP_COLUMNS)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, columns, SWEEP_COLUMNS)
-        click.echo(f"wrote {out_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +518,13 @@ def cmd_parse(sched, preset, params_path, canonical):
     """Check a .sched file; print diagnostics with line and column."""
     from .dsl import parse_schedule, serialize_schedule, validate_schedule  # only this command reads .sched
 
-    text = Path(sched).read_text(encoding="utf-8")
-    binding = None
-    if preset is not None or params_path is not None:
-        try:
-            binding = _load_parameters(preset, params_path)
-        except _FAILURES as err:
-            _fail(err)
+    try:
+        text = Path(sched).read_text(encoding="utf-8")
+        binding = None if preset is None and params_path is None else _load_parameters(preset, params_path)
+    except UnicodeDecodeError as err:
+        raise click.ClickException(f"{sched} is not UTF-8 text: {err}") from None
+    except _FAILURES as err:
+        _fail(err)
     result = validate_schedule(parse_schedule(text), binding)
     for diagnostic in result.diagnostics:
         click.echo(f"{sched}:{diagnostic}", err=True)

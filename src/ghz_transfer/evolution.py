@@ -56,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ghz_transfer.hamiltonians import DispersiveGenerator
-from ghz_transfer.hilbert import OperatorMatrix, QuantumState
+from ghz_transfer.hilbert import OperatorMatrix, QuantumState, _places
 
 __all__ = [
     "EvolutionError",
@@ -251,8 +251,8 @@ class Propagator:
         elif not generator.hermitian:
             raise EvolutionError("unitary evolution needs a generator flagged hermitian")
         matrix, basis = generator.matrix, generator.basis
-        at = np.searchsorted(basis, seed)  # the seed's places in the basis; one past its end matches no index
-        if np.any(np.append(basis, -1)[at] != seed):
+        at, found = _places(basis, seed)  # the seed's places in the basis
+        if not found.all():
             raise ValueError("the seed leaves the generator's basis")
         labels = _components(matrix)
         met = np.zeros(labels.size, dtype=bool)  # the components the seed meets, by label

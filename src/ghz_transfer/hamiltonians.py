@@ -251,9 +251,10 @@ class DispersiveGenerator:
         self.params = params
         self.basis = basis
         self._g_diag = g = np.zeros(len(basis))
+        levels = layout.levels(basis)
         for sites, delta in ((layout.left_spectators, params.delta), (layout.right_spectators, params.delta_prime)):
             for site in sites:
-                g += delta * (layout.level_index_array(site, basis) == 2)
+                g += delta * (levels[layout.factor_index(site)] == 2)
         self._static = _hermitian(layout, drive_moves(layout, params), basis, g)
 
     def static_hamiltonian(self) -> OperatorMatrix:
@@ -286,12 +287,12 @@ def h_dispersive_reduced(layout: SystemLayout, params: PhysicalParams, basis: np
     """
     _require_spectators(layout)
     rates = EffectiveRates.from_params(params)
-    diag = np.zeros(len(basis))
+    diag, levels = np.zeros(len(basis)), layout.levels(basis)
     for sites, lam, cavity in ((layout.left_spectators, rates.lam, "cavL"),
                                (layout.right_spectators, rates.lam_prime, "cavR")):
-        photons = layout.level_index_array(cavity, basis).astype(float)
+        photons = levels[layout.factor_index(cavity)].astype(float)
         for site in sites:
-            diag -= lam * (layout.level_index_array(site, basis) == 1) * photons
+            diag -= lam * (levels[layout.factor_index(site)] == 1) * photons
     return _hermitian(layout, drive_moves(layout, None), basis, diag)
 
 
@@ -406,6 +407,8 @@ def load_params(path: str | Path) -> PhysicalParams:
         return params_from_mapping(yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER))
     except yaml.YAMLError as err:  # its report spans lines; the diagnostic is one
         raise ValueError(f"{path} is not valid YAML: {' '.join(str(err).split())}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err}") from None
 
 
 def params_from_mapping(raw: dict) -> PhysicalParams:

@@ -12,7 +12,8 @@ ordered
     mode b (cavity R)
 
 with the first factor the slowest-varying index, so the flat basis index is
-the mixed-radix number built from the per-factor levels in that order.
+the mixed-radix number built from the per-factor levels in that order; this
+module alone decodes (:meth:`SystemLayout.levels`) and looks up flat indices.
 Operators are stored sparse (CSR), pure states as dense vectors, each on
 the basis it carries; a density matrix is an operator. Every operator is
 one Kronecker product of local factors (:func:`embed_operator`), or a sum
@@ -140,14 +141,14 @@ class SystemLayout:
         except ValueError:
             raise KeyError(f"unknown site {site!r}; sites are {self.site_names}") from None
 
-    def level_index_array(self, site: str, indices: np.ndarray) -> np.ndarray:
-        """Level of ``site`` for each of the flat basis indices ``indices``.
-
-        This is the workhorse for diagonal operators and population
-        extraction: ``pops[k] = sum(|psi|^2 [levels == k])``.
-        """
-        pos = self.factor_index(site)
-        return (np.asarray(indices) // math.prod(self.factor_dims[pos + 1 :])) % self.factor_dims[pos]
+    def levels(self, indices: np.ndarray) -> np.ndarray:
+        """Each factor's level of each flat index in ``indices``, as one ``(factor, index)`` array in the smallest
+        unsigned dtype that holds every level: row ``factor_index(site)`` holds the levels of ``site``."""
+        dims, rest = self.factor_dims, indices
+        out = np.empty((len(dims), np.size(indices)), dtype=np.min_scalar_type(max(dims) - 1))
+        for factor in range(len(dims) - 1, -1, -1):  # one divmod each, the last factor the fastest digit
+            rest, out[factor] = np.divmod(rest, dims[factor])
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -212,10 +213,11 @@ class QuantumState:
 
     def on(self, indices: np.ndarray) -> np.ndarray:
         """The amplitudes at the flat indices ``indices``, zero where the state has none."""
-        order = np.argsort(self.basis)  # then one sentinel past the end, which matches no index
-        keys, values = np.append(self.basis[order], -1), np.append(self.amplitudes[order], 0)
-        at = np.searchsorted(keys[:-1], indices)
-        return np.where(keys[at] == indices, values[at], 0)
+        order = np.argsort(self.basis)
+        place, found = _places(self.basis[order], indices)
+        out = np.zeros(np.shape(indices), dtype=complex)
+        out[found] = self.amplitudes[order[place[found]]]
+        return out
 
     def overlap(self, other: "QuantumState") -> complex:
         """Inner product <self|other>, on the smaller basis of the two, ``self``'s when they are the same size."""
@@ -340,9 +342,8 @@ def _entries(layout: SystemLayout, moves: LocalMoves, codes: np.ndarray):
         touched = np.flatnonzero(acts[members[:1]].any(axis=0))
         images, moved, levels = _moved(layout, moves.targets[members], codes, touched)
         which, cols = np.nonzero(moved)
-        images = images[which, cols]
-        at = np.minimum(np.searchsorted(codes, images), codes.size - 1)  # each row's place in the basis, or none
-        which, cols, at = (part[codes[at] == images] for part in (which, cols, at))
+        at, found = _places(codes, images[which, cols])  # each row's place in the basis, if any
+        which, cols, at = which[found], cols[found], at[found]
         # the kron chain's products at the stored entries: factor by factor, and 1.0 for each run of identities
         data, after = np.ones(cols.size, dtype=complex), 0
         for pos, value in zip(touched.tolist(), moves.entries[members[which], touched[:, None], levels[:, cols]]):
@@ -416,10 +417,15 @@ def reachable(layout: SystemLayout, seed: np.ndarray, moves: LocalMoves) -> np.n
     while frontier.size:
         images, moved, _ = _moved(layout, moves.targets, frontier, touched)
         images = _distinct(images[moved])
-        at = np.minimum(np.searchsorted(reached, images), reached.size - 1)
-        frontier = images[reached[at] != images]
+        frontier = images[~_places(reached, images)[1]]
         reached = np.sort(np.concatenate((reached, frontier)))  # disjoint, so this is their union
     return reached
+
+
+def _places(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``queries``' place in the sorted distinct ``keys``, clamped, and whether it is there; no copy of keys."""
+    place = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return place, keys[place] == queries if keys.size else np.zeros(place.shape, dtype=bool)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -466,36 +472,32 @@ def partial_trace(obj: QuantumState | OperatorMatrix, keep_sites: Iterable[str])
     numpy.ndarray
         Dense matrix of dimension ``prod(site dims kept)``.
     """
-    layout = obj.layout
-    keep = tuple(keep_sites)
+    if not isinstance(obj, (QuantumState, OperatorMatrix)):
+        raise TypeError(f"cannot partial-trace a {type(obj).__name__}")
+    layout, keep = obj.layout, tuple(keep_sites)
     if len(set(keep)) != len(keep):
         raise ValueError("keep_sites contains duplicates")
     positions = [layout.factor_index(s) for s in keep]
-    dims = layout.factor_dims
+    dims, levels = layout.factor_dims, layout.levels(obj.basis)
     keep_dim = math.prod(dims[p] for p in positions)
 
+    def flat(part):  # each basis state's levels of the factors ``part``, as one mixed-radix number in that order
+        out = np.zeros(obj.basis.size, dtype=np.int64)
+        for p in part:
+            out = out * dims[p] + levels[p]
+        return out
+
+    kept, traced = flat(positions), flat([i for i in range(len(dims)) if i not in positions])
     if isinstance(obj, QuantumState):  # a row per kept level, a column per traced-out level the state holds
-        levels = np.unravel_index(obj.basis, dims)
-        rest = [i for i in range(len(dims)) if i not in positions]
-        row, col = (np.ravel_multi_index([levels[i] for i in part], [dims[i] for i in part]) for part in (positions, rest))
-        _, col = np.unique(col, return_inverse=True)
+        _, col = np.unique(traced, return_inverse=True)
         mat = np.zeros((keep_dim, col.max(initial=-1) + 1), dtype=complex)
-        mat[row, col] = obj.amplitudes
+        mat[kept, col] = obj.amplitudes
         return mat @ mat.conj().T
-    if not isinstance(obj, OperatorMatrix):
-        raise TypeError(f"cannot partial-trace a {type(obj).__name__}")
     # over the stored entries: one survives when its row and column agree on every traced-out level
     entries = obj.matrix.tocoo()
-    rows, cols = obj.basis[entries.row], obj.basis[entries.col]  # places in the basis, as flat indices
-    row_levels, col_levels = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
-    same = np.ones(entries.nnz, dtype=bool)
-    for i in set(range(len(dims))) - set(positions):
-        same &= row_levels[i] == col_levels[i]
-    row = col = np.zeros(entries.nnz, dtype=np.int64)
-    for p in positions:
-        row, col = row * dims[p] + row_levels[p], col * dims[p] + col_levels[p]
+    same = traced[entries.row] == traced[entries.col]
     reduced = np.zeros((keep_dim, keep_dim), dtype=complex)
-    np.add.at(reduced, (row[same], col[same]), entries.data[same])
+    np.add.at(reduced, (kept[entries.row[same]], kept[entries.col[same]]), entries.data[same])
     return reduced
 
 

@@ -109,7 +109,7 @@ def excitation_numbers(layout: SystemLayout, indices: np.ndarray) -> np.ndarray:
     for one photon and the dispersive drive trades e+photon for f, so
     every generator conserves this; collapse channels only lower it.
     """
-    return np.sum(np.unravel_index(indices, layout.factor_dims), axis=0)
+    return layout.levels(indices).sum(axis=0, dtype=np.int64)
 
 
 def _complex_pair(z: complex | None) -> list[float] | None:
@@ -243,14 +243,9 @@ def _observables(layout: SystemLayout, support: np.ndarray) -> np.ndarray:
     """Value of each ``_ROW_COLUMNS`` observable on the basis states ``support``.
 
     Shape ``(len(_ROW_COLUMNS), len(support))``; the levels are decoded from
-    the indices themselves, once, into one ``(factor, state)`` array of
-    small integers, so nothing of full register size is built.
+    the indices themselves, once, so nothing of full register size is built.
     """
-    dims = layout.factor_dims
-    levels = np.empty((len(dims), support.size), dtype=np.uint8)
-    rest = support
-    for factor in range(len(dims) - 1, -1, -1):  # the last factor is the fastest digit
-        rest, levels[factor] = np.divmod(rest, dims[factor])
+    levels = layout.levels(support)
     at = dict(zip(layout.site_names, levels))
     spectators = [layout.factor_index(site) for site in layout.left_spectators + layout.right_spectators]
     return np.array([

@@ -46,21 +46,21 @@ def register_generator(layout, seg, params, mode):
         levels = ("e", "f") if seg.kind == "resonant_ef" else ("g", "e")
         half = kron_chain(layout, sideband_term(layout, seg.cavity, seg.site, *levels, seg.coupling))
         return (half + half.getH()).tocsr(), None
-    window, whole = runner._window_params(seg, params), register(layout)
+    window, levels = runner._window_params(seg, params), layout.levels(register(layout))
     if mode != "full-dispersive":
         rates, diag = EffectiveRates.from_params(window), np.zeros(layout.dim)
-        n_a, n_b = (layout.level_index_array(cavity, whole).astype(float) for cavity in ("cavL", "cavR"))
+        n_a, n_b = (levels[layout.factor_index(cavity)].astype(float) for cavity in ("cavL", "cavR"))
         for site in layout.left_spectators:
-            diag -= rates.lam * (layout.level_index_array(site, whole) == 1) * n_a
+            diag -= rates.lam * (levels[layout.factor_index(site)] == 1) * n_a
         for site in layout.right_spectators:
-            diag -= rates.lam_prime * (layout.level_index_array(site, whole) == 1) * n_b
+            diag -= rates.lam_prime * (levels[layout.factor_index(site)] == 1) * n_b
         return sp.diags(diag.astype(complex), format="csr"), None
     terms, left = drive_terms(layout, window), len(layout.left_spectators)
     a_part, b_part = (reduce(add, (kron_chain(layout, term) for term in part)) for part in (terms[:left], terms[left:]))
     g = np.zeros(layout.dim)
     for sites, delta in ((layout.left_spectators, window.delta), (layout.right_spectators, window.delta_prime)):
         for site in sites:
-            g += delta * (layout.level_index_array(site, whole) == 2)
+            g += delta * (levels[layout.factor_index(site)] == 2)
     static = sp.diags(g, format="csr").astype(complex)
     static = static + a_part + a_part.getH().tocsr() + b_part + b_part.getH().tocsr()
     return static.tocsr(), g

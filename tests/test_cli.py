@@ -263,6 +263,13 @@ class TestRun:
         cli._write_csv(empty, [[], np.empty(0), []], names)
         assert empty.getvalue() == ",".join(names) + "\n"
 
+    def test_out_under_a_file_is_one_error_line(self, runner, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "sub"
+        result = runner.invoke(main, ["run", "--n", "1", "--out", str(out)])
+        assert one_error_line(result), result.output
+        assert str(out) in result.stderr
+
     def test_emit_without_out_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["run", "--emit", "checkpoints"])
         assert result.exit_code == 2
@@ -619,6 +626,12 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", "--axis", "mode", "--values", "1"])
         assert result.exit_code == 2
 
+    def test_unwritable_out_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "no" / "such" / "table.csv"
+        result = runner.invoke(main, ["sweep", "--axis", "n", "--values", "1", "--out", str(path)])
+        assert one_error_line(result), result.output
+        assert str(path) in result.stderr
+
     def test_writes_csv_file(self, runner, tmp_path):
         path = tmp_path / "table.csv"
         result = runner.invoke(main, [
@@ -647,6 +660,14 @@ class TestParse:
         result = runner.invoke(main, ["parse", str(path), "--canonical"])
         assert result.exit_code == 0
         assert result.output == text
+
+    @pytest.mark.parametrize("args", [["parse", "{path}"], ["budget", "--params", "{path}"]], ids=["parse", "params"])
+    def test_file_that_is_not_utf8_is_one_error_line(self, runner, tmp_path, args):
+        path = tmp_path / "latin1.sched"
+        path.write_bytes(b"\xff schedule v1\n")
+        result = runner.invoke(main, [arg.format(path=path) for arg in args])
+        assert one_error_line(result), result.output
+        assert f"{path} is not UTF-8 text" in result.stderr
 
     def test_broken_file_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.sched"

@@ -384,7 +384,7 @@ class TestLindblad:
         rho0 = _pure_rho(basis_state(layout11, {"cavL": 2}))
         t = 0.5 / kappa
         rho, _ = lindblad_propagate(None, Dissipator(ops, layout11.dim), rho0, t)
-        n_levels = layout11.level_index_array("cavL", register(layout11)).astype(float)
+        n_levels = layout11.levels(register(layout11))[layout11.factor_index("cavL")].astype(float)
         mean_photons = float(np.real(np.diag(rho)) @ n_levels)
         assert abs(mean_photons - 2.0 * math.exp(-kappa * t)) < 1e-6
 

@@ -144,7 +144,7 @@ class TestDispersiveGenerators:
         gen = DispersiveGenerator(layout22, bare_params(), register(layout22))
         quanta = np.zeros(layout22.dim)
         for site in layout22.site_names:
-            quanta += layout22.level_index_array(site, register(layout22))
+            quanta += layout22.levels(register(layout22))[layout22.factor_index(site)]
         rng = np.random.default_rng(42)
         psi = rng.normal(size=layout22.dim) + 1j * rng.normal(size=layout22.dim)
         psi /= np.linalg.norm(psi)
@@ -178,7 +178,7 @@ class TestDispersiveGenerators:
         psi = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         # project out every spectator f component
         for site in layout.left_spectators + layout.right_spectators:
-            psi[layout.level_index_array(site, register(layout)) == 2] = 0.0
+            psi[layout.levels(register(layout))[layout.factor_index(site)] == 2] = 0.0
         psi /= np.linalg.norm(psi)
         state = QuantumState(psi, layout, basis=register(layout))
         out_eff = h_eff.apply(state).amplitudes

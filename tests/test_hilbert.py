@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import basis_index, basis_state, from_product, kron_chain, register
 from ghz_transfer.hilbert import (
@@ -15,6 +17,7 @@ from ghz_transfer.hilbert import (
     level_ket,
     partial_trace,
     transition_op,
+    _places,
 )
 
 PLUS = np.array([1, 1, 0], dtype=complex) / np.sqrt(2)
@@ -63,12 +66,37 @@ class TestLayout:
         assert basis_index(layout, {"cavR": 1}) == 1
         assert basis_index(layout, {"q1": 1}) == layout.dim // 3
 
-    def test_level_index_array_matches_labels(self):
-        layout = build_layout(1, 2, 3, 4)
-        rng = np.random.default_rng(7)
-        indices = rng.integers(0, layout.dim, size=20)
-        for site, levels in zip(layout.site_names, np.unravel_index(indices, layout.factor_dims)):
-            assert np.array_equal(layout.level_index_array(site, register(layout))[indices], levels)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sides=st.tuples(*[st.integers(1, 4)] * 2, *[st.integers(3, 300)] * 2),
+        draws=st.lists(st.integers(0, 2**62), max_size=20),
+    )
+    @example(sides=(1, 2, 3, 4), draws=[0, 17, 287])
+    @example(sides=(4, 4, 255, 256), draws=[-1])
+    def test_levels_match_unravel_index(self, sides, draws):
+        layout = build_layout(*sides)
+        indices = np.array([draw % layout.dim for draw in draws], dtype=np.int64)  # -1: the last index
+        levels = layout.levels(indices)
+        assert levels.dtype == (np.uint16 if max(sides[2:]) >= 256 else np.uint8)
+        assert np.array_equal(levels, np.unravel_index(indices, layout.factor_dims))
+
+
+class TestPlaces:
+    """``_places`` against a dict from each key to its place."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.sets(st.integers(-50, 50)), queries=st.lists(st.integers(-80, 80), max_size=30))
+    @example(keys=set(), queries=[])
+    @example(keys=set(), queries=[0, 5, -1])
+    @example(keys={3, 7}, queries=[])
+    @example(keys={3, 7}, queries=[-100, 2, 3, 5, 7, 8, 100])
+    def test_matches_a_dict(self, keys, queries):
+        keys, queries = np.array(sorted(keys), dtype=np.int64), np.array(queries, dtype=np.int64)
+        where = {int(key): i for i, key in enumerate(keys)}
+        place, found = _places(keys, queries)
+        assert place.shape == found.shape == queries.shape
+        assert found.tolist() == [int(q) in where for q in queries]
+        assert place[found].tolist() == [where[int(q)] for q in queries if int(q) in where]
 
 
 class TestEmbedding:
@@ -219,7 +247,7 @@ class TestModeOperators:
         layout = build_layout(1, 1, cutoff, 3)
         a, adag = _mode_pair(layout, "cavL")
         comm = (a.matrix @ adag.matrix - adag.matrix @ a.matrix).toarray()
-        photon = layout.level_index_array("cavL", register(layout))
+        photon = layout.levels(register(layout))[layout.factor_index("cavL")]
         expected = np.where(photon == cutoff, -float(cutoff), 1.0)
         assert abs(comm - np.diag(expected)).max() < 1e-12
 
@@ -231,7 +259,7 @@ class TestStates:
 
         def populations(site):
             weights = np.abs(state.amplitudes) ** 2
-            return np.bincount(layout.level_index_array(site, register(layout)), weights, layout.site_dim(site))
+            return np.bincount(layout.levels(register(layout))[layout.factor_index(site)], weights, layout.site_dim(site))
 
         np.testing.assert_allclose(populations("q2"), [0.5, 0.5, 0.0], atol=1e-15)
         np.testing.assert_allclose(populations("cavL"), [0, 0, 1, 0], atol=1e-15)
